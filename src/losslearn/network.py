@@ -135,6 +135,8 @@ class Network:
             self._layout.append((layer, entries))
         self.theta = np.zeros(offset)
         self.momentum = np.zeros(offset)
+        # theta is only ever updated in place, so these views stay valid
+        self._theta_views = self._views(self.theta)
 
     @property
     def num_parameters(self):
@@ -161,7 +163,7 @@ class Network:
         if x.shape[1:] != expected:
             raise ValueError(f"batch shape {x.shape[1:]} does not match {expected}")
         caches = []
-        for (layer, _), views in zip(self._layout, self._views(self.theta)):
+        for (layer, _), views in zip(self._layout, self._theta_views):
             x, cache = _layer_forward(layer, views, x)
             caches.append(cache)
         probs = _softmax(x)
@@ -173,11 +175,10 @@ class Network:
         dot = np.sum(dprobs * probs, axis=1, keepdims=True)
         dx = probs * (dprobs - dot)
         grad = np.zeros_like(self.theta)
-        grad_views = self._views(grad)
         for (layer, _), views, gviews, lcache in zip(
             reversed(self._layout),
-            reversed(self._views(self.theta)),
-            reversed(grad_views),
+            reversed(self._theta_views),
+            reversed(self._views(grad)),
             reversed(caches),
         ):
             dx = _layer_backward(layer, views, gviews, lcache, dx)
@@ -188,7 +189,7 @@ def init(spec, seed):
     """Deterministic He-style uniform init; zero biases."""
     net = Network(spec)
     rng = np.random.default_rng(seed)
-    for views, (layer, _) in zip(net._views(net.theta), net._layout):
+    for views, (layer, _) in zip(net._theta_views, net._layout):
         if "w" in views:
             limit = np.sqrt(6.0 / _fan_in(layer))
             views["w"][...] = rng.uniform(-limit, limit, views["w"].shape)

@@ -431,7 +431,7 @@ def meta_train(cfg, run_dir, stop_after=None):
         # to the loss encoded by the current mean, unnormalized
         params = TaylorLossParams.from_flat(state.mean, order=cfg.order)
         loss_json = loss_to_json(params)
-    (run_dir / "best_loss.json").write_text(loss_json + "\n")
+    (run_dir / "best_loss.json").write_text(loss_json)
 
     history = []
     for row in log_rows:

@@ -9,6 +9,11 @@ because they do not affect gradients with respect to predictions. Each term
 carries the factor 1/(a! * b!), so coefficients play the role of mixed
 derivatives at the expansion point.
 
+Evaluation uses no powers. With d = yhat - theta0 and e = y - theta1 the
+polynomial is sum_a P_a(e) d^a, where P_a(e) = sum_b c_ab / (a! b!) e^b. Each
+P_a is evaluated by Horner's rule in e, then the value and the gradient
+sum_a a P_a d^(a-1) by Horner's rule in d: exact for any real labels.
+
 Losses here are total functions of their inputs (polynomials are finite
 everywhere), so no clamping of predictions is required or performed.
 """
@@ -78,27 +83,26 @@ class TaylorLossParams:
             raise ValueError("all parameters must be finite")
 
     @cached_property
-    def _terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # exponent arrays and coefficients pre-divided by a!*b!
-        keys = coefficient_keys(self.order)
-        a = np.array([k[0] for k in keys], dtype=np.int64)
-        b = np.array([k[1] for k in keys], dtype=np.int64)
-        scaled = np.array(
-            [
-                self.coefficients[k] / (math.factorial(k[0]) * math.factorial(k[1]))
-                for k in keys
-            ]
+    def _rows(self) -> tuple[tuple[float, ...], ...]:
+        # rows[a - 1][b] = c_ab / (a! b!): the coefficients of P_a, lowest power first
+        return tuple(
+            tuple(
+                self.coefficients[(a, b)] / (math.factorial(a) * math.factorial(b))
+                for b in range(self.order - a + 1)
+            )
+            for a in range(1, self.order + 1)
         )
-        return a, b, scaled
+
+    def _expand(self, yhat, y):
+        # d = yhat - theta0 and [P_1(e), ..., P_order(e)] with e = y - theta1
+        d = np.asarray(yhat, dtype=float) - self.expansion_point[0]
+        e = np.asarray(y, dtype=float) - self.expansion_point[1]
+        return d, [_horner(row, e) for row in self._rows]
 
     def per_class_value(self, yhat, y):
         """Polynomial value for one class; broadcasts over array inputs."""
-        a_exp, b_exp, scaled = self._terms
-        d = np.asarray(yhat, dtype=float) - self.expansion_point[0]
-        e = np.asarray(y, dtype=float) - self.expansion_point[1]
-        total = np.zeros(np.broadcast(d, e).shape)
-        for a, b, c in zip(a_exp, b_exp, scaled):
-            total += c * d**a * e**b
+        d, polys = self._expand(yhat, y)
+        total = d * _horner(polys, d)
         return total if total.ndim else float(total)
 
     def batch_value(self, yhat: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -109,13 +113,10 @@ class TaylorLossParams:
     def batch_grad(self, yhat: np.ndarray, y: np.ndarray) -> np.ndarray:
         """d(loss)/d(yhat) for each example in an (n, C) batch."""
         yhat, y = _check_batch(yhat, y)
-        a_exp, b_exp, scaled = self._terms
-        d = yhat - self.expansion_point[0]
-        e = y - self.expansion_point[1]
-        g = np.zeros_like(d)
-        for a, b, c in zip(a_exp, b_exp, scaled):
-            g += c * a * d ** (a - 1) * e**b
-        return g / yhat.shape[1]
+        d, polys = self._expand(yhat, y)
+        g = _horner([a * p for a, p in enumerate(polys, start=1)], d)
+        # at order 1 the gradient is the constant P_1, a scalar
+        return np.broadcast_to(g, d.shape) / yhat.shape[1]
 
     def value(self, yhat, y) -> float:
         """Mean per-class polynomial value for a single example."""
@@ -330,6 +331,14 @@ def mse_embedding(order: int = DEFAULT_ORDER) -> TaylorLossParams:
     coeffs[(2, 0)] = 2.0
     coeffs[(1, 1)] = -2.0
     return TaylorLossParams(order=order, expansion_point=(0.0, 0.0), coefficients=coeffs)
+
+
+def _horner(coeffs, x):
+    """sum_i coeffs[i] * x**i by Horner's rule; coeffs may be arrays."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+    return acc
 
 
 def _check_batch(yhat, y) -> tuple[np.ndarray, np.ndarray]:

@@ -315,6 +315,31 @@ def test_one_step_matches_hand_backprop():
     np.testing.assert_allclose(net._views(net.theta)[0]["b"], b, atol=1e-8)
 
 
+def test_cached_views_follow_in_place_updates():
+    net = init(tiny_mlp(), seed=1)
+    other = init(tiny_mlp(), seed=2)
+    x = np.random.default_rng(3).random((5, 4))
+    net.theta[:] = other.theta
+    np.testing.assert_array_equal(net.forward(x), other.forward(x))
+
+    ds = synth_blobs(3, 10, seed=4)
+    x4 = np.hstack([ds.features, ds.features])  # tiny_mlp takes 4 inputs
+    sp = make_split(x4, ds.labels, x4, ds.labels, 3)
+    before = net.theta.copy()
+    train(net, CrossEntropy(), sp, TrainConfig(learning_rate=0.1, batch_size=len(x4), epochs=1))
+    assert np.any(net.theta != before)  # one batch, one epoch: a single SGD step
+    for cached, fresh in zip(net._theta_views, net._views(net.theta)):
+        assert cached.keys() == fresh.keys()
+        for name in fresh:
+            np.testing.assert_array_equal(cached[name], fresh[name])
+
+    # each backward pass returns a new gradient, never a shared buffer
+    probs, cache = net._forward_cache(x)
+    dprobs = CrossEntropy().batch_grad(probs, np.eye(3)[[0, 1, 2, 0, 1]])
+    first = net._backward(cache, dprobs)
+    assert not np.shares_memory(first, net._backward(cache, dprobs))
+
+
 def test_training_deterministic():
     ds = synth_blobs(3, 40, seed=10)
     sp = split(ds, val_fraction=0.25, seed=10)

@@ -18,7 +18,9 @@ from losslearn.seeding import derive_seed
 from losslearn.taylor import (
     NormalizedLoss,
     TaylorLossParams,
+    load_loss,
     loss_from_json,
+    loss_to_json,
     num_parameters,
 )
 
@@ -271,3 +273,10 @@ def test_best_loss_file_loads(tmp_path):
         assert (reloaded.f_min, reloaded.f_max) == (best.f_min, best.f_max)
     else:
         assert reloaded == best
+
+
+@pytest.mark.parametrize("generations", [0, 1])
+def test_best_loss_file_is_canonical_json(tmp_path, generations):
+    meta_train(tiny_config(max_generations=generations), tmp_path / "run")
+    path = tmp_path / "run" / "best_loss.json"
+    assert path.read_text() == loss_to_json(load_loss(path))

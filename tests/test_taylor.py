@@ -183,6 +183,23 @@ def test_per_class_matches_oracle():
             params.order, *params.expansion_point, params.coefficients, 0.3, 0.0
         )
         assert params.per_class_value(0.3, 0.0) == pytest.approx(expected, abs=1e-12)
+    # every order, real (not one-hot) labels, arrays, negative expansion points
+    for order in range(1, 7):
+        for trial in range(20):
+            params = random_params(rng, order=order)
+            point = -np.abs(params.expansion_point) if trial % 2 else params.expansion_point
+            params = TaylorLossParams(
+                order=order, expansion_point=tuple(point), coefficients=params.coefficients
+            )
+            yhat_i = rng.uniform(-0.5, 1.5, 7)
+            y_i = rng.normal(0.0, 1.0, 7)
+            expected = [
+                oracle_per_class(order, *point, params.coefficients, p, t)
+                for p, t in zip(yhat_i, y_i)
+            ]
+            np.testing.assert_allclose(
+                params.per_class_value(yhat_i, y_i), expected, rtol=1e-12, atol=1e-12
+            )
 
 
 def test_value_matches_oracle_c10():
@@ -192,6 +209,15 @@ def test_value_matches_oracle_c10():
         yhat, y = random_input(rng, 10)
         assert params.value(yhat, y) == pytest.approx(
             oracle_value(params, yhat, y), abs=1e-12
+        )
+    # batches at every order with real (not one-hot) labels
+    for order in range(1, 7):
+        params = random_params(rng, order=order, scale=2.0)
+        yhat = rng.uniform(-0.5, 1.5, (5, 10))
+        y = rng.normal(0.0, 1.0, (5, 10))
+        expected = [oracle_value(params, yhat[i], y[i]) for i in range(5)]
+        np.testing.assert_allclose(
+            params.batch_value(yhat, y), expected, rtol=1e-12, atol=1e-12
         )
 
 
@@ -222,6 +248,25 @@ def test_grad_matches_finite_differences():
         yhat, y = random_input(rng, num_classes)
         fd = fd_grad(lambda p, t: params.value(p, t), yhat, y)
         assert rel_err(params.grad(yhat, y), fd) < 1e-5
+
+
+def test_batch_grad_matches_oracle_every_order():
+    rng = np.random.default_rng(43)
+    for order in range(1, 7):
+        for point in [(0.0, 0.0), (-0.6, -0.3), (0.4, -1.1)]:
+            params = TaylorLossParams(
+                order=order,
+                expansion_point=point,
+                coefficients={k: rng.uniform(-1, 1) for k in coefficient_keys(order)},
+            )
+            yhat = rng.uniform(-0.5, 1.5, (6, 4))
+            y = rng.normal(0.0, 1.0, (6, 4))  # real labels, not one-hot
+            grads = params.batch_grad(yhat, y)
+            # at order 1 the gradient is a constant, still one entry per class
+            assert grads.shape == (6, 4)
+            for i in range(6):
+                fd = fd_grad(lambda p, t: oracle_value(params, p, t), yhat[i], y[i])
+                assert rel_err(grads[i], fd) < 1e-6
 
 
 def test_grad_unchanged_by_pure_y_terms():
