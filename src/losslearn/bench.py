@@ -9,22 +9,20 @@ a given seed index, so losses are compared on identical footing.
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .datasets import dataset_from_selector
-from .datasets import split as split_dataset
-from .network import TrainConfig, accuracy, arch_from_selector, init, train
+from .datasets import dataset_from_selector, noisy_split
+from .network import TrainConfig, arch_from_selector, fit, input_shape_of
 from .noise import build_transition, noise_from_selector
 from .reference import REFERENCE_KINDS, make_reference_loss
 from .seeding import derive_seed
 from .taylor import load_loss
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Bad configuration or unresolvable selector; maps to exit code 2."""
 
 
@@ -80,7 +78,7 @@ def loss_from_selector(text):
 
 
 # ---------------------------------------------------------------------------
-# Single training run (used by the train command and each benchmark job)
+# Training at one seed (the train command and each benchmark seed)
 # ---------------------------------------------------------------------------
 
 
@@ -99,30 +97,33 @@ def run_single_training(
     pairing=None,
 ):
     """Train once from scratch; returns (clean val accuracy, diverged, curve)."""
-    ds = dataset_from_selector(dataset_sel, seed=derive_seed(seed, "data"))
-    noise_spec = noise_from_selector(noise_sel, ds.num_classes)
-    sp = split_dataset(
-        ds,
-        val_fraction=val_fraction,
-        noise=noise_spec,
-        seed=derive_seed(seed, "split"),
-        pairing=pairing,
-    )
-    shape = sp.train_features.shape[1:]
-    input_shape = int(shape[0]) if len(shape) == 1 else (shape[0], shape[1], 1)
-    spec = arch_from_selector(arch_sel, input_shape, ds.num_classes)
-    net = init(spec, derive_seed(seed, "init"))
     cfg = TrainConfig(
         learning_rate=learning_rate,
         momentum=momentum,
         batch_size=batch_size,
         epochs=epochs,
-        seed=derive_seed(seed, "train"),
     )
-    result = train(net, loss, sp, cfg)
-    if result.diverged:
-        return 0.0, True, result.curve
-    return accuracy(net, sp.val_features, sp.val_labels), False, result.curve
+    return _fit_at_seed(
+        [loss], arch_sel, dataset_sel, noise_sel, seed, cfg, val_fraction, pairing
+    )[0]
+
+
+def _fit_at_seed(losses, arch_sel, dataset_sel, noise_sel, seed, cfg, val_fraction, pairing):
+    """Fit each loss on the data, split, init and batch order of one seed.
+
+    The seed path excludes the loss, so losses are compared on equal footing.
+    """
+    sp = noisy_split(
+        dataset_sel,
+        noise_sel,
+        data_seed=derive_seed(seed, "data"),
+        split_seed=derive_seed(seed, "split"),
+        val_fraction=val_fraction,
+        pairing=pairing,
+    )
+    spec = arch_from_selector(arch_sel, input_shape_of(sp.train_features), sp.num_classes)
+    cfg = replace(cfg, seed=derive_seed(seed, "train"))
+    return [fit(spec, loss, sp, derive_seed(seed, "init"), cfg) for loss in losses]
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +142,6 @@ class BenchmarkGrid:
     momentum: float = 0.9
     val_fraction: float = 0.2
     master_seed: int = 0
-    workers: int = 1
     pairing: tuple = None
 
     def __post_init__(self):
@@ -162,6 +162,17 @@ class BenchmarkGrid:
                 )
         if self.seeds < 1:
             raise ConfigError("seeds must be at least 1")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ConfigError(f"val_fraction must lie in (0, 1), got {self.val_fraction}")
+        self.train_config()  # rejects bad training hyperparameters
+
+    def train_config(self):
+        return TrainConfig(
+            learning_rate=self.learning_rate,
+            momentum=self.momentum,
+            batch_size=self.batch_size,
+            epochs=self.epochs,
+        )
 
     @classmethod
     def from_dict(cls, doc):
@@ -172,8 +183,7 @@ class BenchmarkGrid:
                 raise ConfigError(f"missing field '{name}'")
         known = {
             "cells", "losses", "seeds", "epochs", "batch_size",
-            "learning_rate", "momentum", "val_fraction", "master_seed",
-            "workers", "pairing",
+            "learning_rate", "momentum", "val_fraction", "master_seed", "pairing",
         }
         for name in doc:
             if name not in known:
@@ -185,7 +195,7 @@ class BenchmarkGrid:
         kwargs = {k: v for k, v in doc.items() if k != "cells"}
         try:
             return cls(cells=cells, **kwargs)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
 
 
@@ -257,46 +267,24 @@ def run_benchmark(grid, out_dir):
         for arch, dsel, nsel in grid.cells:
             ds = dataset_from_selector(dsel, seed=0)
             noise_from_selector(nsel, ds.num_classes)
-            shape = ds.features.shape[1:]
-            input_shape = (
-                int(shape[0]) if len(shape) == 1 else (shape[0], shape[1], 1)
-            )
-            arch_from_selector(arch, input_shape, ds.num_classes)
+            arch_from_selector(arch, input_shape_of(ds.features), ds.num_classes)
     except (ValueError, OSError) as exc:
         raise ConfigError(f"unresolvable cell selector: {exc}") from None
 
-    jobs = [
-        (arch, dsel, nsel, loss_sel, s)
-        for (arch, dsel, nsel) in grid.cells
-        for loss_sel in grid.losses
-        for s in range(grid.seeds)
-    ]
-
-    def execute(job):
-        arch, dsel, nsel, loss_sel, s = job
-        # the seed path excludes the loss: every loss sees the same data,
-        # split, init, and batch order for a given seed index
-        seed = derive_seed(grid.master_seed, "cell", arch, dsel, nsel, s)
-        acc, diverged, _ = run_single_training(
-            losses[loss_sel],
-            dsel,
-            arch,
-            nsel,
-            epochs=grid.epochs,
-            batch_size=grid.batch_size,
-            learning_rate=grid.learning_rate,
-            momentum=grid.momentum,
-            val_fraction=grid.val_fraction,
-            seed=seed,
-            pairing=grid.pairing,
-        )
-        return (arch, dsel, nsel, loss_sel, s, acc, diverged)
-
-    if grid.workers == 1:
-        results = [execute(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=grid.workers) as pool:
-            results = list(pool.map(execute, jobs))
+    cfg = grid.train_config()
+    results = []
+    for arch, dsel, nsel in grid.cells:
+        rows = [[] for _ in grid.losses]
+        for s in range(grid.seeds):
+            seed = derive_seed(grid.master_seed, "cell", arch, dsel, nsel, s)
+            fits = _fit_at_seed(
+                [losses[sel] for sel in grid.losses],
+                arch, dsel, nsel, seed, cfg, grid.val_fraction, grid.pairing,
+            )
+            for loss_rows, loss_sel, (acc, diverged, _) in zip(rows, grid.losses, fits):
+                loss_rows.append((arch, dsel, nsel, loss_sel, s, acc, diverged))
+        for loss_rows in rows:  # a cell's rows are listed loss by loss
+            results += loss_rows
 
     (out_dir / "results.csv").write_text(results_csv(results))
     table = compute_ranks(grid, results)

@@ -47,11 +47,7 @@ def _load_pairing(path):
 
 
 def cmd_meta_train(args):
-    doc = _load_json(args.config, "config")
-    try:
-        cfg = MetaConfig.from_dict(doc)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    cfg = MetaConfig.from_dict(_load_json(args.config, "config"))
     meta_train(cfg, args.out, stop_after=args.stop_after)
     print(f"run complete; artifacts in {args.out}", file=sys.stderr)
     return 0

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import build_transition, corrupt
+from .noise import build_transition, corrupt, noise_from_selector
 from .seeding import derive_seed, label_checksum
 
 IMAGES_MAGIC = 2051
@@ -218,6 +218,22 @@ def split(ds, val_fraction=0.2, noise=None, seed=0, pairing=None):
         num_classes=ds.num_classes,
         provenance=provenance,
     )
+
+
+def noisy_split(dataset_sel, noise_sel, *, data_seed, split_seed, val_fraction, pairing):
+    """Build a dataset from its selector and split it with noisy train labels.
+
+    Fails unless the validation labels are the clean source labels: training
+    may corrupt labels, scoring must never see them.
+    """
+    ds = dataset_from_selector(dataset_sel, seed=data_seed)
+    noise = noise_from_selector(noise_sel, ds.num_classes)
+    sp = split(ds, val_fraction=val_fraction, noise=noise, seed=split_seed, pairing=pairing)
+    if label_checksum(sp.val_labels) != sp.provenance["val_label_checksum"]:
+        raise RuntimeError(f"validation labels for {dataset_sel} were modified")
+    if not np.array_equal(sp.val_labels, ds.labels[sp.val_indices]):
+        raise RuntimeError(f"validation labels for {dataset_sel} differ from source")
+    return sp
 
 
 # ---------------------------------------------------------------------------

@@ -325,6 +325,12 @@ class TrainResult:
         return self.curve[-1][2] if self.curve else None
 
 
+def input_shape_of(features):
+    """Network input shape for a feature array: the row width, or (H, W, 1)."""
+    shape = features.shape[1:]
+    return int(shape[0]) if len(shape) == 1 else (shape[0], shape[1], 1)
+
+
 def prepare_features(features, input_shape):
     """Reshape dataset features to the network's input layout."""
     x = np.asarray(features, dtype=float)
@@ -390,6 +396,22 @@ def train(net, loss, data, cfg):
             val_acc = accuracy(net, data.val_features, data.val_labels)
             result.curve.append((epoch, loss_sum / n, val_acc))
     return result
+
+
+def fit(spec, loss, data, init_seed, cfg):
+    """Initialize, train and score one network: the job behind every command.
+
+    Returns (clean validation accuracy, diverged, curve); a diverged job
+    scores 0.
+    """
+    net = init(spec, init_seed)
+    result = train(net, loss, data, cfg)
+    if result.diverged:
+        return 0.0, True, result.curve
+    acc = result.final_accuracy
+    if acc is None:  # no epochs ran
+        acc = accuracy(net, data.val_features, data.val_labels)
+    return acc, False, result.curve
 
 
 def curve_to_csv(curve):

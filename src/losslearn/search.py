@@ -5,26 +5,23 @@ candidate is decoded, range-normalized, and scored by the mean clean
 validation accuracy of small networks trained on noise-corrupted data across
 the architecture x dataset job grid. Everything is derived from the master
 seed, and job results are reduced in job-index order, so the run is a pure
-function of its config no matter how many workers execute it.
+function of its config.
 """
 
 import csv
 import io
 import json
 import logging
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .bench import ConfigError
 from .cma import CmaState, stop_reason
-from .datasets import dataset_from_selector
-from .datasets import split as split_dataset
-from .network import TrainConfig, accuracy, arch_from_selector, init, train
-from .noise import noise_from_selector
-from .seeding import derive_seed, label_checksum
+from .datasets import noisy_split
+from .network import TrainConfig, arch_from_selector, fit, input_shape_of
+from .seeding import derive_seed
 from .taylor import (
     TaylorLossParams,
     loss_from_json,
@@ -60,7 +57,6 @@ _OPTIONAL_DEFAULTS = {
     "momentum": 0.9,
     "batch_size": 128,
     "epochs": 5,
-    "workers": 1,
     "pairing": None,
 }
 
@@ -84,7 +80,6 @@ class MetaConfig:
     momentum: float = 0.9
     batch_size: int = 128
     epochs: int = 5
-    workers: int = 1
     pairing: tuple = None
 
     def __post_init__(self):
@@ -113,24 +108,28 @@ class MetaConfig:
             raise ValueError("eta must be positive")
         if self.max_generations < 0:
             raise ValueError("max_generations must be nonnegative")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ValueError(f"val_fraction must lie in (0, 1), got {self.val_fraction}")
+        self.inner_config(seed=0)  # rejects bad training hyperparameters
 
     @classmethod
     def from_dict(cls, doc):
         if not isinstance(doc, dict):
-            raise ValueError("config must be a JSON object")
+            raise ConfigError("config must be a JSON object")
         for name in _REQUIRED_FIELDS:
             if name not in doc:
-                raise ValueError(f"missing field '{name}'")
+                raise ConfigError(f"missing field '{name}'")
         known = set(_REQUIRED_FIELDS) | set(_OPTIONAL_DEFAULTS)
         for name in doc:
             if name not in known:
-                raise ValueError(f"unknown field '{name}'")
+                raise ConfigError(f"unknown field '{name}'")
         kwargs = {name: doc[name] for name in _REQUIRED_FIELDS}
         for name, default in _OPTIONAL_DEFAULTS.items():
             kwargs[name] = doc.get(name, default)
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
 
     def to_dict(self):
         doc = {name: getattr(self, name) for name in _REQUIRED_FIELDS}
@@ -159,7 +158,6 @@ class JobResult:
     dataset: str
     accuracy: float
     diverged: bool
-    wall_time: float = 0.0
 
 
 @dataclass
@@ -183,44 +181,27 @@ def run_generation(state, cfg, gen_seed):
     ask_rng = np.random.default_rng(derive_seed(gen_seed, "ask"))
     candidates = state.ask(ask_rng)
 
-    splits = {}
-    class_counts = {}
-    for sel in cfg.datasets:
-        ds = dataset_from_selector(sel, seed=derive_seed(gen_seed, "data", sel))
-        noise_spec = noise_from_selector(cfg.noise, ds.num_classes)
-        sp = split_dataset(
-            ds,
+    splits = {
+        sel: noisy_split(
+            sel,
+            cfg.noise,
+            data_seed=derive_seed(gen_seed, "data", sel),
+            split_seed=derive_seed(gen_seed, "split", sel),
             val_fraction=cfg.val_fraction,
-            noise=noise_spec,
-            seed=derive_seed(gen_seed, "split", sel),
             pairing=cfg.pairing,
         )
-        # fitness must only ever see clean validation labels
-        if label_checksum(sp.val_labels) != sp.provenance["val_label_checksum"]:
-            raise RuntimeError(f"validation labels for {sel} were modified")
-        if not np.array_equal(sp.val_labels, ds.labels[sp.val_indices]):
-            raise RuntimeError(f"validation labels for {sel} differ from source")
-        splits[sel] = sp
-        class_counts[sel] = ds.num_classes
-
-    arch_specs = {
-        (a, sel): arch_from_selector(
-            a,
-            _input_shape_from_split(splits[sel]),
-            class_counts[sel],
-        )
-        for a in cfg.architectures
         for sel in cfg.datasets
     }
-    init_seeds = {a: derive_seed(gen_seed, "init", a) for a in cfg.architectures}
-    train_seeds = {
-        (a, sel): derive_seed(gen_seed, "train", a, sel)
+    arch_specs = {
+        (a, sel): arch_from_selector(
+            a, input_shape_of(splits[sel].train_features), splits[sel].num_classes
+        )
         for a in cfg.architectures
         for sel in cfg.datasets
     }
 
     # normalization range is estimated against the first dataset's class count
-    ref_classes = class_counts[cfg.datasets[0]]
+    ref_classes = splits[cfg.datasets[0]].num_classes
     decoded = []
     losses = []
     for i, vec in enumerate(candidates):
@@ -241,46 +222,28 @@ def run_generation(state, cfg, gen_seed):
             )
         )
 
-    jobs = [
-        (i, a, sel)
-        for i in range(len(candidates))
-        for a in cfg.architectures
-        for sel in cfg.datasets
-    ]
-
-    def execute(job):
-        i, a, sel = job
-        loss = losses[i]
-        if loss is None:
-            return JobResult(a, sel, 0.0, True, 0.0)
-        start = time.perf_counter()
+    def execute(i, a, sel):
+        if losses[i] is None:
+            return JobResult(a, sel, 0.0, True)
         try:
-            net = init(arch_specs[(a, sel)], init_seeds[a])
-            result = train(
-                net, loss, splits[sel], cfg.inner_config(train_seeds[(a, sel)])
+            acc, diverged, _ = fit(
+                arch_specs[(a, sel)],
+                losses[i],
+                splits[sel],
+                derive_seed(gen_seed, "init", a),
+                cfg.inner_config(derive_seed(gen_seed, "train", a, sel)),
             )
-            if result.diverged:
-                return JobResult(a, sel, 0.0, True, time.perf_counter() - start)
-            acc = accuracy(net, splits[sel].val_features, splits[sel].val_labels)
-            return JobResult(a, sel, acc, False, time.perf_counter() - start)
         except Exception:
             log.exception("job (%d, %s, %s) failed; scoring 0", i, a, sel)
-            return JobResult(a, sel, 0.0, True, time.perf_counter() - start)
+            return JobResult(a, sel, 0.0, True)
+        return JobResult(a, sel, acc, diverged)
 
-    if cfg.workers == 1:
-        results = [execute(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(execute, jobs))  # preserves job order
-
-    per_candidate = len(cfg.architectures) * len(cfg.datasets)
     records = []
-    scores = np.zeros(len(candidates))
     for i in range(len(candidates)):
-        chunk = results[i * per_candidate : (i + 1) * per_candidate]
-        score = aggregate_score([job.accuracy for job in chunk])
-        records.append(FitnessRecord(candidate=i, jobs=chunk, score=score))
-        scores[i] = score
+        jobs = [execute(i, a, sel) for a in cfg.architectures for sel in cfg.datasets]
+        score = aggregate_score([job.accuracy for job in jobs])
+        records.append(FitnessRecord(candidate=i, jobs=jobs, score=score))
+    scores = np.array([rec.score for rec in records])
 
     state.tell(candidates, scores, maximize=True)
 
@@ -290,15 +253,6 @@ def run_generation(state, cfg, gen_seed):
             champion = (int(i), float(scores[i]), losses[i], decoded[i])
             break
     return records, champion
-
-
-def _input_shape_from_split(sp):
-    shape = sp.train_features.shape[1:]
-    if len(shape) == 1:
-        return int(shape[0])
-    if len(shape) == 2:
-        return (shape[0], shape[1], 1)
-    return tuple(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +309,7 @@ def meta_train(cfg, run_dir, stop_after=None):
     config_text = json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n"
     config_path = run_dir / "config.json"
     if config_path.exists() and config_path.read_text() != config_text:
-        raise ValueError(f"run directory {run_dir} holds a different config")
+        raise ConfigError(f"run directory {run_dir} holds a different config")
     config_path.write_text(config_text)
 
     n = num_parameters(cfg.order)
@@ -368,7 +322,7 @@ def meta_train(cfg, run_dir, stop_after=None):
     if latest is not None:
         doc = json.loads(latest[1].read_text())
         if doc.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(
+            raise ConfigError(
                 f"checkpoint version {doc.get('version')} is not resumable "
                 f"(expected {CHECKPOINT_VERSION})"
             )

@@ -1,8 +1,8 @@
 """Deterministic seed derivation and label checksums.
 
 Every random decision in a run is driven by a seed derived from the master
-seed plus a structural path (generation index, job index, ...). Workers can
-then evaluate jobs in any order, or in parallel, without changing results.
+seed plus a structural path (generation index, job index, ...), so jobs
+can run in any order without changing results.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from losslearn.bench import (
     mid_ranks,
     noise_matrix_csv,
     run_benchmark,
+    run_single_training,
 )
 from losslearn.cli import main_entry
 from losslearn.reference import (
@@ -27,6 +28,7 @@ from losslearn.reference import (
     MeanAbsoluteError,
     SymmetricCrossEntropy,
 )
+from losslearn.seeding import derive_seed
 from losslearn.taylor import mse_embedding, save_loss
 
 
@@ -310,12 +312,33 @@ def test_benchmark_reruns_are_byte_identical(tmp_path):
         ).read_bytes()
 
 
-def test_benchmark_workers_do_not_change_results(tmp_path):
-    run_benchmark(small_grid(workers=1), tmp_path / "serial")
-    run_benchmark(small_grid(workers=4), tmp_path / "pooled")
-    assert (tmp_path / "serial" / "results.csv").read_bytes() == (
-        tmp_path / "pooled" / "results.csv"
-    ).read_bytes()
+def test_benchmark_rows_equal_single_trainings(tmp_path):
+    # the benchmark builds each (cell, seed) split once for all losses; every
+    # row must still equal a standalone training on that cell seed
+    grid = small_grid()
+    run_benchmark(grid, tmp_path)
+    expected = []
+    for arch, dsel, nsel in grid.cells:
+        for loss in grid.losses:
+            for s in range(grid.seeds):
+                acc, diverged, _ = run_single_training(
+                    loss_from_selector(loss),
+                    dsel,
+                    arch,
+                    nsel,
+                    epochs=grid.epochs,
+                    batch_size=grid.batch_size,
+                    learning_rate=grid.learning_rate,
+                    momentum=grid.momentum,
+                    val_fraction=grid.val_fraction,
+                    seed=derive_seed(grid.master_seed, "cell", arch, dsel, nsel, s),
+                    pairing=grid.pairing,
+                )
+                expected.append(
+                    [arch, dsel, nsel, loss, str(s), f"{acc:.6f}", str(int(diverged))]
+                )
+    rows = read_csv(tmp_path / "results.csv")
+    assert [list(row.values()) for row in rows] == expected
 
 
 def test_losses_share_data_and_init_within_a_seed(tmp_path):
@@ -453,19 +476,18 @@ def test_cli_train_bad_dataset_selector_exits_two(capsys):
     assert "cubes" in capsys.readouterr().err
 
 
+GRID_CONFIG = {
+    "cells": [["mlp:8", "blobs:3:20:0.3", "none"]],
+    "losses": ["ce", "mae"],
+    "seeds": 1,
+    "epochs": 1,
+    "master_seed": 3,
+}
+
+
 def test_cli_benchmark_roundtrip(tmp_path, capsys):
     config = tmp_path / "grid.json"
-    config.write_text(
-        json.dumps(
-            {
-                "cells": [["mlp:8", "blobs:3:20:0.3", "none"]],
-                "losses": ["ce", "mae"],
-                "seeds": 1,
-                "epochs": 1,
-                "master_seed": 3,
-            }
-        )
-    )
+    config.write_text(json.dumps(GRID_CONFIG))
     out_dir = tmp_path / "out"
     assert main_entry(["benchmark", "--config", str(config), "--out", str(out_dir)]) == 0
     err = capsys.readouterr().err
@@ -473,6 +495,23 @@ def test_cli_benchmark_roundtrip(tmp_path, capsys):
     assert (out_dir / "results.csv").exists()
     assert (out_dir / "rank_table.csv").exists()
     assert (out_dir / "avg_ranks.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"workers": 1}, "unknown field 'workers'"),
+        ({"val_fraction": 1.5}, "val_fraction"),
+        ({"learning_rate": -1}, "learning_rate"),
+    ],
+)
+def test_cli_benchmark_bad_config_exits_two(tmp_path, capsys, override, message):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({**GRID_CONFIG, **override}))
+    out_dir = tmp_path / "out"
+    assert main_entry(["benchmark", "--config", str(config), "--out", str(out_dir)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out_dir / "results.csv").exists()
 
 
 def test_cli_benchmark_missing_field_names_it(tmp_path, capsys):
@@ -556,24 +595,23 @@ def test_cli_make_noise_matrix_bad_ratio_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+META_CONFIG = {
+    "mode": "AR",
+    "architectures": ["mlp:8"],
+    "datasets": ["blobs:3:30:0.3"],
+    "noise": "sym:0.2",
+    "max_generations": 1,
+    "master_seed": 11,
+    "population": 5,
+    "epochs": 1,
+    "batch_size": 16,
+    "range_samples": 300,
+}
+
+
 def test_cli_meta_train_smoke(tmp_path, capsys):
     config = tmp_path / "meta.json"
-    config.write_text(
-        json.dumps(
-            {
-                "mode": "AR",
-                "architectures": ["mlp:8"],
-                "datasets": ["blobs:3:30:0.3"],
-                "noise": "sym:0.2",
-                "max_generations": 1,
-                "master_seed": 11,
-                "population": 5,
-                "epochs": 1,
-                "batch_size": 16,
-                "range_samples": 300,
-            }
-        )
-    )
+    config.write_text(json.dumps(META_CONFIG))
     run_dir = tmp_path / "run"
     assert main_entry(["meta-train", "--config", str(config), "--out", str(run_dir)]) == 0
     capsys.readouterr()
@@ -589,3 +627,44 @@ def test_cli_meta_train_missing_field_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert "missing field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"workers": 1}, "unknown field 'workers'"),
+        ({"val_fraction": 1.5}, "val_fraction"),
+        ({"learning_rate": -1}, "learning_rate"),
+    ],
+)
+def test_cli_meta_train_bad_config_exits_two(tmp_path, capsys, override, message):
+    # a bad training hyperparameter must not reach the jobs, where it would
+    # be scored as a diverged candidate
+    config = tmp_path / "meta.json"
+    config.write_text(json.dumps({**META_CONFIG, **override}))
+    run_dir = tmp_path / "run"
+    assert main_entry(["meta-train", "--config", str(config), "--out", str(run_dir)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(run_dir.glob("fitness_gen_*.csv"))
+
+
+def test_cli_meta_train_run_dir_conflicts_exit_two(tmp_path, capsys):
+    config = tmp_path / "meta.json"
+    config.write_text(json.dumps(META_CONFIG))
+    run_dir = tmp_path / "run"
+    argv = ["meta-train", "--config", str(config), "--out", str(run_dir)]
+    assert main_entry(argv) == 0
+    capsys.readouterr()
+
+    # a run directory written with a field this config does not have
+    config_path = run_dir / "config.json"
+    written = config_path.read_text()
+    config_path.write_text(json.dumps({**json.loads(written), "workers": 1}))
+    assert main_entry(argv) == 2
+    assert "holds a different config" in capsys.readouterr().err
+
+    config_path.write_text(written)
+    checkpoint = run_dir / "checkpoint_gen_1.json"
+    checkpoint.write_text(json.dumps({**json.loads(checkpoint.read_text()), "version": 999}))
+    assert main_entry(argv) == 2
+    assert "version 999 is not resumable" in capsys.readouterr().err

@@ -16,6 +16,7 @@ from losslearn.network import (
     arch_from_selector,
     cnn_spec,
     curve_to_csv,
+    fit,
     init,
     linear_spec,
     mlp_spec,
@@ -408,6 +409,43 @@ def test_divergence_flagged_not_thrown():
     )
     assert result.diverged
     assert result.fail_epoch is not None
+
+
+def fit_problem():
+    sp = split(synth_blobs(3, 40, seed=18), val_fraction=0.25, seed=18)
+    return mlp_spec(2, [8], 3), sp
+
+
+def test_fit_scores_the_trained_network():
+    spec, sp = fit_problem()
+    cfg = TrainConfig(epochs=3, batch_size=16, seed=19)
+    acc, diverged, curve = fit(spec, CrossEntropy(), sp, 20, cfg)
+    net = init(spec, 20)
+    result = train(net, CrossEntropy(), sp, cfg)
+    assert (diverged, curve) == (False, result.curve)
+    assert acc == accuracy(net, sp.val_features, sp.val_labels)
+
+
+def test_fit_without_epochs_scores_the_initial_network():
+    spec, sp = fit_problem()
+    acc, diverged, curve = fit(spec, CrossEntropy(), sp, 20, TrainConfig(epochs=0))
+    assert acc == accuracy(init(spec, 20), sp.val_features, sp.val_labels)
+    assert (diverged, curve) == (False, [])
+
+
+def test_fit_scores_a_diverged_network_zero():
+    class Exploding:
+        def batch_value(self, yhat, y):
+            return np.zeros(len(y))
+
+        def batch_grad(self, yhat, y):
+            return np.where(y > 0, -np.inf, 0.0)
+
+    spec, sp = fit_problem()
+    cfg = TrainConfig(epochs=2, batch_size=16, seed=19)
+    acc, diverged, curve = fit(spec, Exploding(), sp, 20, cfg)
+    assert (acc, diverged) == (0.0, True)
+    assert curve == train(init(spec, 20), Exploding(), sp, cfg).curve
 
 
 def test_curve_csv_format():

@@ -37,7 +37,6 @@ def tiny_config(**overrides):
         "epochs": 2,
         "batch_size": 16,
         "range_samples": 400,
-        "workers": 1,
     }
     base.update(overrides)
     return MetaConfig.from_dict(base)
@@ -231,18 +230,6 @@ def test_resume_is_byte_identical(tmp_path):
     for name in a:
         assert a[name] == b[name], f"{name} differs after resume"
     assert hist_a == hist_b
-
-
-def test_worker_count_does_not_change_results(tmp_path):
-    cfg1 = tiny_config(workers=1)
-    cfg4 = tiny_config(workers=4)
-    meta_train(cfg1, tmp_path / "w1")
-    meta_train(cfg4, tmp_path / "w4")
-    for name in ["cma_log.csv", "best_loss.json", "fitness_gen_1.csv",
-                 "fitness_gen_2.csv"]:
-        a = (tmp_path / "w1" / name).read_bytes()
-        b = (tmp_path / "w4" / name).read_bytes()
-        assert a == b, f"{name} differs with 4 workers"
 
 
 def test_conflicting_run_dir_rejected(tmp_path):
