@@ -69,7 +69,7 @@ def cmd_train(args):
             seed=args.seed,
             pairing=_load_pairing(args.pairing),
         )
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from None
     if args.curve_out:
         Path(args.curve_out).write_text(curve_to_csv(curve))

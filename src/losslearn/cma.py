@@ -207,7 +207,7 @@ def cma_init(n, mean0=None, sigma0=0.5, lam=None):
 
 def stop_reason(
     state,
-    best_history,
+    best_fitness,
     max_generations,
     stagnation_window=10,
     stagnation_tol=1e-4,
@@ -215,13 +215,13 @@ def stop_reason(
 ):
     """Why the search should stop now, or None to keep going.
 
-    best_history is the per-generation best fitness sequence so far
+    best_fitness is the per-generation best fitness sequence so far
     (maximization orientation).
     """
     if state.generation >= max_generations:
         return "max-generations"
-    if len(best_history) > stagnation_window:
-        window = best_history[-(stagnation_window + 1) :]
+    if len(best_fitness) > stagnation_window:
+        window = best_fitness[-(stagnation_window + 1) :]
         if max(window) - window[0] < stagnation_tol:
             return "stagnation"
     if state.sigma * math.sqrt(float(np.max(np.diag(state.cov)))) < sigma_floor:

@@ -7,41 +7,169 @@ and batch_grad(probs, onehot) -> (n, C); the gradient is pushed through the
 full softmax Jacobian so losses that are not cross-entropy-shaped work too.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 # ---------------------------------------------------------------------------
-# Layer descriptors and the architecture spec
+# Layers: each knows its output shape, parameters, forward and backward pass
 # ---------------------------------------------------------------------------
 
 
+class _Layer:
+    """Defaults for a layer without parameters.
+
+    forward(params, x) returns (y, cache); param_grad(grads, cache, dy) fills
+    the layer's gradient views in place; input_grad(params, cache, dy) returns
+    dL/dx. output_shape raises a plain ValueError for an input the layer
+    cannot take.
+    """
+
+    def param_shapes(self):
+        return {}
+
+    def param_grad(self, grads, cache, dy):
+        pass
+
+
+def _image_shape(shape):
+    if isinstance(shape, int) or len(shape) != 3:
+        raise ValueError(f"needs an (H, W, ch) input, got {shape}")
+    return shape
+
+
 @dataclass(frozen=True)
-class Dense:
+class Dense(_Layer):
     in_dim: int
     out_dim: int
 
+    def output_shape(self, shape):
+        if not isinstance(shape, int):
+            raise ValueError(f"needs a flat input, got {shape}")
+        if shape != self.in_dim:
+            raise ValueError(f"expects {self.in_dim} inputs, got {shape}")
+        return self.out_dim
+
+    def param_shapes(self):
+        return {"w": (self.in_dim, self.out_dim), "b": (self.out_dim,)}
+
+    def forward(self, params, x):
+        return x @ params["w"] + params["b"], x
+
+    def param_grad(self, grads, x, dy):
+        grads["w"][...] = x.T @ dy
+        grads["b"][...] = dy.sum(axis=0)
+
+    def input_grad(self, params, x, dy):
+        return dy @ params["w"].T
+
 
 @dataclass(frozen=True)
-class ReLU:
-    pass
+class ReLU(_Layer):
+    def output_shape(self, shape):
+        return shape
+
+    def forward(self, params, x):
+        return np.maximum(x, 0.0), x
+
+    def input_grad(self, params, x, dy):
+        return dy * (x > 0.0)
 
 
 @dataclass(frozen=True)
-class Conv2D:
+class Conv2D(_Layer):
+    """Valid convolution by im2col: one matmul over all k x k windows."""
+
     in_ch: int
     out_ch: int
     kernel: int
 
+    def output_shape(self, shape):
+        h, w, ch = _image_shape(shape)
+        if ch != self.in_ch:
+            raise ValueError(f"expects {self.in_ch} channels, got {ch}")
+        if h < self.kernel or w < self.kernel:
+            raise ValueError(f"kernel {self.kernel} too large for {h}x{w}")
+        return (h - self.kernel + 1, w - self.kernel + 1, self.out_ch)
+
+    def param_shapes(self):
+        k = self.kernel
+        return {"w": (k, k, self.in_ch, self.out_ch), "b": (self.out_ch,)}
+
+    def forward(self, params, x):
+        k = self.kernel
+        windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
+        # windows: (n, oh, ow, in_ch, k, k) -> columns (n*oh*ow, k*k*in_ch)
+        n, oh, ow = windows.shape[:3]
+        cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, -1)
+        wmat = params["w"].reshape(-1, self.out_ch)
+        out = cols @ wmat + params["b"]
+        return out.reshape(n, oh, ow, self.out_ch), (x.shape, cols)
+
+    def param_grad(self, grads, cache, dy):
+        _, cols = cache
+        dy_flat = dy.reshape(-1, self.out_ch)
+        grads["w"][...] = (cols.T @ dy_flat).reshape(grads["w"].shape)
+        grads["b"][...] = dy_flat.sum(axis=0)
+
+    def input_grad(self, params, cache, dy):
+        k = self.kernel
+        x_shape, _ = cache
+        n, oh, ow, _ = dy.shape
+        wmat = params["w"].reshape(-1, self.out_ch)
+        dcols = (dy.reshape(-1, self.out_ch) @ wmat.T).reshape(n, oh, ow, k, k, -1)
+        dx = np.zeros(x_shape)
+        for i in range(k):
+            for j in range(k):
+                dx[:, i : i + oh, j : j + ow, :] += dcols[:, :, :, i, j, :]
+        return dx
+
 
 @dataclass(frozen=True)
-class MaxPool:
+class MaxPool(_Layer):
+    """Non-overlapping size x size max pooling; the first max in a tile wins."""
+
     size: int
 
+    def output_shape(self, shape):
+        h, w, ch = _image_shape(shape)
+        if h % self.size or w % self.size:
+            raise ValueError(f"{h}x{w} not divisible by pool size {self.size}")
+        return (h // self.size, w // self.size, ch)
+
+    def forward(self, params, x):
+        s = self.size
+        n, h, w, ch = x.shape
+        oh, ow = h // s, w // s
+        tiles = x.reshape(n, oh, s, ow, s, ch).transpose(0, 1, 3, 2, 4, 5)
+        tiles = tiles.reshape(n, oh, ow, s * s, ch)
+        best = np.argmax(tiles, axis=3)
+        out = np.take_along_axis(tiles, best[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+        return out, (x.shape, best)
+
+    def input_grad(self, params, cache, dy):
+        s = self.size
+        x_shape, best = cache
+        n, oh, ow, ch = dy.shape
+        dtiles = np.zeros((n, oh, ow, s * s, ch))
+        np.put_along_axis(dtiles, best[:, :, :, None, :], dy[:, :, :, None, :], axis=3)
+        dtiles = dtiles.reshape(n, oh, ow, s, s, ch).transpose(0, 1, 3, 2, 4, 5)
+        return dtiles.reshape(x_shape)
+
 
 @dataclass(frozen=True)
-class Flatten:
-    pass
+class Flatten(_Layer):
+    def output_shape(self, shape):
+        if isinstance(shape, int):
+            raise ValueError("input is already flat")
+        return math.prod(shape)
+
+    def forward(self, params, x):
+        return x.reshape(x.shape[0], -1), x.shape
+
+    def input_grad(self, params, x_shape, dy):
+        return dy.reshape(x_shape)
 
 
 @dataclass(frozen=True)
@@ -55,64 +183,14 @@ class NetworkSpec:
         object.__setattr__(self, "layers", tuple(self.layers))
         shape = self.input_shape
         for i, layer in enumerate(self.layers):
-            shape = _output_shape(layer, shape, i)
+            try:
+                shape = layer.output_shape(shape)
+            except ValueError as exc:
+                raise ValueError(f"layer {i} ({type(layer).__name__}): {exc}") from None
         if shape != self.num_classes:
             raise ValueError(
                 f"final layer produces {shape}, expected {self.num_classes} classes"
             )
-
-
-def _output_shape(layer, shape, index):
-    def fail(msg):
-        raise ValueError(f"layer {index} ({type(layer).__name__}): {msg}")
-
-    if isinstance(layer, Dense):
-        if not isinstance(shape, int):
-            fail(f"needs a flat input, got {shape}")
-        if shape != layer.in_dim:
-            fail(f"expects {layer.in_dim} inputs, got {shape}")
-        return layer.out_dim
-    if isinstance(layer, ReLU):
-        return shape
-    if isinstance(layer, Conv2D):
-        if isinstance(shape, int) or len(shape) != 3:
-            fail(f"needs an (H, W, ch) input, got {shape}")
-        h, w, ch = shape
-        if ch != layer.in_ch:
-            fail(f"expects {layer.in_ch} channels, got {ch}")
-        if h < layer.kernel or w < layer.kernel:
-            fail(f"kernel {layer.kernel} too large for {h}x{w}")
-        return (h - layer.kernel + 1, w - layer.kernel + 1, layer.out_ch)
-    if isinstance(layer, MaxPool):
-        if isinstance(shape, int) or len(shape) != 3:
-            fail(f"needs an (H, W, ch) input, got {shape}")
-        h, w, ch = shape
-        if h % layer.size or w % layer.size:
-            fail(f"{h}x{w} not divisible by pool size {layer.size}")
-        return (h // layer.size, w // layer.size, ch)
-    if isinstance(layer, Flatten):
-        if isinstance(shape, int):
-            fail("input is already flat")
-        return int(np.prod(shape))
-    fail("unknown layer type")
-
-
-def _param_shapes(layer):
-    if isinstance(layer, Dense):
-        return [("w", (layer.in_dim, layer.out_dim)), ("b", (layer.out_dim,))]
-    if isinstance(layer, Conv2D):
-        k = layer.kernel
-        return [
-            ("w", (k, k, layer.in_ch, layer.out_ch)),
-            ("b", (layer.out_ch,)),
-        ]
-    return []
-
-
-def _fan_in(layer):
-    if isinstance(layer, Dense):
-        return layer.in_dim
-    return layer.kernel * layer.kernel * layer.in_ch
 
 
 # ---------------------------------------------------------------------------
@@ -125,16 +203,10 @@ class Network:
 
     def __init__(self, spec):
         self.spec = spec
-        self._layout = []  # (layer, [(name, offset, shape)])
-        offset = 0
-        for layer in spec.layers:
-            entries = []
-            for name, shape in _param_shapes(layer):
-                entries.append((name, offset, shape))
-                offset += int(np.prod(shape))
-            self._layout.append((layer, entries))
-        self.theta = np.zeros(offset)
-        self.momentum = np.zeros(offset)
+        shapes = [s for layer in spec.layers for s in layer.param_shapes().values()]
+        size = sum(math.prod(shape) for shape in shapes)
+        self.theta = np.zeros(size)
+        self.momentum = np.zeros(size)
         # theta is only ever updated in place, so these views stay valid
         self._theta_views = self._views(self.theta)
 
@@ -143,12 +215,14 @@ class Network:
         return self.theta.size
 
     def _views(self, vector):
-        out = []
-        for layer, entries in self._layout:
-            views = {
-                name: vector[off : off + int(np.prod(shape))].reshape(shape)
-                for name, off, shape in entries
-            }
+        """Per layer, its named parameters as views into a flat vector."""
+        out, offset = [], 0
+        for layer in self.spec.layers:
+            views = {}
+            for name, shape in layer.param_shapes().items():
+                size = math.prod(shape)
+                views[name] = vector[offset : offset + size].reshape(shape)
+                offset += size
             out.append(views)
         return out
 
@@ -163,8 +237,8 @@ class Network:
         if x.shape[1:] != expected:
             raise ValueError(f"batch shape {x.shape[1:]} does not match {expected}")
         caches = []
-        for (layer, _), views in zip(self._layout, self._theta_views):
-            x, cache = _layer_forward(layer, views, x)
+        for layer, params in zip(self.spec.layers, self._theta_views):
+            x, cache = layer.forward(params, x)
             caches.append(cache)
         probs = _softmax(x)
         return probs, (caches, probs)
@@ -175,13 +249,12 @@ class Network:
         dot = np.sum(dprobs * probs, axis=1, keepdims=True)
         dx = probs * (dprobs - dot)
         grad = np.zeros_like(self.theta)
-        for (layer, _), views, gviews, lcache in zip(
-            reversed(self._layout),
-            reversed(self._theta_views),
-            reversed(self._views(grad)),
-            reversed(caches),
-        ):
-            dx = _layer_backward(layer, views, gviews, lcache, dx)
+        grads = self._views(grad)
+        for i in reversed(range(len(caches))):
+            layer, params = self.spec.layers[i], self._theta_views[i]
+            layer.param_grad(grads[i], caches[i], dx)
+            if i:  # nothing uses the gradient with respect to the input batch
+                dx = layer.input_grad(params, caches[i], dx)
         return grad
 
 
@@ -189,98 +262,11 @@ def init(spec, seed):
     """Deterministic He-style uniform init; zero biases."""
     net = Network(spec)
     rng = np.random.default_rng(seed)
-    for views, (layer, _) in zip(net._theta_views, net._layout):
+    for views in net._theta_views:
         if "w" in views:
-            limit = np.sqrt(6.0 / _fan_in(layer))
+            limit = np.sqrt(6.0 / math.prod(views["w"].shape[:-1]))  # fan-in
             views["w"][...] = rng.uniform(-limit, limit, views["w"].shape)
     return net
-
-
-# ---------------------------------------------------------------------------
-# Layer forward/backward
-# ---------------------------------------------------------------------------
-
-
-def _layer_forward(layer, views, x):
-    if isinstance(layer, Dense):
-        return x @ views["w"] + views["b"], x
-    if isinstance(layer, ReLU):
-        return np.maximum(x, 0.0), x
-    if isinstance(layer, Conv2D):
-        return _conv_forward(layer, views, x)
-    if isinstance(layer, MaxPool):
-        return _pool_forward(layer, x)
-    if isinstance(layer, Flatten):
-        return x.reshape(x.shape[0], -1), x.shape
-    raise ValueError(f"unknown layer {layer!r}")
-
-
-def _layer_backward(layer, views, gviews, cache, dy):
-    if isinstance(layer, Dense):
-        x = cache
-        gviews["w"][...] = x.T @ dy
-        gviews["b"][...] = dy.sum(axis=0)
-        return dy @ views["w"].T
-    if isinstance(layer, ReLU):
-        return dy * (cache > 0.0)
-    if isinstance(layer, Conv2D):
-        return _conv_backward(layer, views, gviews, cache, dy)
-    if isinstance(layer, MaxPool):
-        return _pool_backward(layer, cache, dy)
-    if isinstance(layer, Flatten):
-        return dy.reshape(cache)
-    raise ValueError(f"unknown layer {layer!r}")
-
-
-def _conv_forward(layer, views, x):
-    k = layer.kernel
-    n, h, w, _ = x.shape
-    oh, ow = h - k + 1, w - k + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
-    # windows: (n, oh, ow, in_ch, k, k) -> columns (n*oh*ow, k*k*in_ch)
-    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, -1)
-    wmat = views["w"].reshape(-1, layer.out_ch)
-    out = cols @ wmat + views["b"]
-    return out.reshape(n, oh, ow, layer.out_ch), (x.shape, cols)
-
-
-def _conv_backward(layer, views, gviews, cache, dy):
-    k = layer.kernel
-    x_shape, cols = cache
-    n, h, w, in_ch = x_shape
-    oh, ow = h - k + 1, w - k + 1
-    dy_flat = dy.reshape(n * oh * ow, layer.out_ch)
-    wmat = views["w"].reshape(-1, layer.out_ch)
-    gviews["w"][...] = (cols.T @ dy_flat).reshape(gviews["w"].shape)
-    gviews["b"][...] = dy_flat.sum(axis=0)
-    dcols = (dy_flat @ wmat.T).reshape(n, oh, ow, k, k, in_ch)
-    dx = np.zeros(x_shape)
-    for i in range(k):
-        for j in range(k):
-            dx[:, i : i + oh, j : j + ow, :] += dcols[:, :, :, i, j, :]
-    return dx
-
-
-def _pool_forward(layer, x):
-    s = layer.size
-    n, h, w, ch = x.shape
-    oh, ow = h // s, w // s
-    tiles = x.reshape(n, oh, s, ow, s, ch).transpose(0, 1, 3, 2, 4, 5)
-    tiles = tiles.reshape(n, oh, ow, s * s, ch)
-    best = np.argmax(tiles, axis=3)  # first max wins, deterministic
-    out = np.take_along_axis(tiles, best[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-    return out, (x.shape, best)
-
-
-def _pool_backward(layer, cache, dy):
-    s = layer.size
-    x_shape, best = cache
-    n, h, w, ch = x_shape
-    oh, ow = h // s, w // s
-    dtiles = np.zeros((n, oh, ow, s * s, ch))
-    np.put_along_axis(dtiles, best[:, :, :, None, :], dy[:, :, :, None, :], axis=3)
-    dtiles = dtiles.reshape(n, oh, ow, s, s, ch).transpose(0, 1, 3, 2, 4, 5)
-    return dtiles.reshape(x_shape)
 
 
 def _softmax(logits):

@@ -15,6 +15,7 @@ LOG_CLAMP = 1e-12
 
 
 def _as_batch(yhat, y):
+    """The input check of every loss, polynomial ones included: (n, C) arrays."""
     yhat = np.asarray(yhat, dtype=float)
     y = np.asarray(y, dtype=float)
     if yhat.ndim == 1:
@@ -28,7 +29,7 @@ def _as_batch(yhat, y):
 
 
 class _Loss:
-    """Scalar convenience wrappers over the batch interface."""
+    """Scalar convenience wrappers over the batch interface of every loss."""
 
     def value(self, yhat, y):
         return float(self.batch_value(*_as_batch(yhat, y))[0])

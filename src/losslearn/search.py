@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import logging
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from .taylor import (
 
 log = logging.getLogger("losslearn")
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 MODES = ("AR", "DR", "Full")
 
@@ -181,24 +182,27 @@ def run_generation(state, cfg, gen_seed):
     ask_rng = np.random.default_rng(derive_seed(gen_seed, "ask"))
     candidates = state.ask(ask_rng)
 
-    splits = {
-        sel: noisy_split(
-            sel,
-            cfg.noise,
-            data_seed=derive_seed(gen_seed, "data", sel),
-            split_seed=derive_seed(gen_seed, "split", sel),
-            val_fraction=cfg.val_fraction,
-            pairing=cfg.pairing,
-        )
-        for sel in cfg.datasets
-    }
-    arch_specs = {
-        (a, sel): arch_from_selector(
-            a, input_shape_of(splits[sel].train_features), splits[sel].num_classes
-        )
-        for a in cfg.architectures
-        for sel in cfg.datasets
-    }
+    try:
+        splits = {
+            sel: noisy_split(
+                sel,
+                cfg.noise,
+                data_seed=derive_seed(gen_seed, "data", sel),
+                split_seed=derive_seed(gen_seed, "split", sel),
+                val_fraction=cfg.val_fraction,
+                pairing=cfg.pairing,
+            )
+            for sel in cfg.datasets
+        }
+        arch_specs = {
+            (a, sel): arch_from_selector(
+                a, input_shape_of(splits[sel].train_features), splits[sel].num_classes
+            )
+            for a in cfg.architectures
+            for sel in cfg.datasets
+        }
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"unresolvable selector: {exc}") from None
 
     # normalization range is estimated against the first dataset's class count
     ref_classes = splits[cfg.datasets[0]].num_classes
@@ -260,10 +264,6 @@ def run_generation(state, cfg, gen_seed):
 # ---------------------------------------------------------------------------
 
 
-def _checkpoint_path(run_dir, generation):
-    return run_dir / f"checkpoint_gen_{generation}.json"
-
-
 def _latest_checkpoint(run_dir):
     best = None
     for path in run_dir.glob("checkpoint_gen_*.json"):
@@ -292,13 +292,29 @@ def _fitness_csv(records):
 CMA_LOG_HEADER = "generation,evals,best_fitness,mean_fitness,sigma,min_eig,max_eig"
 
 
-def _write_cma_log(run_dir, rows):
-    text = CMA_LOG_HEADER + "\n" + "".join(row + "\n" for row in rows)
-    (run_dir / "cma_log.csv").write_text(text)
+def _cma_log_csv(history):
+    lines = [CMA_LOG_HEADER]
+    for row in history:
+        lines.append(
+            f"{row['generation']},{row['evals']},{row['best_fitness']:.6f},"
+            f"{row['mean_fitness']:.6f},{row['sigma']:.6e},{row['min_eig']:.6e},"
+            f"{row['max_eig']:.6e}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _write(path, text):
+    """Replace ``path`` whole: an interrupted write leaves only a temp file."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
 
 
 def meta_train(cfg, run_dir, stop_after=None):
     """Run (or resume) the full search; returns (best loss, history).
+
+    ``history`` holds one dict per generation, keyed by the columns of
+    cma_log.csv.
 
     ``stop_after`` caps how many generations this call executes, simulating an
     interruption; calling again with the same run_dir resumes exactly where
@@ -310,13 +326,12 @@ def meta_train(cfg, run_dir, stop_after=None):
     config_path = run_dir / "config.json"
     if config_path.exists() and config_path.read_text() != config_text:
         raise ConfigError(f"run directory {run_dir} holds a different config")
-    config_path.write_text(config_text)
+    _write(config_path, config_text)
 
     n = num_parameters(cfg.order)
     state = CmaState(n, mean0=cfg.mean0, sigma0=cfg.sigma0, lam=cfg.population)
     best = None  # {"score", "generation", "loss_json"}
-    best_history = []
-    log_rows = []
+    history = []  # one row of numbers per generation, as cma_log.csv lists them
 
     latest = _latest_checkpoint(run_dir)
     if latest is not None:
@@ -328,12 +343,12 @@ def meta_train(cfg, run_dir, stop_after=None):
             )
         state = CmaState.from_dict(doc["cma"])
         best = doc["best"]
-        best_history = list(doc["best_history"])
-        log_rows = list(doc["log_rows"])
+        history = doc["history"]
 
     ran = 0
     while True:
-        reason = stop_reason(state, best_history, cfg.max_generations)
+        bests = [row["best_fitness"] for row in history]
+        reason = stop_reason(state, bests, cfg.max_generations)
         if reason is not None:
             break
         if stop_after is not None and ran >= stop_after:
@@ -354,28 +369,30 @@ def meta_train(cfg, run_dir, stop_after=None):
                     "loss_json": loss_to_json(loss_obj),
                 }
 
-        scores = [rec.score for rec in records]
-        best_fit = best["score"] if best is not None else 0.0
-        best_history.append(best_fit)
         lo, hi = state.eigenvalues()
-        log_rows.append(
-            f"{generation},{state.evals},{best_fit:.6f},"
-            f"{float(np.mean(scores)):.6f},{state.sigma:.6e},{lo:.6e},{hi:.6e}"
+        history.append(
+            {
+                "generation": generation,
+                "evals": state.evals,
+                "best_fitness": best["score"] if best is not None else 0.0,
+                "mean_fitness": float(np.mean([rec.score for rec in records])),
+                "sigma": state.sigma,
+                "min_eig": lo,
+                "max_eig": hi,
+            }
         )
 
-        (run_dir / f"fitness_gen_{generation}.csv").write_text(
-            _fitness_csv(records)
-        )
-        _write_cma_log(run_dir, log_rows)
+        _write(run_dir / f"fitness_gen_{generation}.csv", _fitness_csv(records))
+        _write(run_dir / "cma_log.csv", _cma_log_csv(history))
         checkpoint = {
             "version": CHECKPOINT_VERSION,
             "cma": state.to_dict(),
             "best": best,
-            "best_history": best_history,
-            "log_rows": log_rows,
+            "history": history,
         }
-        _checkpoint_path(run_dir, generation).write_text(
-            json.dumps(checkpoint, sort_keys=True) + "\n"
+        _write(
+            run_dir / f"checkpoint_gen_{generation}.json",
+            json.dumps(checkpoint, sort_keys=True) + "\n",
         )
 
     if best is not None:
@@ -385,20 +402,5 @@ def meta_train(cfg, run_dir, stop_after=None):
         # to the loss encoded by the current mean, unnormalized
         params = TaylorLossParams.from_flat(state.mean, order=cfg.order)
         loss_json = loss_to_json(params)
-    (run_dir / "best_loss.json").write_text(loss_json)
-
-    history = []
-    for row in log_rows:
-        gen_s, evals_s, best_s, mean_s, sigma_s, lo_s, hi_s = row.split(",")
-        history.append(
-            {
-                "generation": int(gen_s),
-                "evals": int(evals_s),
-                "best_fitness": float(best_s),
-                "mean_fitness": float(mean_s),
-                "sigma": float(sigma_s),
-                "min_eig": float(lo_s),
-                "max_eig": float(hi_s),
-            }
-        )
+    _write(run_dir / "best_loss.json", loss_json)
     return loss_from_json(loss_json), history

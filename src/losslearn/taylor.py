@@ -28,6 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .reference import _as_batch, _Loss
+
 LOSS_FILE_VERSION = 1
 DEFAULT_ORDER = 4
 DEFAULT_RANGE_SAMPLES = 10_000
@@ -56,7 +58,7 @@ def num_parameters(order: int) -> int:
 
 
 @dataclass(frozen=True)
-class TaylorLossParams:
+class TaylorLossParams(_Loss):
     """Expansion point plus graded coefficient table of a polynomial loss."""
 
     order: int = DEFAULT_ORDER
@@ -107,24 +109,16 @@ class TaylorLossParams:
 
     def batch_value(self, yhat: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Per-example losses for (n, C) prediction and label matrices."""
-        yhat, y = _check_batch(yhat, y)
+        yhat, y = _as_batch(yhat, y)
         return self.per_class_value(yhat, y).mean(axis=1)
 
     def batch_grad(self, yhat: np.ndarray, y: np.ndarray) -> np.ndarray:
         """d(loss)/d(yhat) for each example in an (n, C) batch."""
-        yhat, y = _check_batch(yhat, y)
+        yhat, y = _as_batch(yhat, y)
         d, polys = self._expand(yhat, y)
         g = _horner([a * p for a, p in enumerate(polys, start=1)], d)
         # at order 1 the gradient is the constant P_1, a scalar
         return np.broadcast_to(g, d.shape) / yhat.shape[1]
-
-    def value(self, yhat, y) -> float:
-        """Mean per-class polynomial value for a single example."""
-        return float(self.batch_value(*_as_batch(yhat, y))[0])
-
-    def grad(self, yhat, y) -> np.ndarray:
-        """Analytic gradient of value() with respect to yhat."""
-        return self.batch_grad(*_as_batch(yhat, y))[0]
 
     def estimate_range(
         self,
@@ -173,7 +167,7 @@ class TaylorLossParams:
 
 
 @dataclass(frozen=True)
-class NormalizedLoss:
+class NormalizedLoss(_Loss):
     """Polynomial loss rescaled to an approximate [0, eta] output range."""
 
     inner: TaylorLossParams
@@ -198,12 +192,6 @@ class NormalizedLoss:
 
     def batch_grad(self, yhat: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self._scale * self.inner.batch_grad(yhat, y)
-
-    def value(self, yhat, y) -> float:
-        return float(self.batch_value(*_as_batch(yhat, y))[0])
-
-    def grad(self, yhat, y) -> np.ndarray:
-        return self.batch_grad(*_as_batch(yhat, y))[0]
 
 
 def normalize(
@@ -279,11 +267,13 @@ def loss_from_json(text: str) -> TaylorLossParams | NormalizedLoss:
     point = doc["expansion_point"]
     if not (isinstance(point, list) and len(point) == 2):
         raise LossFormatError("expansion_point must be a two-element array")
+    if not isinstance(doc["coefficients"], list):
+        raise LossFormatError("coefficients must be an array")
     coeffs = {}
     for entry in doc["coefficients"]:
         try:
             coeffs[(entry["a"], entry["b"])] = float(entry["value"])
-        except (TypeError, KeyError) as exc:
+        except (TypeError, KeyError, ValueError) as exc:
             raise LossFormatError(f"malformed coefficient entry {entry!r}") from exc
     for key in coefficient_keys(order):
         if key not in coeffs:
@@ -294,7 +284,7 @@ def loss_from_json(text: str) -> TaylorLossParams | NormalizedLoss:
             expansion_point=(float(point[0]), float(point[1])),
             coefficients=coeffs,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise LossFormatError(str(exc)) from exc
     norm = doc.get("normalization")
     if norm is None:
@@ -340,22 +330,3 @@ def _horner(coeffs, x):
         acc = acc * x + c
     return acc
 
-
-def _check_batch(yhat, y) -> tuple[np.ndarray, np.ndarray]:
-    yhat = np.asarray(yhat, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if yhat.ndim != 2 or yhat.shape != y.shape:
-        raise ValueError(
-            f"expected matching (n, C) arrays, got {yhat.shape} vs {y.shape}"
-        )
-    if yhat.shape[1] < 2:
-        raise ValueError(f"need at least 2 classes, got {yhat.shape[1]}")
-    return yhat, y
-
-
-def _as_batch(yhat, y) -> tuple[np.ndarray, np.ndarray]:
-    yhat = np.asarray(yhat, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if yhat.ndim != 1 or y.ndim != 1:
-        raise ValueError("expected 1-D prediction and label vectors")
-    return yhat[None, :], y[None, :]

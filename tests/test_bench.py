@@ -29,7 +29,7 @@ from losslearn.reference import (
     SymmetricCrossEntropy,
 )
 from losslearn.seeding import derive_seed
-from losslearn.taylor import mse_embedding, save_loss
+from losslearn.taylor import loss_to_json, mse_embedding, save_loss
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +476,20 @@ def test_cli_train_bad_dataset_selector_exits_two(capsys):
     assert "cubes" in capsys.readouterr().err
 
 
+def test_cli_train_missing_idx_files_exits_two(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    curve = tmp_path / "curve.csv"
+    code = main_entry(
+        [
+            "train", "--loss", "ce", "--dataset", f"idx:{missing}:{missing}",
+            "--arch", "linear", "--curve-out", str(curve),
+        ]
+    )
+    assert code == 2
+    assert "missing" in capsys.readouterr().err
+    assert not curve.exists()
+
+
 GRID_CONFIG = {
     "cells": [["mlp:8", "blobs:3:20:0.3", "none"]],
     "losses": ["ce", "mae"],
@@ -566,6 +580,18 @@ def test_cli_inspect_loss_writes_surface(tmp_path, capsys):
     assert surface_value(text, 0.5, 1) == pytest.approx(math.log(2.0), abs=1e-6)
 
 
+def test_cli_inspect_malformed_loss_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "loss.json"
+    doc = json.loads(loss_to_json(mse_embedding()))
+    doc["coefficients"] = 5
+    path.write_text(json.dumps(doc))
+    code = main_entry(
+        ["inspect-loss", "--loss", str(path), "--out", str(tmp_path / "s.csv")]
+    )
+    assert code == 2
+    assert "coefficients" in capsys.readouterr().err
+
+
 def test_cli_make_noise_matrix(tmp_path, capsys):
     out = tmp_path / "t.csv"
     code = main_entry(
@@ -635,10 +661,13 @@ def test_cli_meta_train_missing_field_exits_two(tmp_path, capsys):
         ({"workers": 1}, "unknown field 'workers'"),
         ({"val_fraction": 1.5}, "val_fraction"),
         ({"learning_rate": -1}, "learning_rate"),
+        ({"datasets": ["blobz:3:10:0.5"]}, "unknown dataset kind"),
+        ({"architectures": ["mlpp:8"]}, "unknown architecture"),
+        ({"noise": "sim:0.2"}, "bad noise selector"),
     ],
 )
 def test_cli_meta_train_bad_config_exits_two(tmp_path, capsys, override, message):
-    # a bad training hyperparameter must not reach the jobs, where it would
+    # a bad hyperparameter or selector must not reach the jobs, where it would
     # be scored as a diverged candidate
     config = tmp_path / "meta.json"
     config.write_text(json.dumps({**META_CONFIG, **override}))

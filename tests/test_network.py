@@ -94,6 +94,21 @@ def test_spec_rejects_conv_on_flat_input():
         NetworkSpec("bad", (Conv2D(1, 2, 3),), 16, 2)
 
 
+@pytest.mark.parametrize(
+    "layers, input_shape, message",
+    [
+        ((Conv2D(1, 2, 3), Conv2D(3, 2, 3)), (8, 8, 1), "expects 3 channels"),
+        ((Conv2D(1, 2, 3), Conv2D(2, 2, 5)), (6, 6, 1), "kernel 5 too large"),
+        ((Dense(4, 4), Flatten()), 4, "input is already flat"),
+        ((Conv2D(1, 2, 3), Dense(32, 2)), (6, 6, 1), "needs a flat input"),
+    ],
+)
+def test_spec_names_the_failing_layer(layers, input_shape, message):
+    name = type(layers[1]).__name__
+    with pytest.raises(ValueError, match=rf"^layer 1 \({name}\): {message}"):
+        NetworkSpec("bad", layers, input_shape, 2)
+
+
 # ---------------------------------------------------------------------------
 # Initialization
 # ---------------------------------------------------------------------------
@@ -179,18 +194,14 @@ def test_conv_matches_loop_oracle():
                             for ch in range(2):
                                 acc += x[n, i + di, j + dj, ch] * w[di, dj, ch, o]
                     oracle[n, i, j, o] = acc + b[o]
-    from losslearn.network import _conv_forward
-
-    out, _ = _conv_forward(spec.layers[0], net._views(net.theta)[0], x)
+    out, _ = spec.layers[0].forward(net._views(net.theta)[0], x)
     np.testing.assert_allclose(out, oracle, atol=1e-12)
 
 
 def test_pool_matches_loop_oracle():
-    from losslearn.network import _pool_forward
-
     rng = np.random.default_rng(4)
     x = rng.random((3, 4, 4, 2))
-    out, _ = _pool_forward(MaxPool(2), x)
+    out, _ = MaxPool(2).forward({}, x)
     for n in range(3):
         for i in range(2):
             for j in range(2):

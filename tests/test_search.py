@@ -2,10 +2,12 @@
 
 import json
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from losslearn import search
 from losslearn.cma import cma_init
 from losslearn.search import (
     FitnessRecord,
@@ -230,6 +232,40 @@ def test_resume_is_byte_identical(tmp_path):
     for name in a:
         assert a[name] == b[name], f"{name} differs after resume"
     assert hist_a == hist_b
+
+
+class Killed(Exception):
+    pass
+
+
+def test_interrupted_checkpoint_write_resumes(tmp_path, monkeypatch):
+    cfg = tiny_config(max_generations=3)
+    meta_train(cfg, tmp_path / "full")
+
+    write_text = Path.write_text
+
+    def killed_half_way(path, text, *args, **kwargs):
+        if path.name.startswith("checkpoint_gen_2.json"):
+            write_text(path, text[: len(text) // 2], *args, **kwargs)
+            raise Killed
+        return write_text(path, text, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "write_text", killed_half_way)
+        with pytest.raises(Killed):
+            meta_train(cfg, tmp_path / "resumed")
+
+    ran = []
+    run_generation = search.run_generation
+
+    def counted(state, *args):
+        ran.append(state.generation + 1)
+        return run_generation(state, *args)
+
+    monkeypatch.setattr(search, "run_generation", counted)
+    meta_train(cfg, tmp_path / "resumed")
+    assert ran == [2, 3]  # resumed from the last complete checkpoint
+    assert read_artifacts(tmp_path / "resumed") == read_artifacts(tmp_path / "full")
 
 
 def test_conflicting_run_dir_rejected(tmp_path):

@@ -488,6 +488,22 @@ def test_loss_file_bit_identical_coefficients(tmp_path):
         assert back.coefficients[k] == v  # exact, not approx
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.update(coefficients=5),
+        lambda doc: doc["coefficients"][0].update(value="abc"),
+        lambda doc: doc.update(expansion_point=[None, 0.0]),
+    ],
+    ids=["coefficients-not-array", "value-not-number", "point-not-number"],
+)
+def test_loss_file_malformed_values(edit):
+    doc = json.loads(loss_to_json(mse_embedding()))
+    edit(doc)
+    with pytest.raises(LossFormatError):
+        loss_from_json(json.dumps(doc))
+
+
 def test_loss_file_not_json():
     with pytest.raises(LossFormatError, match="JSON"):
         loss_from_json("not json {")
