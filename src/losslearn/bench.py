@@ -9,14 +9,14 @@ a given seed index, so losses are compared on identical footing.
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .datasets import dataset_from_selector, noisy_split
 from .network import TrainConfig, arch_from_selector, fit, input_shape_of
-from .noise import build_transition, noise_from_selector
+from .noise import NoiseSpec, build_transition, noise_from_selector
 from .reference import REFERENCE_KINDS, make_reference_loss
 from .seeding import derive_seed
 from .taylor import load_loss
@@ -24,6 +24,27 @@ from .taylor import load_loss
 
 class ConfigError(ValueError):
     """Bad configuration or unresolvable selector; maps to exit code 2."""
+
+
+def config_from_dict(cls, doc, what):
+    """Build the config dataclass ``cls`` from a parsed JSON object.
+
+    The dataclass is the schema: a field without a default is required, an
+    absent optional field takes its default, and any other name is rejected.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in doc:
+            raise ConfigError(f"missing field '{f.name}'")
+    names = {f.name for f in fields(cls)}
+    for name in doc:
+        if name not in names:
+            raise ConfigError(f"unknown field '{name}'")
+    try:
+        return cls(**doc)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +166,7 @@ class BenchmarkGrid:
     pairing: tuple = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "cells", tuple(tuple(cell) for cell in self.cells)
-        )
+        object.__setattr__(self, "cells", tuple(_cell_triple(c) for c in self.cells))
         object.__setattr__(self, "losses", tuple(self.losses))
         if self.pairing is not None:
             object.__setattr__(self, "pairing", tuple(self.pairing))
@@ -155,13 +174,8 @@ class BenchmarkGrid:
             raise ConfigError("benchmark needs at least one cell")
         if not self.losses:
             raise ConfigError("benchmark needs at least one loss")
-        for cell in self.cells:
-            if len(cell) != 3:
-                raise ConfigError(
-                    f"cell {cell!r} must be [arch, dataset, noise]"
-                )
-        if self.seeds < 1:
-            raise ConfigError("seeds must be at least 1")
+        if not isinstance(self.seeds, int) or self.seeds < 1:
+            raise ConfigError(f"seeds must be an integer >= 1, got {self.seeds!r}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must lie in (0, 1), got {self.val_fraction}")
         self.train_config()  # rejects bad training hyperparameters
@@ -176,27 +190,20 @@ class BenchmarkGrid:
 
     @classmethod
     def from_dict(cls, doc):
-        if not isinstance(doc, dict):
-            raise ConfigError("grid config must be a JSON object")
-        for name in ("cells", "losses"):
-            if name not in doc:
-                raise ConfigError(f"missing field '{name}'")
-        known = {
-            "cells", "losses", "seeds", "epochs", "batch_size",
-            "learning_rate", "momentum", "val_fraction", "master_seed", "pairing",
-        }
-        for name in doc:
-            if name not in known:
-                raise ConfigError(f"unknown field '{name}'")
-        cells = [
-            (c["arch"], c["dataset"], c["noise"]) if isinstance(c, dict) else c
-            for c in doc["cells"]
-        ]
-        kwargs = {k: v for k, v in doc.items() if k != "cells"}
+        return config_from_dict(cls, doc, "grid config")
+
+
+def _cell_triple(cell):
+    """An [arch, dataset, noise] list or {"arch", "dataset", "noise"} object as a triple."""
+    if isinstance(cell, dict):
         try:
-            return cls(cells=cells, **kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from None
+            return (cell["arch"], cell["dataset"], cell["noise"])
+        except KeyError as exc:
+            raise ConfigError(f"cell {cell!r} has no key {exc}") from None
+    cell = tuple(cell)
+    if len(cell) != 3:
+        raise ConfigError(f"cell {cell!r} must be [arch, dataset, noise]")
+    return cell
 
 
 @dataclass
@@ -266,7 +273,9 @@ def run_benchmark(grid, out_dir):
     try:
         for arch, dsel, nsel in grid.cells:
             ds = dataset_from_selector(dsel, seed=0)
-            noise_from_selector(nsel, ds.num_classes)
+            noise = noise_from_selector(nsel, ds.num_classes)
+            if noise is not None:
+                build_transition(noise, pairing=grid.pairing)
             arch_from_selector(arch, input_shape_of(ds.features), ds.num_classes)
     except (ValueError, OSError) as exc:
         raise ConfigError(f"unresolvable cell selector: {exc}") from None
@@ -350,10 +359,9 @@ def inspect_loss_csv(loss, resolution=100):
 
 def noise_matrix_csv(noise_sel, num_classes, pairing=None):
     spec = noise_from_selector(noise_sel, num_classes)
-    if spec is None:
-        t = np.eye(num_classes)
-    else:
-        t = build_transition(spec, pairing=pairing)
+    if spec is None:  # ratio 0 gives the identity and still checks the class count
+        spec = NoiseSpec("symmetric", 0.0, num_classes)
+    t = build_transition(spec, pairing=pairing)
     lines = []
     for row in t:
         lines.append(",".join(f"{v:.6f}" for v in row))

@@ -80,8 +80,7 @@ def cmd_train(args):
 
 
 def cmd_benchmark(args):
-    doc = _load_json(args.config, "grid")
-    grid = BenchmarkGrid.from_dict(doc)
+    grid = BenchmarkGrid.from_dict(_load_json(args.config, "grid"))
     table = run_benchmark(grid, args.out)
     for loss in table.losses:
         print(f"{loss}: average rank {table.averages[loss]:.3f}", file=sys.stderr)

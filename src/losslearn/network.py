@@ -293,10 +293,10 @@ class TrainConfig:
             raise ValueError("learning_rate must be nonnegative")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
+        if not isinstance(self.batch_size, int) or self.batch_size < 1:
+            raise ValueError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
+        if not isinstance(self.epochs, int) or self.epochs < 0:
+            raise ValueError(f"epochs must be an integer >= 0, got {self.epochs!r}")
 
 
 @dataclass

@@ -13,12 +13,12 @@ import io
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .bench import ConfigError
+from .bench import ConfigError, config_from_dict
 from .cma import CmaState, stop_reason
 from .datasets import noisy_split
 from .network import TrainConfig, arch_from_selector, fit, input_shape_of
@@ -36,31 +36,6 @@ log = logging.getLogger("losslearn")
 CHECKPOINT_VERSION = 2
 
 MODES = ("AR", "DR", "Full")
-
-_REQUIRED_FIELDS = (
-    "mode",
-    "architectures",
-    "datasets",
-    "noise",
-    "max_generations",
-    "master_seed",
-)
-
-_OPTIONAL_DEFAULTS = {
-    "eta": 1.0,
-    "order": 4,
-    "val_fraction": 0.2,
-    "range_samples": 10_000,
-    "sigma0": 0.5,
-    "mean0": None,
-    "population": None,
-    "learning_rate": 0.01,
-    "momentum": 0.9,
-    "batch_size": 128,
-    "epochs": 5,
-    "pairing": None,
-}
-
 
 @dataclass(frozen=True)
 class MetaConfig:
@@ -111,37 +86,19 @@ class MetaConfig:
             raise ValueError("max_generations must be nonnegative")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must lie in (0, 1), got {self.val_fraction}")
+        if self.order < 1:
+            raise ValueError(f"order must be >= 1, got {self.order}")
+        if self.range_samples < 1:
+            raise ValueError(f"range_samples must be >= 1, got {self.range_samples}")
         self.inner_config(seed=0)  # rejects bad training hyperparameters
+        self.initial_state()  # rejects bad search settings
 
     @classmethod
     def from_dict(cls, doc):
-        if not isinstance(doc, dict):
-            raise ConfigError("config must be a JSON object")
-        for name in _REQUIRED_FIELDS:
-            if name not in doc:
-                raise ConfigError(f"missing field '{name}'")
-        known = set(_REQUIRED_FIELDS) | set(_OPTIONAL_DEFAULTS)
-        for name in doc:
-            if name not in known:
-                raise ConfigError(f"unknown field '{name}'")
-        kwargs = {name: doc[name] for name in _REQUIRED_FIELDS}
-        for name, default in _OPTIONAL_DEFAULTS.items():
-            kwargs[name] = doc.get(name, default)
-        try:
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from None
+        return config_from_dict(cls, doc, "config")
 
     def to_dict(self):
-        doc = {name: getattr(self, name) for name in _REQUIRED_FIELDS}
-        for name in _OPTIONAL_DEFAULTS:
-            value = getattr(self, name)
-            if isinstance(value, tuple):
-                value = list(value)
-            doc[name] = value
-        doc["architectures"] = list(self.architectures)
-        doc["datasets"] = list(self.datasets)
-        return doc
+        return asdict(self)
 
     def inner_config(self, seed):
         return TrainConfig(
@@ -151,6 +108,10 @@ class MetaConfig:
             epochs=self.epochs,
             seed=seed,
         )
+
+    def initial_state(self):
+        n = num_parameters(self.order)
+        return CmaState(n, mean0=self.mean0, sigma0=self.sigma0, lam=self.population)
 
 
 @dataclass
@@ -324,16 +285,18 @@ def meta_train(cfg, run_dir, stop_after=None):
     run_dir.mkdir(parents=True, exist_ok=True)
     config_text = json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n"
     config_path = run_dir / "config.json"
-    if config_path.exists() and config_path.read_text() != config_text:
+    latest = _latest_checkpoint(run_dir)
+    # only a checkpoint makes the directory a run to resume; the config of a
+    # run that failed before its first generation is simply replaced
+    resuming = latest is not None and config_path.exists()
+    if resuming and config_path.read_text() != config_text:
         raise ConfigError(f"run directory {run_dir} holds a different config")
     _write(config_path, config_text)
 
-    n = num_parameters(cfg.order)
-    state = CmaState(n, mean0=cfg.mean0, sigma0=cfg.sigma0, lam=cfg.population)
+    state = cfg.initial_state()
     best = None  # {"score", "generation", "loss_json"}
     history = []  # one row of numbers per generation, as cma_log.csv lists them
 
-    latest = _latest_checkpoint(run_dir)
     if latest is not None:
         doc = json.loads(latest[1].read_text())
         if doc.get("version") != CHECKPOINT_VERSION:

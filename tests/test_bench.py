@@ -246,6 +246,33 @@ def test_grid_from_dict_accepts_cell_objects():
     assert grid.cells == (("mlp:8", "blobs:3:20:0.3", "none"),)
 
 
+def test_grid_from_dict_sets_every_field():
+    doc = {
+        "cells": [["mlp:8", "blobs:3:20:0.3", "asym:0.2"]],
+        "losses": ["ce", "mae"],
+        "seeds": 2,
+        "epochs": 3,
+        "batch_size": 8,
+        "learning_rate": 0.05,
+        "momentum": 0.5,
+        "val_fraction": 0.25,
+        "master_seed": 9,
+        "pairing": [2, 0, 1],
+    }
+    assert BenchmarkGrid.from_dict(doc) == BenchmarkGrid(
+        cells=(("mlp:8", "blobs:3:20:0.3", "asym:0.2"),),
+        losses=("ce", "mae"),
+        seeds=2,
+        epochs=3,
+        batch_size=8,
+        learning_rate=0.05,
+        momentum=0.5,
+        val_fraction=0.25,
+        master_seed=9,
+        pairing=(2, 0, 1),
+    )
+
+
 @pytest.mark.parametrize("missing", ["cells", "losses"])
 def test_grid_missing_field_is_named(missing):
     doc = {"cells": [["a", "d", "none"]], "losses": ["ce"]}
@@ -517,6 +544,12 @@ def test_cli_benchmark_roundtrip(tmp_path, capsys):
         ({"workers": 1}, "unknown field 'workers'"),
         ({"val_fraction": 1.5}, "val_fraction"),
         ({"learning_rate": -1}, "learning_rate"),
+        ({"cells": [{"arch": "mlp:8", "noise": "none"}]}, "has no key 'dataset'"),
+        ({"seeds": 1.5}, "seeds"),
+        (
+            {"cells": [["mlp:8", "blobs:3:20:0.3", "asym:0.2"]], "pairing": [0, 1, 2]},
+            "pairing may not map a class to itself",
+        ),
     ],
 )
 def test_cli_benchmark_bad_config_exits_two(tmp_path, capsys, override, message):
@@ -621,6 +654,17 @@ def test_cli_make_noise_matrix_bad_ratio_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("classes", ["0", "1"])
+def test_cli_make_noise_matrix_too_few_classes_exits_two(tmp_path, capsys, classes):
+    out = tmp_path / "t.csv"
+    code = main_entry(
+        ["make-noise-matrix", "--noise", "none", "--classes", classes, "--out", str(out)]
+    )
+    assert code == 2
+    assert "at least 2 classes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 META_CONFIG = {
     "mode": "AR",
     "architectures": ["mlp:8"],
@@ -664,11 +708,18 @@ def test_cli_meta_train_missing_field_exits_two(tmp_path, capsys):
         ({"datasets": ["blobz:3:10:0.5"]}, "unknown dataset kind"),
         ({"architectures": ["mlpp:8"]}, "unknown architecture"),
         ({"noise": "sim:0.2"}, "bad noise selector"),
+        ({"population": 1}, "population size must be at least 2"),
+        ({"sigma0": 0}, "sigma0 must be positive"),
+        ({"mean0": [0.0, 0.0]}, "mean0 must have length 12"),
+        ({"range_samples": 0}, "range_samples"),
+        ({"order": 0}, "order"),
+        ({"epochs": 1.5}, "epochs must be an integer"),
+        ({"batch_size": 8.5}, "batch_size must be an integer"),
     ],
 )
 def test_cli_meta_train_bad_config_exits_two(tmp_path, capsys, override, message):
-    # a bad hyperparameter or selector must not reach the jobs, where it would
-    # be scored as a diverged candidate
+    # a bad hyperparameter, search setting or selector must not reach the
+    # jobs, where it would be scored as a diverged candidate
     config = tmp_path / "meta.json"
     config.write_text(json.dumps({**META_CONFIG, **override}))
     run_dir = tmp_path / "run"
@@ -697,3 +748,20 @@ def test_cli_meta_train_run_dir_conflicts_exit_two(tmp_path, capsys):
     checkpoint.write_text(json.dumps({**json.loads(checkpoint.read_text()), "version": 999}))
     assert main_entry(argv) == 2
     assert "version 999 is not resumable" in capsys.readouterr().err
+
+
+def test_cli_meta_train_reruns_corrected_config_into_same_dir(tmp_path, capsys):
+    # a config that exits 2 before its first generation leaves no run to resume
+    typo = tmp_path / "typo.json"
+    typo.write_text(json.dumps({**META_CONFIG, "datasets": ["blobz:3:30:0.3"]}))
+    config = tmp_path / "meta.json"
+    config.write_text(json.dumps(META_CONFIG))
+    run_dir = tmp_path / "run"
+    assert main_entry(["meta-train", "--config", str(typo), "--out", str(run_dir)]) == 2
+    assert main_entry(["meta-train", "--config", str(config), "--out", str(run_dir)]) == 0
+    fresh = tmp_path / "fresh"
+    assert main_entry(["meta-train", "--config", str(config), "--out", str(fresh)]) == 0
+    capsys.readouterr()
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == {
+        p.name: p.read_bytes() for p in fresh.iterdir()
+    }

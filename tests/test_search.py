@@ -96,6 +96,61 @@ def test_config_round_trip():
     assert MetaConfig.from_dict(cfg.to_dict()) == cfg
 
 
+def test_config_round_trip_sets_every_field(tmp_path):
+    cfg = tiny_config(
+        max_generations=0,
+        eta=0.5,
+        order=2,
+        val_fraction=0.25,
+        range_samples=50,
+        sigma0=0.3,
+        mean0=[0.1, 0.2, 0.0, 0.0, 0.0],
+        learning_rate=0.05,
+        momentum=0.5,
+        pairing=[1, 2, 0],
+    )
+    assert MetaConfig.from_dict(cfg.to_dict()) == cfg
+    meta_train(cfg, tmp_path)
+    assert (tmp_path / "config.json").read_text() == CONFIG_JSON
+
+
+CONFIG_JSON = """{
+  "architectures": [
+    "mlp:8"
+  ],
+  "batch_size": 16,
+  "datasets": [
+    "blobs:3:30:0.3"
+  ],
+  "epochs": 2,
+  "eta": 0.5,
+  "learning_rate": 0.05,
+  "master_seed": 11,
+  "max_generations": 0,
+  "mean0": [
+    0.1,
+    0.2,
+    0.0,
+    0.0,
+    0.0
+  ],
+  "mode": "AR",
+  "momentum": 0.5,
+  "noise": "sym:0.2",
+  "order": 2,
+  "pairing": [
+    1,
+    2,
+    0
+  ],
+  "population": 6,
+  "range_samples": 50,
+  "sigma0": 0.3,
+  "val_fraction": 0.25
+}
+"""
+
+
 # ---------------------------------------------------------------------------
 # Aggregation
 # ---------------------------------------------------------------------------
