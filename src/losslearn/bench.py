@@ -9,6 +9,7 @@ a given seed index, so losses are compared on identical footing.
 
 import csv
 import io
+import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -26,17 +27,38 @@ class ConfigError(ValueError):
     """Bad configuration or unresolvable selector; maps to exit code 2."""
 
 
+# annotation -> (what the message asks for, test of a parsed JSON value); a JSON
+# bool is no integer, and NaN, Infinity or a 400-digit integer fits no float
+_FIELD_TYPES = {
+    int: ("an integer", lambda v: type(v) is int),
+    float: (
+        "a finite number",
+        lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
+    ),
+    str: ("a string", lambda v: isinstance(v, str)),
+    tuple: ("an array", lambda v: isinstance(v, (list, tuple))),
+}
+
+
 def config_from_dict(cls, doc, what):
     """Build the config dataclass ``cls`` from a parsed JSON object.
 
     The dataclass is the schema: a field without a default is required, an
-    absent optional field takes its default, and any other name is rejected.
+    absent optional field takes its default, any other name is rejected, and
+    each value must fit its field's annotation (``null`` too where the
+    default is None).
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be a JSON object")
     for f in fields(cls):
-        if f.default is MISSING and f.name not in doc:
-            raise ConfigError(f"missing field '{f.name}'")
+        if f.name not in doc:
+            if f.default is MISSING:
+                raise ConfigError(f"missing field '{f.name}'")
+        elif f.type in _FIELD_TYPES and not (f.default is None and doc[f.name] is None):
+            kind, fits = _FIELD_TYPES[f.type]
+            if not fits(doc[f.name]):
+                null = " or null" if f.default is None else ""
+                raise ConfigError(f"{f.name} must be {kind}{null}, got {doc[f.name]!r}")
     names = {f.name for f in fields(cls)}
     for name in doc:
         if name not in names:
@@ -174,8 +196,8 @@ class BenchmarkGrid:
             raise ConfigError("benchmark needs at least one cell")
         if not self.losses:
             raise ConfigError("benchmark needs at least one loss")
-        if not isinstance(self.seeds, int) or self.seeds < 1:
-            raise ConfigError(f"seeds must be an integer >= 1, got {self.seeds!r}")
+        if self.seeds < 1:
+            raise ConfigError(f"seeds must be >= 1, got {self.seeds!r}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must lie in (0, 1), got {self.val_fraction}")
         self.train_config()  # rejects bad training hyperparameters

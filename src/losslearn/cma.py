@@ -30,6 +30,8 @@ class CmaState:
         )
         if self.mean.shape != (n,):
             raise ValueError(f"mean0 must have length {n}")
+        if not np.isfinite(self.mean).all():
+            raise ValueError("mean0 must be finite")
         self.sigma = float(sigma0)
         self.lam = default_population(n) if lam is None else int(lam)
         if self.lam < 2:

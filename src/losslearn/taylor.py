@@ -9,10 +9,13 @@ because they do not affect gradients with respect to predictions. Each term
 carries the factor 1/(a! * b!), so coefficients play the role of mixed
 derivatives at the expansion point.
 
-Evaluation uses no powers. With d = yhat - theta0 and e = y - theta1 the
-polynomial is sum_a P_a(e) d^a, where P_a(e) = sum_b c_ab / (a! b!) e^b. Each
-P_a is evaluated by Horner's rule in e, then the value and the gradient
-sum_a a P_a d^(a-1) by Horner's rule in d: exact for any real labels.
+Labels are one-hot, so a label entry is 0 or 1 and the polynomial is two
+univariate ones in d = yhat - theta0: g_t(yhat) = sum_a P_a(t - theta1) d^a
+for t in {0, 1}, where P_a(e) = sum_b c_ab / (a! b!) e^b. The scalars
+P_a(t - theta1) are computed once per loss by Horner's rule in e; each batch
+then takes one Horner pass in d per label value, with no powers. For any
+other label row q the loss is the label-weighted mix
+sum_k q_k * loss(yhat, e_k), the expected loss under the label distribution.
 
 Losses here are total functions of their inputs (polynomials are finite
 everywhere), so no clamping of predictions is required or performed.
@@ -66,13 +69,9 @@ class TaylorLossParams(_Loss):
     coefficients: dict[tuple[int, int], float] = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
+        expected = coefficient_keys(self.order)  # rejects an order below 1
         if self.coefficients is None:
-            object.__setattr__(
-                self, "coefficients", {k: 0.0 for k in coefficient_keys(self.order)}
-            )
-        expected = coefficient_keys(self.order)
+            object.__setattr__(self, "coefficients", {k: 0.0 for k in expected})
         got = set(self.coefficients)
         missing = [k for k in expected if k not in got]
         if missing:
@@ -85,40 +84,30 @@ class TaylorLossParams(_Loss):
             raise ValueError("all parameters must be finite")
 
     @cached_property
-    def _rows(self) -> tuple[tuple[float, ...], ...]:
-        # rows[a - 1][b] = c_ab / (a! b!): the coefficients of P_a, lowest power first
-        return tuple(
-            tuple(
-                self.coefficients[(a, b)] / (math.factorial(a) * math.factorial(b))
-                for b in range(self.order - a + 1)
-            )
+    def _univariate(self):
+        # values[t][a - 1] = P_a(t - theta1) for label entries t = 0, 1, where
+        # P_a(e) = sum_b c_ab / (a! b!) e^b; grads[t][a - 1] = a P_a(t - theta1)
+        c, fact, theta1 = self.coefficients, math.factorial, self.expansion_point[1]
+        rows = [
+            [c[(a, b)] / (fact(a) * fact(b)) for b in range(self.order - a + 1)]
             for a in range(1, self.order + 1)
-        )
-
-    def _expand(self, yhat, y):
-        # d = yhat - theta0 and [P_1(e), ..., P_order(e)] with e = y - theta1
-        d = np.asarray(yhat, dtype=float) - self.expansion_point[0]
-        e = np.asarray(y, dtype=float) - self.expansion_point[1]
-        return d, [_horner(row, e) for row in self._rows]
-
-    def per_class_value(self, yhat, y):
-        """Polynomial value for one class; broadcasts over array inputs."""
-        d, polys = self._expand(yhat, y)
-        total = d * _horner(polys, d)
-        return total if total.ndim else float(total)
+        ]
+        values = [[_horner(row, e) for row in rows] for e in (0.0 - theta1, 1.0 - theta1)]
+        return values, [[a * p for a, p in enumerate(g, start=1)] for g in values]
 
     def batch_value(self, yhat: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Per-example losses for (n, C) prediction and label matrices."""
         yhat, y = _as_batch(yhat, y)
-        return self.per_class_value(yhat, y).mean(axis=1)
+        d = yhat - self.expansion_point[0]
+        (g0, g1), _ = self._univariate
+        return ((1 - y) * (d * _horner(g0, d)) + y * (d * _horner(g1, d))).mean(axis=1)
 
     def batch_grad(self, yhat: np.ndarray, y: np.ndarray) -> np.ndarray:
         """d(loss)/d(yhat) for each example in an (n, C) batch."""
         yhat, y = _as_batch(yhat, y)
-        d, polys = self._expand(yhat, y)
-        g = _horner([a * p for a, p in enumerate(polys, start=1)], d)
-        # at order 1 the gradient is the constant P_1, a scalar
-        return np.broadcast_to(g, d.shape) / yhat.shape[1]
+        d = yhat - self.expansion_point[0]
+        _, (g0, g1) = self._univariate
+        return ((1 - y) * _horner(g0, d) + y * _horner(g1, d)) / yhat.shape[1]
 
     def estimate_range(
         self,
@@ -210,20 +199,6 @@ def normalize(
     if f_max - f_min < DEGENERATE_RANGE:
         return None
     return NormalizedLoss(inner=params, f_min=f_min, f_max=f_max, eta=eta)
-
-
-def validate_loss_input(yhat: np.ndarray, y: np.ndarray, atol: float = 1e-6) -> None:
-    """Check the (predictions, one-hot label) contract for a single example."""
-    yhat = np.asarray(yhat, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if yhat.shape != y.shape or yhat.ndim != 1:
-        raise ValueError(f"expected matching 1-D vectors, got {yhat.shape} vs {y.shape}")
-    if yhat.shape[0] < 2:
-        raise ValueError("need at least 2 classes")
-    if yhat.min() < -atol or abs(yhat.sum() - 1.0) > atol:
-        raise ValueError("predictions must be nonnegative and sum to 1")
-    if not np.isin(y, (0.0, 1.0)).all() or y.sum() != 1.0:
-        raise ValueError("label must be a one-hot vector")
 
 
 def loss_to_json(loss: TaylorLossParams | NormalizedLoss) -> str:
@@ -324,7 +299,7 @@ def mse_embedding(order: int = DEFAULT_ORDER) -> TaylorLossParams:
 
 
 def _horner(coeffs, x):
-    """sum_i coeffs[i] * x**i by Horner's rule; coeffs may be arrays."""
+    """sum_i coeffs[i] * x**i by Horner's rule; x may be an array."""
     acc = coeffs[-1]
     for c in coeffs[-2::-1]:
         acc = acc * x + c

@@ -550,6 +550,13 @@ def test_cli_benchmark_roundtrip(tmp_path, capsys):
             {"cells": [["mlp:8", "blobs:3:20:0.3", "asym:0.2"]], "pairing": [0, 1, 2]},
             "pairing may not map a class to itself",
         ),
+        ({"master_seed": True}, "master_seed must be an integer, got True"),
+        ({"master_seed": 1.5}, "master_seed must be an integer, got 1.5"),
+        ({"epochs": 4.5}, "epochs must be an integer, got 4.5"),
+        ({"learning_rate": math.nan}, "learning_rate must be a finite number, got nan"),
+        ({"momentum": math.inf}, "momentum must be a finite number, got inf"),
+        ({"losses": "ce"}, "losses must be an array, got 'ce'"),
+        ({"pairing": "120"}, "pairing must be an array or null, got '120'"),
     ],
 )
 def test_cli_benchmark_bad_config_exits_two(tmp_path, capsys, override, message):
@@ -715,6 +722,18 @@ def test_cli_meta_train_missing_field_exits_two(tmp_path, capsys):
         ({"order": 0}, "order"),
         ({"epochs": 1.5}, "epochs must be an integer"),
         ({"batch_size": 8.5}, "batch_size must be an integer"),
+        ({"population": 4.5}, "population must be an integer or null, got 4.5"),
+        ({"max_generations": 1.5}, "max_generations must be an integer, got 1.5"),
+        ({"master_seed": True}, "master_seed must be an integer, got True"),
+        ({"master_seed": 1.5}, "master_seed must be an integer, got 1.5"),
+        ({"eta": math.inf}, "eta must be a finite number, got inf"),
+        ({"eta": math.nan}, "eta must be a finite number, got nan"),
+        ({"eta": 10**400}, "eta must be a finite number"),
+        ({"learning_rate": math.nan}, "learning_rate must be a finite number, got nan"),
+        ({"sigma0": math.nan}, "sigma0 must be a finite number, got nan"),
+        ({"mean0": [0.0] * 11 + [math.nan]}, "mean0 must be finite"),
+        ({"noise": 5}, "noise must be a string, got 5"),
+        ({"architectures": "mlp:8"}, "architectures must be an array, got 'mlp:8'"),
     ],
 )
 def test_cli_meta_train_bad_config_exits_two(tmp_path, capsys, override, message):

@@ -21,7 +21,6 @@ from losslearn.taylor import (
     num_parameters,
     load_loss,
     save_loss,
-    validate_loss_input,
 )
 
 # ---------------------------------------------------------------------------
@@ -101,6 +100,51 @@ def random_params(rng, order=DEFAULT_ORDER, scale=1.0):
     )
 
 
+def one_hot(rng, n, num_classes):
+    return np.eye(num_classes)[rng.integers(0, num_classes, n)]
+
+
+def per_class_values(params, yhat_i, t_i):
+    """Per-class values at predictions yhat_i and 0/1 label entries t_i.
+
+    Each pair is class 0 of a two-class example whose class 1 sits at the
+    expansion point (d = 0), where every term vanishes, so the example's
+    value is half the class-0 term.
+    """
+    yhat = np.column_stack([yhat_i, np.full(len(yhat_i), params.expansion_point[0])])
+    y = np.column_stack([t_i, 1.0 - np.asarray(t_i, dtype=float)])
+    return 2.0 * params.batch_value(yhat, y)
+
+
+def horner(coeffs, x):
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+    return acc
+
+
+def bivariate_reference(params, yhat, y):
+    """The earlier evaluation, kept as a bit-level reference.
+
+    Every P_a(e) is evaluated by Horner's rule over the whole label array,
+    then the value d * sum_a P_a d^(a-1) and the gradient sum_a a P_a d^(a-1)
+    by Horner's rule in d.
+    """
+    rows = [
+        [
+            params.coefficients[(a, b)] / (math.factorial(a) * math.factorial(b))
+            for b in range(params.order - a + 1)
+        ]
+        for a in range(1, params.order + 1)
+    ]
+    d = np.asarray(yhat, dtype=float) - params.expansion_point[0]
+    e = np.asarray(y, dtype=float) - params.expansion_point[1]
+    polys = [horner(row, e) for row in rows]
+    value = (d * horner(polys, d)).mean(axis=1)
+    g = horner([a * p for a, p in enumerate(polys, start=1)], d)
+    return value, np.broadcast_to(g, d.shape) / d.shape[1]
+
+
 def random_input(rng, num_classes):
     draws = rng.exponential(1.0, num_classes)
     yhat = draws / draws.sum()
@@ -147,14 +191,17 @@ def test_rejects_non_finite():
 
 def test_zero_polynomial_is_zero():
     params = TaylorLossParams()
-    assert params.per_class_value(0.3, 1.0) == 0.0
+    assert params.value(np.array([0.3, 0.7]), np.array([1.0, 0.0])) == 0.0
     yhat, y = random_input(np.random.default_rng(0), 5)
     assert params.value(yhat, y) == 0.0
 
 
 def test_mse_embedding_per_class():
+    # (yhat - y)^2 - y^2 for one class: -0.91 on the label, 0.49 off it
     params = mse_embedding()
-    assert params.per_class_value(0.7, 1.0) == pytest.approx(-0.91, abs=1e-12)
+    np.testing.assert_allclose(
+        per_class_values(params, [0.7, 0.7], [1.0, 0.0]), [-0.91, 0.49], atol=1e-12
+    )
 
 
 def test_mse_embedding_example_value_and_grad():
@@ -179,11 +226,14 @@ def test_per_class_matches_oracle():
     rng = np.random.default_rng(11)
     for trial in range(200):
         params = random_params(rng)
-        expected = oracle_per_class(
-            params.order, *params.expansion_point, params.coefficients, 0.3, 0.0
+        expected = [
+            oracle_per_class(params.order, *params.expansion_point, params.coefficients, 0.3, t)
+            for t in (0.0, 1.0)
+        ]
+        np.testing.assert_allclose(
+            per_class_values(params, [0.3, 0.3], [0.0, 1.0]), expected, atol=1e-12
         )
-        assert params.per_class_value(0.3, 0.0) == pytest.approx(expected, abs=1e-12)
-    # every order, real (not one-hot) labels, arrays, negative expansion points
+    # every order, both label entries, arrays, negative expansion points
     for order in range(1, 7):
         for trial in range(20):
             params = random_params(rng, order=order)
@@ -192,13 +242,13 @@ def test_per_class_matches_oracle():
                 order=order, expansion_point=tuple(point), coefficients=params.coefficients
             )
             yhat_i = rng.uniform(-0.5, 1.5, 7)
-            y_i = rng.normal(0.0, 1.0, 7)
+            t_i = rng.integers(0, 2, 7).astype(float)
             expected = [
                 oracle_per_class(order, *point, params.coefficients, p, t)
-                for p, t in zip(yhat_i, y_i)
+                for p, t in zip(yhat_i, t_i)
             ]
             np.testing.assert_allclose(
-                params.per_class_value(yhat_i, y_i), expected, rtol=1e-12, atol=1e-12
+                per_class_values(params, yhat_i, t_i), expected, rtol=1e-12, atol=1e-12
             )
 
 
@@ -210,11 +260,11 @@ def test_value_matches_oracle_c10():
         assert params.value(yhat, y) == pytest.approx(
             oracle_value(params, yhat, y), abs=1e-12
         )
-    # batches at every order with real (not one-hot) labels
+    # batches at every order, predictions off the simplex
     for order in range(1, 7):
         params = random_params(rng, order=order, scale=2.0)
         yhat = rng.uniform(-0.5, 1.5, (5, 10))
-        y = rng.normal(0.0, 1.0, (5, 10))
+        y = one_hot(rng, 5, 10)
         expected = [oracle_value(params, yhat[i], y[i]) for i in range(5)]
         np.testing.assert_allclose(
             params.batch_value(yhat, y), expected, rtol=1e-12, atol=1e-12
@@ -260,13 +310,52 @@ def test_batch_grad_matches_oracle_every_order():
                 coefficients={k: rng.uniform(-1, 1) for k in coefficient_keys(order)},
             )
             yhat = rng.uniform(-0.5, 1.5, (6, 4))
-            y = rng.normal(0.0, 1.0, (6, 4))  # real labels, not one-hot
+            y = one_hot(rng, 6, 4)
             grads = params.batch_grad(yhat, y)
             # at order 1 the gradient is a constant, still one entry per class
             assert grads.shape == (6, 4)
             for i in range(6):
                 fd = fd_grad(lambda p, t: oracle_value(params, p, t), yhat[i], y[i])
                 assert rel_err(grads[i], fd) < 1e-6
+
+
+@pytest.mark.parametrize("num_classes", [2, 3, 10])
+@pytest.mark.parametrize("order", range(1, 7))
+def test_one_hot_evaluation_is_bit_identical_to_bivariate(order, num_classes):
+    rng = np.random.default_rng(100 * order + num_classes)
+    for point in [(0.0, 0.0), (-0.6, -0.3), (0.4, -1.1), (-1.3, 0.8)]:
+        params = TaylorLossParams(
+            order=order,
+            expansion_point=point,
+            coefficients={k: rng.normal(0.0, 1.0) for k in coefficient_keys(order)},
+        )
+        draws = rng.exponential(1.0, (64, num_classes))
+        yhat = np.vstack(
+            [draws / draws.sum(axis=1, keepdims=True), rng.uniform(-0.5, 1.5, (16, num_classes))]
+        )
+        y = one_hot(rng, 80, num_classes)
+        value, grad = bivariate_reference(params, yhat, y)
+        assert np.array_equal(params.batch_value(yhat, y), value)
+        assert np.array_equal(params.batch_grad(yhat, y), grad)
+        nl = NormalizedLoss(inner=params, f_min=-0.7, f_max=1.9, eta=8.0)
+        scale = nl.eta / (nl.f_max - nl.f_min)
+        assert np.array_equal(nl.batch_value(yhat, y), scale * (value - nl.f_min))
+        assert np.array_equal(nl.batch_grad(yhat, y), scale * grad)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(1, 6))
+def test_soft_labels_are_the_label_weighted_mix(seed, num_classes, order):
+    # for a label row q on the simplex, loss(yhat, q) = sum_k q_k loss(yhat, e_k)
+    rng = np.random.default_rng(seed)
+    params = random_params(rng, order=order)
+    yhat = rng.dirichlet(np.ones(num_classes), 5)
+    q = rng.dirichlet(np.full(num_classes, 0.5), 5)
+    labels = [np.tile(e_k, (5, 1)) for e_k in np.eye(num_classes)]
+    value = sum(q[:, k] * params.batch_value(yhat, y) for k, y in enumerate(labels))
+    grad = sum(q[:, [k]] * params.batch_grad(yhat, y) for k, y in enumerate(labels))
+    np.testing.assert_allclose(params.batch_value(yhat, q), value, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(params.batch_grad(yhat, q), grad, rtol=1e-10, atol=1e-12)
 
 
 def test_grad_unchanged_by_pure_y_terms():
@@ -507,18 +596,3 @@ def test_loss_file_malformed_values(edit):
 def test_loss_file_not_json():
     with pytest.raises(LossFormatError, match="JSON"):
         loss_from_json("not json {")
-
-
-# ---------------------------------------------------------------------------
-# Input validation helper
-# ---------------------------------------------------------------------------
-
-
-def test_validate_loss_input():
-    validate_loss_input(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
-    with pytest.raises(ValueError, match="one-hot"):
-        validate_loss_input(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
-    with pytest.raises(ValueError, match="sum to 1"):
-        validate_loss_input(np.array([0.9, 0.3]), np.array([1.0, 0.0]))
-    with pytest.raises(ValueError, match="2 classes"):
-        validate_loss_input(np.array([1.0]), np.array([1.0]))
