@@ -12,10 +12,11 @@ import io
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 
-from .datasets import dataset_from_selector, noisy_split
+from .datasets import noisy_split
 from .network import TrainConfig, arch_from_selector, fit, input_shape_of
 from .noise import NoiseSpec, build_transition, noise_from_selector
 from .reference import REFERENCE_KINDS, make_reference_loss
@@ -27,16 +28,18 @@ class ConfigError(ValueError):
     """Bad configuration or unresolvable selector; maps to exit code 2."""
 
 
-# annotation -> (what the message asks for, test of a parsed JSON value); a JSON
-# bool is no integer, and NaN, Infinity or a 400-digit integer fits no float
+# annotation -> (what the message asks for, for one value and for the elements
+# of an array, and a test of one parsed JSON value); a JSON bool is no integer,
+# and NaN, Infinity or a 400-digit integer fits no float
 _FIELD_TYPES = {
-    int: ("an integer", lambda v: type(v) is int),
+    int: ("an integer", "integers", lambda v: type(v) is int),
     float: (
         "a finite number",
+        "finite numbers",
         lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
     ),
-    str: ("a string", lambda v: isinstance(v, str)),
-    tuple: ("an array", lambda v: isinstance(v, (list, tuple))),
+    str: ("a string", "strings", lambda v: isinstance(v, str)),
+    tuple: ("an array", "arrays", lambda v: isinstance(v, (list, tuple))),
 }
 
 
@@ -46,7 +49,7 @@ def config_from_dict(cls, doc, what):
     The dataclass is the schema: a field without a default is required, an
     absent optional field takes its default, any other name is rejected, and
     each value must fit its field's annotation (``null`` too where the
-    default is None).
+    default is None); a ``tuple[T, ...]`` field needs an array of ``T``.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be a JSON object")
@@ -54,11 +57,15 @@ def config_from_dict(cls, doc, what):
         if f.name not in doc:
             if f.default is MISSING:
                 raise ConfigError(f"missing field '{f.name}'")
-        elif f.type in _FIELD_TYPES and not (f.default is None and doc[f.name] is None):
-            kind, fits = _FIELD_TYPES[f.type]
-            if not fits(doc[f.name]):
-                null = " or null" if f.default is None else ""
-                raise ConfigError(f"{f.name} must be {kind}{null}, got {doc[f.name]!r}")
+        elif not (f.default is None and doc[f.name] is None):
+            value, null = doc[f.name], " or null" if f.default is None else ""
+            kind, _, fits = _FIELD_TYPES[get_origin(f.type) or f.type]
+            if not fits(value):
+                raise ConfigError(f"{f.name} must be {kind}{null}, got {value!r}")
+            if get_args(f.type):  # tuple[T, ...]
+                _, kinds, fits = _FIELD_TYPES[get_args(f.type)[0]]
+                if not all(fits(v) for v in value):
+                    raise ConfigError(f"{f.name} must be {kinds}, got {value!r}")
     names = {f.name for f in fields(cls)}
     for name in doc:
         if name not in names:
@@ -140,31 +147,42 @@ def run_single_training(
     pairing=None,
 ):
     """Train once from scratch; returns (clean val accuracy, diverged, curve)."""
-    cfg = TrainConfig(
-        learning_rate=learning_rate,
-        momentum=momentum,
-        batch_size=batch_size,
-        epochs=epochs,
-    )
-    return _fit_at_seed(
-        [loss], arch_sel, dataset_sel, noise_sel, seed, cfg, val_fraction, pairing
-    )[0]
+    try:
+        cfg = TrainConfig(
+            learning_rate=learning_rate,
+            momentum=momentum,
+            batch_size=batch_size,
+            epochs=epochs,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    job = _resolve(arch_sel, dataset_sel, noise_sel, seed, val_fraction, pairing)
+    return _fit_at_seed([loss], job, seed, cfg)[0]
 
 
-def _fit_at_seed(losses, arch_sel, dataset_sel, noise_sel, seed, cfg, val_fraction, pairing):
-    """Fit each loss on the data, split, init and batch order of one seed.
+def _resolve(arch_sel, dataset_sel, noise_sel, seed, val_fraction, pairing):
+    """The (split, network spec) of one seed; a selector that fails is a ConfigError."""
+    try:
+        sp = noisy_split(
+            dataset_sel,
+            noise_sel,
+            data_seed=derive_seed(seed, "data"),
+            split_seed=derive_seed(seed, "split"),
+            val_fraction=val_fraction,
+            pairing=pairing,
+        )
+        spec = arch_from_selector(arch_sel, input_shape_of(sp.train_features), sp.num_classes)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"unresolvable cell selector: {exc}") from None
+    return sp, spec
+
+
+def _fit_at_seed(losses, job, seed, cfg):
+    """Fit each loss on the split and spec, init and batch order of one seed.
 
     The seed path excludes the loss, so losses are compared on equal footing.
     """
-    sp = noisy_split(
-        dataset_sel,
-        noise_sel,
-        data_seed=derive_seed(seed, "data"),
-        split_seed=derive_seed(seed, "split"),
-        val_fraction=val_fraction,
-        pairing=pairing,
-    )
-    spec = arch_from_selector(arch_sel, input_shape_of(sp.train_features), sp.num_classes)
+    sp, spec = job
     cfg = replace(cfg, seed=derive_seed(seed, "train"))
     return [fit(spec, loss, sp, derive_seed(seed, "init"), cfg) for loss in losses]
 
@@ -177,7 +195,7 @@ def _fit_at_seed(losses, arch_sel, dataset_sel, noise_sel, seed, cfg, val_fracti
 @dataclass(frozen=True)
 class BenchmarkGrid:
     cells: tuple  # of (arch, dataset, noise) triples
-    losses: tuple  # of loss selectors
+    losses: tuple[str, ...]  # loss selectors
     seeds: int = 3
     epochs: int = 5
     batch_size: int = 32
@@ -185,7 +203,7 @@ class BenchmarkGrid:
     momentum: float = 0.9
     val_fraction: float = 0.2
     master_seed: int = 0
-    pairing: tuple = None
+    pairing: tuple[int, ...] = None
 
     def __post_init__(self):
         object.__setattr__(self, "cells", tuple(_cell_triple(c) for c in self.cells))
@@ -219,13 +237,13 @@ def _cell_triple(cell):
     """An [arch, dataset, noise] list or {"arch", "dataset", "noise"} object as a triple."""
     if isinstance(cell, dict):
         try:
-            return (cell["arch"], cell["dataset"], cell["noise"])
+            cell = (cell["arch"], cell["dataset"], cell["noise"])
         except KeyError as exc:
             raise ConfigError(f"cell {cell!r} has no key {exc}") from None
-    cell = tuple(cell)
-    if len(cell) != 3:
-        raise ConfigError(f"cell {cell!r} must be [arch, dataset, noise]")
-    return cell
+    if not (isinstance(cell, (list, tuple)) and len(cell) == 3
+            and all(isinstance(sel, str) for sel in cell)):
+        raise ConfigError(f"cell {cell!r} must be [arch, dataset, noise] selector strings")
+    return tuple(cell)
 
 
 @dataclass
@@ -288,32 +306,24 @@ def run_benchmark(grid, out_dir):
     """Run the whole grid; writes results.csv, rank_table.csv, avg_ranks.csv."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # resolve everything up front so selector typos fail before any training
-    losses = {}
-    for sel in grid.losses:
-        losses[sel] = loss_from_selector(sel)
-    try:
-        for arch, dsel, nsel in grid.cells:
-            ds = dataset_from_selector(dsel, seed=0)
-            noise = noise_from_selector(nsel, ds.num_classes)
-            if noise is not None:
-                build_transition(noise, pairing=grid.pairing)
-            arch_from_selector(arch, input_shape_of(ds.features), ds.num_classes)
-    except (ValueError, OSError) as exc:
-        raise ConfigError(f"unresolvable cell selector: {exc}") from None
-
+    losses = [loss_from_selector(sel) for sel in grid.losses]
     cfg = grid.train_config()
+
+    def resolve(cell, s):
+        seed = derive_seed(grid.master_seed, "cell", *cell, s)
+        return seed, _resolve(*cell, seed, grid.val_fraction, grid.pairing)
+
+    # every cell's first seed resolves before any training, so a selector
+    # typo fails before anything runs; each is held until its cell trains
+    first = [resolve(cell, 0) for cell in grid.cells]
     results = []
-    for arch, dsel, nsel in grid.cells:
+    for cell in grid.cells:
         rows = [[] for _ in grid.losses]
         for s in range(grid.seeds):
-            seed = derive_seed(grid.master_seed, "cell", arch, dsel, nsel, s)
-            fits = _fit_at_seed(
-                [losses[sel] for sel in grid.losses],
-                arch, dsel, nsel, seed, cfg, grid.val_fraction, grid.pairing,
-            )
+            seed, job = first.pop(0) if s == 0 else resolve(cell, s)
+            fits = _fit_at_seed(losses, job, seed, cfg)
             for loss_rows, loss_sel, (acc, diverged, _) in zip(rows, grid.losses, fits):
-                loss_rows.append((arch, dsel, nsel, loss_sel, s, acc, diverged))
+                loss_rows.append((*cell, loss_sel, s, acc, diverged))
         for loss_rows in rows:  # a cell's rows are listed loss by loss
             results += loss_rows
 

@@ -31,9 +31,9 @@ def _load_json(path, what):
     try:
         with open(path) as handle:
             return json.load(handle)
-    except FileNotFoundError:
-        raise ConfigError(f"{what} file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"{what} file {path} not found or unreadable ({exc.strerror})") from None
+    except ValueError as exc:  # not UTF-8 or not JSON
         raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from None
 
 
@@ -55,22 +55,19 @@ def cmd_meta_train(args):
 
 def cmd_train(args):
     loss = loss_from_selector(args.loss)
-    try:
-        acc, diverged, curve = run_single_training(
-            loss,
-            args.dataset,
-            args.arch,
-            args.noise,
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            learning_rate=args.learning_rate,
-            momentum=args.momentum,
-            val_fraction=args.val_fraction,
-            seed=args.seed,
-            pairing=_load_pairing(args.pairing),
-        )
-    except (ValueError, OSError) as exc:
-        raise ConfigError(str(exc)) from None
+    acc, diverged, curve = run_single_training(
+        loss,
+        args.dataset,
+        args.arch,
+        args.noise,
+        epochs=args.epochs,
+        batch_size=args.batch_size,
+        learning_rate=args.learning_rate,
+        momentum=args.momentum,
+        val_fraction=args.val_fraction,
+        seed=args.seed,
+        pairing=_load_pairing(args.pairing),
+    )
     if args.curve_out:
         Path(args.curve_out).write_text(curve_to_csv(curve))
     if diverged:

@@ -189,15 +189,19 @@ def split(ds, val_fraction=0.2, noise=None, seed=0, pairing=None):
         train_parts.append(perm[n_val:])
     val_idx = np.sort(np.concatenate(val_parts))
     train_idx = np.sort(np.concatenate(train_parts))
+    for part, idx in (("validation", val_idx), ("training", train_idx)):
+        if not len(idx):
+            raise ValueError(f"val_fraction {val_fraction} leaves no {part} examples in {ds.name}")
 
     train_labels = ds.labels[train_idx].copy()
     flip_fraction = 0.0
-    if noise is not None and noise.ratio > 0.0:
+    if noise is not None:
         if noise.num_classes != ds.num_classes:
             raise ValueError("noise spec class count does not match dataset")
-        t = build_transition(noise, pairing)
-        train_labels, flipped = corrupt(train_labels, t, derive_seed(seed, "noise"))
-        flip_fraction = float(flipped.mean()) if len(flipped) else 0.0
+        t = build_transition(noise, pairing)  # checks the pairing at ratio 0 too
+        if noise.ratio > 0.0:
+            train_labels, flipped = corrupt(train_labels, t, derive_seed(seed, "noise"))
+            flip_fraction = float(flipped.mean())
 
     val_labels = ds.labels[val_idx].copy()
     provenance = {

@@ -39,6 +39,8 @@ def build_transition(spec, pairing=None):
     else:
         if pairing is None:
             pairing = [(i + 1) % c for i in range(c)]
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in pairing):
+            raise ValueError(f"pairing must list integer classes, got {list(pairing)}")
         pairing = np.asarray(pairing, dtype=np.int64)
         _check_pairing(pairing, c)
         t = np.zeros((c, c))

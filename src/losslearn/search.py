@@ -40,8 +40,8 @@ MODES = ("AR", "DR", "Full")
 @dataclass(frozen=True)
 class MetaConfig:
     mode: str
-    architectures: tuple
-    datasets: tuple
+    architectures: tuple[str, ...]
+    datasets: tuple[str, ...]
     noise: str
     max_generations: int
     master_seed: int
@@ -50,13 +50,13 @@ class MetaConfig:
     val_fraction: float = 0.2
     range_samples: int = 10_000
     sigma0: float = 0.5
-    mean0: tuple = None
+    mean0: tuple[float, ...] = None
     population: int = None
     learning_rate: float = 0.01
     momentum: float = 0.9
     batch_size: int = 128
     epochs: int = 5
-    pairing: tuple = None
+    pairing: tuple[int, ...] = None
 
     def __post_init__(self):
         object.__setattr__(self, "architectures", tuple(self.architectures))
@@ -167,40 +167,28 @@ def run_generation(state, cfg, gen_seed):
 
     # normalization range is estimated against the first dataset's class count
     ref_classes = splits[cfg.datasets[0]].num_classes
-    decoded = []
-    losses = []
-    for i, vec in enumerate(candidates):
-        try:
-            params = TaylorLossParams.from_flat(vec, order=cfg.order)
-        except ValueError:
-            decoded.append(None)
-            losses.append(None)
-            continue
-        decoded.append(params)
-        losses.append(
-            normalize(
-                params,
-                num_classes=ref_classes,
-                eta=cfg.eta,
-                num_samples=cfg.range_samples,
-                seed=derive_seed(gen_seed, "range", i),
-            )
+    decoded = [TaylorLossParams.from_flat(vec, order=cfg.order) for vec in candidates]
+    losses = [
+        normalize(
+            params,
+            num_classes=ref_classes,
+            eta=cfg.eta,
+            num_samples=cfg.range_samples,
+            seed=derive_seed(gen_seed, "range", i),
         )
+        for i, params in enumerate(decoded)
+    ]
 
     def execute(i, a, sel):
         if losses[i] is None:
             return JobResult(a, sel, 0.0, True)
-        try:
-            acc, diverged, _ = fit(
-                arch_specs[(a, sel)],
-                losses[i],
-                splits[sel],
-                derive_seed(gen_seed, "init", a),
-                cfg.inner_config(derive_seed(gen_seed, "train", a, sel)),
-            )
-        except Exception:
-            log.exception("job (%d, %s, %s) failed; scoring 0", i, a, sel)
-            return JobResult(a, sel, 0.0, True)
+        acc, diverged, _ = fit(
+            arch_specs[(a, sel)],
+            losses[i],
+            splits[sel],
+            derive_seed(gen_seed, "init", a),
+            cfg.inner_config(derive_seed(gen_seed, "train", a, sel)),
+        )
         return JobResult(a, sel, acc, diverged)
 
     records = []
@@ -212,12 +200,8 @@ def run_generation(state, cfg, gen_seed):
 
     state.tell(candidates, scores, maximize=True)
 
-    champion = None
-    for i in np.argsort(-scores, kind="stable"):
-        if decoded[i] is not None:
-            champion = (int(i), float(scores[i]), losses[i], decoded[i])
-            break
-    return records, champion
+    top = int(np.argmax(scores))  # the first of equal scores
+    return records, (top, float(scores[top]), losses[top], decoded[top])
 
 
 # ---------------------------------------------------------------------------
@@ -322,22 +306,21 @@ def meta_train(cfg, run_dir, stop_after=None):
         ran += 1
         generation = state.generation  # post-tell, 1-based
 
-        if champion is not None:
-            idx, score, norm_loss, raw_params = champion
-            if best is None or score > best["score"]:
-                loss_obj = norm_loss if norm_loss is not None else raw_params
-                best = {
-                    "score": score,
-                    "generation": generation,
-                    "loss_json": loss_to_json(loss_obj),
-                }
+        _, score, norm_loss, raw_params = champion
+        if best is None or score > best["score"]:
+            loss_obj = norm_loss if norm_loss is not None else raw_params
+            best = {
+                "score": score,
+                "generation": generation,
+                "loss_json": loss_to_json(loss_obj),
+            }
 
         lo, hi = state.eigenvalues()
         history.append(
             {
                 "generation": generation,
                 "evals": state.evals,
-                "best_fitness": best["score"] if best is not None else 0.0,
+                "best_fitness": best["score"],
                 "mean_fitness": float(np.mean([rec.score for rec in records])),
                 "sigma": state.sigma,
                 "min_eig": lo,
@@ -361,8 +344,8 @@ def meta_train(cfg, run_dir, stop_after=None):
     if best is not None:
         loss_json = best["loss_json"]
     else:
-        # nothing ran (max_generations 0) or nothing was decodable: fall back
-        # to the loss encoded by the current mean, unnormalized
+        # nothing ran (max_generations 0): fall back to the loss encoded by
+        # the current mean, unnormalized
         params = TaylorLossParams.from_flat(state.mean, order=cfg.order)
         loss_json = loss_to_json(params)
     _write(run_dir / "best_loss.json", loss_json)

@@ -27,6 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,11 @@ def coefficient_keys(order: int) -> list[tuple[int, int]]:
     """Exponent pairs (a, b) with a >= 1, b >= 0, a + b <= order, in lex order."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    return [(a, b) for a in range(1, order + 1) for b in range(order - a + 1)]
+    return list(_lex_keys(order))
+
+
+def _lex_keys(order):
+    return ((a, b) for a in range(1, order + 1) for b in range(order - a + 1))
 
 
 def num_coefficients(order: int) -> int:
@@ -69,14 +74,16 @@ class TaylorLossParams(_Loss):
     coefficients: dict[tuple[int, int], float] = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        expected = coefficient_keys(self.order)  # rejects an order below 1
         if self.coefficients is None:
-            object.__setattr__(self, "coefficients", {k: 0.0 for k in expected})
-        got = set(self.coefficients)
-        missing = [k for k in expected if k not in got]
-        if missing:
-            raise ValueError(f"missing coefficient for exponent pair {missing[0]}")
-        extra = got.difference(expected)
+            zeros = {k: 0.0 for k in coefficient_keys(self.order)}
+            object.__setattr__(self, "coefficients", zeros)
+        got = self.coefficients
+        # the first missing pair is among the first len(got) + 1, so a table's
+        # work is bounded by its size, not by its order
+        for key in islice(_lex_keys(self.order), len(got) + 1):
+            if key not in got:
+                raise ValueError(f"missing coefficient for exponent pair {key}")
+        extra = set(got).difference(coefficient_keys(self.order))  # rejects an order below 1
         if extra:
             raise ValueError(f"unexpected coefficient key {sorted(extra)[0]}")
         values = list(self.coefficients.values()) + list(self.expansion_point)
@@ -250,9 +257,6 @@ def loss_from_json(text: str) -> TaylorLossParams | NormalizedLoss:
             coeffs[(entry["a"], entry["b"])] = float(entry["value"])
         except (TypeError, KeyError, ValueError) as exc:
             raise LossFormatError(f"malformed coefficient entry {entry!r}") from exc
-    for key in coefficient_keys(order):
-        if key not in coeffs:
-            raise LossFormatError(f"missing coefficient for exponent pair {key}")
     try:
         params = TaylorLossParams(
             order=order,

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
+from losslearn import bench, datasets
 from losslearn.bench import (
     BenchmarkGrid,
     ConfigError,
@@ -441,6 +442,22 @@ def test_benchmark_accepts_polynomial_loss_file(tmp_path):
     assert all(r["diverged"] == "0" for r in rows)
 
 
+def test_benchmark_builds_each_dataset_once_per_seed(tmp_path, monkeypatch):
+    calls = []
+    real = datasets.dataset_from_selector
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    # count every lookup site, including a module that imported the name
+    monkeypatch.setattr(datasets, "dataset_from_selector", counted)
+    monkeypatch.setattr(bench, "dataset_from_selector", counted, raising=False)
+    grid = small_grid()
+    run_benchmark(grid, tmp_path)
+    assert len(calls) == len(grid.cells) * grid.seeds
+
+
 def test_unresolvable_selector_fails_before_training(tmp_path):
     grid = small_grid(cells=[("mlp:8", "blobs:3:30:0.3", "sym:2.0")])
     with pytest.raises(ConfigError, match="unresolvable cell selector"):
@@ -517,6 +534,17 @@ def test_cli_train_missing_idx_files_exits_two(tmp_path, capsys):
     assert not curve.exists()
 
 
+def test_cli_train_job_exception_exits_three(monkeypatch, capsys):
+    # an exception inside a job is a run-time failure, even a ValueError
+    def broken(*args, **kwargs):
+        raise ValueError("planted failure inside training")
+
+    monkeypatch.setattr(bench, "fit", broken)
+    code = main_entry(["train", "--loss", "ce", "--dataset", "blobs:2:10:0.3", "--arch", "linear"])
+    assert code == 3
+    assert "failed: planted failure" in capsys.readouterr().err
+
+
 GRID_CONFIG = {
     "cells": [["mlp:8", "blobs:3:20:0.3", "none"]],
     "losses": ["ce", "mae"],
@@ -557,6 +585,10 @@ def test_cli_benchmark_roundtrip(tmp_path, capsys):
         ({"momentum": math.inf}, "momentum must be a finite number, got inf"),
         ({"losses": "ce"}, "losses must be an array, got 'ce'"),
         ({"pairing": "120"}, "pairing must be an array or null, got '120'"),
+        ({"pairing": [1.5, 2, 0]}, "pairing must be integers, got [1.5, 2, 0]"),
+        ({"losses": [5]}, "losses must be strings, got [5]"),
+        ({"cells": [[1, 2, 3]]}, "cell [1, 2, 3] must be [arch, dataset, noise] selector"),
+        ({"cells": [["mlp:8", "blobs:3:2:0.5", "none"]]}, "leaves no validation examples"),
     ],
 )
 def test_cli_benchmark_bad_config_exits_two(tmp_path, capsys, override, message):
@@ -672,6 +704,18 @@ def test_cli_make_noise_matrix_too_few_classes_exits_two(tmp_path, capsys, class
     assert not out.exists()
 
 
+def test_cli_unreadable_json_file_exits_two(tmp_path, capsys):
+    directory = str(tmp_path)
+    for argv in (
+        ["benchmark", "--config", directory, "--out", str(tmp_path / "o")],
+        ["meta-train", "--config", directory, "--out", str(tmp_path / "r")],
+        ["train", "--loss", "ce", "--dataset", "blobs:3:10:0.3", "--arch", "linear",
+         "--noise", "asym:0.2", "--pairing", directory],
+    ):
+        assert main_entry(argv) == 2, argv[0]
+        assert "unreadable" in capsys.readouterr().err
+
+
 META_CONFIG = {
     "mode": "AR",
     "architectures": ["mlp:8"],
@@ -734,6 +778,15 @@ def test_cli_meta_train_missing_field_exits_two(tmp_path, capsys):
         ({"mean0": [0.0] * 11 + [math.nan]}, "mean0 must be finite"),
         ({"noise": 5}, "noise must be a string, got 5"),
         ({"architectures": "mlp:8"}, "architectures must be an array, got 'mlp:8'"),
+        ({"datasets": [5]}, "datasets must be strings, got [5]"),
+        ({"architectures": [None]}, "architectures must be strings, got [None]"),
+        ({"noise": "asym:0.2", "pairing": [1.5, 2, 0]}, "pairing must be integers"),
+        # 2 examples per class leave no validation part at 0.2 and no training part at 0.9
+        ({"datasets": ["blobs:3:2:0.5"]}, "val_fraction 0.2 leaves no validation examples"),
+        (
+            {"datasets": ["blobs:3:2:0.5"], "val_fraction": 0.9},
+            "val_fraction 0.9 leaves no training examples",
+        ),
     ],
 )
 def test_cli_meta_train_bad_config_exits_two(tmp_path, capsys, override, message):
@@ -784,3 +837,26 @@ def test_cli_meta_train_reruns_corrected_config_into_same_dir(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == {
         p.name: p.read_bytes() for p in fresh.iterdir()
     }
+
+
+def test_cli_asym_zero_pairing_exits_two_everywhere(tmp_path, capsys):
+    # ratio 0 flips no label, but a pairing that maps a class to itself is
+    # still a bad config, in every command that takes one
+    pairing = tmp_path / "pairing.json"
+    pairing.write_text("[0, 2, 1]")
+    meta = tmp_path / "meta.json"
+    meta.write_text(json.dumps({**META_CONFIG, "noise": "asym:0.0", "pairing": [0, 2, 1]}))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        **GRID_CONFIG, "cells": [["mlp:8", "blobs:3:20:0.3", "asym:0.0"]], "pairing": [0, 2, 1]
+    }))
+    for argv in (
+        ["meta-train", "--config", str(meta), "--out", str(tmp_path / "run")],
+        ["train", "--loss", "ce", "--dataset", "blobs:3:20:0.3", "--arch", "mlp:8",
+         "--noise", "asym:0.0", "--pairing", str(pairing)],
+        ["benchmark", "--config", str(grid), "--out", str(tmp_path / "out")],
+    ):
+        assert main_entry(argv) == 2, argv[0]
+        assert "pairing may not map a class to itself" in capsys.readouterr().err
+    assert not list((tmp_path / "run").glob("fitness_gen_*.csv"))
+    assert not (tmp_path / "out" / "results.csv").exists()

@@ -240,6 +240,20 @@ def test_split_rejects_bad_fraction():
         split(ds, val_fraction=1.0, seed=0)
 
 
+@pytest.mark.parametrize("val_fraction, part", [(0.2, "validation"), (0.9, "training")])
+def test_split_rejects_an_empty_part(val_fraction, part):
+    # 2 examples per class: 0.4 rounds to 0 validation examples, 1.8 to 2
+    ds = dataset_from_selector("blobs:3:2:0.5")
+    with pytest.raises(ValueError, match=f"val_fraction {val_fraction} leaves no {part}"):
+        split(ds, val_fraction=val_fraction, seed=0)
+
+
+def test_split_checks_the_pairing_at_ratio_zero():
+    ds = synth_blobs(3, 10, seed=0)
+    with pytest.raises(ValueError, match="itself"):
+        split(ds, noise=NoiseSpec("asymmetric", 0.0, 3), pairing=[0, 2, 1])
+
+
 def test_dataset_validation():
     with pytest.raises(ValueError, match="fewer examples"):
         Dataset("t", np.zeros((2, 2)), np.array([0, 1]), 3)

@@ -58,6 +58,10 @@ def test_pairing_validation():
         build_transition(spec, pairing=[0, 2, 1])
     with pytest.raises(ValueError, match="exactly 3"):
         build_transition(spec, pairing=[1, 0])
+    # a float or bool entry is no class index, even where it would truncate to one
+    for bad in ([1.5, 2, 0], [True, 2, 0], [1, 2, np.float64(0.0)]):
+        with pytest.raises(ValueError, match="integer classes"):
+            build_transition(spec, pairing=bad)
 
 
 def test_spec_validation():

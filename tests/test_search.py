@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from losslearn import search
+from losslearn.cli import main_entry
 from losslearn.cma import cma_init
 from losslearn.search import (
     FitnessRecord,
@@ -287,6 +288,32 @@ def test_resume_is_byte_identical(tmp_path):
     for name in a:
         assert a[name] == b[name], f"{name} differs after resume"
     assert hist_a == hist_b
+
+
+def test_job_exception_exits_three_and_the_run_resumes(tmp_path, monkeypatch, capsys):
+    # a job that raises fails the run; it is never scored as a diverged candidate
+    config = tmp_path / "meta.json"
+    config.write_text(json.dumps(tiny_config(max_generations=3).to_dict()))
+    run_dir = tmp_path / "run"
+    real_fit = search.fit
+
+    def fails_in_generation_two(*args, **kwargs):
+        if (run_dir / "checkpoint_gen_1.json").exists():
+            raise ValueError("planted failure inside a job")
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(search, "fit", fails_in_generation_two)
+    argv = ["meta-train", "--config", str(config), "--out", str(run_dir)]
+    assert main_entry(argv) == 3
+    assert "planted failure" in capsys.readouterr().err
+    assert (run_dir / "checkpoint_gen_1.json").exists()
+    assert not (run_dir / "fitness_gen_2.csv").exists()
+
+    monkeypatch.setattr(search, "fit", real_fit)
+    assert main_entry(argv) == 0
+    fresh = tmp_path / "fresh"
+    assert main_entry(["meta-train", "--config", str(config), "--out", str(fresh)]) == 0
+    assert read_artifacts(run_dir) == read_artifacts(fresh)
 
 
 class Killed(Exception):

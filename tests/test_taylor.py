@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from losslearn import taylor
 from losslearn.taylor import (
     DEFAULT_ORDER,
     LossFormatError,
@@ -539,6 +540,21 @@ def test_loss_file_missing_coefficient():
     doc = json.loads(text)
     doc["coefficients"] = [e for e in doc["coefficients"] if (e["a"], e["b"]) != (3, 1)]
     with pytest.raises(LossFormatError, match=r"\(3, 1\)"):
+        loss_from_json(json.dumps(doc))
+
+
+def test_loss_file_work_is_bounded_by_its_size(monkeypatch):
+    # a 60-byte file must not make the loader build order * (order + 1) / 2 keys
+    real = taylor.coefficient_keys
+
+    def guarded(order):
+        if order > 1000:
+            raise AssertionError(f"coefficient_keys({order}) is unbounded work")
+        return real(order)
+
+    monkeypatch.setattr(taylor, "coefficient_keys", guarded)
+    doc = {**json.loads(loss_to_json(mse_embedding())), "order": 10**6, "coefficients": []}
+    with pytest.raises(LossFormatError, match=r"\(1, 0\)"):
         loss_from_json(json.dumps(doc))
 
 
