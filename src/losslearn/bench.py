@@ -28,9 +28,9 @@ class ConfigError(ValueError):
     """Bad configuration or unresolvable selector; maps to exit code 2."""
 
 
-# annotation -> (what the message asks for, for one value and for the elements
-# of an array, and a test of one parsed JSON value); a JSON bool is no integer,
-# and NaN, Infinity or a 400-digit integer fits no float
+# annotation -> (what one value must be, what array elements must be, a test
+# of one parsed JSON value); a JSON bool is no integer, and NaN, Infinity or a
+# 400-digit integer fits no float
 _FIELD_TYPES = {
     int: ("an integer", "integers", lambda v: type(v) is int),
     float: (
