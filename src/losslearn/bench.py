@@ -9,19 +9,23 @@ a given seed index, so losses are compared on identical footing.
 
 import csv
 import io
+import logging
 import sys
+import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin
 
 import numpy as np
 
-from .datasets import noisy_split
-from .network import TrainConfig, arch_from_selector, fit, input_shape_of
+from .datasets import ValFractionError, noisy_split
+from .network import TrainConfig, arch_from_selector, fit_many, input_shape_of
 from .noise import NoiseSpec, build_transition, noise_from_selector
 from .reference import REFERENCE_KINDS, make_reference_loss
 from .seeding import derive_seed
 from .taylor import load_loss
+
+log = logging.getLogger("losslearn")
 
 
 class ConfigError(ValueError):
@@ -172,19 +176,21 @@ def _resolve(arch_sel, dataset_sel, noise_sel, seed, val_fraction, pairing):
             pairing=pairing,
         )
         spec = arch_from_selector(arch_sel, input_shape_of(sp.train_features), sp.num_classes)
+    except ValFractionError as exc:  # a value, not a selector, is wrong
+        raise ConfigError(str(exc)) from None
     except (ValueError, OSError) as exc:
         raise ConfigError(f"unresolvable cell selector: {exc}") from None
     return sp, spec
 
 
 def _fit_at_seed(losses, job, seed, cfg):
-    """Fit each loss on the split and spec, init and batch order of one seed.
+    """Fit every loss on the split and spec, init and batch order of one seed.
 
     The seed path excludes the loss, so losses are compared on equal footing.
     """
     sp, spec = job
     cfg = replace(cfg, seed=derive_seed(seed, "train"))
-    return [fit(spec, loss, sp, derive_seed(seed, "init"), cfg) for loss in losses]
+    return fit_many(spec, losses, sp, derive_seed(seed, "init"), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +326,14 @@ def run_benchmark(grid, out_dir):
     for cell in grid.cells:
         rows = [[] for _ in grid.losses]
         for s in range(grid.seeds):
+            started = time.perf_counter()
             seed, job = first.pop(0) if s == 0 else resolve(cell, s)
             fits = _fit_at_seed(losses, job, seed, cfg)
+            log.info(
+                "cell %s seed %d: %d losses, %d diverged, best accuracy %.6f, %.2f s",
+                " ".join(cell), s, len(fits), sum(diverged for _, diverged, _ in fits),
+                max(acc for acc, _, _ in fits), time.perf_counter() - started,
+            )
             for loss_rows, loss_sel, (acc, diverged, _) in zip(rows, grid.losses, fits):
                 loss_rows.append((*cell, loss_sel, s, acc, diverged))
         for loss_rows in rows:  # a cell's rows are listed loss by loss

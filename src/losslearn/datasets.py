@@ -172,10 +172,14 @@ def synth_rings(num_classes, per_class, seed=0):
 # ---------------------------------------------------------------------------
 
 
+class ValFractionError(ValueError):
+    """A val_fraction outside (0, 1), or one that leaves a split part empty."""
+
+
 def split(ds, val_fraction=0.2, noise=None, seed=0, pairing=None):
     """Stratified train/val split; corrupts train labels when noise is given."""
     if not 0.0 < val_fraction < 1.0:
-        raise ValueError(f"val_fraction must lie in (0, 1), got {val_fraction}")
+        raise ValFractionError(f"val_fraction must lie in (0, 1), got {val_fraction}")
     rng = np.random.default_rng(derive_seed(seed, "split"))
     val_parts = []
     train_parts = []
@@ -191,7 +195,9 @@ def split(ds, val_fraction=0.2, noise=None, seed=0, pairing=None):
     train_idx = np.sort(np.concatenate(train_parts))
     for part, idx in (("validation", val_idx), ("training", train_idx)):
         if not len(idx):
-            raise ValueError(f"val_fraction {val_fraction} leaves no {part} examples in {ds.name}")
+            raise ValFractionError(
+                f"val_fraction {val_fraction} leaves no {part} examples in {ds.name}"
+            )
 
     train_labels = ds.labels[train_idx].copy()
     flip_fraction = 0.0

@@ -2,11 +2,23 @@
 
 Dense and valid-convolution layers, ReLU, non-overlapping max pooling, a
 softmax head, and mini-batch SGD with momentum. Everything is float64 numpy.
-The loss plugs in through two methods, batch_value(probs, onehot) -> (n,)
-and batch_grad(probs, onehot) -> (n, C); the gradient is pushed through the
-full softmax Jacobian so losses that are not cross-entropy-shaped work too.
+
+A Network is one network or a stack of m networks with one spec. A stack's
+parameters carry a leading member axis, (m, P), and so do its activations,
+(m, n, ...); the shared input batch broadcasts over the members in the first
+layer. One training loop advances every member on one batch stream, each
+under its own loss; a member that diverges leaves the stack.
+
+The loss plugs in through batch_value(probs, onehot) -> (n,),
+batch_grad(probs, onehot) -> (n, C) and batch_value_and_grad, which returns
+both from one call; the gradient is pushed through the full softmax Jacobian
+so losses that are not cross-entropy-shaped work too. A stack makes one loss
+call per step: a population whose loss class offers stacked(losses) (the
+normalized polynomial losses) runs in one pass over (m, n, C) predictions,
+any other runs member by member.
 """
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -24,6 +36,11 @@ class _Layer:
     the layer's gradient views in place; input_grad(params, cache, dy) returns
     dL/dx. output_shape raises a plain ValueError for an input the layer
     cannot take.
+
+    Parameters of one network have their own shapes; those of a stack of m
+    networks carry a leading member axis, (m, *shape). Activations are
+    (n, ...) for one network and (m, n, ...) for a stack, except the shared
+    input batch, which broadcasts over the members in the first layer.
     """
 
     def param_shapes(self):
@@ -54,27 +71,37 @@ class Dense(_Layer):
     def param_shapes(self):
         return {"w": (self.in_dim, self.out_dim), "b": (self.out_dim,)}
 
-    def forward(self, params, x):
-        return x @ params["w"] + params["b"], x
+    def forward(self, params, x, out=None):
+        out = np.matmul(x, params["w"], out=out)
+        out += params["b"][..., None, :]
+        return out, x
 
     def param_grad(self, grads, x, dy):
-        grads["w"][...] = x.T @ dy
-        grads["b"][...] = dy.sum(axis=0)
+        np.matmul(x.swapaxes(-1, -2), dy, out=grads["w"])
+        grads["b"][...] = dy.sum(axis=-2)
 
-    def input_grad(self, params, x, dy):
-        return dy @ params["w"].T
+    def input_grad(self, params, x, dy, out=None):
+        return np.matmul(dy, params["w"].swapaxes(-1, -2), out=out)
 
 
 @dataclass(frozen=True)
 class ReLU(_Layer):
+    """max(x, 0) in place on the fresh output of the layer before.
+
+    It caches its output, whose positive entries are where x's were (NaN
+    included), so the input is not kept alive.
+    """
+
     def output_shape(self, shape):
         return shape
 
     def forward(self, params, x):
-        return np.maximum(x, 0.0), x
+        np.maximum(x, 0.0, out=x)
+        return x, x
 
-    def input_grad(self, params, x, dy):
-        return dy * (x > 0.0)
+    def input_grad(self, params, out, dy):
+        dy *= out > 0.0  # dy is the fresh input gradient of the layer above
+        return dy
 
 
 @dataclass(frozen=True)
@@ -97,32 +124,38 @@ class Conv2D(_Layer):
         k = self.kernel
         return {"w": (k, k, self.in_ch, self.out_ch), "b": (self.out_ch,)}
 
+    def _wmat(self, params):
+        w = params["w"]
+        return w.reshape(w.shape[:-4] + (-1, self.out_ch))
+
     def forward(self, params, x):
         k = self.kernel
-        windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
-        # windows: (n, oh, ow, in_ch, k, k) -> columns (n*oh*ow, k*k*in_ch)
-        n, oh, ow = windows.shape[:3]
-        cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, -1)
-        wmat = params["w"].reshape(-1, self.out_ch)
-        out = cols @ wmat + params["b"]
-        return out.reshape(n, oh, ow, self.out_ch), (x.shape, cols)
+        windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(-3, -2))
+        # windows: (..., n, oh, ow, in_ch, k, k) -> columns (..., n*oh*ow, k*k*in_ch)
+        lead = windows.shape[:-6]
+        n, oh, ow = windows.shape[-6:-3]
+        cols = np.moveaxis(windows, -3, -1).reshape(lead + (n * oh * ow, -1))
+        out = cols @ self._wmat(params)
+        out += params["b"][..., None, :]
+        return out.reshape(out.shape[:-2] + (n, oh, ow, self.out_ch)), (x.shape, cols)
 
     def param_grad(self, grads, cache, dy):
         _, cols = cache
-        dy_flat = dy.reshape(-1, self.out_ch)
-        grads["w"][...] = (cols.T @ dy_flat).reshape(grads["w"].shape)
-        grads["b"][...] = dy_flat.sum(axis=0)
+        dy_flat = dy.reshape(dy.shape[:-4] + (-1, self.out_ch))
+        grads["w"][...] = (cols.swapaxes(-1, -2) @ dy_flat).reshape(grads["w"].shape)
+        grads["b"][...] = dy_flat.sum(axis=-2)
 
     def input_grad(self, params, cache, dy):
         k = self.kernel
         x_shape, _ = cache
-        n, oh, ow, _ = dy.shape
-        wmat = params["w"].reshape(-1, self.out_ch)
-        dcols = (dy.reshape(-1, self.out_ch) @ wmat.T).reshape(n, oh, ow, k, k, -1)
+        *lead, n, oh, ow, _ = dy.shape
+        dy_flat = dy.reshape(tuple(lead) + (-1, self.out_ch))
+        dcols = dy_flat @ self._wmat(params).swapaxes(-1, -2)
+        dcols = dcols.reshape(tuple(lead) + (n, oh, ow, k, k, -1))
         dx = np.zeros(x_shape)
         for i in range(k):
             for j in range(k):
-                dx[:, i : i + oh, j : j + ow, :] += dcols[:, :, :, i, j, :]
+                dx[..., i : i + oh, j : j + ow, :] += dcols[..., i, j, :]
         return dx
 
 
@@ -140,21 +173,23 @@ class MaxPool(_Layer):
 
     def forward(self, params, x):
         s = self.size
-        n, h, w, ch = x.shape
+        *lead, h, w, ch = x.shape
         oh, ow = h // s, w // s
-        tiles = x.reshape(n, oh, s, ow, s, ch).transpose(0, 1, 3, 2, 4, 5)
-        tiles = tiles.reshape(n, oh, ow, s * s, ch)
+        # members and examples pool alike, so both fold into one batch axis
+        tiles = x.reshape(-1, oh, s, ow, s, ch).transpose(0, 1, 3, 2, 4, 5)
+        tiles = tiles.reshape(-1, oh, ow, s * s, ch)
         best = np.argmax(tiles, axis=3)
         out = np.take_along_axis(tiles, best[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-        return out, (x.shape, best)
+        return out.reshape(tuple(lead) + out.shape[1:]), (x.shape, best)
 
     def input_grad(self, params, cache, dy):
         s = self.size
         x_shape, best = cache
-        n, oh, ow, ch = dy.shape
-        dtiles = np.zeros((n, oh, ow, s * s, ch))
+        oh, ow, ch = dy.shape[-3:]
+        dy = dy.reshape(-1, oh, ow, ch)
+        dtiles = np.zeros((len(dy), oh, ow, s * s, ch))
         np.put_along_axis(dtiles, best[:, :, :, None, :], dy[:, :, :, None, :], axis=3)
-        dtiles = dtiles.reshape(n, oh, ow, s, s, ch).transpose(0, 1, 3, 2, 4, 5)
+        dtiles = dtiles.reshape(-1, oh, ow, s, s, ch).transpose(0, 1, 3, 2, 4, 5)
         return dtiles.reshape(x_shape)
 
 
@@ -163,10 +198,10 @@ class Flatten(_Layer):
     def output_shape(self, shape):
         if isinstance(shape, int):
             raise ValueError("input is already flat")
-        return math.prod(shape)
+        return math.prod(_image_shape(shape))
 
     def forward(self, params, x):
-        return x.reshape(x.shape[0], -1), x.shape
+        return x.reshape(x.shape[:-3] + (-1,)), x.shape
 
     def input_grad(self, params, x_shape, dy):
         return dy.reshape(x_shape)
@@ -181,6 +216,11 @@ class NetworkSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
+        first = next((layer for layer in self.layers if not isinstance(layer, Flatten)), None)
+        if isinstance(first, ReLU):
+            raise ValueError(
+                "a ReLU before any Dense, Conv2D or MaxPool would overwrite the batch"
+            )
         shape = self.input_shape
         for i, layer in enumerate(self.layers):
             try:
@@ -199,29 +239,50 @@ class NetworkSpec:
 
 
 class Network:
-    """Mutable parameter state for one training job. Not thread-shared."""
+    """Mutable parameter state of one network, or of a stack of m networks.
 
-    def __init__(self, spec):
+    theta, momentum and the one gradient buffer are (P,) for one network and
+    (m, P) for a stack. They are only ever updated in place, so the cached
+    per-layer views of theta and of the gradient stay valid. Not
+    thread-shared.
+    """
+
+    def __init__(self, spec, members=None):
         self.spec = spec
         shapes = [s for layer in spec.layers for s in layer.param_shapes().values()]
-        size = sum(math.prod(shape) for shape in shapes)
-        self.theta = np.zeros(size)
-        self.momentum = np.zeros(size)
-        # theta is only ever updated in place, so these views stay valid
-        self._theta_views = self._views(self.theta)
+        shape = (() if members is None else (members,)) + (sum(map(math.prod, shapes)),)
+        self._bind(np.zeros(shape), np.zeros(shape), np.empty(shape))
+
+    def _bind(self, theta, momentum, grad):
+        self.theta, self.momentum, self._grad = theta, momentum, grad
+        self._theta_views = self._views(theta)
+        self._grad_views = self._views(grad)
 
     @property
     def num_parameters(self):
-        return self.theta.size
+        return self.theta.shape[-1]
+
+    def member(self, k):
+        """Member k of a stack as one network on views of its rows; one
+        network is its own member."""
+        if self.theta.ndim == 1:
+            return self
+        net = copy.copy(self)
+        net._bind(self.theta[k], self.momentum[k], self._grad[k])
+        return net
+
+    def _keep(self, rows):
+        """Keep only the given members; networks from member() keep the old rows."""
+        self._bind(self.theta[rows], self.momentum[rows], self._grad[rows])
 
     def _views(self, vector):
-        """Per layer, its named parameters as views into a flat vector."""
-        out, offset = [], 0
+        """Per layer, its named parameters as views into a (P,) or (m, P) vector."""
+        out, offset, lead = [], 0, vector.shape[:-1]
         for layer in self.spec.layers:
             views = {}
             for name, shape in layer.param_shapes().items():
                 size = math.prod(shape)
-                views[name] = vector[offset : offset + size].reshape(shape)
+                views[name] = vector[..., offset : offset + size].reshape(lead + shape)
                 offset += size
             out.append(views)
         return out
@@ -230,49 +291,66 @@ class Network:
         probs, _ = self._forward_cache(batch)
         return probs
 
-    def _forward_cache(self, batch):
+    def _forward_cache(self, batch, work=None):
         x = np.asarray(batch, dtype=float)
         expected = self.spec.input_shape
         expected = (expected,) if isinstance(expected, int) else tuple(expected)
         if x.shape[1:] != expected:
             raise ValueError(f"batch shape {x.shape[1:]} does not match {expected}")
+        lead = self.theta.shape[:-1] + (len(x),)
         caches = []
-        for layer, params in zip(self.spec.layers, self._theta_views):
-            x, cache = layer.forward(params, x)
+        for i, (layer, params) in enumerate(zip(self.spec.layers, self._theta_views)):
+            if work is not None and isinstance(layer, Dense):
+                out = _buffer(work, ("y", i), lead + (layer.out_dim,))
+                x, cache = layer.forward(params, x, out)
+            else:
+                x, cache = layer.forward(params, x)
             caches.append(cache)
         probs = _softmax(x)
         return probs, (caches, probs)
 
     def _backward(self, cache, dprobs):
+        """The parameter gradient of the batch behind cache, as a new array."""
+        return self._gradient(cache, dprobs).copy()
+
+    def _gradient(self, cache, dprobs, work=None):
+        """The parameter gradient in the gradient buffer, which the next call
+        overwrites; with work, Dense layers write their input gradients into
+        its buffers."""
         caches, probs = cache
         # dL/dlogits through the softmax Jacobian, row by row
-        dot = np.sum(dprobs * probs, axis=1, keepdims=True)
+        dot = np.sum(dprobs * probs, axis=-1, keepdims=True)
         dx = probs * (dprobs - dot)
-        grad = np.zeros_like(self.theta)
-        grads = self._views(grad)
         for i in reversed(range(len(caches))):
             layer, params = self.spec.layers[i], self._theta_views[i]
-            layer.param_grad(grads[i], caches[i], dx)
-            if i:  # nothing uses the gradient with respect to the input batch
+            layer.param_grad(self._grad_views[i], caches[i], dx)
+            if not i:  # nothing uses the gradient with respect to the input batch
+                break
+            if work is not None and isinstance(layer, Dense):
+                out = _buffer(work, ("dx", i), caches[i].shape)
+                dx = layer.input_grad(params, caches[i], dx, out)
+            else:
                 dx = layer.input_grad(params, caches[i], dx)
-        return grad
+        return self._grad
 
 
-def init(spec, seed):
-    """Deterministic He-style uniform init; zero biases."""
-    net = Network(spec)
+def init(spec, seed, members=None):
+    """Deterministic He-style uniform init, zero biases; a stack of ``members``
+    networks starts as that many copies of the one init."""
+    net = Network(spec, members)
     rng = np.random.default_rng(seed)
-    for views in net._theta_views:
-        if "w" in views:
-            limit = np.sqrt(6.0 / math.prod(views["w"].shape[:-1]))  # fan-in
-            views["w"][...] = rng.uniform(-limit, limit, views["w"].shape)
+    for layer, views in zip(spec.layers, net._theta_views):
+        shape = layer.param_shapes().get("w")
+        if shape:
+            limit = np.sqrt(6.0 / math.prod(shape[:-1]))  # fan-in
+            views["w"][...] = rng.uniform(-limit, limit, shape)
     return net
 
 
 def _softmax(logits):
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +414,8 @@ def prepare_features(features, input_shape):
 
 
 def accuracy(net, features, labels):
-    """Fraction of argmax-correct predictions; ties go to the lowest index."""
+    """Fraction of argmax-correct predictions of one network (a member of a
+    stack: net.member(k)); ties go to the lowest index."""
     labels = np.asarray(labels)
     if len(labels) == 0:
         raise ValueError("empty evaluation set")
@@ -345,14 +424,80 @@ def accuracy(net, features, labels):
     return float(np.mean(preds == labels))
 
 
+def _loss_call(losses):
+    """The one loss call per step for m members: (m, n, C) predictions and
+    (n, C) labels in, (m, n) values and (m, n, C) gradients out.
+
+    A population whose class stacks it runs in one pass; any other runs member
+    by member.
+    """
+    stacked = getattr(losses[0], "stacked", None)
+    fused = stacked(losses) if stacked else None
+    if fused is not None:
+        return fused
+    calls = [getattr(loss, "batch_value_and_grad", None) or _both(loss) for loss in losses]
+
+    def member_by_member(probs, onehot):
+        pairs = [call(p, onehot) for call, p in zip(calls, probs)]
+        return np.stack([v for v, _ in pairs]), np.stack([g for _, g in pairs])
+
+    return member_by_member
+
+
+def _both(loss):
+    # a loss with only the two batch methods
+    return lambda probs, onehot: (loss.batch_value(probs, onehot), loss.batch_grad(probs, onehot))
+
+
+def _buffer(work, key, shape):
+    """The array of this shape kept in work under key, reused from step to step.
+
+    Allocated afresh, a stack's large activations made the heap grow and
+    shrink by them every step; the page faults cost a search-mlp pass about a
+    sixth of its time.
+    """
+    buf = work.get(key)
+    if buf is None or buf.shape != shape:
+        buf = work[key] = np.empty(shape)
+    return buf
+
+
+def _sgd_step(net, loss_call, xb, yb, cfg, work):
+    """One SGD step of every member on one batch; returns each member's loss sum."""
+    probs, cache = net._forward_cache(xb, work)
+    n, c = probs.shape[-2:]
+    values, grads = loss_call(probs.reshape(-1, n, c), yb)
+    # objective is the batch mean, so scale per-sample gradients
+    grad = net._gradient(cache, (grads / n).reshape(probs.shape), work)
+    net.momentum *= cfg.momentum
+    net.momentum += grad
+    # the gradient is spent, so its buffer takes the step instead of a new array
+    net.theta -= np.multiply(cfg.learning_rate, net.momentum, out=grad)
+    return values.sum(axis=-1)
+
+
 def train(net, loss, data, cfg):
-    """Mini-batch SGD with momentum; aborts on the first non-finite parameter."""
+    """Mini-batch SGD with momentum.
+
+    One network trains under one loss and gives one TrainResult. A stack of m
+    trains under a sequence of m losses, member k under loss k, on one batch
+    stream, and gives m TrainResults. A member whose parameters turn
+    non-finite leaves the stack at that step, flagged diverged, with its curve
+    so far.
+    """
+    stacked = net.theta.ndim == 2
+    losses = list(loss) if stacked else [loss]
+    if stacked and len(losses) != len(net.theta):
+        raise ValueError(f"{len(losses)} losses for a stack of {len(net.theta)}")
     x = prepare_features(data.train_features, net.spec.input_shape)
     y = np.asarray(data.train_labels)
     if len(y) == 0:
         raise ValueError("empty training set")
     onehot_all = np.eye(net.spec.num_classes)[y]
-    result = TrainResult(network=net)
+    results = [TrainResult(network=None) for _ in losses]
+    alive = list(range(len(losses)))  # the result behind each member of the stack
+    loss_call = _loss_call(losses)
+    work = {}  # the training steps' activation buffers
     rng = np.random.default_rng(cfg.seed)
     n = len(y)
     # mis-scaled candidate losses overflow before the finiteness check below
@@ -361,43 +506,55 @@ def train(net, loss, data, cfg):
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.epochs + 1):
             order = rng.permutation(n)
-            loss_sum = 0.0
+            loss_sums = np.zeros(len(alive))
             for start in range(0, n, cfg.batch_size):
                 take = order[start : start + cfg.batch_size]
-                xb = x[take]
-                yb = onehot_all[take]
-                probs, cache = net._forward_cache(xb)
-                values = loss.batch_value(probs, yb)
-                loss_sum += float(np.sum(values))
-                # objective is the batch mean, so scale per-sample gradients
-                dprobs = loss.batch_grad(probs, yb) / len(take)
-                grad = net._backward(cache, dprobs)
-                net.momentum *= cfg.momentum
-                net.momentum += grad
-                net.theta -= cfg.learning_rate * net.momentum
-                if not np.all(np.isfinite(net.theta)):
-                    result.diverged = True
-                    result.fail_epoch = epoch
-                    return result
-            val_acc = accuracy(net, data.val_features, data.val_labels)
-            result.curve.append((epoch, loss_sum / n, val_acc))
-    return result
+                loss_sums += _sgd_step(net, loss_call, x[take], onehot_all[take], cfg, work)
+                finite = np.isfinite(net.theta).all(axis=-1).reshape(-1)
+                if finite.all():
+                    continue
+                for k in np.flatnonzero(~finite):
+                    results[alive[k]].diverged = True
+                    results[alive[k]].fail_epoch = epoch
+                    results[alive[k]].network = net.member(k)
+                alive = [j for j, ok in zip(alive, finite) if ok]
+                if not alive:
+                    return results if stacked else results[0]
+                net._keep(finite)
+                loss_sums = loss_sums[finite]
+                loss_call = _loss_call([losses[j] for j in alive])
+            # one member at a time: a stacked pass would hold (m, n_val, width)
+            for k, j in enumerate(alive):
+                val_acc = accuracy(net.member(k), data.val_features, data.val_labels)
+                results[j].curve.append((epoch, float(loss_sums[k] / n), val_acc))
+    for k, j in enumerate(alive):
+        results[j].network = net.member(k)
+    return results if stacked else results[0]
+
+
+def fit_many(spec, losses, data, init_seed, cfg):
+    """Initialize, train and score one network per loss: the job behind every command.
+
+    The networks share the init and every batch; only the loss differs.
+    Returns one (clean validation accuracy, diverged, curve) per loss; a
+    diverged network scores 0.
+    """
+    if not losses:
+        return []
+    scored = []
+    for result in train(init(spec, init_seed, len(losses)), losses, data, cfg):
+        acc = result.final_accuracy
+        if result.diverged:
+            acc = 0.0
+        elif acc is None:  # no epochs ran
+            acc = accuracy(result.network, data.val_features, data.val_labels)
+        scored.append((acc, result.diverged, result.curve))
+    return scored
 
 
 def fit(spec, loss, data, init_seed, cfg):
-    """Initialize, train and score one network: the job behind every command.
-
-    Returns (clean validation accuracy, diverged, curve); a diverged job
-    scores 0.
-    """
-    net = init(spec, init_seed)
-    result = train(net, loss, data, cfg)
-    if result.diverged:
-        return 0.0, True, result.curve
-    acc = result.final_accuracy
-    if acc is None:  # no epochs ran
-        acc = accuracy(net, data.val_features, data.val_labels)
-    return acc, False, result.curve
+    """fit_many for one loss."""
+    return fit_many(spec, [loss], data, init_seed, cfg)[0]
 
 
 def curve_to_csv(curve):

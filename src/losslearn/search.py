@@ -13,6 +13,7 @@ import io
 import json
 import logging
 import os
+import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -20,8 +21,8 @@ import numpy as np
 
 from .bench import ConfigError, config_from_dict
 from .cma import CmaState, stop_reason
-from .datasets import noisy_split
-from .network import TrainConfig, arch_from_selector, fit, input_shape_of
+from .datasets import ValFractionError, noisy_split
+from .network import TrainConfig, arch_from_selector, fit_many, input_shape_of
 from .seeding import derive_seed
 from .taylor import (
     TaylorLossParams,
@@ -127,6 +128,7 @@ class FitnessRecord:
     candidate: int
     jobs: list
     score: float
+    degenerate: bool = False  # its range was too narrow to normalize; nothing trained
 
 
 def aggregate_score(accuracies):
@@ -162,6 +164,8 @@ def run_generation(state, cfg, gen_seed):
             for a in cfg.architectures
             for sel in cfg.datasets
         }
+    except ValFractionError as exc:  # a value, not a selector, is wrong
+        raise ConfigError(str(exc)) from None
     except (ValueError, OSError) as exc:
         raise ConfigError(f"unresolvable selector: {exc}") from None
 
@@ -179,23 +183,31 @@ def run_generation(state, cfg, gen_seed):
         for i, params in enumerate(decoded)
     ]
 
-    def execute(i, a, sel):
-        if losses[i] is None:
-            return JobResult(a, sel, 0.0, True)
-        acc, diverged, _ = fit(
-            arch_specs[(a, sel)],
-            losses[i],
-            splits[sel],
-            derive_seed(gen_seed, "init", a),
-            cfg.inner_config(derive_seed(gen_seed, "train", a, sel)),
-        )
-        return JobResult(a, sel, acc, diverged)
+    # one stacked training per job over the candidates; a degenerate one scores
+    # 0 as diverged without training
+    live = [i for i, loss in enumerate(losses) if loss is not None]
+    fitted = {}  # (candidate, arch, dataset) -> (accuracy, diverged)
+    for a in cfg.architectures:
+        for sel in cfg.datasets:
+            fits = fit_many(
+                arch_specs[(a, sel)],
+                [losses[i] for i in live],
+                splits[sel],
+                derive_seed(gen_seed, "init", a),
+                cfg.inner_config(derive_seed(gen_seed, "train", a, sel)),
+            )
+            for i, (acc, diverged, _) in zip(live, fits):
+                fitted[(i, a, sel)] = (acc, diverged)
 
     records = []
     for i in range(len(candidates)):
-        jobs = [execute(i, a, sel) for a in cfg.architectures for sel in cfg.datasets]
+        jobs = [
+            JobResult(a, sel, *fitted.get((i, a, sel), (0.0, True)))
+            for a in cfg.architectures
+            for sel in cfg.datasets
+        ]
         score = aggregate_score([job.accuracy for job in jobs])
-        records.append(FitnessRecord(candidate=i, jobs=jobs, score=score))
+        records.append(FitnessRecord(i, jobs, score, degenerate=losses[i] is None))
     scores = np.array([rec.score for rec in records])
 
     state.tell(candidates, scores, maximize=True)
@@ -255,6 +267,17 @@ def _write(path, text):
     os.replace(tmp, path)
 
 
+def _log_generation(row, records, seconds):
+    trained = [job for rec in records if not rec.degenerate for job in rec.jobs]
+    log.info(
+        "generation %d: best %.6f, mean %.6f, sigma %.4g, %d of %d trainings diverged, "
+        "%d candidates degenerate, %.2f s, %.1f trainings/s",
+        row["generation"], row["best_fitness"], row["mean_fitness"], row["sigma"],
+        sum(job.diverged for job in trained), len(trained),
+        sum(rec.degenerate for rec in records), seconds, len(trained) / seconds,
+    )
+
+
 def meta_train(cfg, run_dir, stop_after=None):
     """Run (or resume) the full search; returns (best loss, history).
 
@@ -301,6 +324,7 @@ def meta_train(cfg, run_dir, stop_after=None):
         if stop_after is not None and ran >= stop_after:
             reason = "interrupted"
             break
+        started = time.perf_counter()
         gen_seed = derive_seed(cfg.master_seed, "gen", state.generation)
         records, champion = run_generation(state, cfg, gen_seed)
         ran += 1
@@ -340,6 +364,7 @@ def meta_train(cfg, run_dir, stop_after=None):
             run_dir / f"checkpoint_gen_{generation}.json",
             json.dumps(checkpoint, sort_keys=True) + "\n",
         )
+        _log_generation(history[-1], records, time.perf_counter() - started)
 
     if best is not None:
         loss_json = best["loss_json"]

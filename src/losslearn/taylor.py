@@ -189,6 +189,35 @@ class NormalizedLoss(_Loss):
     def batch_grad(self, yhat: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self._scale * self.inner.batch_grad(yhat, y)
 
+    @staticmethod
+    def stacked(losses):
+        """One call for a population of normalized losses of one order.
+
+        Returns a function of (m, n, C) predictions and (n, C) one-hot labels
+        giving (m, n) values and (m, n, C) gradients, member k under loss k,
+        bit for bit what batch_value and batch_grad give slice by slice; None
+        for any other population.
+        """
+        if not all(
+            isinstance(l, NormalizedLoss) and l.inner.order == losses[0].inner.order
+            for l in losses
+        ):
+            return None
+        theta0, scale, f_min = np.array(
+            [(l.inner.expansion_point[0], l._scale, l.f_min) for l in losses]
+        ).T[:, :, None, None]
+        # (value or gradient, label entry t, power, member, 1, 1)
+        coeffs = np.moveaxis(np.array([l.inner._univariate for l in losses]), 0, -1)
+        (g0, g1), (dg0, dg1) = coeffs[..., None, None]
+
+        def value_and_grad(yhat, y):
+            d = yhat - theta0
+            values = ((1 - y) * (d * _horner(g0, d)) + y * (d * _horner(g1, d))).mean(axis=-1)
+            grads = ((1 - y) * _horner(dg0, d) + y * _horner(dg1, d)) / yhat.shape[-1]
+            return scale[..., 0] * (values - f_min[..., 0]), scale * grads
+
+        return value_and_grad
+
 
 def normalize(
     params: TaylorLossParams,

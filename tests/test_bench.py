@@ -2,6 +2,11 @@ import csv
 import io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -520,6 +525,22 @@ def test_cli_train_bad_dataset_selector_exits_two(capsys):
     assert "cubes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--val-fraction", "1.5"], "val_fraction must lie in (0, 1), got 1.5"),
+        (
+            ["--dataset", "blobs:3:2:0.5"],
+            "val_fraction 0.2 leaves no validation examples in blobs:3:2:0.5",
+        ),
+    ],
+)
+def test_cli_train_val_fraction_problem_is_no_selector_problem(capsys, argv, message):
+    base = ["train", "--loss", "ce", "--dataset", "blobs:2:10:0.3", "--arch", "linear"]
+    assert main_entry(base + argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_train_missing_idx_files_exits_two(tmp_path, capsys):
     missing = tmp_path / "missing"
     curve = tmp_path / "curve.csv"
@@ -539,7 +560,7 @@ def test_cli_train_job_exception_exits_three(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise ValueError("planted failure inside training")
 
-    monkeypatch.setattr(bench, "fit", broken)
+    monkeypatch.setattr(bench, "fit_many", broken)
     code = main_entry(["train", "--loss", "ce", "--dataset", "blobs:2:10:0.3", "--arch", "linear"])
     assert code == 3
     assert "failed: planted failure" in capsys.readouterr().err
@@ -800,6 +821,14 @@ def test_cli_meta_train_bad_config_exits_two(tmp_path, capsys, override, message
     assert not list(run_dir.glob("fitness_gen_*.csv"))
 
 
+def test_cli_meta_train_empty_split_is_no_selector_problem(tmp_path, capsys):
+    config = tmp_path / "meta.json"
+    config.write_text(json.dumps({**META_CONFIG, "datasets": ["blobs:3:2:0.5"]}))
+    assert main_entry(["meta-train", "--config", str(config), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: val_fraction 0.2 leaves no validation examples in blobs:3:2:0.5\n"
+
+
 def test_cli_meta_train_run_dir_conflicts_exit_two(tmp_path, capsys):
     config = tmp_path / "meta.json"
     config.write_text(json.dumps(META_CONFIG))
@@ -860,3 +889,34 @@ def test_cli_asym_zero_pairing_exits_two_everywhere(tmp_path, capsys):
         assert "pairing may not map a class to itself" in capsys.readouterr().err
     assert not list((tmp_path / "run").glob("fitness_gen_*.csv"))
     assert not (tmp_path / "out" / "results.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, line",
+    [
+        ("meta-train", {**META_CONFIG, "max_generations": 2},
+         r"generation 2: best [\d.]+, mean [\d.]+, sigma \S+, \d+ of \d+ trainings diverged, "
+         r"\d+ candidates degenerate, [\d.]+ s, [\d.]+ trainings/s"),
+        ("benchmark", GRID_CONFIG,
+         r"cell mlp:8 blobs:3:20:0.3 none seed 0: 2 losses, 0 diverged, "
+         r"best accuracy [\d.]+, [\d.]+ s"),
+    ],
+)
+def test_cli_verbose_logs_progress_and_writes_the_same_artifacts(tmp_path, command, config, line):
+    # the installed command runs in a fresh process, where -v sets up logging
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    src = str(Path(bench.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    loud = subprocess.run(
+        [sys.executable, "-m", "losslearn.cli", "-v", command,
+         "--config", str(path), "--out", str(tmp_path / "loud")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert loud.returncode == 0, loud.stderr
+    assert re.search(rf"^{line}$", loud.stderr, re.M), loud.stderr
+    assert main_entry([command, "--config", str(path), "--out", str(tmp_path / "quiet")]) == 0
+    for name in {p.name for p in (tmp_path / "loud").iterdir()} | {
+        p.name for p in (tmp_path / "quiet").iterdir()
+    }:
+        assert (tmp_path / "loud" / name).read_bytes() == (tmp_path / "quiet" / name).read_bytes()

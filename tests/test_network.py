@@ -1,9 +1,12 @@
 """Network engine: init, forward oracles, end-to-end gradients, training."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from losslearn.datasets import DatasetSplit, split, synth_blobs
+from losslearn.bench import loss_from_selector
+from losslearn.datasets import DatasetSplit, noisy_split, split, synth_blobs
 from losslearn.network import (
     Conv2D,
     Dense,
@@ -17,6 +20,7 @@ from losslearn.network import (
     cnn_spec,
     curve_to_csv,
     fit,
+    fit_many,
     init,
     linear_spec,
     mlp_spec,
@@ -32,7 +36,13 @@ from losslearn.reference import (
     MeanAbsoluteError,
     SymmetricCrossEntropy,
 )
-from losslearn.taylor import NormalizedLoss, TaylorLossParams, coefficient_keys, mse_embedding
+from losslearn.taylor import (
+    NormalizedLoss,
+    TaylorLossParams,
+    coefficient_keys,
+    mse_embedding,
+    normalize,
+)
 
 
 def tiny_mlp():
@@ -556,3 +566,127 @@ def test_cnn_trains_on_quadrant_brightness():
     result = train(net, CrossEntropy(), sp, TrainConfig(epochs=3, batch_size=16, seed=24))
     assert not result.diverged
     assert result.final_accuracy >= 0.8
+
+
+# ---------------------------------------------------------------------------
+# Stacked training: m networks in one loop equal m serial trainings
+# ---------------------------------------------------------------------------
+
+
+def assert_stack_equals_serial(spec, losses, sp, init_seed, cfg):
+    """fit_many and a stacked train against one serial fit and train per loss."""
+    assert fit_many(spec, losses, sp, init_seed, cfg) == [
+        fit(spec, loss, sp, init_seed, cfg) for loss in losses
+    ]
+    stacked = train(init(spec, init_seed, len(losses)), losses, sp, cfg)
+    for loss, got in zip(losses, stacked):
+        want = train(init(spec, init_seed), loss, sp, cfg)
+        assert (got.diverged, got.fail_epoch, got.curve) == (
+            want.diverged, want.fail_epoch, want.curve
+        )
+        assert np.array_equal(got.network.theta, want.network.theta, equal_nan=True)
+    return stacked
+
+
+def normalized_member(seed, eta, num_classes=3):
+    rng = np.random.default_rng(seed)
+    params = TaylorLossParams(
+        expansion_point=tuple(rng.uniform(-0.5, 0.5, 2)),
+        coefficients={k: rng.uniform(-1, 1) for k in coefficient_keys(4)},
+    )
+    return normalize(params, num_classes=num_classes, eta=eta, num_samples=500, seed=seed)
+
+
+def test_stacked_polynomial_members_equal_serial_fits():
+    spec, sp = fit_problem()
+    losses = [normalized_member(s, eta=8.0) for s in range(6)]
+    losses[3] = normalized_member(3, eta=1e300)  # its first steps overflow
+    cfg = TrainConfig(epochs=3, batch_size=16, seed=19)
+    results = assert_stack_equals_serial(spec, losses, sp, 20, cfg)
+    assert [r.diverged for r in results] == [False, False, False, True, False, False]
+    assert results[3].fail_epoch == 1 and results[3].curve == []
+    assert all(len(r.curve) == 3 for i, r in enumerate(results) if i != 3)
+
+
+def test_stacked_grid_mix_equals_serial_fits():
+    sp = noisy_split("blobs:10:12:0.5:dim=8", "sym:0.4", data_seed=1, split_seed=2,
+                     val_fraction=0.25, pairing=None)
+    spec = arch_from_selector("mlp:64,64", 8, 10)
+    losses = [loss_from_selector(s) for s in (
+        "ce", "mae", "gce:q=0.7", "sce", "ls:epsilon=0.1", "bootstrap:weight=0.8:mode=hard"
+    )] + [normalized_member(7, eta=8.0, num_classes=10)]
+    cfg = TrainConfig(learning_rate=0.1, epochs=2, batch_size=32, seed=3)
+    assert_stack_equals_serial(spec, losses, sp, 4, cfg)
+
+
+def test_stacked_cnn_equals_serial_fits():
+    rng = np.random.default_rng(25)
+    images = rng.random((40, 8, 8))
+    labels = np.arange(40) % 3
+    sp = make_split(images[:30], labels[:30], images[30:], labels[30:], 3)
+    layers = (
+        Conv2D(1, 3, 3), ReLU(), MaxPool(2), Conv2D(3, 4, 2), ReLU(), MaxPool(2),
+        Flatten(), Dense(4, 6), ReLU(), Dense(6, 3),
+    )
+    spec = NetworkSpec("c2", layers, (8, 8, 1), 3)
+    losses = [CrossEntropy(), normalized_member(8, eta=8.0)]
+    assert_stack_equals_serial(spec, losses, sp, 26, TrainConfig(epochs=2, batch_size=8, seed=27))
+
+
+def test_stacked_fit_without_epochs_scores_every_member():
+    spec, sp = fit_problem()
+    losses = [CrossEntropy(), normalized_member(9, eta=8.0)]
+    scored = fit_many(spec, losses, sp, 20, TrainConfig(epochs=0))
+    assert scored == [fit(spec, loss, sp, 20, TrainConfig(epochs=0)) for loss in losses]
+    acc = accuracy(init(spec, 20), sp.val_features, sp.val_labels)
+    assert scored == [(acc, False, [])] * 2
+    assert fit_many(spec, [], sp, 20, TrainConfig(epochs=0)) == []
+
+
+def test_stacked_members_are_views_of_one_stack():
+    net = init(tiny_mlp(), seed=5, members=3)
+    single = init(tiny_mlp(), seed=5)
+    assert net.theta.shape == (3, single.num_parameters)
+    for k in range(3):
+        member = net.member(k)
+        np.testing.assert_array_equal(member.theta, single.theta)
+        assert np.shares_memory(member.theta, net.theta)
+        for views, own in zip(net._theta_views, member._theta_views):
+            for name in own:
+                assert np.shares_memory(views[name], net.theta)
+                np.testing.assert_array_equal(views[name][k], own[name])
+    with pytest.raises(ValueError, match="2 losses for a stack of 3"):
+        train(net, [CrossEntropy()] * 2, fit_problem()[1], TrainConfig(epochs=1))
+
+
+def test_stacked_validation_peak_memory_stays_near_one_network():
+    # the epoch-end accuracy runs member by member: a stacked pass over 4500
+    # validation rows would hold (m, 4500, 64) activations at once
+    sp = noisy_split("blobs:3:6000:0.5", "none", data_seed=1, split_seed=2,
+                     val_fraction=0.25, pairing=None)
+    assert len(sp.val_labels) == 4500
+    spec = arch_from_selector("mlp:64", 2, 3)
+    cfg = TrainConfig(epochs=1, batch_size=128, seed=3)
+    losses = [normalized_member(s, eta=8.0) for s in range(8)]
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(lambda: fit(spec, losses[0], sp, 4, cfg))
+    eight = peak(lambda: fit_many(spec, losses, sp, 4, cfg))
+    assert eight <= 2 * one
+
+
+@pytest.mark.parametrize(
+    "layers, input_shape",
+    [((ReLU(), Dense(4, 3)), 4), ((Flatten(), ReLU(), Dense(16, 3)), (4, 4, 1))],
+)
+def test_spec_rejects_a_relu_on_the_input_batch(layers, input_shape):
+    # ReLU runs in place, which must never reach the caller's batch
+    with pytest.raises(ValueError, match="would overwrite the batch"):
+        NetworkSpec("bad", layers, input_shape, 3)

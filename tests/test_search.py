@@ -295,21 +295,21 @@ def test_job_exception_exits_three_and_the_run_resumes(tmp_path, monkeypatch, ca
     config = tmp_path / "meta.json"
     config.write_text(json.dumps(tiny_config(max_generations=3).to_dict()))
     run_dir = tmp_path / "run"
-    real_fit = search.fit
+    real_fit = search.fit_many
 
     def fails_in_generation_two(*args, **kwargs):
         if (run_dir / "checkpoint_gen_1.json").exists():
             raise ValueError("planted failure inside a job")
         return real_fit(*args, **kwargs)
 
-    monkeypatch.setattr(search, "fit", fails_in_generation_two)
+    monkeypatch.setattr(search, "fit_many", fails_in_generation_two)
     argv = ["meta-train", "--config", str(config), "--out", str(run_dir)]
     assert main_entry(argv) == 3
     assert "planted failure" in capsys.readouterr().err
     assert (run_dir / "checkpoint_gen_1.json").exists()
     assert not (run_dir / "fitness_gen_2.csv").exists()
 
-    monkeypatch.setattr(search, "fit", real_fit)
+    monkeypatch.setattr(search, "fit_many", real_fit)
     assert main_entry(argv) == 0
     fresh = tmp_path / "fresh"
     assert main_entry(["meta-train", "--config", str(config), "--out", str(fresh)]) == 0

@@ -457,6 +457,31 @@ def test_normalized_grad_is_scaled_inner_grad():
     np.testing.assert_allclose(nl.grad(yhat, y), 0.5 * params.grad(yhat, y), atol=1e-15)
 
 
+@pytest.mark.parametrize("order", range(1, 7))
+@pytest.mark.parametrize("num_classes", [2, 3, 10])
+def test_stacked_population_equals_member_calls(order, num_classes):
+    rng = np.random.default_rng(31 * order + num_classes)
+    losses = [
+        NormalizedLoss(random_params(rng, order), -rng.random(), 1 + rng.random(), eta=8.0)
+        for _ in range(5)
+    ]
+    yhat = rng.dirichlet(np.ones(num_classes), (5, 40))
+    y = one_hot(rng, 40, num_classes)
+    values, grads = NormalizedLoss.stacked(losses)(yhat, y)
+    for loss, p, value, grad in zip(losses, yhat, values, grads):
+        assert np.array_equal(value, loss.batch_value(p, y))
+        assert np.array_equal(grad, loss.batch_grad(p, y))
+
+
+def test_stacked_population_needs_normalized_losses_of_one_order():
+    normalized = normalize(mse_embedding(), num_classes=3, seed=1)
+    other_order = normalize(mse_embedding(order=3), num_classes=3, seed=1)
+    assert NormalizedLoss.stacked([normalized, normalized]) is not None
+    assert NormalizedLoss.stacked([normalized, other_order]) is None
+    assert NormalizedLoss.stacked([normalized, mse_embedding()]) is None
+    assert NormalizedLoss.stacked([mse_embedding(), normalized]) is None
+
+
 # ---------------------------------------------------------------------------
 # Structural properties
 # ---------------------------------------------------------------------------
