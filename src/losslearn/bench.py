@@ -12,6 +12,7 @@ import io
 import logging
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin
@@ -102,7 +103,7 @@ def loss_from_selector(text):
     if kind not in REFERENCE_KINDS:
         try:
             return load_loss(text)
-        except FileNotFoundError:
+        except OSError:  # missing, a directory, unreadable
             known = ", ".join(sorted(REFERENCE_KINDS))
             raise ConfigError(
                 f"loss selector {text!r} is neither a known name ({known}) "
@@ -164,9 +165,20 @@ def run_single_training(
     return _fit_at_seed([loss], job, seed, cfg)[0]
 
 
+@contextmanager
+def selector_errors(what):
+    """Report a selector that fails to build in the block as a ConfigError."""
+    try:
+        yield
+    except ValFractionError as exc:  # a value, not a selector, is wrong
+        raise ConfigError(str(exc)) from None
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+
+
 def _resolve(arch_sel, dataset_sel, noise_sel, seed, val_fraction, pairing):
     """The (split, network spec) of one seed; a selector that fails is a ConfigError."""
-    try:
+    with selector_errors("unresolvable cell selector"):
         sp = noisy_split(
             dataset_sel,
             noise_sel,
@@ -176,10 +188,6 @@ def _resolve(arch_sel, dataset_sel, noise_sel, seed, val_fraction, pairing):
             pairing=pairing,
         )
         spec = arch_from_selector(arch_sel, input_shape_of(sp.train_features), sp.num_classes)
-    except ValFractionError as exc:  # a value, not a selector, is wrong
-        raise ConfigError(str(exc)) from None
-    except (ValueError, OSError) as exc:
-        raise ConfigError(f"unresolvable cell selector: {exc}") from None
     return sp, spec
 
 

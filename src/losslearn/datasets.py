@@ -94,6 +94,9 @@ def _avg_pool(images, target):
 
 
 def load_idx(images_path, labels_path, downsample=None, limit=None):
+    for name, value in (("downsample", downsample), ("limit", limit)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     images = _read_idx(images_path, IMAGES_MAGIC, 3)
     labels = _read_idx(labels_path, LABELS_MAGIC, 1)
     if images.shape[0] != labels.shape[0]:
@@ -150,6 +153,8 @@ def synth_blobs(num_classes, per_class, dim=2, spread=0.5, seed=0):
 
 def synth_rings(num_classes, per_class, seed=0):
     """Concentric 2-D annuli, one radius per class; not linearly separable."""
+    if num_classes < 2:
+        raise ValueError("need at least 2 classes")
     if per_class < 1:
         raise ValueError("per_class must be at least 1")
     rng = np.random.default_rng(seed)

@@ -3,19 +3,18 @@
 Dense and valid-convolution layers, ReLU, non-overlapping max pooling, a
 softmax head, and mini-batch SGD with momentum. Everything is float64 numpy.
 
-A Network is one network or a stack of m networks with one spec. A stack's
+A Network is a stack of m networks with one spec; one network is m = 1. Its
 parameters carry a leading member axis, (m, P), and so do its activations,
 (m, n, ...); the shared input batch broadcasts over the members in the first
 layer. One training loop advances every member on one batch stream, each
 under its own loss; a member that diverges leaves the stack.
 
-The loss plugs in through batch_value(probs, onehot) -> (n,),
-batch_grad(probs, onehot) -> (n, C) and batch_value_and_grad, which returns
-both from one call; the gradient is pushed through the full softmax Jacobian
-so losses that are not cross-entropy-shaped work too. A stack makes one loss
-call per step: a population whose loss class offers stacked(losses) (the
-normalized polynomial losses) runs in one pass over (m, n, C) predictions,
-any other runs member by member.
+A loss plugs in through two methods, batch_value(probs, onehot) -> (n,) and
+batch_grad(probs, onehot) -> (n, C); the gradient is pushed through the full
+softmax Jacobian so losses that are not cross-entropy-shaped work too. A
+stack makes one loss call per step: a population whose loss class offers
+stacked(losses) (the normalized polynomial losses) runs in one pass over
+(m, n, C) predictions, any other runs member by member.
 """
 
 import copy
@@ -32,15 +31,15 @@ import numpy as np
 class _Layer:
     """Defaults for a layer without parameters.
 
-    forward(params, x) returns (y, cache); param_grad(grads, cache, dy) fills
-    the layer's gradient views in place; input_grad(params, cache, dy) returns
-    dL/dx. output_shape raises a plain ValueError for an input the layer
-    cannot take.
+    forward(params, x, buf) returns (y, cache); param_grad(grads, cache, dy)
+    fills the layer's gradient views in place; input_grad(params, cache, dy,
+    buf) returns dL/dx. buf is the layer's own dict of arrays that it may
+    reuse from call to call. output_shape raises a plain ValueError for an
+    input the layer cannot take.
 
-    Parameters of one network have their own shapes; those of a stack of m
-    networks carry a leading member axis, (m, *shape). Activations are
-    (n, ...) for one network and (m, n, ...) for a stack, except the shared
-    input batch, which broadcasts over the members in the first layer.
+    Parameters carry a leading member axis, (m, *shape), and activations are
+    (m, n, ...), except the shared input batch, which broadcasts over the
+    members in the first layer.
     """
 
     def param_shapes(self):
@@ -71,8 +70,9 @@ class Dense(_Layer):
     def param_shapes(self):
         return {"w": (self.in_dim, self.out_dim), "b": (self.out_dim,)}
 
-    def forward(self, params, x, out=None):
-        out = np.matmul(x, params["w"], out=out)
+    def forward(self, params, x, buf):
+        shape = params["b"].shape[:-1] + (x.shape[-2], self.out_dim)
+        out = np.matmul(x, params["w"], out=_buffer(buf, "y", shape))
         out += params["b"][..., None, :]
         return out, x
 
@@ -80,8 +80,8 @@ class Dense(_Layer):
         np.matmul(x.swapaxes(-1, -2), dy, out=grads["w"])
         grads["b"][...] = dy.sum(axis=-2)
 
-    def input_grad(self, params, x, dy, out=None):
-        return np.matmul(dy, params["w"].swapaxes(-1, -2), out=out)
+    def input_grad(self, params, x, dy, buf):
+        return np.matmul(dy, params["w"].swapaxes(-1, -2), out=_buffer(buf, "dx", x.shape))
 
 
 @dataclass(frozen=True)
@@ -95,11 +95,11 @@ class ReLU(_Layer):
     def output_shape(self, shape):
         return shape
 
-    def forward(self, params, x):
+    def forward(self, params, x, buf):
         np.maximum(x, 0.0, out=x)
         return x, x
 
-    def input_grad(self, params, out, dy):
+    def input_grad(self, params, out, dy, buf):
         dy *= out > 0.0  # dy is the fresh input gradient of the layer above
         return dy
 
@@ -128,7 +128,7 @@ class Conv2D(_Layer):
         w = params["w"]
         return w.reshape(w.shape[:-4] + (-1, self.out_ch))
 
-    def forward(self, params, x):
+    def forward(self, params, x, buf):
         k = self.kernel
         windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(-3, -2))
         # windows: (..., n, oh, ow, in_ch, k, k) -> columns (..., n*oh*ow, k*k*in_ch)
@@ -145,7 +145,7 @@ class Conv2D(_Layer):
         grads["w"][...] = (cols.swapaxes(-1, -2) @ dy_flat).reshape(grads["w"].shape)
         grads["b"][...] = dy_flat.sum(axis=-2)
 
-    def input_grad(self, params, cache, dy):
+    def input_grad(self, params, cache, dy, buf):
         k = self.kernel
         x_shape, _ = cache
         *lead, n, oh, ow, _ = dy.shape
@@ -171,7 +171,7 @@ class MaxPool(_Layer):
             raise ValueError(f"{h}x{w} not divisible by pool size {self.size}")
         return (h // self.size, w // self.size, ch)
 
-    def forward(self, params, x):
+    def forward(self, params, x, buf):
         s = self.size
         *lead, h, w, ch = x.shape
         oh, ow = h // s, w // s
@@ -182,7 +182,7 @@ class MaxPool(_Layer):
         out = np.take_along_axis(tiles, best[:, :, :, None, :], axis=3)[:, :, :, 0, :]
         return out.reshape(tuple(lead) + out.shape[1:]), (x.shape, best)
 
-    def input_grad(self, params, cache, dy):
+    def input_grad(self, params, cache, dy, buf):
         s = self.size
         x_shape, best = cache
         oh, ow, ch = dy.shape[-3:]
@@ -200,10 +200,10 @@ class Flatten(_Layer):
             raise ValueError("input is already flat")
         return math.prod(_image_shape(shape))
 
-    def forward(self, params, x):
+    def forward(self, params, x, buf):
         return x.reshape(x.shape[:-3] + (-1,)), x.shape
 
-    def input_grad(self, params, x_shape, dy):
+    def input_grad(self, params, x_shape, dy, buf):
         return dy.reshape(x_shape)
 
 
@@ -239,18 +239,17 @@ class NetworkSpec:
 
 
 class Network:
-    """Mutable parameter state of one network, or of a stack of m networks.
+    """Mutable parameter state of a stack of m networks; one network is m = 1.
 
-    theta, momentum and the one gradient buffer are (P,) for one network and
-    (m, P) for a stack. They are only ever updated in place, so the cached
-    per-layer views of theta and of the gradient stay valid. Not
-    thread-shared.
+    theta, momentum and the one gradient buffer are (m, P). They are only
+    ever updated in place, so the cached per-layer views of theta and of the
+    gradient stay valid. Not thread-shared.
     """
 
-    def __init__(self, spec, members=None):
+    def __init__(self, spec, members=1):
         self.spec = spec
         shapes = [s for layer in spec.layers for s in layer.param_shapes().values()]
-        shape = (() if members is None else (members,)) + (sum(map(math.prod, shapes)),)
+        shape = (members, sum(map(math.prod, shapes)))
         self._bind(np.zeros(shape), np.zeros(shape), np.empty(shape))
 
     def _bind(self, theta, momentum, grad):
@@ -263,12 +262,10 @@ class Network:
         return self.theta.shape[-1]
 
     def member(self, k):
-        """Member k of a stack as one network on views of its rows; one
-        network is its own member."""
-        if self.theta.ndim == 1:
-            return self
+        """Member k as a stack of one on views of row k."""
         net = copy.copy(self)
-        net._bind(self.theta[k], self.momentum[k], self._grad[k])
+        rows = slice(k, k + 1)
+        net._bind(self.theta[rows], self.momentum[rows], self._grad[rows])
         return net
 
     def _keep(self, rows):
@@ -288,35 +285,27 @@ class Network:
         return out
 
     def forward(self, batch):
-        probs, _ = self._forward_cache(batch)
+        """(m, n, C) class probabilities of every member."""
+        probs, _ = self._forward_cache(batch, [{} for _ in self.spec.layers])
         return probs
 
-    def _forward_cache(self, batch, work=None):
+    def _forward_cache(self, batch, bufs):
+        """Probabilities and the backward pass's cache; layer i keeps its arrays in bufs[i]."""
         x = np.asarray(batch, dtype=float)
         expected = self.spec.input_shape
         expected = (expected,) if isinstance(expected, int) else tuple(expected)
         if x.shape[1:] != expected:
             raise ValueError(f"batch shape {x.shape[1:]} does not match {expected}")
-        lead = self.theta.shape[:-1] + (len(x),)
         caches = []
-        for i, (layer, params) in enumerate(zip(self.spec.layers, self._theta_views)):
-            if work is not None and isinstance(layer, Dense):
-                out = _buffer(work, ("y", i), lead + (layer.out_dim,))
-                x, cache = layer.forward(params, x, out)
-            else:
-                x, cache = layer.forward(params, x)
+        for layer, params, buf in zip(self.spec.layers, self._theta_views, bufs):
+            x, cache = layer.forward(params, x, buf)
             caches.append(cache)
         probs = _softmax(x)
         return probs, (caches, probs)
 
-    def _backward(self, cache, dprobs):
-        """The parameter gradient of the batch behind cache, as a new array."""
-        return self._gradient(cache, dprobs).copy()
-
-    def _gradient(self, cache, dprobs, work=None):
+    def _gradient(self, cache, dprobs, bufs):
         """The parameter gradient in the gradient buffer, which the next call
-        overwrites; with work, Dense layers write their input gradients into
-        its buffers."""
+        overwrites; layer i takes its arrays from bufs[i]."""
         caches, probs = cache
         # dL/dlogits through the softmax Jacobian, row by row
         dot = np.sum(dprobs * probs, axis=-1, keepdims=True)
@@ -326,15 +315,11 @@ class Network:
             layer.param_grad(self._grad_views[i], caches[i], dx)
             if not i:  # nothing uses the gradient with respect to the input batch
                 break
-            if work is not None and isinstance(layer, Dense):
-                out = _buffer(work, ("dx", i), caches[i].shape)
-                dx = layer.input_grad(params, caches[i], dx, out)
-            else:
-                dx = layer.input_grad(params, caches[i], dx)
+            dx = layer.input_grad(params, caches[i], dx, bufs[i])
         return self._grad
 
 
-def init(spec, seed, members=None):
+def init(spec, seed, members=1):
     """Deterministic He-style uniform init, zero biases; a stack of ``members``
     networks starts as that many copies of the one init."""
     net = Network(spec, members)
@@ -414,13 +399,14 @@ def prepare_features(features, input_shape):
 
 
 def accuracy(net, features, labels):
-    """Fraction of argmax-correct predictions of one network (a member of a
-    stack: net.member(k)); ties go to the lowest index."""
+    """Fraction of argmax-correct predictions of a stack of one (a member of
+    a larger stack: net.member(k)); ties go to the lowest index."""
     labels = np.asarray(labels)
     if len(labels) == 0:
         raise ValueError("empty evaluation set")
     x = prepare_features(features, net.spec.input_shape)
-    preds = np.argmax(net.forward(x), axis=1)
+    (probs,) = net.forward(x)
+    preds = np.argmax(probs, axis=1)
     return float(np.mean(preds == labels))
 
 
@@ -435,40 +421,34 @@ def _loss_call(losses):
     fused = stacked(losses) if stacked else None
     if fused is not None:
         return fused
-    calls = [getattr(loss, "batch_value_and_grad", None) or _both(loss) for loss in losses]
 
     def member_by_member(probs, onehot):
-        pairs = [call(p, onehot) for call, p in zip(calls, probs)]
-        return np.stack([v for v, _ in pairs]), np.stack([g for _, g in pairs])
+        values = [loss.batch_value(p, onehot) for loss, p in zip(losses, probs)]
+        grads = [loss.batch_grad(p, onehot) for loss, p in zip(losses, probs)]
+        return np.stack(values), np.stack(grads)
 
     return member_by_member
 
 
-def _both(loss):
-    # a loss with only the two batch methods
-    return lambda probs, onehot: (loss.batch_value(probs, onehot), loss.batch_grad(probs, onehot))
-
-
-def _buffer(work, key, shape):
-    """The array of this shape kept in work under key, reused from step to step.
+def _buffer(buf, key, shape):
+    """The array of this shape kept in buf under key, reused from step to step.
 
     Allocated afresh, a stack's large activations made the heap grow and
     shrink by them every step; the page faults cost a search-mlp pass about a
     sixth of its time.
     """
-    buf = work.get(key)
-    if buf is None or buf.shape != shape:
-        buf = work[key] = np.empty(shape)
-    return buf
+    out = buf.get(key)
+    if out is None or out.shape != shape:
+        out = buf[key] = np.empty(shape)
+    return out
 
 
-def _sgd_step(net, loss_call, xb, yb, cfg, work):
+def _sgd_step(net, loss_call, xb, yb, cfg, bufs):
     """One SGD step of every member on one batch; returns each member's loss sum."""
-    probs, cache = net._forward_cache(xb, work)
-    n, c = probs.shape[-2:]
-    values, grads = loss_call(probs.reshape(-1, n, c), yb)
+    probs, cache = net._forward_cache(xb, bufs)
+    values, grads = loss_call(probs, yb)
     # objective is the batch mean, so scale per-sample gradients
-    grad = net._gradient(cache, (grads / n).reshape(probs.shape), work)
+    grad = net._gradient(cache, grads / len(xb), bufs)
     net.momentum *= cfg.momentum
     net.momentum += grad
     # the gradient is spent, so its buffer takes the step instead of a new array
@@ -476,18 +456,16 @@ def _sgd_step(net, loss_call, xb, yb, cfg, work):
     return values.sum(axis=-1)
 
 
-def train(net, loss, data, cfg):
+def train(net, losses, data, cfg):
     """Mini-batch SGD with momentum.
 
-    One network trains under one loss and gives one TrainResult. A stack of m
-    trains under a sequence of m losses, member k under loss k, on one batch
-    stream, and gives m TrainResults. A member whose parameters turn
-    non-finite leaves the stack at that step, flagged diverged, with its curve
-    so far.
+    A stack of m trains under a sequence of m losses, member k under loss k,
+    on one batch stream, and gives m TrainResults. A member whose parameters
+    turn non-finite leaves the stack at that step, flagged diverged, with its
+    curve so far.
     """
-    stacked = net.theta.ndim == 2
-    losses = list(loss) if stacked else [loss]
-    if stacked and len(losses) != len(net.theta):
+    losses = list(losses)
+    if len(losses) != len(net.theta):
         raise ValueError(f"{len(losses)} losses for a stack of {len(net.theta)}")
     x = prepare_features(data.train_features, net.spec.input_shape)
     y = np.asarray(data.train_labels)
@@ -497,7 +475,7 @@ def train(net, loss, data, cfg):
     results = [TrainResult(network=None) for _ in losses]
     alive = list(range(len(losses)))  # the result behind each member of the stack
     loss_call = _loss_call(losses)
-    work = {}  # the training steps' activation buffers
+    bufs = [{} for _ in net.spec.layers]  # each layer's arrays, kept across steps
     rng = np.random.default_rng(cfg.seed)
     n = len(y)
     # mis-scaled candidate losses overflow before the finiteness check below
@@ -509,8 +487,8 @@ def train(net, loss, data, cfg):
             loss_sums = np.zeros(len(alive))
             for start in range(0, n, cfg.batch_size):
                 take = order[start : start + cfg.batch_size]
-                loss_sums += _sgd_step(net, loss_call, x[take], onehot_all[take], cfg, work)
-                finite = np.isfinite(net.theta).all(axis=-1).reshape(-1)
+                loss_sums += _sgd_step(net, loss_call, x[take], onehot_all[take], cfg, bufs)
+                finite = np.isfinite(net.theta).all(axis=-1)
                 if finite.all():
                     continue
                 for k in np.flatnonzero(~finite):
@@ -519,7 +497,7 @@ def train(net, loss, data, cfg):
                     results[alive[k]].network = net.member(k)
                 alive = [j for j, ok in zip(alive, finite) if ok]
                 if not alive:
-                    return results if stacked else results[0]
+                    return results
                 net._keep(finite)
                 loss_sums = loss_sums[finite]
                 loss_call = _loss_call([losses[j] for j in alive])
@@ -529,7 +507,7 @@ def train(net, loss, data, cfg):
                 results[j].curve.append((epoch, float(loss_sums[k] / n), val_acc))
     for k, j in enumerate(alive):
         results[j].network = net.member(k)
-    return results if stacked else results[0]
+    return results
 
 
 def fit_many(spec, losses, data, init_seed, cfg):
@@ -550,11 +528,6 @@ def fit_many(spec, losses, data, init_seed, cfg):
             acc = accuracy(result.network, data.val_features, data.val_labels)
         scored.append((acc, result.diverged, result.curve))
     return scored
-
-
-def fit(spec, loss, data, init_seed, cfg):
-    """fit_many for one loss."""
-    return fit_many(spec, [loss], data, init_seed, cfg)[0]
 
 
 def curve_to_csv(curve):
@@ -620,7 +593,7 @@ def arch_from_selector(text, input_shape, num_classes):
         return cnn_spec(side, num_classes, in_ch=ch)
     if text.startswith("mlp:"):
         hidden = [int(p) for p in text[4:].split(",") if p]
-        if not hidden:
-            raise ValueError("mlp selector needs at least one hidden width")
+        if not hidden or min(hidden) < 1:
+            raise ValueError(f"mlp selector needs hidden widths of at least 1, got {text!r}")
         return mlp_spec(flat_dim, hidden, num_classes, name=text)
     raise ValueError(f"unknown architecture {text!r} (known: mlp:<widths>, linear, cnn)")

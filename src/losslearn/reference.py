@@ -1,10 +1,9 @@
 """Hand-designed comparison losses: CE, MAE, GCE, SCE, label smoothing, bootstrap.
 
-Every loss exposes the same batch interface as the polynomial family
-(``batch_value``, ``batch_grad``, ``batch_value_and_grad``) so the trainer
-and benchmark harness can treat them interchangeably. Gradients are full
-derivatives of the implemented value, so central finite differences agree at
-interior points.
+Every loss exposes the same batch interface as the polynomial family,
+``batch_value`` and ``batch_grad``, so the trainer and benchmark harness can
+treat them interchangeably. Gradients are full derivatives of the implemented
+value, so central finite differences agree at interior points.
 """
 
 from dataclasses import dataclass
@@ -31,10 +30,6 @@ def _as_batch(yhat, y):
 
 class _Loss:
     """Scalar convenience wrappers over the batch interface of every loss."""
-
-    def batch_value_and_grad(self, yhat, y):
-        """batch_value and batch_grad of one batch in one call."""
-        return self.batch_value(yhat, y), self.batch_grad(yhat, y)
 
     def value(self, yhat, y):
         return float(self.batch_value(*_as_batch(yhat, y))[0])

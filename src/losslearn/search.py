@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import ConfigError, config_from_dict
+from .bench import ConfigError, config_from_dict, selector_errors
 from .cma import CmaState, stop_reason
-from .datasets import ValFractionError, noisy_split
+from .datasets import noisy_split
 from .network import TrainConfig, arch_from_selector, fit_many, input_shape_of
 from .seeding import derive_seed
 from .taylor import (
@@ -145,7 +145,7 @@ def run_generation(state, cfg, gen_seed):
     ask_rng = np.random.default_rng(derive_seed(gen_seed, "ask"))
     candidates = state.ask(ask_rng)
 
-    try:
+    with selector_errors("unresolvable selector"):
         splits = {
             sel: noisy_split(
                 sel,
@@ -164,10 +164,6 @@ def run_generation(state, cfg, gen_seed):
             for a in cfg.architectures
             for sel in cfg.datasets
         }
-    except ValFractionError as exc:  # a value, not a selector, is wrong
-        raise ConfigError(str(exc)) from None
-    except (ValueError, OSError) as exc:
-        raise ConfigError(f"unresolvable selector: {exc}") from None
 
     # normalization range is estimated against the first dataset's class count
     ref_classes = splits[cfg.datasets[0]].num_classes

@@ -258,11 +258,11 @@ def loss_to_json(loss: TaylorLossParams | NormalizedLoss) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def loss_from_json(text: str) -> TaylorLossParams | NormalizedLoss:
+def loss_from_json(text: str | bytes) -> TaylorLossParams | NormalizedLoss:
     """Parse a loss file, enforcing the coefficient-table invariants."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or bytes that are no text
         raise LossFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise LossFormatError("loss file must contain a JSON object")
@@ -273,7 +273,7 @@ def loss_from_json(text: str) -> TaylorLossParams | NormalizedLoss:
         if key not in doc:
             raise LossFormatError(f"missing field {key!r}")
     order = doc["order"]
-    if not isinstance(order, int) or order < 1:
+    if type(order) is not int or order < 1:  # a JSON bool is no integer
         raise LossFormatError(f"order must be a positive integer, got {order!r}")
     point = doc["expansion_point"]
     if not (isinstance(point, list) and len(point) == 2):
@@ -284,7 +284,7 @@ def loss_from_json(text: str) -> TaylorLossParams | NormalizedLoss:
     for entry in doc["coefficients"]:
         try:
             coeffs[(entry["a"], entry["b"])] = float(entry["value"])
-        except (TypeError, KeyError, ValueError) as exc:
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise LossFormatError(f"malformed coefficient entry {entry!r}") from exc
     try:
         params = TaylorLossParams(
@@ -292,7 +292,7 @@ def loss_from_json(text: str) -> TaylorLossParams | NormalizedLoss:
             expansion_point=(float(point[0]), float(point[1])),
             coefficients=coeffs,
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # 400-digit integers too
         raise LossFormatError(str(exc)) from exc
     norm = doc.get("normalization")
     if norm is None:
@@ -306,7 +306,7 @@ def loss_from_json(text: str) -> TaylorLossParams | NormalizedLoss:
         )
     except (TypeError, KeyError) as exc:
         raise LossFormatError(f"malformed normalization block {norm!r}") from exc
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise LossFormatError(str(exc)) from exc
 
 
@@ -315,7 +315,7 @@ def save_loss(loss: TaylorLossParams | NormalizedLoss, path: str | Path) -> None
 
 
 def load_loss(path: str | Path) -> TaylorLossParams | NormalizedLoss:
-    return loss_from_json(Path(path).read_text())
+    return loss_from_json(Path(path).read_bytes())
 
 
 def mse_embedding(order: int = DEFAULT_ORDER) -> TaylorLossParams:

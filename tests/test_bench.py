@@ -159,9 +159,11 @@ def test_selector_loads_loss_file(tmp_path):
     assert loaded.coefficients[(2, 0)] == 2.0
 
 
-def test_selector_rejects_unknown_name():
+def test_selector_rejects_unknown_name(tmp_path):
     with pytest.raises(ConfigError, match="neither a known name"):
         loss_from_selector("nosuch")
+    with pytest.raises(ConfigError, match="neither a known name"):
+        loss_from_selector(str(tmp_path))  # a directory
 
 
 def test_selector_rejects_malformed_option():

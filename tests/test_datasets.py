@@ -282,13 +282,20 @@ def test_dataset_selector_idx(tiny_idx):
     assert ds.features.shape == (2, 3, 3)
 
 
-def test_dataset_selector_errors():
+def test_dataset_selector_errors(tiny_idx):
     with pytest.raises(ValueError, match="unknown dataset kind"):
         dataset_from_selector("moons:2:10")
     with pytest.raises(ValueError, match="blobs selector"):
         dataset_from_selector("blobs:3:20")
     with pytest.raises(ValueError, match="bad selector option"):
         dataset_from_selector("blobs:3:20:0.5:frobnicate=1")
+    with pytest.raises(ValueError, match="need at least 2 classes"):
+        dataset_from_selector("rings:0:5")
+    ip, lp, _, _ = tiny_idx
+    for option in ("downsample=0", "downsample=-2", "limit=0", "limit=-5"):
+        name, _, value = option.partition("=")
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1, got {value}$"):
+            dataset_from_selector(f"idx:{ip}:{lp}:{option}")
 
 
 def test_noise_selector():

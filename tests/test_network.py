@@ -19,7 +19,6 @@ from losslearn.network import (
     arch_from_selector,
     cnn_spec,
     curve_to_csv,
-    fit,
     fit_many,
     init,
     linear_spec,
@@ -60,6 +59,18 @@ def random_taylor(seed):
         expansion_point=tuple(rng.uniform(-0.5, 0.5, 2)),
         coefficients={k: rng.uniform(-1, 1) for k in coefficient_keys(4)},
     )
+
+
+def train_one(net, loss, data, cfg):
+    """train for a stack of one under one loss."""
+    (result,) = train(net, [loss], data, cfg)
+    return result
+
+
+def fit(spec, loss, data, init_seed, cfg):
+    """fit_many for one loss."""
+    (scored,) = fit_many(spec, [loss], data, init_seed, cfg)
+    return scored
 
 
 def make_split(x_train, y_train, x_val, y_val, num_classes):
@@ -165,7 +176,7 @@ def test_zero_parameters_give_uniform_rows():
 
 def test_rows_on_simplex():
     net = init(tiny_mlp(), seed=4)
-    probs = net.forward(np.random.default_rng(1).random((20, 4)))
+    probs = net.forward(np.random.default_rng(1).random((20, 4)))[0]
     assert np.all(probs >= 0)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
@@ -173,14 +184,14 @@ def test_rows_on_simplex():
 def test_forward_matches_matrix_oracle():
     net = init(tiny_mlp(), seed=5)
     x = np.random.default_rng(2).random((7, 4))
-    v = net._views(net.theta)
+    v = net._views(net.theta[0])
     # straight-line arithmetic, no shared code paths
     z1 = x @ v[0]["w"] + v[0]["b"]
     a1 = np.where(z1 > 0, z1, 0.0)
     z2 = a1 @ v[2]["w"] + v[2]["b"]
     e = np.exp(z2 - z2.max(axis=1, keepdims=True))
     oracle = e / e.sum(axis=1, keepdims=True)
-    np.testing.assert_allclose(net.forward(x), oracle, atol=1e-6)
+    np.testing.assert_allclose(net.forward(x)[0], oracle, atol=1e-6)
 
 
 def test_conv_matches_loop_oracle():
@@ -191,8 +202,8 @@ def test_conv_matches_loop_oracle():
     rng = np.random.default_rng(3)
     net.theta[:] = rng.uniform(-1, 1, net.theta.size)
     x = rng.random((2, 4, 4, 2))
-    w = net._views(net.theta)[0]["w"]  # (3, 3, 2, 3)
-    b = net._views(net.theta)[0]["b"]
+    w = net._views(net.theta[0])[0]["w"]  # (3, 3, 2, 3)
+    b = net._views(net.theta[0])[0]["b"]
     oracle = np.zeros((2, 2, 2, 3))
     for n in range(2):
         for i in range(2):
@@ -204,14 +215,14 @@ def test_conv_matches_loop_oracle():
                             for ch in range(2):
                                 acc += x[n, i + di, j + dj, ch] * w[di, dj, ch, o]
                     oracle[n, i, j, o] = acc + b[o]
-    out, _ = spec.layers[0].forward(net._views(net.theta)[0], x)
+    out, _ = spec.layers[0].forward(net._views(net.theta[0])[0], x, {})
     np.testing.assert_allclose(out, oracle, atol=1e-12)
 
 
 def test_pool_matches_loop_oracle():
     rng = np.random.default_rng(4)
     x = rng.random((3, 4, 4, 2))
-    out, _ = MaxPool(2).forward({}, x)
+    out, _ = MaxPool(2).forward({}, x, {})
     for n in range(3):
         for i in range(2):
             for j in range(2):
@@ -252,18 +263,19 @@ LOSSES = [
 
 
 def batch_objective(net, loss, x, onehot):
-    return float(np.mean(loss.batch_value(net.forward(x), onehot)))
+    return float(np.mean(loss.batch_value(net.forward(x)[0], onehot)))
 
 
 def fd_param_grad(net, loss, x, onehot, h=1e-6):
-    g = np.zeros_like(net.theta)
-    for i in range(net.theta.size):
-        saved = net.theta[i]
-        net.theta[i] = saved + h
+    theta = net.theta[0]  # the one member's row, a view
+    g = np.zeros_like(theta)
+    for i in range(theta.size):
+        saved = theta[i]
+        theta[i] = saved + h
         up = batch_objective(net, loss, x, onehot)
-        net.theta[i] = saved - h
+        theta[i] = saved - h
         dn = batch_objective(net, loss, x, onehot)
-        net.theta[i] = saved
+        theta[i] = saved
         g[i] = (up - dn) / (2 * h)
     return g
 
@@ -282,8 +294,9 @@ def test_parameter_gradients_match_fd(make_spec, loss):
     labels = rng.integers(0, spec.num_classes, 5)
     onehot = np.eye(spec.num_classes)[labels]
 
-    probs, cache = net._forward_cache(x)
-    analytic = net._backward(cache, loss.batch_grad(probs, onehot) / 5)
+    bufs = [{} for _ in spec.layers]
+    probs, cache = net._forward_cache(x, bufs)
+    analytic = net._gradient(cache, loss.batch_grad(probs[0], onehot) / 5, bufs)[0].copy()
     fd = fd_param_grad(net, loss, x, onehot)
     denom = max(np.linalg.norm(fd), 1e-10)
     assert np.linalg.norm(analytic - fd) / denom < 1e-4
@@ -300,7 +313,7 @@ def test_zero_learning_rate_changes_nothing():
     net = init(mlp_spec(2, [8], 3), seed=9)
     before = net.theta.copy()
     base_acc = accuracy(net, sp.val_features, sp.val_labels)
-    result = train(net, CrossEntropy(), sp, TrainConfig(learning_rate=0.0, epochs=3, seed=1))
+    result = train_one(net, CrossEntropy(), sp, TrainConfig(learning_rate=0.0, epochs=3, seed=1))
     np.testing.assert_array_equal(net.theta, before)
     assert not result.diverged
     assert result.final_accuracy == base_acc
@@ -309,8 +322,8 @@ def test_zero_learning_rate_changes_nothing():
 def test_one_step_matches_hand_backprop():
     spec = linear_spec(3, 2)
     net = init(spec, seed=13)
-    w = net._views(net.theta)[0]["w"].copy()
-    b = net._views(net.theta)[0]["b"].copy()
+    w = net._views(net.theta[0])[0]["w"].copy()
+    b = net._views(net.theta[0])[0]["b"].copy()
     x = np.array([[0.2, 0.5, 0.3]])
     label = np.array([1])
     sp = make_split(x, label, x, label, 2)
@@ -332,9 +345,10 @@ def test_one_step_matches_hand_backprop():
         w = w - lr * vw
         b = b - lr * vb
 
-    train(net, loss, sp, TrainConfig(learning_rate=lr, momentum=mom, batch_size=1, epochs=2, seed=0))
-    np.testing.assert_allclose(net._views(net.theta)[0]["w"], w, atol=1e-8)
-    np.testing.assert_allclose(net._views(net.theta)[0]["b"], b, atol=1e-8)
+    cfg = TrainConfig(learning_rate=lr, momentum=mom, batch_size=1, epochs=2, seed=0)
+    train_one(net, loss, sp, cfg)
+    np.testing.assert_allclose(net._views(net.theta[0])[0]["w"], w, atol=1e-8)
+    np.testing.assert_allclose(net._views(net.theta[0])[0]["b"], b, atol=1e-8)
 
 
 def test_cached_views_follow_in_place_updates():
@@ -348,26 +362,20 @@ def test_cached_views_follow_in_place_updates():
     x4 = np.hstack([ds.features, ds.features])  # tiny_mlp takes 4 inputs
     sp = make_split(x4, ds.labels, x4, ds.labels, 3)
     before = net.theta.copy()
-    train(net, CrossEntropy(), sp, TrainConfig(learning_rate=0.1, batch_size=len(x4), epochs=1))
+    train_one(net, CrossEntropy(), sp, TrainConfig(learning_rate=0.1, batch_size=len(x4), epochs=1))
     assert np.any(net.theta != before)  # one batch, one epoch: a single SGD step
     for cached, fresh in zip(net._theta_views, net._views(net.theta)):
         assert cached.keys() == fresh.keys()
         for name in fresh:
             np.testing.assert_array_equal(cached[name], fresh[name])
 
-    # each backward pass returns a new gradient, never a shared buffer
-    probs, cache = net._forward_cache(x)
-    dprobs = CrossEntropy().batch_grad(probs, np.eye(3)[[0, 1, 2, 0, 1]])
-    first = net._backward(cache, dprobs)
-    assert not np.shares_memory(first, net._backward(cache, dprobs))
-
 
 def test_training_deterministic():
     ds = synth_blobs(3, 40, seed=10)
     sp = split(ds, val_fraction=0.25, seed=10)
     cfg = TrainConfig(epochs=4, batch_size=16, seed=21)
-    r1 = train(init(mlp_spec(2, [16], 3), seed=20), CrossEntropy(), sp, cfg)
-    r2 = train(init(mlp_spec(2, [16], 3), seed=20), CrossEntropy(), sp, cfg)
+    r1 = train_one(init(mlp_spec(2, [16], 3), seed=20), CrossEntropy(), sp, cfg)
+    r2 = train_one(init(mlp_spec(2, [16], 3), seed=20), CrossEntropy(), sp, cfg)
     assert r1.curve == r2.curve
     np.testing.assert_array_equal(r1.network.theta, r2.network.theta)
 
@@ -376,7 +384,7 @@ def test_separable_blobs_reach_high_accuracy():
     ds = synth_blobs(2, 250, spread=0.15, seed=11)
     sp = split(ds, val_fraction=0.2, seed=11)
     net = init(mlp_spec(2, [32], 2), seed=12)
-    result = train(net, CrossEntropy(), sp, TrainConfig(epochs=20, batch_size=32, seed=13))
+    result = train_one(net, CrossEntropy(), sp, TrainConfig(epochs=20, batch_size=32, seed=13))
     assert not result.diverged
     assert result.final_accuracy > 0.95
 
@@ -385,7 +393,7 @@ def test_three_class_blobs_regression():
     ds = synth_blobs(3, 500, spread=0.5, seed=12)
     sp = split(ds, val_fraction=0.2, seed=12)
     net = init(mlp_spec(2, [32], 3), seed=14)
-    result = train(net, CrossEntropy(), sp, TrainConfig(epochs=20, batch_size=32, seed=15))
+    result = train_one(net, CrossEntropy(), sp, TrainConfig(epochs=20, batch_size=32, seed=15))
     assert result.final_accuracy >= 0.9
 
 
@@ -404,13 +412,13 @@ def test_loss_scale_learning_rate_equivalence():
     ds = synth_blobs(3, 50, seed=13)
     sp = split(ds, val_fraction=0.2, seed=13)
     k = 4.0  # power of two so the float trajectories agree exactly
-    base = train(
+    base = train_one(
         init(mlp_spec(2, [8], 3), seed=30),
         CrossEntropy(),
         sp,
         TrainConfig(learning_rate=0.01, epochs=5, batch_size=8, seed=31),
     )
-    scaled = train(
+    scaled = train_one(
         init(mlp_spec(2, [8], 3), seed=30),
         Scaled(CrossEntropy(), k),
         sp,
@@ -425,7 +433,7 @@ def test_divergence_flagged_not_thrown():
     ds = synth_blobs(2, 20, seed=14)
     sp = split(ds, val_fraction=0.2, seed=14)
     net = init(mlp_spec(2, [8], 2), seed=15)
-    result = train(
+    result = train_one(
         net, CrossEntropy(), sp, TrainConfig(learning_rate=1e160, epochs=5, seed=16)
     )
     assert result.diverged
@@ -442,7 +450,7 @@ def test_fit_scores_the_trained_network():
     cfg = TrainConfig(epochs=3, batch_size=16, seed=19)
     acc, diverged, curve = fit(spec, CrossEntropy(), sp, 20, cfg)
     net = init(spec, 20)
-    result = train(net, CrossEntropy(), sp, cfg)
+    result = train_one(net, CrossEntropy(), sp, cfg)
     assert (diverged, curve) == (False, result.curve)
     assert acc == accuracy(net, sp.val_features, sp.val_labels)
 
@@ -466,7 +474,7 @@ def test_fit_scores_a_diverged_network_zero():
     cfg = TrainConfig(epochs=2, batch_size=16, seed=19)
     acc, diverged, curve = fit(spec, Exploding(), sp, 20, cfg)
     assert (acc, diverged) == (0.0, True)
-    assert curve == train(init(spec, 20), Exploding(), sp, cfg).curve
+    assert curve == train_one(init(spec, 20), Exploding(), sp, cfg).curve
 
 
 def test_curve_csv_format():
@@ -549,6 +557,9 @@ def test_arch_selectors():
         arch_from_selector("transformer", 4, 2)
     with pytest.raises(ValueError, match="square image"):
         arch_from_selector("cnn", 784, 10)
+    for text in ("mlp:", "mlp:8,0", "mlp:-1"):
+        with pytest.raises(ValueError, match="hidden widths of at least 1"):
+            arch_from_selector(text, 4, 2)
 
 
 def test_cnn_trains_on_quadrant_brightness():
@@ -563,7 +574,7 @@ def test_cnn_trains_on_quadrant_brightness():
             images[i, 8:, 8:] += 0.8
     sp = make_split(images[:60], labels[:60], images[60:], labels[60:], 2)
     net = init(cnn_spec(16, 2), seed=23)
-    result = train(net, CrossEntropy(), sp, TrainConfig(epochs=3, batch_size=16, seed=24))
+    result = train_one(net, CrossEntropy(), sp, TrainConfig(epochs=3, batch_size=16, seed=24))
     assert not result.diverged
     assert result.final_accuracy >= 0.8
 
@@ -580,7 +591,7 @@ def assert_stack_equals_serial(spec, losses, sp, init_seed, cfg):
     ]
     stacked = train(init(spec, init_seed, len(losses)), losses, sp, cfg)
     for loss, got in zip(losses, stacked):
-        want = train(init(spec, init_seed), loss, sp, cfg)
+        want = train_one(init(spec, init_seed), loss, sp, cfg)
         assert (got.diverged, got.fail_epoch, got.curve) == (
             want.diverged, want.fail_epoch, want.curve
         )
@@ -654,7 +665,7 @@ def test_stacked_members_are_views_of_one_stack():
         for views, own in zip(net._theta_views, member._theta_views):
             for name in own:
                 assert np.shares_memory(views[name], net.theta)
-                np.testing.assert_array_equal(views[name][k], own[name])
+                np.testing.assert_array_equal(views[name][k], own[name][0])
     with pytest.raises(ValueError, match="2 losses for a stack of 3"):
         train(net, [CrossEntropy()] * 2, fit_problem()[1], TrainConfig(epochs=1))
 

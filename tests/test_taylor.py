@@ -624,8 +624,19 @@ def test_loss_file_bit_identical_coefficients(tmp_path):
         lambda doc: doc.update(coefficients=5),
         lambda doc: doc["coefficients"][0].update(value="abc"),
         lambda doc: doc.update(expansion_point=[None, 0.0]),
+        # an order-1 table, so that only the order's type is wrong
+        lambda doc: doc.update(
+            json.loads(loss_to_json(TaylorLossParams.from_flat(np.ones(3), order=1))),
+            order=True,
+        ),
+        lambda doc: doc["coefficients"][0].update(value=10**400),
+        lambda doc: doc.update(expansion_point=[0.0, -(10**400)]),
+        lambda doc: doc.update(normalization={"f_min": 0.0, "f_max": 10**400, "eta": 1.0}),
     ],
-    ids=["coefficients-not-array", "value-not-number", "point-not-number"],
+    ids=[
+        "coefficients-not-array", "value-not-number", "point-not-number", "order-bool",
+        "value-too-large", "point-too-large", "normalization-too-large",
+    ],
 )
 def test_loss_file_malformed_values(edit):
     doc = json.loads(loss_to_json(mse_embedding()))
@@ -637,3 +648,5 @@ def test_loss_file_malformed_values(edit):
 def test_loss_file_not_json():
     with pytest.raises(LossFormatError, match="JSON"):
         loss_from_json("not json {")
+    with pytest.raises(LossFormatError, match="JSON"):
+        loss_from_json(b"\xff\xfe\x00 not UTF-8")
