@@ -14,7 +14,9 @@ batch_grad(probs, onehot) -> (n, C); the gradient is pushed through the full
 softmax Jacobian so losses that are not cross-entropy-shaped work too. A
 stack makes one loss call per step: a population whose loss class offers
 stacked(losses) (the normalized polynomial losses) runs in one pass over
-(m, n, C) predictions, any other runs member by member.
+(m, n, C) predictions and the n label indices, any other runs member by
+member. Validation scores the whole stack in row chunks of ceil(n / m), so it
+holds about one network's activations over the validation set.
 """
 
 import copy
@@ -308,7 +310,7 @@ class Network:
         overwrites; layer i takes its arrays from bufs[i]."""
         caches, probs = cache
         # dL/dlogits through the softmax Jacobian, row by row
-        dot = np.sum(dprobs * probs, axis=-1, keepdims=True)
+        dot = _class_fold(np.add, dprobs * probs)[..., None]
         dx = probs * (dprobs - dot)
         for i in reversed(range(len(caches))):
             layer, params = self.spec.layers[i], self._theta_views[i]
@@ -333,9 +335,24 @@ def init(spec, seed, members=1):
 
 
 def _softmax(logits):
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(logits - _class_fold(np.maximum, logits)[..., None])
+    e /= _class_fold(np.add, e)[..., None]
+    return e
+
+
+def _class_fold(ufunc, x):
+    """ufunc.reduce(x, axis=-1) bit for bit, folded column by column.
+
+    A maximum is exact in any order. numpy adds an axis shorter than 8 left to
+    right at the cost of one reduction per row, which the fold saves; from 8
+    on numpy sums pairwise, so its sum is kept there.
+    """
+    if ufunc is np.add and x.shape[-1] >= 8:
+        return x.sum(axis=-1)
+    out = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        ufunc(out, x[..., j], out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -399,30 +416,35 @@ def prepare_features(features, input_shape):
 
 
 def accuracy(net, features, labels):
-    """Fraction of argmax-correct predictions of a stack of one (a member of
-    a larger stack: net.member(k)); ties go to the lowest index."""
+    """Each member's fraction of argmax-correct predictions, as a list; ties go
+    to the lowest index. Rows go through in chunks of ceil(n / m), so a stack
+    of m holds about one network's activations over the whole set."""
     labels = np.asarray(labels)
     if len(labels) == 0:
         raise ValueError("empty evaluation set")
     x = prepare_features(features, net.spec.input_shape)
-    (probs,) = net.forward(x)
-    preds = np.argmax(probs, axis=1)
-    return float(np.mean(preds == labels))
+    chunk = -(-len(labels) // len(net.theta))
+    correct = np.zeros(len(net.theta), dtype=np.int64)
+    for start in range(0, len(labels), chunk):
+        probs = net.forward(x[start : start + chunk])
+        correct += np.sum(np.argmax(probs, axis=-1) == labels[start : start + chunk], axis=-1)
+    return [float(c / len(labels)) for c in correct]
 
 
 def _loss_call(losses):
     """The one loss call per step for m members: (m, n, C) predictions and
-    (n, C) labels in, (m, n) values and (m, n, C) gradients out.
+    (n,) label indices in, (m, n) values and (m, n, C) gradients out.
 
     A population whose class stacks it runs in one pass; any other runs member
-    by member.
+    by member on one-hot label rows.
     """
     stacked = getattr(losses[0], "stacked", None)
     fused = stacked(losses) if stacked else None
     if fused is not None:
         return fused
 
-    def member_by_member(probs, onehot):
+    def member_by_member(probs, labels):
+        onehot = np.eye(probs.shape[-1])[labels]
         values = [loss.batch_value(p, onehot) for loss, p in zip(losses, probs)]
         grads = [loss.batch_grad(p, onehot) for loss, p in zip(losses, probs)]
         return np.stack(values), np.stack(grads)
@@ -471,7 +493,6 @@ def train(net, losses, data, cfg):
     y = np.asarray(data.train_labels)
     if len(y) == 0:
         raise ValueError("empty training set")
-    onehot_all = np.eye(net.spec.num_classes)[y]
     results = [TrainResult(network=None) for _ in losses]
     alive = list(range(len(losses)))  # the result behind each member of the stack
     loss_call = _loss_call(losses)
@@ -487,7 +508,7 @@ def train(net, losses, data, cfg):
             loss_sums = np.zeros(len(alive))
             for start in range(0, n, cfg.batch_size):
                 take = order[start : start + cfg.batch_size]
-                loss_sums += _sgd_step(net, loss_call, x[take], onehot_all[take], cfg, bufs)
+                loss_sums += _sgd_step(net, loss_call, x[take], y[take], cfg, bufs)
                 finite = np.isfinite(net.theta).all(axis=-1)
                 if finite.all():
                     continue
@@ -501,10 +522,9 @@ def train(net, losses, data, cfg):
                 net._keep(finite)
                 loss_sums = loss_sums[finite]
                 loss_call = _loss_call([losses[j] for j in alive])
-            # one member at a time: a stacked pass would hold (m, n_val, width)
-            for k, j in enumerate(alive):
-                val_acc = accuracy(net.member(k), data.val_features, data.val_labels)
-                results[j].curve.append((epoch, float(loss_sums[k] / n), val_acc))
+            val_accs = accuracy(net, data.val_features, data.val_labels)
+            for j, loss_sum, val_acc in zip(alive, loss_sums, val_accs):
+                results[j].curve.append((epoch, float(loss_sum / n), val_acc))
     for k, j in enumerate(alive):
         results[j].network = net.member(k)
     return results
@@ -525,7 +545,7 @@ def fit_many(spec, losses, data, init_seed, cfg):
         if result.diverged:
             acc = 0.0
         elif acc is None:  # no epochs ran
-            acc = accuracy(result.network, data.val_features, data.val_labels)
+            (acc,) = accuracy(result.network, data.val_features, data.val_labels)
         scored.append((acc, result.diverged, result.curve))
     return scored
 
@@ -561,15 +581,12 @@ def linear_spec(input_dim, num_classes):
 
 def cnn_spec(side, num_classes, in_ch=1, name="cnn"):
     """Two 5x5 conv blocks with 2x2 pooling, then a 1024-wide dense layer."""
-    shape = (side, side, in_ch)
-    h = side
-    layers = [Conv2D(in_ch, 32, 5), ReLU(), MaxPool(2)]
-    h = (h - 4) // 2
-    layers += [Conv2D(32, 64, 5), ReLU(), MaxPool(2)]
-    h = (h - 4) // 2
-    flat = h * h * 64
-    layers += [Flatten(), Dense(flat, 1024), ReLU(), Dense(1024, num_classes)]
-    return NetworkSpec(name, tuple(layers), shape, num_classes)
+    h = ((side - 4) // 2 - 4) // 2  # each block: a valid 5x5 conv, then 2x2 pooling
+    layers = (
+        Conv2D(in_ch, 32, 5), ReLU(), MaxPool(2), Conv2D(32, 64, 5), ReLU(), MaxPool(2),
+        Flatten(), Dense(h * h * 64, 1024), ReLU(), Dense(1024, num_classes),
+    )
+    return NetworkSpec(name, layers, (side, side, in_ch), num_classes)
 
 
 def arch_from_selector(text, input_shape, num_classes):
@@ -579,10 +596,7 @@ def arch_from_selector(text, input_shape, num_classes):
     linear           single dense layer
     cnn              two conv blocks + dense head (needs square image input)
     """
-    if isinstance(input_shape, tuple):
-        flat_dim = int(np.prod(input_shape))
-    else:
-        flat_dim = int(input_shape)
+    flat_dim = int(math.prod(input_shape) if isinstance(input_shape, tuple) else input_shape)
     if text == "linear":
         return linear_spec(flat_dim, num_classes)
     if text == "cnn":

@@ -16,6 +16,7 @@ P_a(t - theta1) are computed once per loss by Horner's rule in e; each batch
 then takes one Horner pass in d per label value, with no powers. For any
 other label row q the loss is the label-weighted mix
 sum_k q_k * loss(yhat, e_k), the expected loss under the label distribution.
+Range estimation and stacked training take label indices instead (_label_split).
 
 Losses here are total functions of their inputs (polynomials are finite
 everywhere), so no clamping of predictions is required or performed.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -32,12 +34,16 @@ from pathlib import Path
 
 import numpy as np
 
+from .network import _buffer, _class_fold
 from .reference import _as_batch, _Loss
 
 LOSS_FILE_VERSION = 1
 DEFAULT_ORDER = 4
 DEFAULT_RANGE_SAMPLES = 10_000
 DEGENERATE_RANGE = 1e-9
+
+# estimate_range's (2, n, C) work arrays, one per (n, C), per thread
+_range_work = threading.local()
 
 
 class LossFormatError(ValueError):
@@ -55,14 +61,9 @@ def _lex_keys(order):
     return ((a, b) for a in range(1, order + 1) for b in range(order - a + 1))
 
 
-def num_coefficients(order: int) -> int:
-    """Number of searchable coefficients for a given polynomial order."""
-    return order * (order + 1) // 2
-
-
 def num_parameters(order: int) -> int:
-    """Total free parameters: two expansion coordinates plus coefficients."""
-    return 2 + num_coefficients(order)
+    """Free parameters: two expansion coordinates plus order (order + 1) / 2 coefficients."""
+    return 2 + order * (order + 1) // 2
 
 
 @dataclass(frozen=True)
@@ -126,19 +127,24 @@ class TaylorLossParams(_Loss):
 
         Predictions are drawn uniformly from the probability simplex
         (normalized unit exponentials) and labels uniformly from the one-hot
-        vectors. Deterministic for a given seed.
+        vectors. Deterministic for a given seed: bit for bit batch_value on the
+        one-hot rows of the same draws, in arrays kept per thread and shape.
         """
         if num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {num_classes}")
         if num_samples < 1:
             raise ValueError(f"num_samples must be >= 1, got {num_samples}")
         rng = np.random.default_rng(seed)
-        draws = rng.exponential(1.0, size=(num_samples, num_classes))
-        yhat = draws / draws.sum(axis=1, keepdims=True)
-        y = np.zeros((num_samples, num_classes))
-        y[np.arange(num_samples), rng.integers(0, num_classes, num_samples)] = 1.0
-        values = self.batch_value(yhat, y)
-        return float(values.min()), float(values.max())
+        shape = (num_samples, num_classes)
+        d, values = _buffer(_range_work.__dict__, shape, (2,) + shape)
+        rng.standard_exponential(out=d)  # the stream of exponential(1.0, shape)
+        d /= _class_fold(np.add, d)[:, None]
+        labels = rng.integers(0, num_classes, num_samples)
+        d -= self.expansion_point[0]
+        _label_split(*self._univariate[0], d, labels, values)  # g0, g1 of the values
+        values *= d
+        means = _class_fold(np.add, values) / num_classes
+        return float(means.min()), float(means.max())
 
     def to_flat(self) -> np.ndarray:
         """Flat parameter vector: theta0, theta1, then coefficients in lex order."""
@@ -172,12 +178,9 @@ class NormalizedLoss(_Loss):
     eta: float = 1.0
 
     def __post_init__(self):
-        if not self.f_max > self.f_min:
-            raise ValueError(
-                f"f_max must exceed f_min, got f_min={self.f_min} f_max={self.f_max}"
-            )
-        if not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        bounds = (self.f_min, self.f_max, self.eta)
+        if not (all(map(math.isfinite, bounds)) and self.f_min < self.f_max and self.eta > 0):
+            raise ValueError(f"need finite f_min < f_max and eta > 0, got {bounds}")
 
     @property
     def _scale(self) -> float:
@@ -193,10 +196,11 @@ class NormalizedLoss(_Loss):
     def stacked(losses):
         """One call for a population of normalized losses of one order.
 
-        Returns a function of (m, n, C) predictions and (n, C) one-hot labels
+        Returns a function of (m, n, C) predictions and (n,) label indices
         giving (m, n) values and (m, n, C) gradients, member k under loss k,
-        bit for bit what batch_value and batch_grad give slice by slice; None
-        for any other population.
+        bit for bit what batch_value and batch_grad give slice by slice on the
+        one-hot label rows; None for any other population. The function keeps
+        its (m, n, C) arrays, so the next call overwrites the gradients.
         """
         if not all(
             isinstance(l, NormalizedLoss) and l.inner.order == losses[0].inner.order
@@ -209,12 +213,18 @@ class NormalizedLoss(_Loss):
         # (value or gradient, label entry t, power, member, 1, 1)
         coeffs = np.moveaxis(np.array([l.inner._univariate for l in losses]), 0, -1)
         (g0, g1), (dg0, dg1) = coeffs[..., None, None]
+        work = {}  # per batch length: d, values, gradients
 
-        def value_and_grad(yhat, y):
-            d = yhat - theta0
-            values = ((1 - y) * (d * _horner(g0, d)) + y * (d * _horner(g1, d))).mean(axis=-1)
-            grads = ((1 - y) * _horner(dg0, d) + y * _horner(dg1, d)) / yhat.shape[-1]
-            return scale[..., 0] * (values - f_min[..., 0]), scale * grads
+        def value_and_grad(yhat, labels):
+            d, values, grads = _buffer(work, yhat.shape, (3,) + yhat.shape)
+            np.subtract(yhat, theta0, out=d)
+            _label_split(g0, g1, d, labels, values)
+            values *= d
+            means = _class_fold(np.add, values) / yhat.shape[-1]
+            _label_split(dg0, dg1, d, labels, grads)
+            grads /= yhat.shape[-1]
+            grads *= scale
+            return scale[..., 0] * (means - f_min[..., 0]), grads
 
         return value_and_grad
 
@@ -229,10 +239,11 @@ def normalize(
     """Estimate the range of ``params`` and wrap it, or None if degenerate.
 
     Candidates whose sampled range is narrower than ``DEGENERATE_RANGE`` are
-    effectively constant; callers treat them as failed candidates.
+    effectively constant, and those whose values overflow have no range to
+    scale by; callers treat both as failed candidates.
     """
     f_min, f_max = params.estimate_range(num_classes, num_samples, seed)
-    if f_max - f_min < DEGENERATE_RANGE:
+    if not DEGENERATE_RANGE <= f_max - f_min < math.inf:  # NaN fails too
         return None
     return NormalizedLoss(inner=params, f_min=f_min, f_max=f_max, eta=eta)
 
@@ -283,13 +294,16 @@ def loss_from_json(text: str | bytes) -> TaylorLossParams | NormalizedLoss:
     coeffs = {}
     for entry in doc["coefficients"]:
         try:
-            coeffs[(entry["a"], entry["b"])] = float(entry["value"])
-        except (TypeError, KeyError, ValueError, OverflowError) as exc:
+            key = entry["a"], entry["b"]
+            if not all(type(e) is int for e in key):  # 1.0 and true would pass as 1
+                raise TypeError("exponents must be integers")
+            coeffs[key] = _number(entry["value"])
+        except (TypeError, KeyError, OverflowError) as exc:
             raise LossFormatError(f"malformed coefficient entry {entry!r}") from exc
     try:
         params = TaylorLossParams(
             order=order,
-            expansion_point=(float(point[0]), float(point[1])),
+            expansion_point=(_number(point[0]), _number(point[1])),
             coefficients=coeffs,
         )
     except (TypeError, ValueError, OverflowError) as exc:  # 400-digit integers too
@@ -300,14 +314,21 @@ def loss_from_json(text: str | bytes) -> TaylorLossParams | NormalizedLoss:
     try:
         return NormalizedLoss(
             inner=params,
-            f_min=float(norm["f_min"]),
-            f_max=float(norm["f_max"]),
-            eta=float(norm["eta"]),
+            f_min=_number(norm["f_min"]),
+            f_max=_number(norm["f_max"]),
+            eta=_number(norm["eta"]),
         )
     except (TypeError, KeyError) as exc:
         raise LossFormatError(f"malformed normalization block {norm!r}") from exc
     except (ValueError, OverflowError) as exc:
         raise LossFormatError(str(exc)) from exc
+
+
+def _number(value):
+    """A JSON number as a float; a bool or a numeric string is no number."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)  # OverflowError beyond the float range
 
 
 def save_loss(loss: TaylorLossParams | NormalizedLoss, path: str | Path) -> None:
@@ -337,4 +358,15 @@ def _horner(coeffs, x):
     for c in coeffs[-2::-1]:
         acc = acc * x + c
     return acc
+
+
+def _label_split(g0, g1, d, labels, out):
+    """g0(d) into out, then g1(d) at the label entries, labels[i] on row i's class
+    axis: on one-hot rows, the bits of the masked (1 - y) g0 + y g1."""
+    out[...] = g0[-1]  # _horner, in place
+    for c in g0[-2::-1]:
+        out *= d
+        out += c
+    at = labels.reshape((1,) * (d.ndim - 2) + (-1, 1))
+    np.put_along_axis(out, at, _horner(g1, np.take_along_axis(d, at, axis=-1)), axis=-1)
 

@@ -25,6 +25,7 @@ from losslearn.network import (
     mlp_spec,
     prepare_features,
     train,
+    _class_fold,
     _softmax,
 )
 from losslearn.reference import (
@@ -244,6 +245,20 @@ def test_softmax_shift_invariance():
     np.testing.assert_allclose(_softmax(z), _softmax(shifted), atol=1e-6)
 
 
+@pytest.mark.parametrize("num_classes", range(2, 17))
+def test_class_axis_folds_keep_numpy_bits(num_classes):
+    # the column folds stand in for numpy's own class-axis reductions, so a
+    # numpy that sums in another order must fail here, not change artifacts
+    rng = np.random.default_rng(num_classes)
+    shape = (4, 50, num_classes)
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-5, 5, shape)
+    assert np.array_equal(_class_fold(np.add, x), x.sum(axis=-1))
+    assert np.array_equal(_class_fold(np.maximum, x), x.max(axis=-1))
+    logits = rng.normal(0, 3, shape)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    assert np.array_equal(_softmax(logits), e / e.sum(axis=-1, keepdims=True))
+
+
 # ---------------------------------------------------------------------------
 # End-to-end gradient checks
 # ---------------------------------------------------------------------------
@@ -312,7 +327,7 @@ def test_zero_learning_rate_changes_nothing():
     sp = split(ds, val_fraction=0.2, seed=8)
     net = init(mlp_spec(2, [8], 3), seed=9)
     before = net.theta.copy()
-    base_acc = accuracy(net, sp.val_features, sp.val_labels)
+    (base_acc,) = accuracy(net, sp.val_features, sp.val_labels)
     result = train_one(net, CrossEntropy(), sp, TrainConfig(learning_rate=0.0, epochs=3, seed=1))
     np.testing.assert_array_equal(net.theta, before)
     assert not result.diverged
@@ -452,13 +467,13 @@ def test_fit_scores_the_trained_network():
     net = init(spec, 20)
     result = train_one(net, CrossEntropy(), sp, cfg)
     assert (diverged, curve) == (False, result.curve)
-    assert acc == accuracy(net, sp.val_features, sp.val_labels)
+    assert [acc] == accuracy(net, sp.val_features, sp.val_labels)
 
 
 def test_fit_without_epochs_scores_the_initial_network():
     spec, sp = fit_problem()
     acc, diverged, curve = fit(spec, CrossEntropy(), sp, 20, TrainConfig(epochs=0))
-    assert acc == accuracy(init(spec, 20), sp.val_features, sp.val_labels)
+    assert [acc] == accuracy(init(spec, 20), sp.val_features, sp.val_labels)
     assert (diverged, curve) == (False, [])
 
 
@@ -496,15 +511,15 @@ def test_accuracy_all_correct():
     v = net._views(net.theta)[0]
     v["w"][...] = np.eye(3) * 10.0
     x = np.eye(3)
-    assert accuracy(net, x, np.array([0, 1, 2])) == 1.0
+    assert accuracy(net, x, np.array([0, 1, 2])) == [1.0]
 
 
 def test_accuracy_tie_breaks_to_lowest_index():
     net = init(tiny_mlp(), seed=18)
     net.theta[:] = 0.0  # uniform predictions everywhere
     x = np.random.default_rng(6).random((8, 4))
-    assert accuracy(net, x, np.zeros(8, dtype=int)) == 1.0
-    assert accuracy(net, x, np.ones(8, dtype=int)) == 0.0
+    assert accuracy(net, x, np.zeros(8, dtype=int)) == [1.0]
+    assert accuracy(net, x, np.ones(8, dtype=int)) == [0.0]
 
 
 def test_accuracy_counts_matches():
@@ -514,7 +529,19 @@ def test_accuracy_counts_matches():
     # 10 one-hot inputs; 7 labels match the argmax, 3 do not
     rows = np.eye(3)[[0, 1, 2, 0, 1, 2, 0, 1, 2, 0]]
     labels = np.array([0, 1, 2, 0, 1, 2, 0, 2, 0, 1])
-    assert accuracy(net, rows, labels) == pytest.approx(0.7)
+    assert accuracy(net, rows, labels) == [pytest.approx(0.7)]
+
+
+@pytest.mark.parametrize("members", [1, 3, 8])
+def test_stacked_accuracy_equals_member_by_member(members):
+    # 301 rows: neither 3 nor 8 divides them, so the last chunk is short
+    rng = np.random.default_rng(members)
+    net = init(tiny_mlp(), seed=7, members=members)
+    net.theta += rng.normal(0, 0.5, net.theta.shape)
+    x = rng.normal(size=(301, 4))
+    labels = rng.integers(0, 3, 301)
+    scores = accuracy(net, x, labels)
+    assert scores == [accuracy(net.member(k), x, labels)[0] for k in range(members)]
 
 
 def test_accuracy_rejects_empty():
@@ -649,7 +676,7 @@ def test_stacked_fit_without_epochs_scores_every_member():
     losses = [CrossEntropy(), normalized_member(9, eta=8.0)]
     scored = fit_many(spec, losses, sp, 20, TrainConfig(epochs=0))
     assert scored == [fit(spec, loss, sp, 20, TrainConfig(epochs=0)) for loss in losses]
-    acc = accuracy(init(spec, 20), sp.val_features, sp.val_labels)
+    (acc,) = accuracy(init(spec, 20), sp.val_features, sp.val_labels)
     assert scored == [(acc, False, [])] * 2
     assert fit_many(spec, [], sp, 20, TrainConfig(epochs=0)) == []
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -411,6 +412,44 @@ def test_range_determinism():
     assert params.estimate_range(3, 500, seed=9) == params.estimate_range(3, 500, seed=9)
 
 
+def masked_range(params, num_classes, num_samples, seed):
+    """The evaluation estimate_range stands for: batch_value on the one-hot
+    label rows of the same draws."""
+    rng = np.random.default_rng(seed)
+    draws = rng.exponential(1.0, size=(num_samples, num_classes))
+    yhat = draws / draws.sum(axis=1, keepdims=True)
+    y = np.eye(num_classes)[rng.integers(0, num_classes, num_samples)]
+    values = params.batch_value(yhat, y)
+    return float(values.min()), float(values.max())
+
+
+@pytest.mark.parametrize("order", range(2, 7))
+@pytest.mark.parametrize("num_classes", [2, 3, 10])
+def test_range_equals_masked_evaluation(order, num_classes):
+    params = random_params(np.random.default_rng(17 * order + num_classes), order)
+    expected = masked_range(params, num_classes, 2000, seed=order)
+    assert params.estimate_range(num_classes, 2000, seed=order) == expected
+
+
+def test_range_work_arrays_carry_no_state():
+    params = random_params(np.random.default_rng(43))
+    first, wide, again = (params.estimate_range(c, 1000, seed=6) for c in (3, 10, 3))
+    assert first == again == masked_range(params, 3, 1000, seed=6)
+    assert wide == masked_range(params, 10, 1000, seed=6)
+
+
+def test_range_estimation_reuses_its_arrays():
+    params = random_params(np.random.default_rng(47))
+    params.estimate_range(10, 10_000, seed=1)  # allocates the kept arrays
+    tracemalloc.start()
+    try:
+        params.estimate_range(10, 10_000, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000 * 10 * 8  # one (10 000, 10) float array
+
+
 def test_normalized_eval_affine():
     params = mse_embedding()
     nl = NormalizedLoss(inner=params, f_min=0.0, f_max=2.0, eta=1.0)
@@ -429,6 +468,15 @@ def test_normalized_rejects_degenerate():
         NormalizedLoss(inner=mse_embedding(), f_min=1.0, f_max=1.0)
     with pytest.raises(ValueError, match="eta"):
         NormalizedLoss(inner=mse_embedding(), f_min=0.0, f_max=1.0, eta=0.0)
+
+
+def test_normalize_flags_an_overflowing_loss():
+    # P_1(e) = e^3 / 6 overflows at theta1 = 1e120: every sampled value is -inf
+    coeffs = {k: 0.0 for k in coefficient_keys(4)}
+    coeffs[(1, 3)] = 1.0
+    params = TaylorLossParams(expansion_point=(0.0, 1e120), coefficients=coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert normalize(params, num_classes=3, seed=0) is None
 
 
 def test_normalize_flags_constant_loss():
@@ -466,8 +514,9 @@ def test_stacked_population_equals_member_calls(order, num_classes):
         for _ in range(5)
     ]
     yhat = rng.dirichlet(np.ones(num_classes), (5, 40))
-    y = one_hot(rng, 40, num_classes)
-    values, grads = NormalizedLoss.stacked(losses)(yhat, y)
+    labels = rng.integers(0, num_classes, 40)
+    y = np.eye(num_classes)[labels]
+    values, grads = NormalizedLoss.stacked(losses)(yhat, labels)
     for loss, p, value, grad in zip(losses, yhat, values, grads):
         assert np.array_equal(value, loss.batch_value(p, y))
         assert np.array_equal(grad, loss.batch_grad(p, y))
@@ -632,10 +681,27 @@ def test_loss_file_bit_identical_coefficients(tmp_path):
         lambda doc: doc["coefficients"][0].update(value=10**400),
         lambda doc: doc.update(expansion_point=[0.0, -(10**400)]),
         lambda doc: doc.update(normalization={"f_min": 0.0, "f_max": 10**400, "eta": 1.0}),
+        # JSON booleans, numeric strings and float exponents are no numbers here
+        lambda doc: doc["coefficients"][0].update(value=True),
+        lambda doc: doc["coefficients"][0].update(value="2.0"),
+        lambda doc: doc["coefficients"][0].update(a=True),
+        lambda doc: doc["coefficients"][0].update(a=1.0),
+        lambda doc: doc["coefficients"][0].update(b=False),
+        lambda doc: doc.update(expansion_point=["0.1", 0]),
+        lambda doc: doc.update(expansion_point=[0.0, True]),
+        lambda doc: doc.update(normalization={"f_min": 0.0, "f_max": 1.0, "eta": True}),
+        lambda doc: doc.update(normalization={"f_min": "0", "f_max": 1.0, "eta": 1.0}),
+        # non-finite bounds make every loss value NaN or infinite
+        lambda doc: doc.update(normalization={"f_min": -math.inf, "f_max": 1.0, "eta": 1.0}),
+        lambda doc: doc.update(normalization={"f_min": 0.0, "f_max": math.inf, "eta": 1.0}),
+        lambda doc: doc.update(normalization={"f_min": 0.0, "f_max": 1.0, "eta": math.inf}),
     ],
     ids=[
         "coefficients-not-array", "value-not-number", "point-not-number", "order-bool",
         "value-too-large", "point-too-large", "normalization-too-large",
+        "value-bool", "value-string", "a-bool", "a-float", "b-bool", "point-string",
+        "point-bool", "eta-bool", "f_min-string", "f_min-infinite", "f_max-infinite",
+        "eta-infinite",
     ],
 )
 def test_loss_file_malformed_values(edit):
