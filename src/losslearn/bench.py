@@ -399,12 +399,11 @@ def inspect_loss_csv(loss, resolution=100):
     if resolution < 1:
         raise ConfigError("resolution must be at least 1")
     lines = ["yhat,y,loss"]
-    labels = {0: np.array([0.0, 1.0]), 1: np.array([1.0, 0.0])}
     for step in range(resolution + 1):
         p = step / resolution
-        pred = np.array([p, 1.0 - p])
+        pred = np.array([[p, 1.0 - p]])
         for y in (0, 1):
-            value = float(loss.batch_value(pred[None, :], labels[y][None, :])[0])
+            value = float(loss.indexed(pred, [1 - y])[0][0])  # y = 1 is class 0
             lines.append(f"{p:.6f},{y},{value + 0.0:.6f}")  # +0.0 drops the sign of -0.0
     return "\n".join(lines) + "\n"
 

@@ -9,14 +9,15 @@ parameters carry a leading member axis, (m, P), and so do its activations,
 layer. One training loop advances every member on one batch stream, each
 under its own loss; a member that diverges leaves the stack.
 
-A loss plugs in through two methods, batch_value(probs, onehot) -> (n,) and
-batch_grad(probs, onehot) -> (n, C); the gradient is pushed through the full
-softmax Jacobian so losses that are not cross-entropy-shaped work too. A
-stack makes one loss call per step: a population whose loss class offers
-stacked(losses) (the normalized polynomial losses) runs in one pass over
-(m, n, C) predictions and the n label indices, any other runs member by
-member. Validation scores the whole stack in row chunks of ceil(n / m), so it
-holds about one network's activations over the validation set.
+A loss plugs in through one method, indexed(probs, labels): (n, C)
+predictions and (n,) class indices in, (n,) values and (n, C) gradients out.
+The gradient is pushed through the full softmax Jacobian, so losses that are
+not cross-entropy-shaped work too. A stack makes one loss call per step: a
+population whose loss class offers stacked(losses) (the normalized polynomial
+losses) runs in one pass over (m, n, C) predictions, any other member by
+member through indexed; no one-hot label matrix is built. Validation scores
+the whole stack in row chunks of ceil(n / m), so it holds about one network's
+activations over the validation set.
 """
 
 import copy
@@ -436,18 +437,19 @@ def _loss_call(losses):
     (n,) label indices in, (m, n) values and (m, n, C) gradients out.
 
     A population whose class stacks it runs in one pass; any other runs member
-    by member on one-hot label rows.
+    by member through indexed, into arrays kept from call to call.
     """
     stacked = getattr(losses[0], "stacked", None)
     fused = stacked(losses) if stacked else None
     if fused is not None:
         return fused
+    work = {}
 
     def member_by_member(probs, labels):
-        onehot = np.eye(probs.shape[-1])[labels]
-        values = [loss.batch_value(p, onehot) for loss, p in zip(losses, probs)]
-        grads = [loss.batch_grad(p, onehot) for loss, p in zip(losses, probs)]
-        return np.stack(values), np.stack(grads)
+        values, grads = _buffer(work, "v", probs.shape[:-1]), _buffer(work, "g", probs.shape)
+        for k, loss in enumerate(losses):
+            values[k], grads[k] = loss.indexed(probs[k], labels)
+        return values, grads
 
     return member_by_member
 
@@ -457,12 +459,13 @@ def _buffer(buf, key, shape):
 
     Allocated afresh, a stack's large activations made the heap grow and
     shrink by them every step; the page faults cost a search-mlp pass about a
-    sixth of its time.
+    sixth of its time. The old array goes before the new one is allocated, so
+    a change of shape never holds both.
     """
-    out = buf.get(key)
-    if out is None or out.shape != shape:
-        out = buf[key] = np.empty(shape)
-    return out
+    if key not in buf or buf[key].shape != shape:
+        buf[key] = None
+        buf[key] = np.empty(shape)
+    return buf[key]
 
 
 def _sgd_step(net, loss_call, xb, yb, cfg, bufs):

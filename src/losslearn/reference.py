@@ -1,9 +1,12 @@
 """Hand-designed comparison losses: CE, MAE, GCE, SCE, label smoothing, bootstrap.
 
-Every loss exposes the same batch interface as the polynomial family,
-``batch_value`` and ``batch_grad``, so the trainer and benchmark harness can
-treat them interchangeably. Gradients are full derivatives of the implemented
-value, so central finite differences agree at interior points.
+Every loss, the polynomial family included, is written once as
+``indexed(yhat, labels)``: (n, C) predictions and (n,) class indices in, (n,)
+values and (n, C) gradients out; the trainer calls only that. ``batch_value``
+and ``batch_grad`` take (n, C) label rows: a row q gives the label-weighted mix
+sum_k q_k * indexed(yhat, k), which on a one-hot row is the indexed call
+itself. Gradients are full derivatives of the implemented value, so central
+finite differences agree at interior points.
 """
 
 from dataclasses import dataclass
@@ -16,11 +19,9 @@ LOG_CLAMP = 1e-12
 
 def _as_batch(yhat, y):
     """The input check of every loss, polynomial ones included: (n, C) arrays."""
-    yhat = np.asarray(yhat, dtype=float)
-    y = np.asarray(y, dtype=float)
+    yhat, y = np.asarray(yhat, dtype=float), np.asarray(y, dtype=float)
     if yhat.ndim == 1:
-        yhat = yhat[None, :]
-        y = y[None, :]
+        yhat, y = yhat[None, :], y[None, :]
     if yhat.shape != y.shape or yhat.ndim != 2:
         raise ValueError(f"prediction/label shape mismatch: {yhat.shape} vs {y.shape}")
     if yhat.shape[1] < 2:
@@ -28,27 +29,47 @@ def _as_batch(yhat, y):
     return yhat, y
 
 
+def _at_labels(out, labels, entries):
+    """out with entries[i] written at row i's label entry."""
+    out[np.arange(len(out)), labels] = entries
+    return out
+
+
+def _label_prob(yhat, labels):
+    """Each row's predicted probability of its label, clamped for logs and powers."""
+    return np.clip(yhat[np.arange(len(yhat)), labels], LOG_CLAMP, 1.0)
+
+
 class _Loss:
-    """Scalar convenience wrappers over the batch interface of every loss."""
+    """Label-row and scalar wrappers over the indexed call of every loss."""
+
+    def batch_value(self, yhat, y):
+        return self._mix(yhat, y)[0]
+
+    def batch_grad(self, yhat, y):
+        return self._mix(yhat, y)[1]
+
+    def _mix(self, yhat, y):
+        yhat, y = _as_batch(yhat, y)
+        values, grads = np.zeros(len(yhat)), np.zeros(yhat.shape)
+        for k in np.flatnonzero(y.any(axis=0)):  # classes of weight 0 add nothing
+            value, grad = self.indexed(yhat, np.full(len(yhat), k))
+            values += y[:, k] * value
+            grads += y[:, k, None] * grad
+        return values, grads
 
     def value(self, yhat, y):
-        return float(self.batch_value(*_as_batch(yhat, y))[0])
+        return float(self.batch_value(yhat, y)[0])
 
     def grad(self, yhat, y):
-        return self.batch_grad(*_as_batch(yhat, y))[0]
+        return self.batch_grad(yhat, y)[0]
 
 
 @dataclass(frozen=True)
 class CrossEntropy(_Loss):
-    def batch_value(self, yhat, y):
-        yhat, y = _as_batch(yhat, y)
-        p = np.clip(yhat, LOG_CLAMP, 1.0)
-        return -(y * np.log(p)).sum(axis=1)
-
-    def batch_grad(self, yhat, y):
-        yhat, y = _as_batch(yhat, y)
-        p = np.clip(yhat, LOG_CLAMP, 1.0)
-        return -y / p
+    def indexed(self, yhat, labels):
+        p_t = _label_prob(yhat, labels)
+        return -np.log(p_t), _at_labels(np.zeros(yhat.shape), labels, -1.0 / p_t)
 
     def describe(self):
         return "ce"
@@ -56,13 +77,10 @@ class CrossEntropy(_Loss):
 
 @dataclass(frozen=True)
 class MeanAbsoluteError(_Loss):
-    def batch_value(self, yhat, y):
-        yhat, y = _as_batch(yhat, y)
-        return np.abs(yhat - y).sum(axis=1)
-
-    def batch_grad(self, yhat, y):
-        yhat, y = _as_batch(yhat, y)
-        return np.sign(yhat - y)
+    def indexed(self, yhat, labels):
+        d = yhat.copy()
+        d[np.arange(len(d)), labels] -= 1.0
+        return np.abs(d).sum(axis=1), np.sign(d)
 
     def describe(self):
         return "mae"
@@ -76,15 +94,10 @@ class GeneralizedCrossEntropy(_Loss):
         if not 0.0 < self.q <= 1.0:
             raise ValueError(f"q must lie in (0, 1], got {self.q}")
 
-    def batch_value(self, yhat, y):
-        yhat, y = _as_batch(yhat, y)
-        p_t = np.clip((yhat * y).sum(axis=1), LOG_CLAMP, 1.0)
-        return (1.0 - p_t**self.q) / self.q
-
-    def batch_grad(self, yhat, y):
-        yhat, y = _as_batch(yhat, y)
-        p_t = np.clip((yhat * y).sum(axis=1), LOG_CLAMP, 1.0)
-        return -(p_t ** (self.q - 1.0))[:, None] * y
+    def indexed(self, yhat, labels):
+        p_t = _label_prob(yhat, labels)
+        grads = _at_labels(np.zeros(yhat.shape), labels, -(p_t ** (self.q - 1.0)))
+        return (1.0 - p_t**self.q) / self.q, grads
 
     def describe(self):
         return f"gce(q={self.q})"
@@ -104,21 +117,14 @@ class SymmetricCrossEntropy(_Loss):
         if self.log_zero >= 0:
             raise ValueError("log-zero surrogate must be negative")
 
-    def _log_labels(self, y):
-        # y is one-hot, so ln' y is log_zero off the labeled class and 0 on it
-        return np.where(y > 0.5, 0.0, self.log_zero)
-
-    def batch_value(self, yhat, y):
-        yhat, y = _as_batch(yhat, y)
-        p = np.clip(yhat, LOG_CLAMP, 1.0)
-        ce = -(y * np.log(p)).sum(axis=1)
-        rce = -(yhat * self._log_labels(y)).sum(axis=1)
-        return self.alpha * ce + self.beta * rce
-
-    def batch_grad(self, yhat, y):
-        yhat, y = _as_batch(yhat, y)
-        p = np.clip(yhat, LOG_CLAMP, 1.0)
-        return self.alpha * (-y / p) + self.beta * (-self._log_labels(y))
+    def indexed(self, yhat, labels):
+        p_t = _label_prob(yhat, labels)
+        # ln of the label row is 0 on the label and A off it
+        rce = -_at_labels(yhat * self.log_zero, labels, 0.0).sum(axis=1)
+        grads = _at_labels(
+            np.full(yhat.shape, self.beta * -self.log_zero), labels, self.alpha * (-1.0 / p_t)
+        )
+        return self.alpha * -np.log(p_t) + self.beta * rce, grads
 
     def describe(self):
         return f"sce(alpha={self.alpha},beta={self.beta},A={self.log_zero})"
@@ -132,19 +138,11 @@ class LabelSmoothing(_Loss):
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
 
-    def _targets(self, y):
-        c = y.shape[1]
-        return (1.0 - self.epsilon) * y + self.epsilon / c
-
-    def batch_value(self, yhat, y):
-        yhat, y = _as_batch(yhat, y)
+    def indexed(self, yhat, labels):
+        off = self.epsilon / yhat.shape[1]
+        targets = _at_labels(np.full(yhat.shape, off), labels, (1.0 - self.epsilon) + off)
         p = np.clip(yhat, LOG_CLAMP, 1.0)
-        return -(self._targets(y) * np.log(p)).sum(axis=1)
-
-    def batch_grad(self, yhat, y):
-        yhat, y = _as_batch(yhat, y)
-        p = np.clip(yhat, LOG_CLAMP, 1.0)
-        return -self._targets(y) / p
+        return -(targets * np.log(p)).sum(axis=1), -targets / p
 
     def describe(self):
         return f"ls(epsilon={self.epsilon})"
@@ -166,26 +164,16 @@ class Bootstrap(_Loss):
         if not 0.0 <= self.weight <= 1.0:
             raise ValueError(f"weight must lie in [0, 1], got {self.weight}")
 
-    def _targets(self, yhat, y):
-        if self.hard:
-            guess = np.zeros_like(yhat)
-            guess[np.arange(len(yhat)), np.argmax(yhat, axis=1)] = 1.0
-        else:
-            guess = yhat
-        return self.weight * y + (1.0 - self.weight) * guess
-
-    def batch_value(self, yhat, y):
-        yhat, y = _as_batch(yhat, y)
+    def indexed(self, yhat, labels):
+        guess = _at_labels(np.zeros(yhat.shape), yhat.argmax(axis=1), 1.0) if self.hard else yhat
+        targets = (1.0 - self.weight) * guess
+        targets[np.arange(len(yhat)), labels] += self.weight
         p = np.clip(yhat, LOG_CLAMP, 1.0)
-        return -(self._targets(yhat, y) * np.log(p)).sum(axis=1)
-
-    def batch_grad(self, yhat, y):
-        yhat, y = _as_batch(yhat, y)
-        p = np.clip(yhat, LOG_CLAMP, 1.0)
-        g = -self._targets(yhat, y) / p
+        log_p = np.log(p)
+        grads = -targets / p
         if not self.hard:
-            g = g - (1.0 - self.weight) * np.log(p)
-        return g
+            grads -= (1.0 - self.weight) * log_p
+        return -(targets * log_p).sum(axis=1), grads
 
     def describe(self):
         mode = "hard" if self.hard else "soft"

@@ -16,7 +16,7 @@ P_a(t - theta1) are computed once per loss by Horner's rule in e; each batch
 then takes one Horner pass in d per label value, with no powers. For any
 other label row q the loss is the label-weighted mix
 sum_k q_k * loss(yhat, e_k), the expected loss under the label distribution.
-Range estimation and stacked training take label indices instead (_label_split).
+Range estimation and indexed(), stacked or not, take label indices (_label_split).
 
 Losses here are total functions of their inputs (polynomials are finite
 everywhere), so no clamping of predictions is required or performed.
@@ -117,6 +117,10 @@ class TaylorLossParams(_Loss):
         _, (g0, g1) = self._univariate
         return ((1 - y) * _horner(g0, d) + y * _horner(g1, d)) / yhat.shape[1]
 
+    def indexed(self, yhat, labels):
+        # scale 1 and offset 0 leave the bits of the normalized call unchanged
+        return NormalizedLoss(self, 0.0, 1.0).indexed(yhat, labels)
+
     def estimate_range(
         self,
         num_classes: int,
@@ -191,6 +195,11 @@ class NormalizedLoss(_Loss):
 
     def batch_grad(self, yhat: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self._scale * self.inner.batch_grad(yhat, y)
+
+    def indexed(self, yhat, labels):
+        """(n,) values and (n, C) gradients on label indices: a population of one."""
+        values, grads = NormalizedLoss.stacked([self])(yhat[None], labels)
+        return values[0], grads[0]
 
     @staticmethod
     def stacked(losses):
@@ -367,6 +376,6 @@ def _label_split(g0, g1, d, labels, out):
     for c in g0[-2::-1]:
         out *= d
         out += c
-    at = labels.reshape((1,) * (d.ndim - 2) + (-1, 1))
+    at = np.asarray(labels).reshape((1,) * (d.ndim - 2) + (-1, 1))
     np.put_along_axis(out, at, _horner(g1, np.take_along_axis(d, at, axis=-1)), axis=-1)
 

@@ -25,6 +25,7 @@ from losslearn.network import (
     mlp_spec,
     prepare_features,
     train,
+    _buffer,
     _class_fold,
     _softmax,
 )
@@ -277,19 +278,19 @@ LOSSES = [
 ]
 
 
-def batch_objective(net, loss, x, onehot):
-    return float(np.mean(loss.batch_value(net.forward(x)[0], onehot)))
+def batch_objective(net, loss, x, labels):
+    return float(np.mean(loss.indexed(net.forward(x)[0], labels)[0]))
 
 
-def fd_param_grad(net, loss, x, onehot, h=1e-6):
+def fd_param_grad(net, loss, x, labels, h=1e-6):
     theta = net.theta[0]  # the one member's row, a view
     g = np.zeros_like(theta)
     for i in range(theta.size):
         saved = theta[i]
         theta[i] = saved + h
-        up = batch_objective(net, loss, x, onehot)
+        up = batch_objective(net, loss, x, labels)
         theta[i] = saved - h
-        dn = batch_objective(net, loss, x, onehot)
+        dn = batch_objective(net, loss, x, labels)
         theta[i] = saved
         g[i] = (up - dn) / (2 * h)
     return g
@@ -307,12 +308,11 @@ def test_parameter_gradients_match_fd(make_spec, loss):
     )
     x = rng.random(shape)
     labels = rng.integers(0, spec.num_classes, 5)
-    onehot = np.eye(spec.num_classes)[labels]
 
     bufs = [{} for _ in spec.layers]
     probs, cache = net._forward_cache(x, bufs)
-    analytic = net._gradient(cache, loss.batch_grad(probs[0], onehot) / 5, bufs)[0].copy()
-    fd = fd_param_grad(net, loss, x, onehot)
+    analytic = net._gradient(cache, loss.indexed(probs[0], labels)[1] / 5, bufs)[0].copy()
+    fd = fd_param_grad(net, loss, x, labels)
     denom = max(np.linalg.norm(fd), 1e-10)
     assert np.linalg.norm(analytic - fd) / denom < 1e-4
 
@@ -418,11 +418,9 @@ def test_loss_scale_learning_rate_equivalence():
             self.inner = inner
             self.k = k
 
-        def batch_value(self, yhat, y):
-            return self.k * self.inner.batch_value(yhat, y)
-
-        def batch_grad(self, yhat, y):
-            return self.k * self.inner.batch_grad(yhat, y)
+        def indexed(self, yhat, labels):
+            values, grads = self.inner.indexed(yhat, labels)
+            return self.k * values, self.k * grads
 
     ds = synth_blobs(3, 50, seed=13)
     sp = split(ds, val_fraction=0.2, seed=13)
@@ -479,11 +477,10 @@ def test_fit_without_epochs_scores_the_initial_network():
 
 def test_fit_scores_a_diverged_network_zero():
     class Exploding:
-        def batch_value(self, yhat, y):
-            return np.zeros(len(y))
-
-        def batch_grad(self, yhat, y):
-            return np.where(y > 0, -np.inf, 0.0)
+        def indexed(self, yhat, labels):
+            grads = np.zeros(yhat.shape)
+            grads[np.arange(len(labels)), labels] = -np.inf
+            return np.zeros(len(labels)), grads
 
     spec, sp = fit_problem()
     cfg = TrainConfig(epochs=2, batch_size=16, seed=19)
@@ -626,11 +623,12 @@ def assert_stack_equals_serial(spec, losses, sp, init_seed, cfg):
     return stacked
 
 
-def normalized_member(seed, eta, num_classes=3):
+def normalized_member(seed, eta, num_classes=3, order=4):
     rng = np.random.default_rng(seed)
     params = TaylorLossParams(
+        order=order,
         expansion_point=tuple(rng.uniform(-0.5, 0.5, 2)),
-        coefficients={k: rng.uniform(-1, 1) for k in coefficient_keys(4)},
+        coefficients={k: rng.uniform(-1, 1) for k in coefficient_keys(order)},
     )
     return normalize(params, num_classes=num_classes, eta=eta, num_samples=500, seed=seed)
 
@@ -655,6 +653,19 @@ def test_stacked_grid_mix_equals_serial_fits():
     )] + [normalized_member(7, eta=8.0, num_classes=10)]
     cfg = TrainConfig(learning_rate=0.1, epochs=2, batch_size=32, seed=3)
     assert_stack_equals_serial(spec, losses, sp, 4, cfg)
+
+
+def test_stacked_mixed_orders_equal_serial_fits():
+    # two polynomial orders and reference losses stack as no population, so
+    # every member runs through its own indexed call, the polynomial ones too
+    spec, sp = fit_problem()
+    losses = [
+        normalized_member(10, eta=8.0, order=3), CrossEntropy(), normalized_member(11, eta=8.0),
+        GeneralizedCrossEntropy(), mse_embedding(), normalized_member(12, eta=1e300, order=3),
+    ]
+    cfg = TrainConfig(epochs=3, batch_size=16, seed=19)
+    results = assert_stack_equals_serial(spec, losses, sp, 20, cfg)
+    assert [r.diverged for r in results] == [False] * 5 + [True]
 
 
 def test_stacked_cnn_equals_serial_fits():
@@ -697,6 +708,15 @@ def test_stacked_members_are_views_of_one_stack():
         train(net, [CrossEntropy()] * 2, fit_problem()[1], TrainConfig(epochs=1))
 
 
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_stacked_validation_peak_memory_stays_near_one_network():
     # the epoch-end accuracy runs member by member: a stacked pass over 4500
     # validation rows would hold (m, 4500, 64) activations at once
@@ -707,17 +727,35 @@ def test_stacked_validation_peak_memory_stays_near_one_network():
     cfg = TrainConfig(epochs=1, batch_size=128, seed=3)
     losses = [normalized_member(s, eta=8.0) for s in range(8)]
 
-    def peak(run):
-        tracemalloc.start()
-        try:
-            run()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    one = peak(lambda: fit(spec, losses[0], sp, 4, cfg))
-    eight = peak(lambda: fit_many(spec, losses, sp, 4, cfg))
+    one = traced_peak(lambda: fit(spec, losses[0], sp, 4, cfg))
+    eight = traced_peak(lambda: fit_many(spec, losses, sp, 4, cfg))
     assert eight <= 2 * one
+
+
+def test_buffer_drops_the_old_array_before_allocating_the_new():
+    buf = {}
+
+    def reshape():
+        _buffer(buf, "y", (1000, 1000))
+        _buffer(buf, "y", (600, 1000))
+
+    assert traced_peak(reshape) < 1.1 * 8e6  # one 8 MB array, never both
+
+
+def test_short_last_batch_adds_no_peak_memory():
+    # every Dense buffer changes shape for the short batch; holding the old
+    # arrays while the new ones are made raised this peak by about 7%
+    rng = np.random.default_rng(5)
+    x, y = rng.normal(size=(1000, 2)), rng.integers(0, 3, 1000)
+    spec = arch_from_selector("mlp:256,256", 2, 3)
+    losses = [normalized_member(s, eta=8.0) for s in range(8)]
+    cfg = TrainConfig(epochs=1, batch_size=500, seed=3)
+
+    def run(n):
+        sp = make_split(x[:n], y[:n], x[800:], y[800:], 3)
+        return traced_peak(lambda: train(init(spec, 4, 8), losses, sp, cfg))
+
+    assert run(800) <= 1.01 * run(500)
 
 
 @pytest.mark.parametrize(

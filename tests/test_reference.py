@@ -1,11 +1,15 @@
-"""Comparison losses: scalar oracles, FD gradient checks, limiting cases."""
+"""Comparison losses: scalar oracles, FD gradient checks, limiting cases,
+and the one-hot formulas each indexed call must reproduce bit for bit."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from losslearn.reference import (
+    LOG_CLAMP,
     Bootstrap,
     CrossEntropy,
     GeneralizedCrossEntropy,
@@ -50,6 +54,7 @@ ALL_LOSSES = [
     GeneralizedCrossEntropy(),
     GeneralizedCrossEntropy(q=0.3),
     SymmetricCrossEntropy(),
+    SymmetricCrossEntropy(alpha=0.3, beta=0.7, log_zero=-3.0),
     LabelSmoothing(),
     LabelSmoothing(epsilon=0.4),
     Bootstrap(),
@@ -204,3 +209,111 @@ def test_clamp_keeps_log_losses_finite():
     for loss in ALL_LOSSES:
         assert np.isfinite(loss.value(yhat, y))
         assert np.all(np.isfinite(loss.grad(yhat, y)))
+
+
+# ---------------------------------------------------------------------------
+# One-hot oracles: each loss's formula over (n, C) label rows, as it was
+# written before the losses took label indices
+# ---------------------------------------------------------------------------
+
+
+def ce_oracle(loss, yhat, y):
+    p = np.clip(yhat, LOG_CLAMP, 1.0)
+    return -(y * np.log(p)).sum(axis=1), -y / p
+
+
+def mae_oracle(loss, yhat, y):
+    return np.abs(yhat - y).sum(axis=1), np.sign(yhat - y)
+
+
+def gce_oracle(loss, yhat, y):
+    p_t = np.clip((yhat * y).sum(axis=1), LOG_CLAMP, 1.0)
+    return (1.0 - p_t**loss.q) / loss.q, -(p_t ** (loss.q - 1.0))[:, None] * y
+
+
+def sce_oracle(loss, yhat, y):
+    p = np.clip(yhat, LOG_CLAMP, 1.0)
+    log_labels = np.where(y > 0.5, 0.0, loss.log_zero)
+    ce = -(y * np.log(p)).sum(axis=1)
+    rce = -(yhat * log_labels).sum(axis=1)
+    grad = loss.alpha * (-y / p) + loss.beta * (-log_labels)
+    return loss.alpha * ce + loss.beta * rce, grad
+
+
+def ls_oracle(loss, yhat, y):
+    p = np.clip(yhat, LOG_CLAMP, 1.0)
+    targets = (1.0 - loss.epsilon) * y + loss.epsilon / y.shape[1]
+    return -(targets * np.log(p)).sum(axis=1), -targets / p
+
+
+def bootstrap_oracle(loss, yhat, y):
+    if loss.hard:
+        guess = np.zeros_like(yhat)
+        guess[np.arange(len(yhat)), np.argmax(yhat, axis=1)] = 1.0
+    else:
+        guess = yhat
+    targets = loss.weight * y + (1.0 - loss.weight) * guess
+    p = np.clip(yhat, LOG_CLAMP, 1.0)
+    grad = -targets / p
+    if not loss.hard:
+        grad = grad - (1.0 - loss.weight) * np.log(p)
+    return -(targets * np.log(p)).sum(axis=1), grad
+
+
+ONE_HOT_ORACLES = {
+    CrossEntropy: ce_oracle,
+    MeanAbsoluteError: mae_oracle,
+    GeneralizedCrossEntropy: gce_oracle,
+    SymmetricCrossEntropy: sce_oracle,
+    LabelSmoothing: ls_oracle,
+    Bootstrap: bootstrap_oracle,
+}
+
+# losses linear in the label row: their one-hot formula on a soft row is the mix
+LINEAR_IN_LABEL = (CrossEntropy, LabelSmoothing, Bootstrap)
+
+
+def predictions(seed, n, num_classes):
+    rng = np.random.default_rng(seed)
+    yhat = rng.dirichlet(np.full(num_classes, 0.5), n)
+    yhat[rng.random(yhat.shape) < 0.1] = 0.0  # exact zeros reach the clamp
+    return rng, yhat
+
+
+# C from 2 to 12 spans numpy's switch from left-to-right to pairwise sums at 8
+CASES = dict(
+    num_classes=st.integers(2, 12), n=st.integers(1, 20), seed=st.integers(0, 2**32 - 1)
+)
+
+
+@pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda l: l.describe())
+@settings(max_examples=40, deadline=None)
+@given(**CASES)
+def test_indexed_equals_one_hot_oracle(loss, num_classes, n, seed):
+    rng, yhat = predictions(seed, n, num_classes)
+    labels = rng.integers(0, num_classes, n)
+    onehot = np.eye(num_classes)[labels]
+    value, grad = loss.indexed(yhat, labels)
+    want_value, want_grad = ONE_HOT_ORACLES[type(loss)](loss, yhat, onehot)
+    assert np.array_equal(value, want_value)
+    assert np.array_equal(grad, want_grad)
+    assert np.array_equal(loss.batch_value(yhat, onehot), value)
+    assert np.array_equal(loss.batch_grad(yhat, onehot), grad)
+
+
+@pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda l: l.describe())
+@settings(max_examples=20, deadline=None)
+@given(**CASES)
+def test_soft_rows_give_the_label_weighted_mix(loss, num_classes, n, seed):
+    rng, yhat = predictions(seed, n, num_classes)
+    q = rng.dirichlet(np.full(num_classes, 0.5), n)
+    oracle = ONE_HOT_ORACLES[type(loss)]
+    parts = [oracle(loss, yhat, np.tile(e_k, (n, 1))) for e_k in np.eye(num_classes)]
+    value = sum(q[:, k] * v for k, (v, _) in enumerate(parts))
+    grad = sum(q[:, [k]] * g for k, (_, g) in enumerate(parts))
+    assert np.array_equal(loss.batch_value(yhat, q), value)
+    assert np.array_equal(loss.batch_grad(yhat, q), grad)
+    if isinstance(loss, LINEAR_IN_LABEL):
+        want_value, want_grad = oracle(loss, yhat, q)
+        np.testing.assert_allclose(value, want_value, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
