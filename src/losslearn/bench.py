@@ -10,17 +10,15 @@ a given seed index, so losses are compared on identical footing.
 import csv
 import io
 import logging
-import sys
 import time
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
-from typing import get_args, get_origin
 
 import numpy as np
 
 from .datasets import ValFractionError, noisy_split
-from .network import TrainConfig, arch_from_selector, fit_many, input_shape_of
+from .network import TrainConfig, arch_from_selector, check_field, fit_many, input_shape_of
 from .noise import NoiseSpec, build_transition, noise_from_selector
 from .reference import REFERENCE_KINDS, make_reference_loss
 from .seeding import derive_seed
@@ -33,49 +31,25 @@ class ConfigError(ValueError):
     """Bad configuration or unresolvable selector; maps to exit code 2."""
 
 
-# annotation -> (what one value must be, what array elements must be, a test
-# of one parsed JSON value); a JSON bool is no integer, and NaN, Infinity or a
-# 400-digit integer fits no float
-_FIELD_TYPES = {
-    int: ("an integer", "integers", lambda v: type(v) is int),
-    float: (
-        "a finite number",
-        "finite numbers",
-        lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
-    ),
-    str: ("a string", "strings", lambda v: isinstance(v, str)),
-    tuple: ("an array", "arrays", lambda v: isinstance(v, (list, tuple))),
-}
-
-
 def config_from_dict(cls, doc, what):
     """Build the config dataclass ``cls`` from a parsed JSON object.
 
     The dataclass is the schema: a field without a default is required, an
     absent optional field takes its default, any other name is rejected, and
-    each value must fit its field's annotation (``null`` too where the
-    default is None); a ``tuple[T, ...]`` field needs an array of ``T``.
+    each value must fit its field's annotation (``network.check_field``).
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be a JSON object")
-    for f in fields(cls):
-        if f.name not in doc:
-            if f.default is MISSING:
-                raise ConfigError(f"missing field '{f.name}'")
-        elif not (f.default is None and doc[f.name] is None):
-            value, null = doc[f.name], " or null" if f.default is None else ""
-            kind, _, fits = _FIELD_TYPES[get_origin(f.type) or f.type]
-            if not fits(value):
-                raise ConfigError(f"{f.name} must be {kind}{null}, got {value!r}")
-            if get_args(f.type):  # tuple[T, ...]
-                _, kinds, fits = _FIELD_TYPES[get_args(f.type)[0]]
-                if not all(fits(v) for v in value):
-                    raise ConfigError(f"{f.name} must be {kinds}, got {value!r}")
     names = {f.name for f in fields(cls)}
-    for name in doc:
-        if name not in names:
-            raise ConfigError(f"unknown field '{name}'")
     try:
+        for f in fields(cls):
+            if f.name in doc:
+                check_field(f, doc[f.name])
+            elif f.default is MISSING:
+                raise ConfigError(f"missing field '{f.name}'")
+        for name in doc:
+            if name not in names:
+                raise ConfigError(f"unknown field '{name}'")
         return cls(**doc)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
@@ -153,12 +127,7 @@ def run_single_training(
 ):
     """Train once from scratch; returns (clean val accuracy, diverged, curve)."""
     try:
-        cfg = TrainConfig(
-            learning_rate=learning_rate,
-            momentum=momentum,
-            batch_size=batch_size,
-            epochs=epochs,
-        )
+        cfg = TrainConfig(learning_rate, momentum, batch_size, epochs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     job = _resolve(arch_sel, dataset_sel, noise_sel, seed, val_fraction, pairing)
@@ -232,15 +201,7 @@ class BenchmarkGrid:
             raise ConfigError(f"seeds must be >= 1, got {self.seeds!r}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must lie in (0, 1), got {self.val_fraction}")
-        self.train_config()  # rejects bad training hyperparameters
-
-    def train_config(self):
-        return TrainConfig(
-            learning_rate=self.learning_rate,
-            momentum=self.momentum,
-            batch_size=self.batch_size,
-            epochs=self.epochs,
-        )
+        TrainConfig.of(self)  # rejects bad training hyperparameters
 
     @classmethod
     def from_dict(cls, doc):
@@ -269,18 +230,11 @@ class RankTable:
 
 def mid_ranks(values):
     """Ranks 1..k by descending value; tied values share the mean rank."""
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(-values, kind="stable")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j < len(sorted_vals) and sorted_vals[j] == sorted_vals[i]:
-            j += 1
-        shared = (i + 1 + j) / 2.0  # mean of integer ranks i+1 .. j
-        ranks[order[i:j]] = shared
-        i = j
+    negated = -np.asarray(values, dtype=float)
+    order = np.argsort(negated, kind="stable")
+    _, first, counts = np.unique(negated[order], return_index=True, return_counts=True)
+    ranks = np.empty(len(order))
+    ranks[order] = np.repeat(first + (counts + 1) / 2.0, counts)  # mean of first+1 .. first+count
     return ranks
 
 
@@ -294,14 +248,9 @@ def compute_ranks(grid, results):
     rank_sums = {loss: 0.0 for loss in grid.losses}
     for cell in grid.cells:
         arch, dsel, nsel = cell
-        means = []
-        stds = []
+        means, stds = [], []
         for loss in grid.losses:
-            accs = [
-                row[5]
-                for row in results
-                if row[:4] == (arch, dsel, nsel, loss)
-            ]
+            accs = [row[5] for row in results if row[:4] == (*cell, loss)]
             if len(accs) != grid.seeds:
                 raise RuntimeError(f"cell {cell} x {loss}: {len(accs)} rows")
             means.append(float(np.mean(accs)))
@@ -321,7 +270,7 @@ def run_benchmark(grid, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     losses = [loss_from_selector(sel) for sel in grid.losses]
-    cfg = grid.train_config()
+    cfg = TrainConfig.of(grid)
 
     def resolve(cell, s):
         seed = derive_seed(grid.master_seed, "cell", *cell, s)
@@ -354,35 +303,32 @@ def run_benchmark(grid, out_dir):
     return table
 
 
-def results_csv(results):
+def csv_text(header, rows):
+    """A header line, then one line per row, each ended by a bare newline."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["arch", "dataset", "noise", "loss", "seed", "accuracy", "diverged"])
-    for arch, dsel, nsel, loss_sel, s, acc, diverged in results:
-        writer.writerow([arch, dsel, nsel, loss_sel, s, f"{acc:.6f}", int(diverged)])
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
     return buf.getvalue()
+
+
+def results_csv(results):
+    return csv_text(
+        ["arch", "dataset", "noise", "loss", "seed", "accuracy", "diverged"],
+        [(*job, s, f"{acc:.6f}", int(diverged)) for *job, s, acc, diverged in results],
+    )
 
 
 def rank_table_csv(table):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["arch", "dataset", "noise", "loss", "mean_accuracy", "std_accuracy", "rank"]
+    return csv_text(
+        ["arch", "dataset", "noise", "loss", "mean_accuracy", "std_accuracy", "rank"],
+        [(*cell, f"{mean:.6f}", f"{std:.6f}", f"{rank:.1f}")
+         for *cell, mean, std, rank in table.rows],
     )
-    for arch, dsel, nsel, loss, mean, std, rank in table.rows:
-        writer.writerow(
-            [arch, dsel, nsel, loss, f"{mean:.6f}", f"{std:.6f}", f"{rank:.1f}"]
-        )
-    return buf.getvalue()
 
 
 def avg_ranks_csv(table):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["loss", "average_rank"])
-    for loss in table.losses:
-        writer.writerow([loss, f"{table.averages[loss]:.6f}"])
-    return buf.getvalue()
+    return csv_text(
+        ["loss", "average_rank"], [(loss, f"{table.averages[loss]:.6f}") for loss in table.losses]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +359,4 @@ def noise_matrix_csv(noise_sel, num_classes, pairing=None):
     if spec is None:  # ratio 0 gives the identity and still checks the class count
         spec = NoiseSpec("symmetric", 0.0, num_classes)
     t = build_transition(spec, pairing=pairing)
-    lines = []
-    for row in t:
-        lines.append(",".join(f"{v:.6f}" for v in row))
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(f"{v:.6f}" for v in row) + "\n" for row in t)

@@ -17,12 +17,15 @@ population whose loss class offers stacked(losses) (the normalized polynomial
 losses) runs in one pass over (m, n, C) predictions, any other member by
 member through indexed; no one-hot label matrix is built. Validation scores
 the whole stack in row chunks of ceil(n / m), so it holds about one network's
-activations over the validation set.
+activations over the validation set, and never more than VALIDATION_BUDGET
+entries of the widest layer output.
 """
 
 import copy
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -164,7 +167,15 @@ class Conv2D(_Layer):
 
 @dataclass(frozen=True)
 class MaxPool(_Layer):
-    """Non-overlapping size x size max pooling; the first max in a tile wins."""
+    """Non-overlapping size x size max pooling; the first max in a tile wins.
+
+    The forward folds the tile positions' strided views with np.maximum, last
+    to first; on a tie np.maximum returns its second argument, the earlier
+    position, so the bits are argmax's, signed zeros included. The backward
+    gives each tile's gradient to the first position equal to its max. A ReLU
+    right after the pool rewrites the cached output in place, but only in
+    tiles whose max is <= 0, and its backward zeroes exactly their gradients.
+    """
 
     size: int
 
@@ -174,26 +185,29 @@ class MaxPool(_Layer):
             raise ValueError(f"{h}x{w} not divisible by pool size {self.size}")
         return (h // self.size, w // self.size, ch)
 
-    def forward(self, params, x, buf):
+    def _tiles(self, x):
+        """The strided view of each tile position over x, first to last."""
         s = self.size
-        *lead, h, w, ch = x.shape
-        oh, ow = h // s, w // s
-        # members and examples pool alike, so both fold into one batch axis
-        tiles = x.reshape(-1, oh, s, ow, s, ch).transpose(0, 1, 3, 2, 4, 5)
-        tiles = tiles.reshape(-1, oh, ow, s * s, ch)
-        best = np.argmax(tiles, axis=3)
-        out = np.take_along_axis(tiles, best[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-        return out.reshape(tuple(lead) + out.shape[1:]), (x.shape, best)
+        return [x[..., i::s, j::s, :] for i in range(s) for j in range(s)]
+
+    def forward(self, params, x, buf):
+        *earlier, last = self._tiles(x)
+        out = last.copy()
+        for view in reversed(earlier):
+            np.maximum(out, view, out=out)
+        return out, (x, out)
 
     def input_grad(self, params, cache, dy, buf):
-        s = self.size
-        x_shape, best = cache
-        oh, ow, ch = dy.shape[-3:]
-        dy = dy.reshape(-1, oh, ow, ch)
-        dtiles = np.zeros((len(dy), oh, ow, s * s, ch))
-        np.put_along_axis(dtiles, best[:, :, :, None, :], dy[:, :, :, None, :], axis=3)
-        dtiles = dtiles.reshape(-1, oh, ow, s, s, ch).transpose(0, 1, 3, 2, 4, 5)
-        return dtiles.reshape(x_shape)
+        x, out = cache
+        dx = np.empty(x.shape)
+        free = np.ones(out.shape, dtype=bool)  # tiles whose max is not found yet
+        hit = np.empty(out.shape, dtype=bool)
+        for view, dview in zip(self._tiles(x), self._tiles(dx)):
+            np.equal(view, out, out=hit)
+            hit &= free
+            free ^= hit
+            np.multiply(dy, hit, out=dview)
+        return dx
 
 
 @dataclass(frozen=True)
@@ -234,6 +248,14 @@ class NetworkSpec:
             raise ValueError(
                 f"final layer produces {shape}, expected {self.num_classes} classes"
             )
+
+    @property
+    def row_width(self):
+        """Entries in the widest of one row's input and layer outputs, at least 1."""
+        shapes = [self.input_shape]
+        for layer in self.layers:
+            shapes.append(layer.output_shape(shapes[-1]))
+        return max(1, *(int(np.prod(shape)) for shape in shapes))
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +383,32 @@ def _class_fold(ufunc, x):
 # ---------------------------------------------------------------------------
 
 
+# annotation -> (what one value must be, what array elements must be, a test of
+# one value); a bool is no integer, and NaN, Infinity or 10**400 fits no float
+_FIELD_TYPES = {
+    int: ("an integer", "integers", lambda v: type(v) is int),
+    float: ("a finite number", "finite numbers",
+            lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
+    str: ("a string", "strings", lambda v: isinstance(v, str)),
+    tuple: ("an array", "arrays", lambda v: isinstance(v, (list, tuple))),
+}
+
+
+def check_field(f, value):
+    """ValueError unless value fits the annotation of dataclass field f (None
+    too where the default is None); a tuple[T, ...] field needs a list of T."""
+    if f.default is None and value is None:
+        return
+    kind, _, fits = _FIELD_TYPES[get_origin(f.type) or f.type]
+    if not fits(value):
+        null = " or null" if f.default is None else ""
+        raise ValueError(f"{f.name} must be {kind}{null}, got {value!r}")
+    if get_args(f.type):  # tuple[T, ...]
+        _, kinds, fits = _FIELD_TYPES[get_args(f.type)[0]]
+        if not all(fits(v) for v in value):
+            raise ValueError(f"{f.name} must be {kinds}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.01
@@ -369,15 +417,22 @@ class TrainConfig:
     epochs: int = 10
     seed: int = 0
 
+    @classmethod
+    def of(cls, config, seed=0):
+        """The training fields of a search or grid config, at this seed."""
+        return cls(config.learning_rate, config.momentum, config.batch_size, config.epochs, seed)
+
     def __post_init__(self):
+        for f in fields(self):
+            check_field(f, getattr(self, f.name))
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be nonnegative")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
-        if not isinstance(self.batch_size, int) or self.batch_size < 1:
-            raise ValueError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
-        if not isinstance(self.epochs, int) or self.epochs < 0:
-            raise ValueError(f"epochs must be an integer >= 0, got {self.epochs!r}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size!r}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs!r}")
 
 
 @dataclass
@@ -416,16 +471,21 @@ def prepare_features(features, input_shape):
     return x
 
 
+VALIDATION_BUDGET = 2**20  # 8 MiB of float64
+
+
 def accuracy(net, features, labels):
     """Each member's fraction of argmax-correct predictions, as a list; ties go
     to the lowest index. Rows go through in chunks of ceil(n / m), so a stack
-    of m holds about one network's activations over the whole set."""
+    of m holds about one network's activations over the whole set, and of at
+    most VALIDATION_BUDGET entries of the widest layer output over the stack."""
     labels = np.asarray(labels)
     if len(labels) == 0:
         raise ValueError("empty evaluation set")
     x = prepare_features(features, net.spec.input_shape)
-    chunk = -(-len(labels) // len(net.theta))
-    correct = np.zeros(len(net.theta), dtype=np.int64)
+    m = len(net.theta)
+    chunk = min(-(-len(labels) // m), max(1, VALIDATION_BUDGET // (m * net.spec.row_width)))
+    correct = np.zeros(m, dtype=np.int64)
     for start in range(0, len(labels), chunk):
         probs = net.forward(x[start : start + chunk])
         correct += np.sum(np.argmax(probs, axis=-1) == labels[start : start + chunk], axis=-1)
@@ -437,21 +497,34 @@ def _loss_call(losses):
     (n,) label indices in, (m, n) values and (m, n, C) gradients out.
 
     A population whose class stacks it runs in one pass; any other runs member
-    by member through indexed, into arrays kept from call to call.
+    by member, into arrays kept from call to call: a member whose class stacks
+    through its population-of-one call, built here once, any other by indexed.
     """
-    stacked = getattr(losses[0], "stacked", None)
-    fused = stacked(losses) if stacked else None
+    fused = _stacked(losses)
     if fused is not None:
         return fused
+    calls = [_member_call(loss) for loss in losses]
     work = {}
 
     def member_by_member(probs, labels):
         values, grads = _buffer(work, "v", probs.shape[:-1]), _buffer(work, "g", probs.shape)
-        for k, loss in enumerate(losses):
-            values[k], grads[k] = loss.indexed(probs[k], labels)
+        for k, call in enumerate(calls):
+            values[k], grads[k] = call(probs[k], labels)
         return values, grads
 
     return member_by_member
+
+
+def _stacked(losses):
+    stacked = getattr(losses[0], "stacked", None)
+    return stacked(losses) if stacked else None
+
+
+def _member_call(loss):
+    fused = _stacked([loss])
+    if fused is None:
+        return loss.indexed
+    return lambda probs, labels: [a[0] for a in fused(probs[None], labels)]
 
 
 def _buffer(buf, key, shape):

@@ -8,8 +8,6 @@ seed, and job results are reduced in job-index order, so the run is a pure
 function of its config.
 """
 
-import csv
-import io
 import json
 import logging
 import os
@@ -19,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import ConfigError, config_from_dict, selector_errors
+from .bench import ConfigError, config_from_dict, csv_text, selector_errors
 from .cma import CmaState, stop_reason
 from .datasets import noisy_split
 from .network import TrainConfig, arch_from_selector, fit_many, input_shape_of
@@ -91,7 +89,7 @@ class MetaConfig:
             raise ValueError(f"order must be >= 1, got {self.order}")
         if self.range_samples < 1:
             raise ValueError(f"range_samples must be >= 1, got {self.range_samples}")
-        self.inner_config(seed=0)  # rejects bad training hyperparameters
+        TrainConfig.of(self)  # rejects bad training hyperparameters
         self.initial_state()  # rejects bad search settings
 
     @classmethod
@@ -100,15 +98,6 @@ class MetaConfig:
 
     def to_dict(self):
         return asdict(self)
-
-    def inner_config(self, seed):
-        return TrainConfig(
-            learning_rate=self.learning_rate,
-            momentum=self.momentum,
-            batch_size=self.batch_size,
-            epochs=self.epochs,
-            seed=seed,
-        )
 
     def initial_state(self):
         n = num_parameters(self.order)
@@ -190,7 +179,7 @@ def run_generation(state, cfg, gen_seed):
                 [losses[i] for i in live],
                 splits[sel],
                 derive_seed(gen_seed, "init", a),
-                cfg.inner_config(derive_seed(gen_seed, "train", a, sel)),
+                TrainConfig.of(cfg, derive_seed(gen_seed, "train", a, sel)),
             )
             for i, (acc, diverged, _) in zip(live, fits):
                 fitted[(i, a, sel)] = (acc, diverged)
@@ -230,16 +219,11 @@ def _latest_checkpoint(run_dir):
 
 
 def _fitness_csv(records):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["candidate", "arch", "dataset", "accuracy", "diverged"])
-    for rec in records:
-        for job in rec.jobs:
-            writer.writerow(
-                [rec.candidate, job.arch, job.dataset, f"{job.accuracy:.6f}",
-                 int(job.diverged)]
-            )
-    return buf.getvalue()
+    return csv_text(
+        ["candidate", "arch", "dataset", "accuracy", "diverged"],
+        [(rec.candidate, job.arch, job.dataset, f"{job.accuracy:.6f}", int(job.diverged))
+         for rec in records for job in rec.jobs],
+    )
 
 
 CMA_LOG_HEADER = "generation,evals,best_fitness,mean_fitness,sigma,min_eig,max_eig"

@@ -543,6 +543,18 @@ def test_cli_train_val_fraction_problem_is_no_selector_problem(capsys, argv, mes
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("option", ["--learning-rate", "--momentum"])
+def test_cli_train_non_finite_rate_is_a_config_error(tmp_path, capsys, option, value):
+    # not a diverged training that scores 0
+    name = option[2:].replace("-", "_")
+    curve = tmp_path / "curve.csv"
+    base = ["train", "--loss", "ce", "--dataset", "blobs:2:10:0.3", "--arch", "linear"]
+    assert main_entry(base + ["--curve-out", str(curve), f"{option}={value}"]) == 2
+    assert capsys.readouterr().err == f"error: {name} must be a finite number, got {value}\n"
+    assert not curve.exists()
+
+
 def test_cli_train_missing_idx_files_exits_two(tmp_path, capsys):
     missing = tmp_path / "missing"
     curve = tmp_path / "curve.csv"

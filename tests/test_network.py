@@ -1,9 +1,12 @@
 """Network engine: init, forward oracles, end-to-end gradients, training."""
 
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from losslearn.bench import loss_from_selector
 from losslearn.datasets import DatasetSplit, noisy_split, split, synth_blobs
@@ -53,6 +56,12 @@ def tiny_mlp():
 def tiny_cnn():
     layers = (Conv2D(1, 2, 3), ReLU(), MaxPool(2), Flatten(), Dense(8, 3))
     return NetworkSpec("tc", layers, (6, 6, 1), 3)
+
+
+def tiny_cnn_relu_after_pool():
+    # the ReLU clamps the pool's cached output in place
+    layers = (Conv2D(1, 2, 3), MaxPool(2), ReLU(), Flatten(), Dense(8, 3))
+    return NetworkSpec("tcp", layers, (6, 6, 1), 3)
 
 
 def random_taylor(seed):
@@ -233,6 +242,98 @@ def test_pool_matches_loop_oracle():
                     assert out[n, i, j, c] == window.max()
 
 
+def argmax_pool(x, s):
+    """The argmax pooling the strided fold replaced: output and the winners."""
+    *lead, h, w, ch = x.shape
+    oh, ow = h // s, w // s
+    tiles = x.reshape(-1, oh, s, ow, s, ch).transpose(0, 1, 3, 2, 4, 5)
+    tiles = tiles.reshape(-1, oh, ow, s * s, ch)
+    best = np.argmax(tiles, axis=3)
+    out = np.take_along_axis(tiles, best[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    return out.reshape(tuple(lead) + out.shape[1:]), best
+
+
+def argmax_pool_grad(x_shape, s, best, dy):
+    oh, ow, ch = dy.shape[-3:]
+    dy = dy.reshape(-1, oh, ow, ch)
+    dtiles = np.zeros((len(dy), oh, ow, s * s, ch))
+    np.put_along_axis(dtiles, best[:, :, :, None, :], dy[:, :, :, None, :], axis=3)
+    dtiles = dtiles.reshape(-1, oh, ow, s, s, ch).transpose(0, 1, 3, 2, 4, 5)
+    return dtiles.reshape(x_shape)
+
+
+@dataclass(frozen=True)
+class ArgmaxPool(MaxPool):
+    def forward(self, params, x, buf):
+        out, best = argmax_pool(x, self.size)
+        return out, (x.shape, best)
+
+    def input_grad(self, params, cache, dy, buf):
+        x_shape, best = cache
+        return argmax_pool_grad(x_shape, self.size, best, dy)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    size=st.integers(2, 3),
+    lead=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    tiles=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+    relu_after=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pool_equals_argmax_pool(size, lead, tiles, relu_after, seed):
+    rng = np.random.default_rng(seed)
+    oh, ow, ch = tiles
+    shape = tuple(lead) + (oh * size, ow * size, ch)
+    # one decimal makes ties; ReLU zeros and negated zeros give tied signed zeros
+    x = np.round(rng.normal(0, 1, shape), 1)
+    x = np.where(rng.random(shape) < 0.3, np.maximum(x, 0.0), x)
+    x = np.where(rng.random(shape) < 0.2, -0.0, x)
+    pool = MaxPool(size)
+    out, cache = pool.forward({}, x, {})
+    want, best = argmax_pool(x, size)
+    assert np.array_equal(out, want)
+    assert np.array_equal(np.signbit(out), np.signbit(want))
+
+    dy = rng.normal(0, 1, out.shape)
+    if relu_after:  # ReLU clamps the cached output in place and masks dy alike
+        np.maximum(out, 0.0, out=out)
+        dy *= out > 0.0
+    # dy * False leaves -0 where the oracle writes +0: values are compared
+    assert np.array_equal(
+        pool.input_grad({}, cache, dy, {}), argmax_pool_grad(x.shape, size, best, dy)
+    )
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_pool_keeps_a_nan_in_its_tile(size):
+    # example k is one tile with a NaN at position k; the last has none
+    x = np.ones((size * size + 1, size, size, 1))
+    for k in range(size * size):
+        x[k, k // size, k % size, 0] = np.nan
+    out, _ = MaxPool(size).forward({}, x, {})
+    assert np.isnan(argmax_pool(x, size)[0]).ravel().tolist() == [True] * size**2 + [False]
+    assert np.isnan(out).ravel().tolist() == [True] * size**2 + [False]
+
+
+@pytest.mark.parametrize("relu_after_pool", [False, True])
+@pytest.mark.parametrize("init_seed", [0, 1, 2])
+def test_training_with_the_fold_equals_argmax_pooling(relu_after_pool, init_seed):
+    rng = np.random.default_rng(28)
+    images = rng.random((40, 8, 8))
+    sp = make_split(images[:30], np.arange(30) % 3, images[30:], np.arange(10) % 3, 3)
+
+    def run(pool):
+        block = (pool, ReLU()) if relu_after_pool else (ReLU(), pool)
+        spec = NetworkSpec("c", (Conv2D(1, 3, 3), *block, Flatten(), Dense(27, 3)), (8, 8, 1), 3)
+        losses = [CrossEntropy(), normalized_member(8, eta=8.0)]
+        return train(init(spec, init_seed, 2), losses, sp, TrainConfig(epochs=2, batch_size=8))
+
+    for got, want in zip(run(MaxPool(2)), run(ArgmaxPool(2))):
+        assert got.curve == want.curve
+        assert np.array_equal(got.network.theta, want.network.theta)
+
+
 def test_forward_rejects_wrong_shape():
     net = init(tiny_mlp(), seed=7)
     with pytest.raises(ValueError, match="does not match"):
@@ -297,7 +398,11 @@ def fd_param_grad(net, loss, x, labels, h=1e-6):
 
 
 @pytest.mark.parametrize("loss", LOSSES, ids=lambda l: type(l).__name__)
-@pytest.mark.parametrize("make_spec", [tiny_mlp, tiny_cnn], ids=["mlp", "cnn"])
+@pytest.mark.parametrize(
+    "make_spec",
+    [tiny_mlp, tiny_cnn, tiny_cnn_relu_after_pool],
+    ids=["mlp", "cnn", "cnn-relu-after-pool"],
+)
 def test_parameter_gradients_match_fd(make_spec, loss):
     spec = make_spec()
     net = init(spec, seed=11)
@@ -320,6 +425,16 @@ def test_parameter_gradients_match_fd(make_spec, loss):
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("batch_size", True), ("epochs", 2.0), ("seed", "1"), ("learning_rate", None),
+     ("learning_rate", float("nan")), ("momentum", float("inf"))],
+)
+def test_train_config_checks_field_types(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an? (integer|finite number), got"):
+        TrainConfig(**{field: value})
 
 
 def test_zero_learning_rate_changes_nothing():
@@ -668,18 +783,43 @@ def test_stacked_mixed_orders_equal_serial_fits():
     assert [r.diverged for r in results] == [False] * 5 + [True]
 
 
-def test_stacked_cnn_equals_serial_fits():
+def test_mixed_stack_builds_the_polynomial_call_once(monkeypatch):
+    built, stacked = [], NormalizedLoss.stacked
+
+    def counted(losses):
+        built.append(len(losses))
+        return stacked(losses)
+
+    monkeypatch.setattr(NormalizedLoss, "stacked", staticmethod(counted))
+    spec, sp = fit_problem()
+    losses = [CrossEntropy(), normalized_member(9, eta=8.0)]
+    train(init(spec, 20, 2), losses, sp, TrainConfig(epochs=2, batch_size=16, seed=3))
+    assert built == [1]
+
+
+def assert_stacked_cnn_equals_serial(layers):
     rng = np.random.default_rng(25)
     images = rng.random((40, 8, 8))
     labels = np.arange(40) % 3
     sp = make_split(images[:30], labels[:30], images[30:], labels[30:], 3)
-    layers = (
-        Conv2D(1, 3, 3), ReLU(), MaxPool(2), Conv2D(3, 4, 2), ReLU(), MaxPool(2),
-        Flatten(), Dense(4, 6), ReLU(), Dense(6, 3),
-    )
     spec = NetworkSpec("c2", layers, (8, 8, 1), 3)
     losses = [CrossEntropy(), normalized_member(8, eta=8.0)]
     assert_stack_equals_serial(spec, losses, sp, 26, TrainConfig(epochs=2, batch_size=8, seed=27))
+
+
+def test_stacked_cnn_equals_serial_fits():
+    assert_stacked_cnn_equals_serial((
+        Conv2D(1, 3, 3), ReLU(), MaxPool(2), Conv2D(3, 4, 2), ReLU(), MaxPool(2),
+        Flatten(), Dense(4, 6), ReLU(), Dense(6, 3),
+    ))
+
+
+def test_stacked_cnn_with_relu_after_pool_equals_serial_fits():
+    # each ReLU clamps a pool's cached output in place
+    assert_stacked_cnn_equals_serial((
+        Conv2D(1, 3, 3), MaxPool(2), ReLU(), Conv2D(3, 4, 2), MaxPool(2), ReLU(),
+        Flatten(), Dense(4, 6), ReLU(), Dense(6, 3),
+    ))
 
 
 def test_stacked_fit_without_epochs_scores_every_member():
@@ -730,6 +870,17 @@ def test_stacked_validation_peak_memory_stays_near_one_network():
     one = traced_peak(lambda: fit(spec, losses[0], sp, 4, cfg))
     eight = traced_peak(lambda: fit_many(spec, losses, sp, 4, cfg))
     assert eight <= 2 * one
+
+
+def test_cnn_validation_peak_memory_does_not_grow_with_the_set():
+    # conv activations are wide, so validation chunks are bounded by the
+    # element budget, not only by ceil(n / m): one chunk held conv2's im2col
+    # columns over the whole set
+    net = init(cnn_spec(16, 3), seed=6)
+    rng = np.random.default_rng(7)
+    x, y = rng.random((500, 16, 16)), rng.integers(0, 3, 500)
+    half = traced_peak(lambda: accuracy(net, x[:250], y[:250]))
+    assert traced_peak(lambda: accuracy(net, x, y)) <= 1.1 * half
 
 
 def test_buffer_drops_the_old_array_before_allocating_the_new():
