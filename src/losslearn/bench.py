@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import ValFractionError, noisy_split
-from .network import TrainConfig, arch_from_selector, check_field, fit_many, input_shape_of
+from .network import TrainConfig, arch_from_selector, check_fields, fit_many, input_shape_of
 from .noise import NoiseSpec, build_transition, noise_from_selector
 from .reference import REFERENCE_KINDS, make_reference_loss
 from .seeding import derive_seed
@@ -35,21 +35,20 @@ def config_from_dict(cls, doc, what):
     """Build the config dataclass ``cls`` from a parsed JSON object.
 
     The dataclass is the schema: a field without a default is required, an
-    absent optional field takes its default, any other name is rejected, and
-    each value must fit its field's annotation (``network.check_field``).
+    absent optional field takes its default, and any other name is rejected.
+    The class itself checks each value against its field's annotation
+    (``network.check_fields``), however it is built.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be a JSON object")
+    for f in fields(cls):
+        if f.name not in doc and f.default is MISSING:
+            raise ConfigError(f"missing field '{f.name}'")
     names = {f.name for f in fields(cls)}
+    for name in doc:
+        if name not in names:
+            raise ConfigError(f"unknown field '{name}'")
     try:
-        for f in fields(cls):
-            if f.name in doc:
-                check_field(f, doc[f.name])
-            elif f.default is MISSING:
-                raise ConfigError(f"missing field '{f.name}'")
-        for name in doc:
-            if name not in names:
-                raise ConfigError(f"unknown field '{name}'")
         return cls(**doc)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
@@ -189,6 +188,7 @@ class BenchmarkGrid:
     pairing: tuple[int, ...] = None
 
     def __post_init__(self):
+        check_fields(self)
         object.__setattr__(self, "cells", tuple(_cell_triple(c) for c in self.cells))
         object.__setattr__(self, "losses", tuple(self.losses))
         if self.pairing is not None:

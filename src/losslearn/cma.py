@@ -2,9 +2,11 @@
 
 Rank-based selection with log-rank recombination weights, cumulative
 step-size adaptation, and the combined rank-one / rank-mu covariance update.
-The sampler uses a cached eigendecomposition that is refreshed lazily but at
-least every ``eigen_gap`` generations. The strategy owns no random stream:
-``ask`` takes an external numpy Generator, which keeps checkpoints pure state.
+The eigendecomposition of the covariance is part of the state: ``tell`` ends
+by refreshing it, so ``ask`` and ``eigenvalues`` only read it. A lazy refresh
+saves its O(n^3) cost only at large n; the polynomial family has n <= 47 up
+to order 9. The strategy owns no random stream: ``ask`` takes an external
+numpy Generator, which keeps checkpoints pure state.
 """
 
 import math
@@ -55,18 +57,13 @@ class CmaState:
             2.0 * (self.mu_eff - 2.0 + 1.0 / self.mu_eff) / ((n + 2.0) ** 2 + self.mu_eff),
         )
         self.chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n * n))
-        self.eigen_gap = max(
-            1, math.ceil(1.0 / (10.0 * n * (self.c_1 + self.c_mu)))
-        )
 
         self.cov = np.eye(n)
         self.p_sigma = np.zeros(n)
         self.p_c = np.zeros(n)
         self.generation = 0
         self.evals = 0
-        self._b = None
-        self._d = None
-        self._eigen_gen = -1
+        self._refresh_eigen()
 
     # -- eigensystem ---------------------------------------------------
 
@@ -85,23 +82,15 @@ class CmaState:
             vals = vals + ridge
         self._d = np.sqrt(np.maximum(vals, 0.0))
         self._b = vecs
-        self._eigen_gen = self.generation
-
-    def _ensure_eigen(self):
-        if self._b is None or self.generation - self._eigen_gen >= self.eigen_gap:
-            self._refresh_eigen()
 
     def eigenvalues(self):
-        """(min, max) eigenvalue of the current covariance, freshly computed."""
-        if self._eigen_gen != self.generation:
-            self._refresh_eigen()
+        """(min, max) eigenvalue of the current covariance."""
         return float(self._d[0] ** 2), float(self._d[-1] ** 2)
 
     # -- ask / tell ----------------------------------------------------
 
     def ask(self, rng):
-        """Sample lam candidates m + sigma * B D z with the cached eigensystem."""
-        self._ensure_eigen()
+        """Sample lam candidates m + sigma * B D z."""
         z = rng.standard_normal((self.lam, self.n))
         return self.mean + self.sigma * (z * self._d) @ self._b.T
 
@@ -117,8 +106,7 @@ class CmaState:
         order = np.argsort(key, kind="stable")  # ties fall back to index order
         selected = candidates[order[: self.mu]]
 
-        self._ensure_eigen()
-        inv_sqrt = (self._b / self._d) @ self._b.T  # C^(-1/2) from the cache
+        inv_sqrt = (self._b / self._d) @ self._b.T  # C^(-1/2)
         y = (selected - self.mean) / self.sigma
         y_w = self.weights @ y
         self.mean = self.mean + self.sigma * y_w
@@ -153,6 +141,7 @@ class CmaState:
         )
         self.generation = gen_next
         self.evals += self.lam
+        self._refresh_eigen()
         return self
 
     # -- checkpointing ---------------------------------------------------
@@ -168,9 +157,10 @@ class CmaState:
             "p_c": self.p_c.tolist(),
             "generation": self.generation,
             "evals": self.evals,
-            "eigen_gen": self._eigen_gen,
-            "eigen_b": None if self._b is None else self._b.tolist(),
-            "eigen_d": None if self._d is None else self._d.tolist(),
+            # stored, not recomputed on load: a ridge repair shifts the old
+            # eigenvalues and keeps the old eigenvectors
+            "eigen_b": self._b.tolist(),
+            "eigen_d": self._d.tolist(),
         }
 
     @classmethod
@@ -181,10 +171,8 @@ class CmaState:
         state.p_c = np.array(doc["p_c"], dtype=float)
         state.generation = int(doc["generation"])
         state.evals = int(doc["evals"])
-        state._eigen_gen = int(doc["eigen_gen"])
-        if doc["eigen_b"] is not None:
-            state._b = np.array(doc["eigen_b"], dtype=float)
-            state._d = np.array(doc["eigen_d"], dtype=float)
+        state._b = np.array(doc["eigen_b"], dtype=float)
+        state._d = np.array(doc["eigen_d"], dtype=float)
         return state
 
 

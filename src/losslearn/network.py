@@ -15,7 +15,8 @@ The gradient is pushed through the full softmax Jacobian, so losses that are
 not cross-entropy-shaped work too. A stack makes one loss call per step: a
 population whose loss class offers stacked(losses) (the normalized polynomial
 losses) runs in one pass over (m, n, C) predictions, any other member by
-member through indexed; no one-hot label matrix is built. Validation scores
+member through indexed, where a polynomial loss runs the population-of-one
+call that it keeps itself; no one-hot label matrix is built. Validation scores
 the whole stack in row chunks of ceil(n / m), so it holds about one network's
 activations over the validation set, and never more than VALIDATION_BUDGET
 entries of the widest layer output.
@@ -394,19 +395,21 @@ _FIELD_TYPES = {
 }
 
 
-def check_field(f, value):
-    """ValueError unless value fits the annotation of dataclass field f (None
-    too where the default is None); a tuple[T, ...] field needs a list of T."""
-    if f.default is None and value is None:
-        return
-    kind, _, fits = _FIELD_TYPES[get_origin(f.type) or f.type]
-    if not fits(value):
-        null = " or null" if f.default is None else ""
-        raise ValueError(f"{f.name} must be {kind}{null}, got {value!r}")
-    if get_args(f.type):  # tuple[T, ...]
-        _, kinds, fits = _FIELD_TYPES[get_args(f.type)[0]]
-        if not all(fits(v) for v in value):
-            raise ValueError(f"{f.name} must be {kinds}, got {value!r}")
+def check_fields(config):
+    """ValueError unless each field of dataclass config fits its annotation
+    (None too where the default is None); a tuple[T, ...] field needs a list of T."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.default is None and value is None:
+            continue
+        kind, _, fits = _FIELD_TYPES[get_origin(f.type) or f.type]
+        if not fits(value):
+            null = " or null" if f.default is None else ""
+            raise ValueError(f"{f.name} must be {kind}{null}, got {value!r}")
+        if get_args(f.type):  # tuple[T, ...]
+            _, kinds, fits = _FIELD_TYPES[get_args(f.type)[0]]
+            if not all(fits(v) for v in value):
+                raise ValueError(f"{f.name} must be {kinds}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -423,8 +426,7 @@ class TrainConfig:
         return cls(config.learning_rate, config.momentum, config.batch_size, config.epochs, seed)
 
     def __post_init__(self):
-        for f in fields(self):
-            check_field(f, getattr(self, f.name))
+        check_fields(self)
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be nonnegative")
         if not 0.0 <= self.momentum < 1.0:
@@ -497,34 +499,23 @@ def _loss_call(losses):
     (n,) label indices in, (m, n) values and (m, n, C) gradients out.
 
     A population whose class stacks it runs in one pass; any other runs member
-    by member, into arrays kept from call to call: a member whose class stacks
-    through its population-of-one call, built here once, any other by indexed.
+    by member through each loss's indexed call, into arrays kept from call to
+    call. A polynomial member's indexed call is its own population of one,
+    built once by the loss itself.
     """
-    fused = _stacked(losses)
+    stacked = getattr(losses[0], "stacked", None)
+    fused = stacked(losses) if stacked else None
     if fused is not None:
         return fused
-    calls = [_member_call(loss) for loss in losses]
     work = {}
 
     def member_by_member(probs, labels):
         values, grads = _buffer(work, "v", probs.shape[:-1]), _buffer(work, "g", probs.shape)
-        for k, call in enumerate(calls):
-            values[k], grads[k] = call(probs[k], labels)
+        for k, loss in enumerate(losses):
+            values[k], grads[k] = loss.indexed(probs[k], labels)
         return values, grads
 
     return member_by_member
-
-
-def _stacked(losses):
-    stacked = getattr(losses[0], "stacked", None)
-    return stacked(losses) if stacked else None
-
-
-def _member_call(loss):
-    fused = _stacked([loss])
-    if fused is None:
-        return loss.indexed
-    return lambda probs, labels: [a[0] for a in fused(probs[None], labels)]
 
 
 def _buffer(buf, key, shape):

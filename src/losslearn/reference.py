@@ -71,9 +71,6 @@ class CrossEntropy(_Loss):
         p_t = _label_prob(yhat, labels)
         return -np.log(p_t), _at_labels(np.zeros(yhat.shape), labels, -1.0 / p_t)
 
-    def describe(self):
-        return "ce"
-
 
 @dataclass(frozen=True)
 class MeanAbsoluteError(_Loss):
@@ -81,9 +78,6 @@ class MeanAbsoluteError(_Loss):
         d = yhat.copy()
         d[np.arange(len(d)), labels] -= 1.0
         return np.abs(d).sum(axis=1), np.sign(d)
-
-    def describe(self):
-        return "mae"
 
 
 @dataclass(frozen=True)
@@ -98,9 +92,6 @@ class GeneralizedCrossEntropy(_Loss):
         p_t = _label_prob(yhat, labels)
         grads = _at_labels(np.zeros(yhat.shape), labels, -(p_t ** (self.q - 1.0)))
         return (1.0 - p_t**self.q) / self.q, grads
-
-    def describe(self):
-        return f"gce(q={self.q})"
 
 
 @dataclass(frozen=True)
@@ -126,9 +117,6 @@ class SymmetricCrossEntropy(_Loss):
         )
         return self.alpha * -np.log(p_t) + self.beta * rce, grads
 
-    def describe(self):
-        return f"sce(alpha={self.alpha},beta={self.beta},A={self.log_zero})"
-
 
 @dataclass(frozen=True)
 class LabelSmoothing(_Loss):
@@ -143,9 +131,6 @@ class LabelSmoothing(_Loss):
         targets = _at_labels(np.full(yhat.shape, off), labels, (1.0 - self.epsilon) + off)
         p = np.clip(yhat, LOG_CLAMP, 1.0)
         return -(targets * np.log(p)).sum(axis=1), -targets / p
-
-    def describe(self):
-        return f"ls(epsilon={self.epsilon})"
 
 
 @dataclass(frozen=True)
@@ -174,10 +159,6 @@ class Bootstrap(_Loss):
         if not self.hard:
             grads -= (1.0 - self.weight) * log_p
         return -(targets * log_p).sum(axis=1), grads
-
-    def describe(self):
-        mode = "hard" if self.hard else "soft"
-        return f"bootstrap(weight={self.weight},mode={mode})"
 
 
 REFERENCE_KINDS = {

@@ -20,7 +20,7 @@ import numpy as np
 from .bench import ConfigError, config_from_dict, csv_text, selector_errors
 from .cma import CmaState, stop_reason
 from .datasets import noisy_split
-from .network import TrainConfig, arch_from_selector, fit_many, input_shape_of
+from .network import TrainConfig, arch_from_selector, check_fields, fit_many, input_shape_of
 from .seeding import derive_seed
 from .taylor import (
     TaylorLossParams,
@@ -58,6 +58,7 @@ class MetaConfig:
     pairing: tuple[int, ...] = None
 
     def __post_init__(self):
+        check_fields(self)
         object.__setattr__(self, "architectures", tuple(self.architectures))
         object.__setattr__(self, "datasets", tuple(self.datasets))
         if self.mean0 is not None:

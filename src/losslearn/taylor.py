@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -42,8 +41,8 @@ DEFAULT_ORDER = 4
 DEFAULT_RANGE_SAMPLES = 10_000
 DEGENERATE_RANGE = 1e-9
 
-# estimate_range's (2, n, C) work arrays, one per (n, C), per thread
-_range_work = threading.local()
+# estimate_range's (2, n, C) work arrays, one per (n, C)
+_range_work = {}
 
 
 class LossFormatError(ValueError):
@@ -117,9 +116,13 @@ class TaylorLossParams(_Loss):
         _, (g0, g1) = self._univariate
         return ((1 - y) * _horner(g0, d) + y * _horner(g1, d)) / yhat.shape[1]
 
-    def indexed(self, yhat, labels):
+    @cached_property
+    def _unit(self):
         # scale 1 and offset 0 leave the bits of the normalized call unchanged
-        return NormalizedLoss(self, 0.0, 1.0).indexed(yhat, labels)
+        return NormalizedLoss(self, 0.0, 1.0)
+
+    def indexed(self, yhat, labels):
+        return self._unit.indexed(yhat, labels)
 
     def estimate_range(
         self,
@@ -132,7 +135,7 @@ class TaylorLossParams(_Loss):
         Predictions are drawn uniformly from the probability simplex
         (normalized unit exponentials) and labels uniformly from the one-hot
         vectors. Deterministic for a given seed: bit for bit batch_value on the
-        one-hot rows of the same draws, in arrays kept per thread and shape.
+        one-hot rows of the same draws, in arrays kept per shape.
         """
         if num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {num_classes}")
@@ -140,7 +143,7 @@ class TaylorLossParams(_Loss):
             raise ValueError(f"num_samples must be >= 1, got {num_samples}")
         rng = np.random.default_rng(seed)
         shape = (num_samples, num_classes)
-        d, values = _buffer(_range_work.__dict__, shape, (2,) + shape)
+        d, values = _buffer(_range_work, shape, (2,) + shape)
         rng.standard_exponential(out=d)  # the stream of exponential(1.0, shape)
         d /= _class_fold(np.add, d)[:, None]
         labels = rng.integers(0, num_classes, num_samples)
@@ -196,10 +199,15 @@ class NormalizedLoss(_Loss):
     def batch_grad(self, yhat: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self._scale * self.inner.batch_grad(yhat, y)
 
+    @cached_property
+    def _call(self):
+        return NormalizedLoss.stacked([self])
+
     def indexed(self, yhat, labels):
-        """(n,) values and (n, C) gradients on label indices: a population of one."""
-        values, grads = NormalizedLoss.stacked([self])(yhat[None], labels)
-        return values[0], grads[0]
+        """(n,) values and (n, C) gradients on label indices: a population of
+        one, whose call is built once; the gradients are a fresh copy."""
+        values, grads = self._call(yhat[None], labels)
+        return values[0], grads[0].copy()
 
     @staticmethod
     def stacked(losses):

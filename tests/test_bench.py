@@ -296,6 +296,14 @@ def test_grid_unknown_field_rejected():
         )
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seeds", 2.5), ("master_seed", True), ("losses", "ce"), ("cells", "mlp:8"),
+])
+def test_grid_built_directly_checks_field_types(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        toy_grid(**{field: value})
+
+
 def test_grid_rejects_short_cell():
     with pytest.raises(ConfigError, match="arch, dataset, noise"):
         BenchmarkGrid(cells=[("a", "d")], losses=("ce",))

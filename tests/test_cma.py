@@ -151,15 +151,26 @@ def test_covariance_stays_symmetric_and_pd():
 
 
 def test_eigen_cache_matches_covariance_after_refresh():
+    # tell ends by refreshing the eigensystem, so no other call needs to
     state = cma_init(5, lam=8)
     rng = np.random.default_rng(303)
     for _ in range(25):
         xs = state.ask(rng)
         state.tell(xs, np.array([rosenbrock(x) for x in xs]), maximize=False)
-    state._refresh_eigen()
-    rebuilt = (state._b * state._d**2) @ state._b.T
-    assert np.linalg.norm(rebuilt - state.cov, "fro") < 1e-6
-    assert state.eigen_gap >= 1
+        rebuilt = (state._b * state._d**2) @ state._b.T
+        assert np.linalg.norm(rebuilt - state.cov, "fro") < 1e-6
+
+
+def test_eigenvalues_leave_the_state_unchanged():
+    state = cma_init(5, lam=8)
+    rng = np.random.default_rng(308)
+    for _ in range(4):
+        xs = state.ask(rng)
+        state.tell(xs, np.array([sphere_neg(x) for x in xs]))
+        before = state.to_dict()
+        lo, hi = state.eigenvalues()
+        assert state.to_dict() == before
+        assert (lo, hi) == (min(state._d) ** 2, max(state._d) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +259,21 @@ def test_checkpoint_round_trip_is_exact():
     follow = np.random.default_rng(307)
     follow2 = np.random.default_rng(307)
     np.testing.assert_array_equal(state.ask(follow), clone.ask(follow2))
+
+
+def test_state_with_an_eigen_generation_loads_to_the_same_state():
+    # states saved while the eigensystem was refreshed lazily also carry the
+    # generation of its last refresh; loading ignores it
+    state = cma_init(4, sigma0=0.6, lam=9)
+    rng = np.random.default_rng(309)
+    for _ in range(3):
+        state.tell(state.ask(rng), rng.standard_normal(9))
+    doc = json.loads(json.dumps(state.to_dict()))
+    clone = CmaState.from_dict(dict(doc, eigen_gen=state.generation))
+    assert clone.to_dict() == doc
+    np.testing.assert_array_equal(
+        state.ask(np.random.default_rng(310)), clone.ask(np.random.default_rng(310))
+    )
 
 
 # ---------------------------------------------------------------------------

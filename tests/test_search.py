@@ -71,6 +71,18 @@ def test_config_unknown_field_rejected():
         MetaConfig.from_dict(doc)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("population", 4.5), ("max_generations", 1.5), ("master_seed", "x"),
+    ("architectures", "mlp:8"), ("mean0", [0.1, "0"]),
+])
+def test_config_built_directly_checks_field_types(field, value):
+    # the class checks its own fields, so a config built without a file is
+    # held to the same types as one read from a file
+    doc = dict(tiny_config().to_dict(), **{field: value})
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        MetaConfig(**doc)
+
+
 def test_config_mode_pool_invariants():
     with pytest.raises(ValueError, match="AR mode"):
         tiny_config(datasets=["blobs:3:30:0.3", "rings:3:30"])

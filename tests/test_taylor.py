@@ -522,6 +522,29 @@ def test_stacked_population_equals_member_calls(order, num_classes):
         assert np.array_equal(grad, loss.batch_grad(p, y))
 
 
+@pytest.mark.parametrize("normalized", [False, True])
+def test_indexed_builds_its_call_once_and_returns_fresh_gradients(monkeypatch, normalized):
+    built, stacked = [], NormalizedLoss.stacked
+
+    def counted(losses):
+        built.append(len(losses))
+        return stacked(losses)
+
+    monkeypatch.setattr(NormalizedLoss, "stacked", staticmethod(counted))
+    rng = np.random.default_rng(53)
+    params = random_params(rng)
+    loss = NormalizedLoss(params, -1.0, 2.0, eta=8.0) if normalized else params
+    calls = []
+    for _ in range(3):
+        yhat = rng.dirichlet(np.ones(3), 20)
+        labels = rng.integers(0, 3, 20)
+        calls.append((yhat, np.eye(3)[labels], *loss.indexed(yhat, labels)))
+    assert built == [1]
+    for yhat, y, value, grad in calls:  # no later call overwrote an earlier one
+        assert np.array_equal(value, loss.batch_value(yhat, y))
+        assert np.array_equal(grad, loss.batch_grad(yhat, y))
+
+
 def test_stacked_population_needs_normalized_losses_of_one_order():
     normalized = normalize(mse_embedding(), num_classes=3, seed=1)
     other_order = normalize(mse_embedding(order=3), num_classes=3, seed=1)
