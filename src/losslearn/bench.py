@@ -197,6 +197,10 @@ class BenchmarkGrid:
             raise ConfigError("benchmark needs at least one cell")
         if not self.losses:
             raise ConfigError("benchmark needs at least one loss")
+        for what, items in (("cell", self.cells), ("loss", self.losses)):
+            for i, item in enumerate(items):
+                if item in items[:i]:
+                    raise ConfigError(f"grid lists {what} {item!r} twice")
         if self.seeds < 1:
             raise ConfigError(f"seeds must be >= 1, got {self.seeds!r}")
         if not 0.0 < self.val_fraction < 1.0:
@@ -303,31 +307,37 @@ def run_benchmark(grid, out_dir):
     return table
 
 
-def csv_text(header, rows):
-    """A header line, then one line per row, each ended by a bare newline."""
+def csv_text(rows):
+    """Every CSV artifact: one line per row, ended by a bare newline; a header is row 0."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
 def results_csv(results):
     return csv_text(
-        ["arch", "dataset", "noise", "loss", "seed", "accuracy", "diverged"],
-        [(*job, s, f"{acc:.6f}", int(diverged)) for *job, s, acc, diverged in results],
+        [["arch", "dataset", "noise", "loss", "seed", "accuracy", "diverged"]]
+        + [(*job, s, f"{acc:.6f}", int(diverged)) for *job, s, acc, diverged in results]
     )
 
 
 def rank_table_csv(table):
     return csv_text(
-        ["arch", "dataset", "noise", "loss", "mean_accuracy", "std_accuracy", "rank"],
-        [(*cell, f"{mean:.6f}", f"{std:.6f}", f"{rank:.1f}")
-         for *cell, mean, std, rank in table.rows],
+        [["arch", "dataset", "noise", "loss", "mean_accuracy", "std_accuracy", "rank"]]
+        + [(*cell, f"{mean:.6f}", f"{std:.6f}", f"{rank:.1f}")
+           for *cell, mean, std, rank in table.rows]
     )
 
 
 def avg_ranks_csv(table):
+    averages = [(loss, f"{table.averages[loss]:.6f}") for loss in table.losses]
+    return csv_text([["loss", "average_rank"]] + averages)
+
+
+def curve_to_csv(curve):
     return csv_text(
-        ["loss", "average_rank"], [(loss, f"{table.averages[loss]:.6f}") for loss in table.losses]
+        [["epoch", "train_loss", "val_accuracy"]]
+        + [(epoch, f"{loss:.6f}", f"{acc:.6f}") for epoch, loss, acc in curve]
     )
 
 
@@ -344,14 +354,14 @@ def inspect_loss_csv(loss, resolution=100):
     """
     if resolution < 1:
         raise ConfigError("resolution must be at least 1")
-    lines = ["yhat,y,loss"]
+    rows = [["yhat", "y", "loss"]]
     for step in range(resolution + 1):
         p = step / resolution
         pred = np.array([[p, 1.0 - p]])
         for y in (0, 1):
             value = float(loss.indexed(pred, [1 - y])[0][0])  # y = 1 is class 0
-            lines.append(f"{p:.6f},{y},{value + 0.0:.6f}")  # +0.0 drops the sign of -0.0
-    return "\n".join(lines) + "\n"
+            rows.append((f"{p:.6f}", y, f"{value + 0.0:.6f}"))  # +0.0 drops the sign of -0.0
+    return csv_text(rows)
 
 
 def noise_matrix_csv(noise_sel, num_classes, pairing=None):
@@ -359,4 +369,4 @@ def noise_matrix_csv(noise_sel, num_classes, pairing=None):
     if spec is None:  # ratio 0 gives the identity and still checks the class count
         spec = NoiseSpec("symmetric", 0.0, num_classes)
     t = build_transition(spec, pairing=pairing)
-    return "".join(",".join(f"{v:.6f}" for v in row) + "\n" for row in t)
+    return csv_text([f"{v:.6f}" for v in row] for row in t)

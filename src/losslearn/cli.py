@@ -16,13 +16,13 @@ from pathlib import Path
 from .bench import (
     BenchmarkGrid,
     ConfigError,
+    curve_to_csv,
     inspect_loss_csv,
     loss_from_selector,
     noise_matrix_csv,
     run_benchmark,
     run_single_training,
 )
-from .network import curve_to_csv
 from .search import MetaConfig, meta_train
 from .taylor import LossFormatError
 

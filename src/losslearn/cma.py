@@ -14,6 +14,9 @@ import math
 import numpy as np
 
 MIN_COND = 1e-14  # relative eigenvalue floor before a ridge repair kicks in
+STAGNATION_WINDOW = 10  # generations over which the best fitness must improve
+STAGNATION_TOL = 1e-4  # by at least this much
+SIGMA_FLOOR = 1e-12  # step size times the largest axis below which search has collapsed
 
 
 def default_population(n):
@@ -195,25 +198,19 @@ def cma_init(n, mean0=None, sigma0=0.5, lam=None):
     return CmaState(n, mean0=mean0, sigma0=sigma0, lam=lam)
 
 
-def stop_reason(
-    state,
-    best_fitness,
-    max_generations,
-    stagnation_window=10,
-    stagnation_tol=1e-4,
-    sigma_floor=1e-12,
-):
+def stop_reason(state, best_fitness, max_generations):
     """Why the search should stop now, or None to keep going.
 
     best_fitness is the per-generation best fitness sequence so far
-    (maximization orientation).
+    (maximization orientation). The stagnation and sigma-collapse thresholds
+    are the module constants STAGNATION_WINDOW, STAGNATION_TOL and SIGMA_FLOOR.
     """
     if state.generation >= max_generations:
         return "max-generations"
-    if len(best_fitness) > stagnation_window:
-        window = best_fitness[-(stagnation_window + 1) :]
-        if max(window) - window[0] < stagnation_tol:
+    if len(best_fitness) > STAGNATION_WINDOW:
+        window = best_fitness[-(STAGNATION_WINDOW + 1) :]
+        if max(window) - window[0] < STAGNATION_TOL:
             return "stagnation"
-    if state.sigma * math.sqrt(float(np.max(np.diag(state.cov)))) < sigma_floor:
+    if state.sigma * math.sqrt(float(np.max(np.diag(state.cov)))) < SIGMA_FLOOR:
         return "sigma-collapse"
     return None

@@ -391,6 +391,7 @@ _FIELD_TYPES = {
     float: ("a finite number", "finite numbers",
             lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
     str: ("a string", "strings", lambda v: isinstance(v, str)),
+    bool: ("true or false", "booleans", lambda v: type(v) is bool),
     tuple: ("an array", "arrays", lambda v: isinstance(v, (list, tuple))),
 }
 
@@ -615,13 +616,6 @@ def fit_many(spec, losses, data, init_seed, cfg):
             (acc,) = accuracy(result.network, data.val_features, data.val_labels)
         scored.append((acc, result.diverged, result.curve))
     return scored
-
-
-def curve_to_csv(curve):
-    lines = ["epoch,train_loss,val_accuracy"]
-    for epoch, train_loss, val_acc in curve:
-        lines.append(f"{epoch},{train_loss:.6f},{val_acc:.6f}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .network import check_fields
+
 # Probabilities are clamped to this range before logs and fractional powers.
 LOG_CLAMP = 1e-12
 
@@ -85,6 +87,7 @@ class GeneralizedCrossEntropy(_Loss):
     q: float = 0.7
 
     def __post_init__(self):
+        check_fields(self)
         if not 0.0 < self.q <= 1.0:
             raise ValueError(f"q must lie in (0, 1], got {self.q}")
 
@@ -103,6 +106,7 @@ class SymmetricCrossEntropy(_Loss):
     log_zero: float = -4.0
 
     def __post_init__(self):
+        check_fields(self)
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("alpha and beta must be positive")
         if self.log_zero >= 0:
@@ -123,6 +127,7 @@ class LabelSmoothing(_Loss):
     epsilon: float = 0.1
 
     def __post_init__(self):
+        check_fields(self)
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
 
@@ -146,6 +151,7 @@ class Bootstrap(_Loss):
     hard: bool = False
 
     def __post_init__(self):
+        check_fields(self)
         if not 0.0 <= self.weight <= 1.0:
             raise ValueError(f"weight must lie in [0, 1], got {self.weight}")
 

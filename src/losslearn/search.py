@@ -221,24 +221,19 @@ def _latest_checkpoint(run_dir):
 
 def _fitness_csv(records):
     return csv_text(
-        ["candidate", "arch", "dataset", "accuracy", "diverged"],
-        [(rec.candidate, job.arch, job.dataset, f"{job.accuracy:.6f}", int(job.diverged))
-         for rec in records for job in rec.jobs],
+        [["candidate", "arch", "dataset", "accuracy", "diverged"]]
+        + [(rec.candidate, job.arch, job.dataset, f"{job.accuracy:.6f}", int(job.diverged))
+           for rec in records for job in rec.jobs]
     )
 
 
-CMA_LOG_HEADER = "generation,evals,best_fitness,mean_fitness,sigma,min_eig,max_eig"
-
-
 def _cma_log_csv(history):
-    lines = [CMA_LOG_HEADER]
-    for row in history:
-        lines.append(
-            f"{row['generation']},{row['evals']},{row['best_fitness']:.6f},"
-            f"{row['mean_fitness']:.6f},{row['sigma']:.6e},{row['min_eig']:.6e},"
-            f"{row['max_eig']:.6e}"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        [["generation", "evals", "best_fitness", "mean_fitness", "sigma", "min_eig", "max_eig"]]
+        + [(row["generation"], row["evals"], f"{row['best_fitness']:.6f}",
+            f"{row['mean_fitness']:.6f}", f"{row['sigma']:.6e}", f"{row['min_eig']:.6e}",
+            f"{row['max_eig']:.6e}") for row in history]
+    )
 
 
 def _write(path, text):
@@ -269,16 +264,19 @@ def meta_train(cfg, run_dir, stop_after=None):
     interruption; calling again with the same run_dir resumes exactly where
     the previous call left off, byte-identical to an uninterrupted run.
     """
+    if stop_after is not None and stop_after < 0:
+        raise ConfigError(f"stop_after must be >= 0, got {stop_after}")
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     config_text = json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n"
     config_path = run_dir / "config.json"
     latest = _latest_checkpoint(run_dir)
-    # only a checkpoint makes the directory a run to resume; the config of a
-    # run that failed before its first generation is simply replaced
-    resuming = latest is not None and config_path.exists()
-    if resuming and config_path.read_text() != config_text:
-        raise ConfigError(f"run directory {run_dir} holds a different config")
+    # a checkpoint makes the directory a run, resumed only under its own config.json;
+    # the config of a run that failed before its first generation is replaced
+    if latest is not None and not (
+        config_path.exists() and config_path.read_text() == config_text
+    ):
+        raise ConfigError(f"run directory {run_dir} holds a different config or none")
     _write(config_path, config_text)
 
     state = cfg.initial_state()

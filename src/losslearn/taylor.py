@@ -16,7 +16,8 @@ P_a(t - theta1) are computed once per loss by Horner's rule in e; each batch
 then takes one Horner pass in d per label value, with no powers. For any
 other label row q the loss is the label-weighted mix
 sum_k q_k * loss(yhat, e_k), the expected loss under the label distribution.
-Range estimation and indexed(), stacked or not, take label indices (_label_split).
+Range estimation and indexed(), stacked or not, take label indices and reach the
+label entries as every reference loss does, by x[..., rows, labels] (_label_split).
 
 Losses here are total functions of their inputs (polynomials are finite
 everywhere), so no clamping of predictions is required or performed.
@@ -230,6 +231,7 @@ class NormalizedLoss(_Loss):
         # (value or gradient, label entry t, power, member, 1, 1)
         coeffs = np.moveaxis(np.array([l.inner._univariate for l in losses]), 0, -1)
         (g0, g1), (dg0, dg1) = coeffs[..., None, None]
+        g1, dg1 = g1[..., 0], dg1[..., 0]  # (power, member, 1): against (m, n) label entries
         work = {}  # per batch length: d, values, gradients
 
         def value_and_grad(yhat, labels):
@@ -378,12 +380,13 @@ def _horner(coeffs, x):
 
 
 def _label_split(g0, g1, d, labels, out):
-    """g0(d) into out, then g1(d) at the label entries, labels[i] on row i's class
-    axis: on one-hot rows, the bits of the masked (1 - y) g0 + y g1."""
+    """g0(d) into (..., n, C) out, then g1(d) at the label entries out[..., i,
+    labels[i]], so g1's coefficients broadcast against (..., n): on one-hot
+    rows, the bits of the masked (1 - y) g0 + y g1."""
     out[...] = g0[-1]  # _horner, in place
     for c in g0[-2::-1]:
         out *= d
         out += c
-    at = np.asarray(labels).reshape((1,) * (d.ndim - 2) + (-1, 1))
-    np.put_along_axis(out, at, _horner(g1, np.take_along_axis(d, at, axis=-1)), axis=-1)
+    rows = np.arange(d.shape[-2])
+    out[..., rows, labels] = _horner(g1, d[..., rows, labels])
 

@@ -563,6 +563,26 @@ def test_cli_train_non_finite_rate_is_a_config_error(tmp_path, capsys, option, v
     assert not curve.exists()
 
 
+@pytest.mark.parametrize(
+    "loss, message",
+    [
+        ("sce:alpha=inf", "alpha must be a finite number, got inf"),
+        ("sce:beta=nan", "beta must be a finite number, got nan"),
+        ("sce:A=nan", "log_zero must be a finite number, got nan"),
+        ("gce:q=true", "q must be a finite number, got True"),
+        ("bootstrap:weight=true", "weight must be a finite number, got True"),
+        ("bootstrap:hard=0.5", "hard must be true or false, got 0.5"),
+    ],
+)
+def test_cli_train_loss_option_of_the_wrong_type_exits_two(tmp_path, capsys, loss, message):
+    # neither a diverged training that scores 0 nor a training under a coerced option
+    curve = tmp_path / "curve.csv"
+    argv = ["train", "--loss", loss, "--dataset", "blobs:2:10:0.3", "--arch", "linear"]
+    assert main_entry(argv + ["--curve-out", str(curve)]) == 2
+    assert message in capsys.readouterr().err
+    assert not curve.exists()
+
+
 def test_cli_train_missing_idx_files_exits_two(tmp_path, capsys):
     missing = tmp_path / "missing"
     curve = tmp_path / "curve.csv"
@@ -632,6 +652,13 @@ def test_cli_benchmark_roundtrip(tmp_path, capsys):
         ({"losses": [5]}, "losses must be strings, got [5]"),
         ({"cells": [[1, 2, 3]]}, "cell [1, 2, 3] must be [arch, dataset, noise] selector"),
         ({"cells": [["mlp:8", "blobs:3:2:0.5", "none"]]}, "leaves no validation examples"),
+        # a repeated loss or cell would give compute_ranks two rows per seed
+        ({"losses": ["ce", "mae", "ce"]}, "grid lists loss 'ce' twice"),
+        (
+            {"cells": GRID_CONFIG["cells"]
+             + [{"arch": "mlp:8", "dataset": "blobs:3:20:0.3", "noise": "none"}]},
+            "grid lists cell ('mlp:8', 'blobs:3:20:0.3', 'none') twice",
+        ),
     ],
 )
 def test_cli_benchmark_bad_config_exits_two(tmp_path, capsys, override, message):
@@ -888,6 +915,42 @@ def test_cli_meta_train_reruns_corrected_config_into_same_dir(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == {
         p.name: p.read_bytes() for p in fresh.iterdir()
     }
+
+
+def test_cli_meta_train_negative_stop_after_exits_two(tmp_path, capsys):
+    config = tmp_path / "meta.json"
+    config.write_text(json.dumps(META_CONFIG))
+    run_dir = tmp_path / "run"
+    argv = ["meta-train", "--config", str(config), "--out", str(run_dir), "--stop-after"]
+    assert main_entry(argv + ["-1"]) == 2
+    assert capsys.readouterr().err == "error: stop_after must be >= 0, got -1\n"
+    assert not run_dir.exists()
+    # 0 runs no generation and exports the start mean's unnormalized loss
+    assert main_entry(argv + ["0"]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in run_dir.iterdir()) == ["best_loss.json", "config.json"]
+    assert json.loads((run_dir / "best_loss.json").read_text())["normalization"] is None
+
+
+def test_cli_meta_train_checkpoints_without_config_exit_two(tmp_path, capsys):
+    # without config.json a rerun could splice another config's generations
+    # onto these checkpoints; even the same config cannot show it is the same
+    first = tmp_path / "a.json"
+    first.write_text(json.dumps({**META_CONFIG, "max_generations": 3}))
+    other = tmp_path / "b.json"
+    other.write_text(json.dumps(
+        {**META_CONFIG, "max_generations": 3, "master_seed": 12, "datasets": ["blobs:3:40:0.3"]}
+    ))
+    run_dir = tmp_path / "run"
+    argv = ["meta-train", "--out", str(run_dir), "--config"]
+    assert main_entry(argv + [str(first), "--stop-after", "1"]) == 0
+    (run_dir / "config.json").unlink()
+    left = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    for config in (other, first):
+        capsys.readouterr()
+        assert main_entry(argv + [str(config)]) == 2
+        assert "holds a different config or none" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == left
 
 
 def test_cli_asym_zero_pairing_exits_two_everywhere(tmp_path, capsys):

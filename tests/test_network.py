@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from losslearn.bench import loss_from_selector
+from losslearn.bench import curve_to_csv, loss_from_selector
 from losslearn.datasets import DatasetSplit, noisy_split, split, synth_blobs
 from losslearn.network import (
     Conv2D,
@@ -21,7 +21,6 @@ from losslearn.network import (
     accuracy,
     arch_from_selector,
     cnn_spec,
-    curve_to_csv,
     fit_many,
     init,
     linear_spec,

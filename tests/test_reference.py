@@ -197,6 +197,27 @@ def test_parameter_validation():
         SymmetricCrossEntropy(log_zero=1.0)
 
 
+@pytest.mark.parametrize(
+    "cls, option, value",
+    [
+        (GeneralizedCrossEntropy, "q", True),
+        (SymmetricCrossEntropy, "alpha", math.inf),
+        (SymmetricCrossEntropy, "beta", math.nan),
+        (SymmetricCrossEntropy, "log_zero", math.nan),
+        (LabelSmoothing, "epsilon", False),
+        (Bootstrap, "weight", True),
+        (Bootstrap, "hard", 0.5),
+    ],
+    ids=["gce-q", "sce-alpha", "sce-beta", "sce-log_zero", "ls-epsilon", "bootstrap-weight",
+         "bootstrap-hard"],
+)
+def test_options_are_type_checked_like_config_fields(cls, option, value):
+    # a bool is no number, NaN and infinity pass no range check, 0.5 is no flag
+    kind = "true or false" if option == "hard" else "a finite number"
+    with pytest.raises(ValueError, match=f"^{option} must be {kind}, got {value}$"):
+        cls(**{option: value})
+
+
 def test_factory():
     assert make_reference_loss("gce", q=0.5) == GeneralizedCrossEntropy(q=0.5)
     with pytest.raises(ValueError, match="unknown reference loss"):
