@@ -1,0 +1,66 @@
+"""Acceptance criteria 5-7 over a range of master seeds.
+
+The acceptance gate (tests/test_acceptance.py) runs its frozen search config
+at one master seed. This diagnostic runs that config at each of the given
+master seeds, deploys each champion with the test's own ``deploy`` and
+``mean_curve``, and prints criteria 5, 6 and 7 per seed with their pass
+counts. It is not part of the test suite.
+
+    python scripts/acceptance_sweep.py [--seeds 0-9]
+"""
+
+import argparse
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+import test_acceptance as acc  # noqa: E402
+from losslearn.reference import CrossEntropy  # noqa: E402
+from losslearn.search import MetaConfig, meta_train  # noqa: E402
+from losslearn.taylor import load_loss  # noqa: E402
+
+
+def seed_range(text):
+    first, _, last = text.partition("-")
+    return range(int(first), int(last or first) + 1)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=seed_range, default=seed_range("0-9"),
+                        help="master seeds, as N or FIRST-LAST (default 0-9)")
+    seeds = parser.parse_args(argv).seeds
+
+    ce = CrossEntropy()  # the baselines do not depend on the master seed
+    ce_blobs, ce_rings = acc.deploy(ce, acc.BLOBS), acc.deploy(ce, acc.RINGS)
+    ce_curve = acc.mean_curve(ce, acc.SMALL_BLOBS)
+    ce_drop = float(ce_curve.max() - ce_curve[-1])
+    print(f"CE: blobs {ce_blobs:.4f}, rings {ce_rings:.4f}, drop {ce_drop:.4f}")
+
+    passes = [0, 0, 0]
+    for seed in seeds:
+        with tempfile.TemporaryDirectory() as run_dir:
+            meta_train(MetaConfig.from_dict({**acc.SEARCH_CONFIG, "master_seed": seed}), run_dir)
+            champion = load_loss(Path(run_dir) / "best_loss.json")
+        margin5 = acc.deploy(champion, acc.BLOBS) - ce_blobs
+        margin6 = acc.deploy(champion, acc.RINGS) - ce_rings
+        curve = acc.mean_curve(champion, acc.SMALL_BLOBS)
+        drop = None if curve is None else float(curve.max() - curve[-1])
+        ok = (margin5 >= 0.03, margin6 >= 0.0,
+              drop is not None and ce_drop >= 0.02 and drop <= 0.02)
+        passes = [p + o for p, o in zip(passes, ok)]
+        shown = "diverged" if drop is None else f"{drop:.4f}"
+        print(
+            f"seed {seed}: c5 margin {margin5:+.4f} {'PASS' if ok[0] else 'FAIL'}, "
+            f"c6 margin {margin6:+.4f} {'PASS' if ok[1] else 'FAIL'}, "
+            f"c7 drop {shown} {'PASS' if ok[2] else 'FAIL'}",
+            flush=True,
+        )
+    print(f"passes over {len(seeds)} seeds: c5 {passes[0]}, c6 {passes[1]}, c7 {passes[2]}")
+
+
+if __name__ == "__main__":
+    main()

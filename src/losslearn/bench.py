@@ -60,7 +60,7 @@ def config_from_dict(cls, doc, what):
 
 _PARAM_ALIASES = {
     "sce": {"A": "log_zero"},
-    "bootstrap": {"mode": None},  # handled specially below
+    "bootstrap": {"mode": "hard"},  # mode=soft|hard, handled specially below
 }
 
 
@@ -84,14 +84,16 @@ def loss_from_selector(text):
             ) from None
     params = {}
     for part in parts[1:]:
-        key, sep, value = part.partition("=")
+        name, sep, value = part.partition("=")
         if not sep:
             raise ConfigError(f"bad loss option {part!r} in {text!r}")
-        key = _PARAM_ALIASES.get(kind, {}).get(key, key)
-        if kind == "bootstrap" and key is None:  # mode=soft|hard
+        key = _PARAM_ALIASES.get(kind, {}).get(name, name)
+        if key in params:
+            raise ConfigError(f"repeated loss option {part!r} in {text!r}")
+        if kind == "bootstrap" and name == "mode":
             if value not in ("soft", "hard"):
                 raise ConfigError(f"bootstrap mode must be soft or hard, not {value!r}")
-            params["hard"] = value == "hard"
+            params[key] = value == "hard"
         elif value in ("true", "false"):
             params[key] = value == "true"
         else:

@@ -299,6 +299,8 @@ def _parse_extras(parts, allowed):
         key, sep, value = part.partition("=")
         if not sep or key not in allowed:
             raise ValueError(f"bad selector option {part!r}")
+        if key in extras:
+            raise ValueError(f"repeated selector option {part!r}")
         extras[key] = value
     return extras
 

@@ -61,10 +61,18 @@ class _Loss:
         return values, grads
 
     def value(self, yhat, y):
-        return float(self.batch_value(yhat, y)[0])
+        return float(self.batch_value(*_one_row(yhat, y))[0])
 
     def grad(self, yhat, y):
-        return self.batch_grad(yhat, y)[0]
+        return self.batch_grad(*_one_row(yhat, y))[0]
+
+
+def _one_row(yhat, y):
+    """The input check of value and grad: one example, as a (C,) or (1, C) row."""
+    yhat, y = _as_batch(yhat, y)
+    if len(yhat) != 1:
+        raise ValueError(f"value and grad take one example, got {len(yhat)} rows")
+    return yhat, y
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,6 @@ class MetaConfig:
     eta: float = 1.0
     order: int = 4
     val_fraction: float = 0.2
-    range_samples: int = 10_000
     sigma0: float = 0.5
     mean0: tuple[float, ...] = None
     population: int = None
@@ -88,8 +87,6 @@ class MetaConfig:
             raise ValueError(f"val_fraction must lie in (0, 1), got {self.val_fraction}")
         if self.order < 1:
             raise ValueError(f"order must be >= 1, got {self.order}")
-        if self.range_samples < 1:
-            raise ValueError(f"range_samples must be >= 1, got {self.range_samples}")
         TrainConfig.of(self)  # rejects bad training hyperparameters
         self.initial_state()  # rejects bad search settings
 
@@ -158,16 +155,7 @@ def run_generation(state, cfg, gen_seed):
     # normalization range is estimated against the first dataset's class count
     ref_classes = splits[cfg.datasets[0]].num_classes
     decoded = [TaylorLossParams.from_flat(vec, order=cfg.order) for vec in candidates]
-    losses = [
-        normalize(
-            params,
-            num_classes=ref_classes,
-            eta=cfg.eta,
-            num_samples=cfg.range_samples,
-            seed=derive_seed(gen_seed, "range", i),
-        )
-        for i, params in enumerate(decoded)
-    ]
+    losses = [normalize(params, num_classes=ref_classes, eta=cfg.eta) for params in decoded]
 
     # one stacked training per job over the candidates; a degenerate one scores
     # 0 as diverged without training

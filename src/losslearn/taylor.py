@@ -16,8 +16,10 @@ P_a(t - theta1) are computed once per loss by Horner's rule in e; each batch
 then takes one Horner pass in d per label value, with no powers. For any
 other label row q the loss is the label-weighted mix
 sum_k q_k * loss(yhat, e_k), the expected loss under the label distribution.
-Range estimation and indexed(), stacked or not, take label indices and reach the
-label entries as every reference loss does, by x[..., rows, labels] (_label_split).
+indexed(), stacked or not, takes label indices and reaches the label entries
+as every reference loss does, by x[..., rows, labels] (_label_split). The
+output range used for normalization is a deterministic scan of the simplex
+(estimate_range), so it depends on the loss and the class count alone.
 
 Losses here are total functions of their inputs (polynomials are finite
 everywhere), so no clamping of predictions is required or performed.
@@ -39,11 +41,8 @@ from .reference import _as_batch, _Loss
 
 LOSS_FILE_VERSION = 1
 DEFAULT_ORDER = 4
-DEFAULT_RANGE_SAMPLES = 10_000
 DEGENERATE_RANGE = 1e-9
-
-# estimate_range's (2, n, C) work arrays, one per (n, C)
-_range_work = {}
+SCAN_POINTS = 101  # estimate_range's grid over [0, 1]
 
 
 class LossFormatError(ValueError):
@@ -125,34 +124,32 @@ class TaylorLossParams(_Loss):
     def indexed(self, yhat, labels):
         return self._unit.indexed(yhat, labels)
 
-    def estimate_range(
-        self,
-        num_classes: int,
-        num_samples: int = DEFAULT_RANGE_SAMPLES,
-        seed: int = 0,
-    ) -> tuple[float, float]:
-        """Sampled (min, max) of the loss over its natural domain.
+    def estimate_range(self, num_classes: int) -> tuple[float, float]:
+        """(min, max) of the loss over a fixed scan of the simplex, not a certified bound.
 
-        Predictions are drawn uniformly from the probability simplex
-        (normalized unit exponentials) and labels uniformly from the one-hot
-        vectors. Deterministic for a given seed: bit for bit batch_value on the
-        one-hot rows of the same draws, in arrays kept per shape.
+        The loss is (1/C)[G1(s) + sum of G0 over the off-label entries], with s
+        the label entry and Gt(x) = d g_t(d), d = x - theta0. s and t run over
+        SCAN_POINTS on [0, 1]; one off-label entry is r = t(1 - s), k = 1..C-2
+        share u = (1 - s - r) / k and the rest are 0; at k = 0, r = 1 - s.
         """
         if num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {num_classes}")
-        if num_samples < 1:
-            raise ValueError(f"num_samples must be >= 1, got {num_samples}")
-        rng = np.random.default_rng(seed)
-        shape = (num_samples, num_classes)
-        d, values = _buffer(_range_work, shape, (2,) + shape)
-        rng.standard_exponential(out=d)  # the stream of exponential(1.0, shape)
-        d /= _class_fold(np.add, d)[:, None]
-        labels = rng.integers(0, num_classes, num_samples)
-        d -= self.expansion_point[0]
-        _label_split(*self._univariate[0], d, labels, values)  # g0, g1 of the values
-        values *= d
-        means = _class_fold(np.add, values) / num_classes
-        return float(means.min()), float(means.max())
+        (g0, g1), _ = self._univariate
+        theta0, c = self.expansion_point[0], num_classes
+
+        def G(g, x):
+            d = x - theta0
+            return d * _horner(g, d)
+
+        s = np.linspace(0.0, 1.0, SCAN_POINTS)
+        r = np.multiply.outer(1.0 - s, s)  # r[i, j] = t_j (1 - s_i)
+        k = np.arange(1.0, c - 1)[:, None, None]
+        label, zero = G(g1, s), G(g0, 0.0)
+        edges = (label + G(g0, 1.0 - s) + (c - 2) * zero) / c
+        u = (1.0 - s[:, None] - r) / k
+        shared = (label[:, None] + k * G(g0, u) + G(g0, r) + (c - 2 - k) * zero) / c
+        values = np.concatenate([edges, shared.ravel()])
+        return float(values.min()), float(values.max())
 
     def to_flat(self) -> np.ndarray:
         """Flat parameter vector: theta0, theta1, then coefficients in lex order."""
@@ -252,16 +249,15 @@ def normalize(
     params: TaylorLossParams,
     num_classes: int,
     eta: float = 1.0,
-    num_samples: int = DEFAULT_RANGE_SAMPLES,
-    seed: int = 0,
+    seed: int | None = None,  # ignored; stays only because perfbench/workloads.py passes it
 ) -> NormalizedLoss | None:
     """Estimate the range of ``params`` and wrap it, or None if degenerate.
 
-    Candidates whose sampled range is narrower than ``DEGENERATE_RANGE`` are
+    Candidates whose range is narrower than ``DEGENERATE_RANGE`` are
     effectively constant, and those whose values overflow have no range to
     scale by; callers treat both as failed candidates.
     """
-    f_min, f_max = params.estimate_range(num_classes, num_samples, seed)
+    f_min, f_max = params.estimate_range(num_classes)
     if not DEGENERATE_RANGE <= f_max - f_min < math.inf:  # NaN fails too
         return None
     return NormalizedLoss(inner=params, f_min=f_min, f_max=f_max, eta=eta)

@@ -175,6 +175,14 @@ def test_selector_rejects_malformed_option():
         loss_from_selector("bootstrap:mode=sideways")
     with pytest.raises(ConfigError, match="cannot build loss"):
         loss_from_selector("gce:quux=0.5")
+    for text in (
+        "gce:q=0.5:q=0.9",
+        "ls:epsilon=0.1:epsilon=0.2",
+        "bootstrap:mode=hard:hard=false",
+        "sce:A=-4:log_zero=-6",
+    ):
+        with pytest.raises(ConfigError, match="repeated loss option"):
+            loss_from_selector(text)
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +804,6 @@ META_CONFIG = {
     "population": 5,
     "epochs": 1,
     "batch_size": 16,
-    "range_samples": 300,
 }
 
 
@@ -832,7 +839,7 @@ def test_cli_meta_train_missing_field_exits_two(tmp_path, capsys):
         ({"population": 1}, "population size must be at least 2"),
         ({"sigma0": 0}, "sigma0 must be positive"),
         ({"mean0": [0.0, 0.0]}, "mean0 must have length 12"),
-        ({"range_samples": 0}, "range_samples"),
+        ({"range_samples": 0}, "unknown field 'range_samples'"),
         ({"order": 0}, "order"),
         ({"epochs": 1.5}, "epochs must be an integer"),
         ({"batch_size": 8.5}, "batch_size must be an integer"),

@@ -289,6 +289,8 @@ def test_dataset_selector_errors(tiny_idx):
         dataset_from_selector("blobs:3:20")
     with pytest.raises(ValueError, match="bad selector option"):
         dataset_from_selector("blobs:3:20:0.5:frobnicate=1")
+    with pytest.raises(ValueError, match="repeated selector option"):
+        dataset_from_selector("blobs:3:20:0.5:dim=3:dim=4")
     with pytest.raises(ValueError, match="need at least 2 classes"):
         dataset_from_selector("rings:0:5")
     ip, lp, _, _ = tiny_idx

@@ -744,7 +744,7 @@ def normalized_member(seed, eta, num_classes=3, order=4):
         expansion_point=tuple(rng.uniform(-0.5, 0.5, 2)),
         coefficients={k: rng.uniform(-1, 1) for k in coefficient_keys(order)},
     )
-    return normalize(params, num_classes=num_classes, eta=eta, num_samples=500, seed=seed)
+    return normalize(params, num_classes=num_classes, eta=eta)
 
 
 def test_stacked_polynomial_members_equal_serial_fits():

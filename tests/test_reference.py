@@ -18,6 +18,7 @@ from losslearn.reference import (
     SymmetricCrossEntropy,
     make_reference_loss,
 )
+from losslearn.taylor import mse_embedding
 
 # Scalar oracle for GCE, computed with plain math before the implementation.
 GCE_HALF_ORACLE = (1.0 - math.pow(0.5, 0.7)) / 0.7  # q=0.7, p_t=0.5
@@ -180,6 +181,19 @@ def test_batch_matches_per_sample():
             assert batch[i] == pytest.approx(loss.value(yhat[i], y[i]), abs=1e-14)
         grads = loss.batch_grad(yhat, y)
         assert grads.shape == (8, 4)
+
+
+def test_value_and_grad_take_one_example():
+    yhat = np.array([[0.9, 0.1], [0.1, 0.9]])
+    y = np.array([[1.0, 0.0], [1.0, 0.0]])
+    for loss in (*ALL_LOSSES.values(), mse_embedding()):
+        for rows in (yhat, yhat[:0]):  # two rows, no rows
+            with pytest.raises(ValueError, match=f"one example, got {len(rows)} rows"):
+                loss.value(rows, y[: len(rows)])
+            with pytest.raises(ValueError, match=f"one example, got {len(rows)} rows"):
+                loss.grad(rows, y[: len(rows)])
+        assert loss.value(yhat[:1], y[:1]) == loss.value(yhat[0], y[0])
+        assert np.array_equal(loss.grad(yhat[:1], y[:1]), loss.batch_grad(yhat, y)[0])
 
 
 def test_parameter_validation():

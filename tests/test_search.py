@@ -39,7 +39,6 @@ def tiny_config(**overrides):
         "population": 6,
         "epochs": 2,
         "batch_size": 16,
-        "range_samples": 400,
     }
     base.update(overrides)
     return MetaConfig.from_dict(base)
@@ -115,7 +114,6 @@ def test_config_round_trip_sets_every_field(tmp_path):
         eta=0.5,
         order=2,
         val_fraction=0.25,
-        range_samples=50,
         sigma0=0.3,
         mean0=[0.1, 0.2, 0.0, 0.0, 0.0],
         learning_rate=0.05,
@@ -157,7 +155,6 @@ CONFIG_JSON = """{
     0
   ],
   "population": 6,
-  "range_samples": 50,
   "sigma0": 0.3,
   "val_fraction": 0.25
 }
