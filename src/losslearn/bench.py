@@ -192,9 +192,6 @@ class BenchmarkGrid:
     def __post_init__(self):
         check_fields(self)
         object.__setattr__(self, "cells", tuple(_cell_triple(c) for c in self.cells))
-        object.__setattr__(self, "losses", tuple(self.losses))
-        if self.pairing is not None:
-            object.__setattr__(self, "pairing", tuple(self.pairing))
         if not self.cells:
             raise ConfigError("benchmark needs at least one cell")
         if not self.losses:
@@ -251,7 +248,6 @@ def compute_ranks(grid, results):
     exactly as written to results.csv.
     """
     table = RankTable(losses=grid.losses)
-    rank_sums = {loss: 0.0 for loss in grid.losses}
     for cell in grid.cells:
         arch, dsel, nsel = cell
         means, stds = [], []
@@ -264,9 +260,9 @@ def compute_ranks(grid, results):
         ranks = mid_ranks(means)
         for loss, mean, std, rank in zip(grid.losses, means, stds, ranks):
             table.rows.append((arch, dsel, nsel, loss, mean, std, float(rank)))
-            rank_sums[loss] += float(rank)
     table.averages = {
-        loss: rank_sums[loss] / len(grid.cells) for loss in grid.losses
+        loss: sum(row[6] for row in table.rows if row[3] == loss) / len(grid.cells)
+        for loss in grid.losses
     }
     return table
 

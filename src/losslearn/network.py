@@ -398,12 +398,14 @@ _FIELD_TYPES = {
 
 def check_fields(config):
     """ValueError unless each field of dataclass config fits its annotation
-    (None too where the default is None); a tuple[T, ...] field needs a list of T."""
+    (None too where the default is None); a tuple[T, ...] field needs a list of
+    T, and an array field is stored as a tuple."""
     for f in fields(config):
         value = getattr(config, f.name)
         if f.default is None and value is None:
             continue
-        kind, _, fits = _FIELD_TYPES[get_origin(f.type) or f.type]
+        base = get_origin(f.type) or f.type
+        kind, _, fits = _FIELD_TYPES[base]
         if not fits(value):
             null = " or null" if f.default is None else ""
             raise ValueError(f"{f.name} must be {kind}{null}, got {value!r}")
@@ -411,6 +413,8 @@ def check_fields(config):
             _, kinds, fits = _FIELD_TYPES[get_args(f.type)[0]]
             if not all(fits(v) for v in value):
                 raise ValueError(f"{f.name} must be {kinds}, got {value!r}")
+        if base is tuple:
+            object.__setattr__(config, f.name, tuple(value))
 
 
 @dataclass(frozen=True)
@@ -634,12 +638,6 @@ def mlp_spec(input_dim, hidden, num_classes, name=None):
     return NetworkSpec(label, tuple(layers), input_dim, num_classes)
 
 
-def linear_spec(input_dim, num_classes):
-    return NetworkSpec(
-        "linear", (Dense(input_dim, num_classes),), input_dim, num_classes
-    )
-
-
 def cnn_spec(side, num_classes, in_ch=1, name="cnn"):
     """Two 5x5 conv blocks with 2x2 pooling, then a 1024-wide dense layer."""
     h = ((side - 4) // 2 - 4) // 2  # each block: a valid 5x5 conv, then 2x2 pooling
@@ -659,7 +657,7 @@ def arch_from_selector(text, input_shape, num_classes):
     """
     flat_dim = int(math.prod(input_shape) if isinstance(input_shape, tuple) else input_shape)
     if text == "linear":
-        return linear_spec(flat_dim, num_classes)
+        return mlp_spec(flat_dim, [], num_classes, name="linear")
     if text == "cnn":
         if not isinstance(input_shape, tuple) or input_shape[0] != input_shape[1]:
             raise ValueError("cnn needs square image input")

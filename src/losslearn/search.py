@@ -32,9 +32,10 @@ from .taylor import (
 
 log = logging.getLogger("losslearn")
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 MODES = ("AR", "DR", "Full")
+REMOVED_FIELDS = ("workers", "range_samples")  # config fields of earlier releases
 
 @dataclass(frozen=True)
 class MetaConfig:
@@ -58,12 +59,6 @@ class MetaConfig:
 
     def __post_init__(self):
         check_fields(self)
-        object.__setattr__(self, "architectures", tuple(self.architectures))
-        object.__setattr__(self, "datasets", tuple(self.datasets))
-        if self.mean0 is not None:
-            object.__setattr__(self, "mean0", tuple(self.mean0))
-        if self.pairing is not None:
-            object.__setattr__(self, "pairing", tuple(self.pairing))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not self.architectures:
@@ -152,10 +147,10 @@ def run_generation(state, cfg, gen_seed):
             for sel in cfg.datasets
         }
 
-    # normalization range is estimated against the first dataset's class count
-    ref_classes = splits[cfg.datasets[0]].num_classes
+    # degenerate at any class count in the pool makes a candidate degenerate
+    classes = sorted({split.num_classes for split in splits.values()})
     decoded = [TaylorLossParams.from_flat(vec, order=cfg.order) for vec in candidates]
-    losses = [normalize(params, num_classes=ref_classes, eta=cfg.eta) for params in decoded]
+    losses = [normalize(params, num_classes=classes, eta=cfg.eta) for params in decoded]
 
     # one stacked training per job over the candidates; a degenerate one scores
     # 0 as diverged without training
@@ -205,6 +200,17 @@ def _latest_checkpoint(run_dir):
         if best is None or gen > best[0]:
             best = (gen, path)
     return best
+
+
+def _config_change(path, config_text):
+    """The first field in which the run directory's config.json differs, in words."""
+    try:
+        old, new, absent = json.loads(path.read_text()), json.loads(config_text), object()
+        name = min(n for n in {*old, *new} if old.get(n, absent) != new.get(n, absent))
+    except (OSError, ValueError, TypeError, AttributeError):  # none, no object, no difference
+        return "its config.json is missing, holds no config or differs in form only"
+    removed = ", a field that was removed" if name in REMOVED_FIELDS else ""
+    return f"the first field that differs is {name!r}{removed}"
 
 
 def _fitness_csv(records):
@@ -264,7 +270,10 @@ def meta_train(cfg, run_dir, stop_after=None):
     if latest is not None and not (
         config_path.exists() and config_path.read_text() == config_text
     ):
-        raise ConfigError(f"run directory {run_dir} holds a different config or none")
+        raise ConfigError(
+            f"run directory {run_dir} holds a different config or none: "
+            + _config_change(config_path, config_text)
+        )
     _write(config_path, config_text)
 
     state = cfg.initial_state()
@@ -283,13 +292,8 @@ def meta_train(cfg, run_dir, stop_after=None):
         history = doc["history"]
 
     ran = 0
-    while True:
-        bests = [row["best_fitness"] for row in history]
-        reason = stop_reason(state, bests, cfg.max_generations)
-        if reason is not None:
-            break
+    while stop_reason(state, [h["best_fitness"] for h in history], cfg.max_generations) is None:
         if stop_after is not None and ran >= stop_after:
-            reason = "interrupted"
             break
         started = time.perf_counter()
         gen_seed = derive_seed(cfg.master_seed, "gen", state.generation)
@@ -333,12 +337,7 @@ def meta_train(cfg, run_dir, stop_after=None):
         )
         _log_generation(history[-1], records, time.perf_counter() - started)
 
-    if best is not None:
-        loss_json = best["loss_json"]
-    else:
-        # nothing ran (max_generations 0): fall back to the loss encoded by
-        # the current mean, unnormalized
-        params = TaylorLossParams.from_flat(state.mean, order=cfg.order)
-        loss_json = loss_to_json(params)
-    _write(run_dir / "best_loss.json", loss_json)
-    return loss_from_json(loss_json), history
+    if best is None:  # nothing ran: the loss encoded by the current mean, unnormalized
+        best = {"loss_json": loss_to_json(TaylorLossParams.from_flat(state.mean, order=cfg.order))}
+    _write(run_dir / "best_loss.json", best["loss_json"])
+    return loss_from_json(best["loss_json"]), history

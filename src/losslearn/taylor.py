@@ -19,7 +19,8 @@ sum_k q_k * loss(yhat, e_k), the expected loss under the label distribution.
 indexed(), stacked or not, takes label indices and reaches the label entries
 as every reference loss does, by x[..., rows, labels] (_label_split). The
 output range used for normalization is a deterministic scan of the simplex
-(estimate_range), so it depends on the loss and the class count alone.
+(estimate_range), so it depends on the loss and the class count alone: a
+NormalizedLoss scans it once for each class count that its batches have.
 
 Losses here are total functions of their inputs (polynomials are finite
 everywhere), so no clamping of predictions is required or performed.
@@ -37,9 +38,9 @@ from pathlib import Path
 import numpy as np
 
 from .network import _buffer, _class_fold
-from .reference import _as_batch, _Loss
+from .reference import _Loss
 
-LOSS_FILE_VERSION = 1
+LOSS_FILE_VERSION = 2
 DEFAULT_ORDER = 4
 DEGENERATE_RANGE = 1e-9
 SCAN_POINTS = 101  # estimate_range's grid over [0, 1]
@@ -47,6 +48,10 @@ SCAN_POINTS = 101  # estimate_range's grid over [0, 1]
 
 class LossFormatError(ValueError):
     """Raised for malformed, unknown-version, or invariant-violating loss files."""
+
+
+class DegenerateRange(LossFormatError):
+    """A normalized loss met a class count at which its range has no width to scale by."""
 
 
 def coefficient_keys(order: int) -> list[tuple[int, int]]:
@@ -102,24 +107,13 @@ class TaylorLossParams(_Loss):
         values = [[_horner(row, e) for row in rows] for e in (0.0 - theta1, 1.0 - theta1)]
         return values, [[a * p for a, p in enumerate(g, start=1)] for g in values]
 
-    def batch_value(self, yhat: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Per-example losses for (n, C) prediction and label matrices."""
-        yhat, y = _as_batch(yhat, y)
-        d = yhat - self.expansion_point[0]
-        (g0, g1), _ = self._univariate
-        return ((1 - y) * (d * _horner(g0, d)) + y * (d * _horner(g1, d))).mean(axis=1)
-
-    def batch_grad(self, yhat: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """d(loss)/d(yhat) for each example in an (n, C) batch."""
-        yhat, y = _as_batch(yhat, y)
-        d = yhat - self.expansion_point[0]
-        _, (g0, g1) = self._univariate
-        return ((1 - y) * _horner(g0, d) + y * _horner(g1, d)) / yhat.shape[1]
+    # _Loss's label-weighted mix over indexed, bound here by name for perfbench's tracer
+    batch_value, batch_grad = _Loss.batch_value, _Loss.batch_grad
 
     @cached_property
     def _unit(self):
-        # scale 1 and offset 0 leave the bits of the normalized call unchanged
-        return NormalizedLoss(self, 0.0, 1.0)
+        # eta None: scale 1 and offset 0 leave the bits of the normalized call unchanged
+        return NormalizedLoss(self, None)
 
     def indexed(self, yhat, labels):
         return self._unit.indexed(yhat, labels)
@@ -137,17 +131,23 @@ class TaylorLossParams(_Loss):
         (g0, g1), _ = self._univariate
         theta0, c = self.expansion_point[0], num_classes
 
-        def G(g, x):
+        def G(g, x):  # d g(d) with d = x - theta0, in one array besides d
             d = x - theta0
-            return d * _horner(g, d)
+            out = _horner(g, d)
+            out *= d
+            return out
 
         s = np.linspace(0.0, 1.0, SCAN_POINTS)
         r = np.multiply.outer(1.0 - s, s)  # r[i, j] = t_j (1 - s_i)
         k = np.arange(1.0, c - 1)[:, None, None]
         label, zero = G(g1, s), G(g0, 0.0)
         edges = (label + G(g0, 1.0 - s) + (c - 2) * zero) / c
-        u = (1.0 - s[:, None] - r) / k
-        shared = (label[:, None] + k * G(g0, u) + G(g0, r) + (c - 2 - k) * zero) / c
+        shared = G(g0, (1.0 - s[:, None] - r) / k)  # in place: times k, plus the rest, / c
+        shared *= k
+        shared += label[:, None]
+        shared += G(g0, r)
+        shared += (c - 2 - k) * zero
+        shared /= c
         values = np.concatenate([edges, shared.ravel()])
         return float(values.min()), float(values.max())
 
@@ -175,27 +175,31 @@ class TaylorLossParams(_Loss):
 
 @dataclass(frozen=True)
 class NormalizedLoss(_Loss):
-    """Polynomial loss rescaled to an approximate [0, eta] output range."""
+    """Polynomial loss rescaled, at the class count C of each batch, so that its
+    range over the scan at C maps onto [0, eta]. eta None keeps the values as
+    they are: the unit wrapper through which a TaylorLossParams is called."""
 
     inner: TaylorLossParams
-    f_min: float
-    f_max: float
-    eta: float = 1.0
+    eta: float | None = 1.0
 
     def __post_init__(self):
-        bounds = (self.f_min, self.f_max, self.eta)
-        if not (all(map(math.isfinite, bounds)) and self.f_min < self.f_max and self.eta > 0):
-            raise ValueError(f"need finite f_min < f_max and eta > 0, got {bounds}")
+        if self.eta is not None and not (math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"need a finite eta > 0, got {self.eta!r}")
+        object.__setattr__(self, "_affine_at", {})  # class count -> (offset, scale)
 
-    @property
-    def _scale(self) -> float:
-        return self.eta / (self.f_max - self.f_min)
+    def affine(self, num_classes: int) -> tuple[float, float]:
+        """(offset, scale) making the values scale * (loss - offset) at C, from
+        the range at C, scanned once; DegenerateRange if it has no width."""
+        if self.eta is None:
+            return 0.0, 1.0
+        if num_classes not in self._affine_at:
+            lo, hi = self.inner.estimate_range(num_classes)
+            if not DEGENERATE_RANGE <= hi - lo < math.inf:  # NaN fails too
+                raise DegenerateRange(f"no range at {num_classes} classes (width {hi - lo!r})")
+            self._affine_at[num_classes] = lo, self.eta / (hi - lo)
+        return self._affine_at[num_classes]
 
-    def batch_value(self, yhat: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self._scale * (self.inner.batch_value(yhat, y) - self.f_min)
-
-    def batch_grad(self, yhat: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self._scale * self.inner.batch_grad(yhat, y)
+    batch_value, batch_grad = _Loss.batch_value, _Loss.batch_grad  # as in TaylorLossParams
 
     @cached_property
     def _call(self):
@@ -214,61 +218,66 @@ class NormalizedLoss(_Loss):
         Returns a function of (m, n, C) predictions and (n,) label indices
         giving (m, n) values and (m, n, C) gradients, member k under loss k,
         bit for bit what batch_value and batch_grad give slice by slice on the
-        one-hot label rows; None for any other population. The function keeps
-        its (m, n, C) arrays, so the next call overwrites the gradients.
+        one-hot label rows; None for any other population. Each member's
+        offset and scale come from its affine at the C of yhat. The function
+        keeps its (m, n, C) arrays, so the next call overwrites the gradients.
         """
         if not all(
             isinstance(l, NormalizedLoss) and l.inner.order == losses[0].inner.order
             for l in losses
         ):
             return None
-        theta0, scale, f_min = np.array(
-            [(l.inner.expansion_point[0], l._scale, l.f_min) for l in losses]
-        ).T[:, :, None, None]
+        theta0 = np.array([l.inner.expansion_point[0] for l in losses])[:, None, None]
         # (value or gradient, label entry t, power, member, 1, 1)
         coeffs = np.moveaxis(np.array([l.inner._univariate for l in losses]), 0, -1)
         (g0, g1), (dg0, dg1) = coeffs[..., None, None]
         g1, dg1 = g1[..., 0], dg1[..., 0]  # (power, member, 1): against (m, n) label entries
-        work = {}  # per batch length: d, values, gradients
+        work, scales = {}, {}  # per batch length: d, values, gradients; per C: (m, 1) arrays
 
         def value_and_grad(yhat, labels):
+            c = yhat.shape[-1]
+            if c not in scales:
+                scales[c] = np.array([l.affine(c) for l in losses]).T[:, :, None]
+            offset, scale = scales[c]
             d, values, grads = _buffer(work, yhat.shape, (3,) + yhat.shape)
             np.subtract(yhat, theta0, out=d)
             _label_split(g0, g1, d, labels, values)
             values *= d
-            means = _class_fold(np.add, values) / yhat.shape[-1]
+            means = _class_fold(np.add, values) / c
             _label_split(dg0, dg1, d, labels, grads)
-            grads /= yhat.shape[-1]
-            grads *= scale
-            return scale[..., 0] * (means - f_min[..., 0]), grads
+            grads /= c
+            grads *= scale[..., None]
+            return scale * (means - offset), grads
 
         return value_and_grad
 
 
 def normalize(
     params: TaylorLossParams,
-    num_classes: int,
+    num_classes: int | list[int],
     eta: float = 1.0,
     seed: int | None = None,  # ignored; stays only because perfbench/workloads.py passes it
 ) -> NormalizedLoss | None:
-    """Estimate the range of ``params`` and wrap it, or None if degenerate.
+    """``params`` wrapped to [0, eta], or None if its range is degenerate at
+    any of the class counts given (one or several), whose ranges it scans.
 
     Candidates whose range is narrower than ``DEGENERATE_RANGE`` are
     effectively constant, and those whose values overflow have no range to
     scale by; callers treat both as failed candidates.
     """
-    f_min, f_max = params.estimate_range(num_classes)
-    if not DEGENERATE_RANGE <= f_max - f_min < math.inf:  # NaN fails too
+    loss = NormalizedLoss(params, eta)
+    try:
+        for c in np.atleast_1d(num_classes).tolist():
+            loss.affine(c)
+    except DegenerateRange:
         return None
-    return NormalizedLoss(inner=params, f_min=f_min, f_max=f_max, eta=eta)
+    return loss
 
 
 def loss_to_json(loss: TaylorLossParams | NormalizedLoss) -> str:
     """Serialize a (possibly normalized) polynomial loss to its JSON file form."""
     if isinstance(loss, NormalizedLoss):
-        params, norm = loss.inner, {
-            "eta": loss.eta, "f_min": loss.f_min, "f_max": loss.f_max,
-        }
+        params, norm = loss.inner, {"eta": loss.eta}
     else:
         params, norm = loss, None
     doc = {
@@ -293,6 +302,9 @@ def loss_from_json(text: str | bytes) -> TaylorLossParams | NormalizedLoss:
     if not isinstance(doc, dict):
         raise LossFormatError("loss file must contain a JSON object")
     version = doc.get("version")
+    if version == 1:  # its range served the one class count of its search
+        raise LossFormatError('loss file version 1 stores a fixed range, which is no longer used: '
+                              'set "version" to 2 and keep only "eta" in "normalization"')
     if version != LOSS_FILE_VERSION:
         raise LossFormatError(f"unknown loss file version {version!r}")
     for key in ("order", "expansion_point", "coefficients"):
@@ -326,17 +338,12 @@ def loss_from_json(text: str | bytes) -> TaylorLossParams | NormalizedLoss:
     norm = doc.get("normalization")
     if norm is None:
         return params
+    if not (isinstance(norm, dict) and list(norm) == ["eta"]):
+        raise LossFormatError(f"normalization must hold eta alone, got {norm!r}")
     try:
-        return NormalizedLoss(
-            inner=params,
-            f_min=_number(norm["f_min"]),
-            f_max=_number(norm["f_max"]),
-            eta=_number(norm["eta"]),
-        )
-    except (TypeError, KeyError) as exc:
-        raise LossFormatError(f"malformed normalization block {norm!r}") from exc
-    except (ValueError, OverflowError) as exc:
-        raise LossFormatError(str(exc)) from exc
+        return NormalizedLoss(params, _number(norm["eta"]))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise LossFormatError(f"malformed normalization block {norm!r}: {exc}") from exc
 
 
 def _number(value):
@@ -367,22 +374,22 @@ def mse_embedding(order: int = DEFAULT_ORDER) -> TaylorLossParams:
     return TaylorLossParams(order=order, expansion_point=(0.0, 0.0), coefficients=coeffs)
 
 
-def _horner(coeffs, x):
-    """sum_i coeffs[i] * x**i by Horner's rule; x may be an array."""
-    acc = coeffs[-1]
+def _horner(coeffs, x, out=None):
+    """sum_i coeffs[i] * x**i by Horner's rule, in place in out (a new array if None)."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(coeffs[-1]), np.shape(x)))
+    out[...] = coeffs[-1]
     for c in coeffs[-2::-1]:
-        acc = acc * x + c
-    return acc
+        out *= x
+        out += c
+    return out
 
 
 def _label_split(g0, g1, d, labels, out):
     """g0(d) into (..., n, C) out, then g1(d) at the label entries out[..., i,
     labels[i]], so g1's coefficients broadcast against (..., n): on one-hot
     rows, the bits of the masked (1 - y) g0 + y g1."""
-    out[...] = g0[-1]  # _horner, in place
-    for c in g0[-2::-1]:
-        out *= d
-        out += c
+    _horner(g0, d, out)
     rows = np.arange(d.shape[-2])
     out[..., rows, labels] = _horner(g1, d[..., rows, labels])
 

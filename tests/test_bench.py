@@ -35,7 +35,15 @@ from losslearn.reference import (
     SymmetricCrossEntropy,
 )
 from losslearn.seeding import derive_seed
-from losslearn.taylor import loss_to_json, mse_embedding, save_loss
+from losslearn.taylor import (
+    NormalizedLoss,
+    TaylorLossParams,
+    coefficient_keys,
+    loss_to_json,
+    mse_embedding,
+    normalize,
+    save_loss,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -740,6 +748,47 @@ def test_cli_inspect_malformed_loss_file_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert "coefficients" in capsys.readouterr().err
+
+
+def test_cli_version_1_loss_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "v1.json"
+    doc = json.loads(loss_to_json(NormalizedLoss(mse_embedding(), eta=8.0)))
+    path.write_text(json.dumps({**doc, "version": 1, "normalization": {
+        "f_min": -0.5, "f_max": 0.5, "eta": 8.0}}))
+    for argv in (
+        ["inspect-loss", "--out", str(tmp_path / "s.csv")],
+        ["train", "--dataset", "blobs:3:20:0.3", "--arch", "mlp:4", "--epochs", "1"],
+    ):
+        assert main_entry(argv + ["--loss", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "version 1 stores a fixed range, which is no longer used" in err
+        assert 'set "version" to 2 and keep only "eta"' in err
+
+
+def test_cli_inspect_loss_normalizes_at_two_classes(tmp_path, capsys):
+    # a loss normalized during a 10-class search spans [0, eta] on the binary surface
+    path, out = tmp_path / "loss.json", tmp_path / "s.csv"
+    save_loss(normalize(mse_embedding(), num_classes=10, eta=8.0), path)
+    assert main_entry(["inspect-loss", "--loss", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    values = [float(row["loss"]) for row in csv.DictReader(io.StringIO(out.read_text()))]
+    assert (min(values), max(values)) == (0.0, 8.0)
+
+
+def test_cli_loss_without_range_at_the_class_count_exits_two(tmp_path, capsys):
+    # this loss is constant on the two-class simplex, but not on three classes
+    coeffs = dict.fromkeys(coefficient_keys(4), 0.0)
+    coeffs.update({(2, 0): 2.0, (1, 1): 2.0, (2, 1): -4.0})
+    path = tmp_path / "loss.json"
+    save_loss(NormalizedLoss(TaylorLossParams(coefficients=coeffs), eta=8.0), path)
+    for argv, code in (
+        (["inspect-loss", "--out", str(tmp_path / "s.csv")], 2),
+        (["train", "--dataset", "blobs:2:20:0.3", "--arch", "mlp:4", "--epochs", "1"], 2),
+        (["train", "--dataset", "blobs:3:20:0.3", "--arch", "mlp:4", "--epochs", "1"], 0),
+    ):
+        assert main_entry(argv + ["--loss", str(path)]) == code
+        err = capsys.readouterr().err
+        assert ("at 2 classes" in err) == (code == 2)
 
 
 def test_cli_make_noise_matrix(tmp_path, capsys):

@@ -23,7 +23,6 @@ from losslearn.network import (
     cnn_spec,
     fit_many,
     init,
-    linear_spec,
     mlp_spec,
     prepare_features,
     train,
@@ -374,7 +373,7 @@ LOSSES = [
     Bootstrap(weight=0.8, hard=True),
     mse_embedding(),
     random_taylor(900),
-    NormalizedLoss(inner=random_taylor(901), f_min=-0.7, f_max=1.3, eta=2.0),
+    NormalizedLoss(inner=random_taylor(901), eta=2.0),
 ]
 
 
@@ -449,7 +448,7 @@ def test_zero_learning_rate_changes_nothing():
 
 
 def test_one_step_matches_hand_backprop():
-    spec = linear_spec(3, 2)
+    spec = mlp_spec(3, [], 2)
     net = init(spec, seed=13)
     w = net._views(net.theta[0])[0]["w"].copy()
     b = net._views(net.theta[0])[0]["b"].copy()
@@ -618,7 +617,7 @@ def test_curve_csv_format():
 
 
 def test_accuracy_all_correct():
-    net = init(linear_spec(3, 3), seed=17)
+    net = init(mlp_spec(3, [], 3), seed=17)
     v = net._views(net.theta)[0]
     v["w"][...] = np.eye(3) * 10.0
     x = np.eye(3)
@@ -634,7 +633,7 @@ def test_accuracy_tie_breaks_to_lowest_index():
 
 
 def test_accuracy_counts_matches():
-    net = init(linear_spec(3, 3), seed=19)
+    net = init(mlp_spec(3, [], 3), seed=19)
     v = net._views(net.theta)[0]
     v["w"][...] = np.eye(3) * 10.0
     # 10 one-hot inputs; 7 labels match the argmax, 3 do not

@@ -208,6 +208,36 @@ def test_run_generation_shapes_and_bounds():
         assert isinstance(loss, NormalizedLoss)
 
 
+def test_dr_jobs_normalize_at_their_own_class_count(monkeypatch):
+    # each job's losses map the scan's extremes at that job's C to 0 and eta,
+    # so random simplex points of its C land in [0, eta] within the scan's
+    # tolerance; a range taken at the first dataset's C gives blobs:10 jobs a
+    # fraction of the scale
+    jobs, fit_many = [], search.fit_many
+
+    def recorded(spec, losses, data, *args):
+        jobs.append((data.num_classes, losses))
+        return fit_many(spec, losses, data, *args)
+
+    monkeypatch.setattr(search, "fit_many", recorded)
+    cfg = tiny_config(
+        mode="DR", datasets=["blobs:3:30:0.3", "blobs:10:20:0.3:dim=4"], eta=8.0, population=8
+    )
+    run_generation(cfg.initial_state(), cfg, derive_seed(11, "gen", 0))
+    assert [c for c, _ in jobs] == [3, 10] and len(jobs[1][1]) > 4
+    rng = np.random.default_rng(7)
+    for c, losses in jobs:
+        yhat = np.vstack([rng.dirichlet(np.ones(c), 400), np.eye(c)])
+        labels = rng.integers(0, c, len(yhat))
+        for loss in losses:
+            lo, hi = loss.inner.estimate_range(c)
+            raw = loss.inner.indexed(yhat, labels)[0]
+            values = loss.indexed(yhat, labels)[0]
+            np.testing.assert_allclose(values, 8.0 * (raw - lo) / (hi - lo), atol=1e-9)
+            tol = 1e-4 * 8.0
+            assert -tol <= values.min() and values.max() <= 8.0 + tol
+
+
 def test_degenerate_candidates_score_zero(tmp_path):
     # a near-vanishing step size around the zero vector keeps every candidate
     # inside the degenerate-range threshold, so none can be normalized
@@ -365,6 +395,44 @@ def test_conflicting_run_dir_rejected(tmp_path):
         meta_train(tiny_config(max_generations=1, master_seed=99), tmp_path / "r")
 
 
+@pytest.mark.parametrize("edit, named", [
+    (lambda doc: doc.update(master_seed=12), "the first field that differs is 'master_seed'"),
+    (lambda doc: doc.update(range_samples=1000),
+     "the first field that differs is 'range_samples', a field that was removed"),
+    (lambda doc: doc.pop("eta"), "the first field that differs is 'eta'"),
+])
+def test_resume_names_the_first_differing_field(tmp_path, edit, named):
+    cfg = tiny_config(max_generations=1)
+    meta_train(cfg, tmp_path / "r")
+    path = tmp_path / "r" / "config.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="holds a different config or none: " + named):
+        meta_train(cfg, tmp_path / "r")
+    path.write_text("[]")
+    with pytest.raises(ValueError, match="its config.json is missing, holds no config"):
+        meta_train(cfg, tmp_path / "r")
+
+
+def test_version_2_checkpoints_exit_two_before_any_generation(tmp_path, monkeypatch, capsys):
+    # a v2 checkpoint embeds a v2-era loss file that would not load at the end
+    config = tmp_path / "meta.json"
+    config.write_text(json.dumps(tiny_config(max_generations=3).to_dict()))
+    run_dir = tmp_path / "run"
+    argv = ["meta-train", "--config", str(config), "--out", str(run_dir)]
+    assert main_entry(argv + ["--stop-after", "1"]) == 0
+    path = run_dir / "checkpoint_gen_1.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "version": 2}))
+    left = read_artifacts(run_dir)
+    ran = []
+    monkeypatch.setattr(search, "run_generation", lambda *args: ran.append(args))
+    capsys.readouterr()
+    assert main_entry(argv) == 2
+    assert "checkpoint version 2 is not resumable (expected 3)" in capsys.readouterr().err
+    assert ran == [] and read_artifacts(run_dir) == left
+
+
 def test_bad_checkpoint_version_rejected(tmp_path):
     cfg = tiny_config(max_generations=1)
     run_dir = tmp_path / "v"
@@ -382,11 +450,7 @@ def test_best_loss_file_loads(tmp_path):
     best, _ = meta_train(cfg, tmp_path / "load")
     reloaded = loss_from_json((tmp_path / "load" / "best_loss.json").read_text())
     assert type(reloaded) is type(best)
-    if isinstance(best, NormalizedLoss):
-        assert reloaded.inner == best.inner
-        assert (reloaded.f_min, reloaded.f_max) == (best.f_min, best.f_max)
-    else:
-        assert reloaded == best
+    assert reloaded == best  # a normalized loss is its inner loss and eta
 
 
 @pytest.mark.parametrize("generations", [0, 1])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from losslearn import taylor
 from losslearn.taylor import (
     DEFAULT_ORDER,
+    DegenerateRange,
     LossFormatError,
     NormalizedLoss,
     TaylorLossParams,
@@ -338,9 +339,13 @@ def test_one_hot_evaluation_is_bit_identical_to_bivariate(order, num_classes):
         value, grad = bivariate_reference(params, yhat, y)
         assert np.array_equal(params.batch_value(yhat, y), value)
         assert np.array_equal(params.batch_grad(yhat, y), grad)
-        nl = NormalizedLoss(inner=params, f_min=-0.7, f_max=1.9, eta=8.0)
-        scale = nl.eta / (nl.f_max - nl.f_min)
-        assert np.array_equal(nl.batch_value(yhat, y), scale * (value - nl.f_min))
+        if order == 1:
+            continue  # constant on the simplex: no range to normalize by
+        nl = NormalizedLoss(inner=params, eta=8.0)
+        lo, hi = params.estimate_range(num_classes)
+        scale = nl.eta / (hi - lo)
+        assert nl.affine(num_classes) == (lo, scale)
+        assert np.array_equal(nl.batch_value(yhat, y), scale * (value - lo))
         assert np.array_equal(nl.batch_grad(yhat, y), scale * grad)
 
 
@@ -463,33 +468,83 @@ def test_range_matches_minplus_oracle(order, num_classes, seed):
         assert f_min - tol <= values.min() and values.max() <= f_max + tol
 
 
+def allocating_scan(params, num_classes):
+    """estimate_range as written before its in-place pass: a fresh array for
+    every Horner step and every sum."""
+    (g0, g1), _ = params._univariate
+    theta0, c = params.expansion_point[0], num_classes
+
+    def G(g, x):
+        d = x - theta0
+        acc = g[-1]
+        for coeff in g[-2::-1]:
+            acc = acc * d + coeff
+        return d * acc
+
+    s = np.linspace(0.0, 1.0, taylor.SCAN_POINTS)
+    r = np.multiply.outer(1.0 - s, s)
+    k = np.arange(1.0, c - 1)[:, None, None]
+    label, zero = G(g1, s), G(g0, 0.0)
+    edges = (label + G(g0, 1.0 - s) + (c - 2) * zero) / c
+    u = (1.0 - s[:, None] - r) / k
+    shared = (label[:, None] + k * G(g0, u) + G(g0, r) + (c - 2 - k) * zero) / c
+    values = np.concatenate([edges, shared.ravel()])
+    return float(values.min()), float(values.max())
+
+
+@pytest.mark.parametrize("num_classes", [2, 3, 5, 10])
+@pytest.mark.parametrize("order", range(1, 7))
+def test_range_scan_in_place_keeps_the_bits(order, num_classes):
+    rng = np.random.default_rng(47 * order + num_classes)
+    for scale in (0.1, 1.0, 3.0) * 4:
+        params = random_params(rng, order, scale)
+        assert np.array_equal(
+            params.estimate_range(num_classes), allocating_scan(params, num_classes)
+        )
+
+
 def test_normalize_ignores_its_seed():
     params = random_params(np.random.default_rng(43))
-    ranges = {
-        (loss.f_min, loss.f_max)
+    scales = {
+        loss.affine(3)
         for loss in (normalize(params, num_classes=3, seed=s) for s in (None, 0, 1, 2**31))
     }
-    assert ranges == {params.estimate_range(3)}
+    lo, hi = params.estimate_range(3)
+    assert scales == {(lo, 1.0 / (hi - lo))}
 
 
 def test_normalized_eval_affine():
+    # the scan's extremes at the C of the input map to 0 and eta
     params = mse_embedding()
-    nl = NormalizedLoss(inner=params, f_min=0.0, f_max=2.0, eta=1.0)
-    yhat = np.array([0.7, 0.3])
-    y = np.array([1.0, 0.0])
-    inner_val = params.value(yhat, y)
-    assert nl.value(yhat, y) == pytest.approx(inner_val / 2.0, abs=1e-12)
-    # endpoints map to 0 and eta
-    scale = lambda v: 1.0 * (v - 0.0) / 2.0
-    assert scale(0.0) == 0.0
-    assert scale(2.0) == 1.0
+    nl = NormalizedLoss(inner=params, eta=2.0)
+    for c in (2, 3, 7):
+        lo, hi = params.estimate_range(c)
+        yhat, y = np.full(c, 1.0 / c), np.eye(c)[0]
+        expected = 2.0 * (params.value(yhat, y) - lo) / (hi - lo)
+        assert nl.value(yhat, y) == pytest.approx(expected, abs=1e-12)
+        assert nl.value(*np.eye(c)[:2]) == pytest.approx(2.0, abs=1e-12)  # MSE's worst
+        assert nl.value(np.eye(c)[0], np.eye(c)[0]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_normalized_rejects_degenerate():
-    with pytest.raises(ValueError, match="f_max"):
-        NormalizedLoss(inner=mse_embedding(), f_min=1.0, f_max=1.0)
-    with pytest.raises(ValueError, match="eta"):
-        NormalizedLoss(inner=mse_embedding(), f_min=0.0, f_max=1.0, eta=0.0)
+    for eta in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="eta"):
+            NormalizedLoss(inner=mse_embedding(), eta=eta)
+    constant = NormalizedLoss(inner=TaylorLossParams(), eta=1.0)  # its range shows at use
+    with pytest.raises(DegenerateRange, match="3 classes"):
+        constant.value(np.full(3, 1 / 3), np.eye(3)[0])
+
+
+def test_normalize_is_degenerate_if_any_class_count_is():
+    # G1(s) = 2s - s^2 and G0(x) = x^2 sum to 1 on the C = 2 simplex, not above
+    coeffs = {k: 0.0 for k in coefficient_keys(4)}
+    coeffs.update({(2, 0): 2.0, (1, 1): 2.0, (2, 1): -4.0})
+    params = TaylorLossParams(coefficients=coeffs)
+    assert normalize(params, num_classes=3) is not None
+    for pool in (2, [2, 3], [3, 2], (3, 5, 2)):
+        assert normalize(params, num_classes=pool) is None
+    loss = normalize(params, num_classes=[3, 10], eta=8.0)
+    assert loss.affine(10)[1] != loss.affine(3)[1]  # one range per class count
 
 
 def test_normalize_flags_an_overflowing_loss():
@@ -520,11 +575,12 @@ def test_normalization_preserves_argmin():
 def test_normalized_grad_is_scaled_inner_grad():
     rng = np.random.default_rng(29)
     params = random_params(rng)
-    nl = NormalizedLoss(inner=params, f_min=-1.0, f_max=3.0, eta=2.0)
+    nl = NormalizedLoss(inner=params, eta=2.0)
     yhat, y = random_input(rng, 6)
     fd = fd_grad(lambda p, t: nl.value(p, t), yhat, y)
     assert rel_err(nl.grad(yhat, y), fd) < 1e-5
-    np.testing.assert_allclose(nl.grad(yhat, y), 0.5 * params.grad(yhat, y), atol=1e-15)
+    lo, hi = params.estimate_range(6)
+    np.testing.assert_allclose(nl.grad(yhat, y), 2.0 / (hi - lo) * params.grad(yhat, y))
 
 
 @pytest.mark.parametrize("order", range(1, 7))
@@ -532,7 +588,8 @@ def test_normalized_grad_is_scaled_inner_grad():
 def test_stacked_population_equals_member_calls(order, num_classes):
     rng = np.random.default_rng(31 * order + num_classes)
     losses = [
-        NormalizedLoss(random_params(rng, order), -rng.random(), 1 + rng.random(), eta=8.0)
+        # an order-1 loss is constant on the simplex: no range, so the unit wrapper
+        NormalizedLoss(random_params(rng, order), eta=None if order == 1 else 1 + rng.random())
         for _ in range(5)
     ]
     yhat = rng.dirichlet(np.ones(num_classes), (5, 40))
@@ -555,7 +612,7 @@ def test_indexed_builds_its_call_once_and_returns_fresh_gradients(monkeypatch, n
     monkeypatch.setattr(NormalizedLoss, "stacked", staticmethod(counted))
     rng = np.random.default_rng(53)
     params = random_params(rng)
-    loss = NormalizedLoss(params, -1.0, 2.0, eta=8.0) if normalized else params
+    loss = NormalizedLoss(params, eta=8.0) if normalized else params
     calls = []
     for _ in range(3):
         yhat = rng.dirichlet(np.ones(3), 20)
@@ -635,14 +692,28 @@ def test_flat_ordering():
 def test_loss_file_round_trip(tmp_path):
     rng = np.random.default_rng(37)
     params = random_params(rng)
-    nl = NormalizedLoss(inner=params, f_min=-0.25, f_max=1.75, eta=1.0)
+    nl = NormalizedLoss(inner=params, eta=8.0)
     path = tmp_path / "loss.json"
     save_loss(nl, path)
+    assert json.loads(path.read_text())["normalization"] == {"eta": 8.0}
     back = load_loss(path)
     assert isinstance(back, NormalizedLoss)
     assert back.inner.coefficients == params.coefficients
     assert back.inner.expansion_point == params.expansion_point
-    assert (back.f_min, back.f_max, back.eta) == (-0.25, 1.75, 1.0)
+    assert back.eta == 8.0
+    yhat = rng.dirichlet(np.ones(5), 10)
+    y = np.eye(5)[rng.integers(0, 5, 10)]
+    assert np.array_equal(back.batch_value(yhat, y), nl.batch_value(yhat, y))
+
+
+def test_loss_file_version_1_is_malformed():
+    # a v1 file stored the range for one class count; it no longer loads
+    doc = json.loads(loss_to_json(NormalizedLoss(mse_embedding(), eta=8.0)))
+    doc.update(version=1, normalization={"f_min": -0.5, "f_max": 0.5, "eta": 8.0})
+    with pytest.raises(LossFormatError, match="fixed range, which is no longer used"):
+        loss_from_json(json.dumps(doc))
+    doc.update(version=2, normalization={"eta": 8.0})  # the conversion the message names
+    assert loss_from_json(json.dumps(doc)) == NormalizedLoss(mse_embedding(), eta=8.0)
 
 
 def test_loss_file_round_trip_unnormalized(tmp_path):
@@ -691,7 +762,7 @@ def test_loss_file_handwritten():
         for b in range(0, 5 - a)
     ]
     doc = {
-        "version": 1,
+        "version": 2,
         "order": 4,
         "expansion_point": [0.05, -0.1],
         "coefficients": coeffs,
@@ -725,7 +796,7 @@ def test_loss_file_bit_identical_coefficients(tmp_path):
         ),
         lambda doc: doc["coefficients"][0].update(value=10**400),
         lambda doc: doc.update(expansion_point=[0.0, -(10**400)]),
-        lambda doc: doc.update(normalization={"f_min": 0.0, "f_max": 10**400, "eta": 1.0}),
+        lambda doc: doc.update(normalization={"eta": 10**400}),
         # JSON booleans, numeric strings and float exponents are no numbers here
         lambda doc: doc["coefficients"][0].update(value=True),
         lambda doc: doc["coefficients"][0].update(value="2.0"),
@@ -734,19 +805,23 @@ def test_loss_file_bit_identical_coefficients(tmp_path):
         lambda doc: doc["coefficients"][0].update(b=False),
         lambda doc: doc.update(expansion_point=["0.1", 0]),
         lambda doc: doc.update(expansion_point=[0.0, True]),
-        lambda doc: doc.update(normalization={"f_min": 0.0, "f_max": 1.0, "eta": True}),
-        lambda doc: doc.update(normalization={"f_min": "0", "f_max": 1.0, "eta": 1.0}),
-        # non-finite bounds make every loss value NaN or infinite
-        lambda doc: doc.update(normalization={"f_min": -math.inf, "f_max": 1.0, "eta": 1.0}),
-        lambda doc: doc.update(normalization={"f_min": 0.0, "f_max": math.inf, "eta": 1.0}),
-        lambda doc: doc.update(normalization={"f_min": 0.0, "f_max": 1.0, "eta": math.inf}),
+        lambda doc: doc.update(normalization={"eta": True}),
+        lambda doc: doc.update(normalization={"eta": "8"}),
+        # a v2 block holds eta alone: a stored range is no longer read
+        lambda doc: doc.update(normalization={"eta": 8.0, "f_min": 0.0, "f_max": 1.0}),
+        lambda doc: doc.update(normalization={}),
+        lambda doc: doc.update(normalization=[8.0]),
+        # eta must be finite and positive, or every loss value is NaN or infinite
+        lambda doc: doc.update(normalization={"eta": math.inf}),
+        lambda doc: doc.update(normalization={"eta": 0}),
+        lambda doc: doc.update(normalization={"eta": None}),
     ],
     ids=[
         "coefficients-not-array", "value-not-number", "point-not-number", "order-bool",
         "value-too-large", "point-too-large", "normalization-too-large",
         "value-bool", "value-string", "a-bool", "a-float", "b-bool", "point-string",
-        "point-bool", "eta-bool", "f_min-string", "f_min-infinite", "f_max-infinite",
-        "eta-infinite",
+        "point-bool", "eta-bool", "eta-string", "range-keys", "eta-missing",
+        "normalization-not-object", "eta-infinite", "eta-zero", "eta-null",
     ],
 )
 def test_loss_file_malformed_values(edit):
