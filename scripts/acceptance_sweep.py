@@ -28,11 +28,16 @@ def seed_range(text):
     return range(int(first), int(last or first) + 1)
 
 
+def parse_seeds(argv, default, doc=__doc__):
+    """The --seeds option of a diagnostic script whose docstring is doc."""
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
+    parser.add_argument("--seeds", type=seed_range, default=seed_range(default),
+                        help=f"master seeds, as N or FIRST-LAST (default {default})")
+    return parser.parse_args(argv).seeds
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=seed_range, default=seed_range("0-9"),
-                        help="master seeds, as N or FIRST-LAST (default 0-9)")
-    seeds = parser.parse_args(argv).seeds
+    seeds = parse_seeds(argv, "0-9")
 
     ce = CrossEntropy()  # the baselines do not depend on the master seed
     ce_blobs, ce_rings = acc.deploy(ce, acc.BLOBS), acc.deploy(ce, acc.RINGS)

@@ -11,7 +11,6 @@ suite and applies no threshold.
     python scripts/reuse_check.py [--seeds 0-4]
 """
 
-import argparse
 import sys
 import tempfile
 import time
@@ -21,7 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import test_acceptance as acc  # noqa: E402
-from acceptance_sweep import seed_range  # noqa: E402
+from acceptance_sweep import parse_seeds  # noqa: E402
 from losslearn.reference import CrossEntropy  # noqa: E402
 from losslearn.search import MetaConfig, meta_train  # noqa: E402
 from losslearn.taylor import load_loss  # noqa: E402
@@ -31,10 +30,7 @@ HELD_OUT = "blobs:5:300:0.5"
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=seed_range, default=seed_range("0-4"),
-                        help="master seeds, as N or FIRST-LAST (default 0-4)")
-    seeds = parser.parse_args(argv).seeds
+    seeds = parse_seeds(argv, "0-4", __doc__)
 
     ce = acc.deploy(CrossEntropy(), HELD_OUT)  # the baseline does not depend on the seed
     print(f"CE on {HELD_OUT}: {ce:.4f}")

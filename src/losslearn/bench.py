@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import ValFractionError, noisy_split
-from .network import TrainConfig, arch_from_selector, check_fields, fit_many, input_shape_of
+from .network import TrainConfig, arch_from_selector, check_fields, fit_many
 from .noise import NoiseSpec, build_transition, noise_from_selector
 from .reference import REFERENCE_KINDS, make_reference_loss
 from .seeding import derive_seed
@@ -157,7 +157,7 @@ def _resolve(arch_sel, dataset_sel, noise_sel, seed, val_fraction, pairing):
             val_fraction=val_fraction,
             pairing=pairing,
         )
-        spec = arch_from_selector(arch_sel, input_shape_of(sp.train_features), sp.num_classes)
+        spec = arch_from_selector(arch_sel, sp.train_features.shape[1:], sp.num_classes)
     return sp, spec
 
 
@@ -278,9 +278,14 @@ def run_benchmark(grid, out_dir):
         seed = derive_seed(grid.master_seed, "cell", *cell, s)
         return seed, _resolve(*cell, seed, grid.val_fraction, grid.pairing)
 
-    # every cell's first seed resolves before any training, so a selector
-    # typo fails before anything runs; each is held until its cell trains
+    # every cell's first seed resolves before any training, so a selector typo
+    # fails before anything runs, as does a polynomial loss without a range at
+    # some cell's class count; each is held until its cell trains
     first = [resolve(cell, 0) for cell in grid.cells]
+    for _, (sp, _) in first:
+        for loss in losses:
+            if hasattr(loss, "affine"):  # a polynomial loss; it keeps each C's range
+                loss.affine(sp.num_classes)
     results = []
     for cell in grid.cells:
         rows = [[] for _ in grid.losses]

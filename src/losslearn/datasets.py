@@ -21,7 +21,7 @@ LABELS_MAGIC = 2049
 @dataclass(frozen=True)
 class Dataset:
     name: str
-    features: np.ndarray  # (n, d) flat or (n, H, W) spatial
+    features: np.ndarray  # (n, d) flat or (n, H, W, ch) images
     labels: np.ndarray  # (n,) int64
     num_classes: int
 
@@ -112,7 +112,7 @@ def load_idx(images_path, labels_path, downsample=None, limit=None):
     labels = labels.astype(np.int64)
     return Dataset(
         name=f"idx:{images_path}",
-        features=features,
+        features=features[..., None],  # (n, H, W, 1): one grey channel
         labels=labels,
         num_classes=int(labels.max()) + 1,
     )

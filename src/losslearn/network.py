@@ -2,6 +2,7 @@
 
 Dense and valid-convolution layers, ReLU, non-overlapping max pooling, a
 softmax head, and mini-batch SGD with momentum. Everything is float64 numpy.
+A shape is a tuple: (d,) for flat rows, (H, W, ch) for images.
 
 A Network is a stack of m networks with one spec; one network is m = 1. Its
 parameters carry a leading member axis, (m, P), and so do its activations,
@@ -13,10 +14,10 @@ A loss plugs in through one method, indexed(probs, labels): (n, C)
 predictions and (n,) class indices in, (n,) values and (n, C) gradients out.
 The gradient is pushed through the full softmax Jacobian, so losses that are
 not cross-entropy-shaped work too. A stack makes one loss call per step: a
-population whose loss class offers stacked(losses) (the normalized polynomial
-losses) runs in one pass over (m, n, C) predictions, any other member by
-member through indexed, where a polynomial loss runs the population-of-one
-call that it keeps itself; no one-hot label matrix is built. Validation scores
+population whose loss class offers stacked(losses) (the polynomial losses,
+raw or normalized) runs in one pass over (m, n, C) predictions, any other
+member by member through indexed, where a polynomial loss runs the
+population-of-one call that it keeps itself; no one-hot label matrix is built. Validation scores
 the whole stack in row chunks of ceil(n / m), so it holds about one network's
 activations over the validation set, and never more than VALIDATION_BUDGET
 entries of the widest layer output.
@@ -57,7 +58,7 @@ class _Layer:
 
 
 def _image_shape(shape):
-    if isinstance(shape, int) or len(shape) != 3:
+    if len(shape) != 3:
         raise ValueError(f"needs an (H, W, ch) input, got {shape}")
     return shape
 
@@ -68,11 +69,11 @@ class Dense(_Layer):
     out_dim: int
 
     def output_shape(self, shape):
-        if not isinstance(shape, int):
+        if len(shape) != 1:
             raise ValueError(f"needs a flat input, got {shape}")
-        if shape != self.in_dim:
-            raise ValueError(f"expects {self.in_dim} inputs, got {shape}")
-        return self.out_dim
+        if shape[0] != self.in_dim:
+            raise ValueError(f"expects {self.in_dim} inputs, got {shape[0]}")
+        return (self.out_dim,)
 
     def param_shapes(self):
         return {"w": (self.in_dim, self.out_dim), "b": (self.out_dim,)}
@@ -214,9 +215,9 @@ class MaxPool(_Layer):
 @dataclass(frozen=True)
 class Flatten(_Layer):
     def output_shape(self, shape):
-        if isinstance(shape, int):
+        if len(shape) == 1:
             raise ValueError("input is already flat")
-        return math.prod(_image_shape(shape))
+        return (math.prod(_image_shape(shape)),)
 
     def forward(self, params, x, buf):
         return x.reshape(x.shape[:-3] + (-1,)), x.shape
@@ -229,34 +230,30 @@ class Flatten(_Layer):
 class NetworkSpec:
     name: str
     layers: tuple
-    input_shape: object  # int for flat inputs, (H, W, ch) for images
+    input_shape: tuple  # (d,) for flat inputs, (H, W, ch) for images
     num_classes: int
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
+        if type(self.input_shape) is not tuple:
+            raise ValueError(f"input_shape must be (d,) or (H, W, ch), got {self.input_shape!r}")
         first = next((layer for layer in self.layers if not isinstance(layer, Flatten)), None)
         if isinstance(first, ReLU):
             raise ValueError(
                 "a ReLU before any Dense, Conv2D or MaxPool would overwrite the batch"
             )
-        shape = self.input_shape
+        shape, width = self.input_shape, math.prod(self.input_shape)
         for i, layer in enumerate(self.layers):
             try:
                 shape = layer.output_shape(shape)
             except ValueError as exc:
                 raise ValueError(f"layer {i} ({type(layer).__name__}): {exc}") from None
-        if shape != self.num_classes:
+            width = max(width, math.prod(shape))
+        if shape != (self.num_classes,):
             raise ValueError(
                 f"final layer produces {shape}, expected {self.num_classes} classes"
             )
-
-    @property
-    def row_width(self):
-        """Entries in the widest of one row's input and layer outputs, at least 1."""
-        shapes = [self.input_shape]
-        for layer in self.layers:
-            shapes.append(layer.output_shape(shapes[-1]))
-        return max(1, *(int(np.prod(shape)) for shape in shapes))
+        object.__setattr__(self, "row_width", max(1, width))  # entries in the widest row
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +315,8 @@ class Network:
     def _forward_cache(self, batch, bufs):
         """Probabilities and the backward pass's cache; layer i keeps its arrays in bufs[i]."""
         x = np.asarray(batch, dtype=float)
-        expected = self.spec.input_shape
-        expected = (expected,) if isinstance(expected, int) else tuple(expected)
-        if x.shape[1:] != expected:
-            raise ValueError(f"batch shape {x.shape[1:]} does not match {expected}")
+        if x.shape[1:] != self.spec.input_shape:
+            raise ValueError(f"batch shape {x.shape[1:]} does not match {self.spec.input_shape}")
         caches = []
         for layer, params, buf in zip(self.spec.layers, self._theta_views, bufs):
             x, cache = layer.forward(params, x, buf)
@@ -454,27 +449,14 @@ class TrainResult:
         return self.curve[-1][2] if self.curve else None
 
 
-def input_shape_of(features):
-    """Network input shape for a feature array: the row width, or (H, W, 1)."""
-    shape = features.shape[1:]
-    return int(shape[0]) if len(shape) == 1 else (shape[0], shape[1], 1)
-
-
 def prepare_features(features, input_shape):
-    """Reshape dataset features to the network's input layout."""
+    """Features as the network's input rows: an image network takes rows of
+    exactly its shape, a dense one of shape (d,) any rows of d entries, flattened."""
     x = np.asarray(features, dtype=float)
-    if isinstance(input_shape, int):
-        flat = x.reshape(x.shape[0], -1)
-        if flat.shape[1] != input_shape:
-            raise ValueError(
-                f"features flatten to {flat.shape[1]}, network wants {input_shape}"
-            )
-        return flat
-    expected = tuple(input_shape)
-    if x.ndim == 3 and expected[2] == 1 and x.shape[1:] == expected[:2]:
-        x = x[..., None]
-    if x.shape[1:] != expected:
-        raise ValueError(f"feature shape {x.shape[1:]} does not match {expected}")
+    if len(input_shape) == 1:
+        x = x.reshape(x.shape[0], -1)
+    if x.shape[1:] != input_shape:
+        raise ValueError(f"feature shape {x.shape[1:]} does not match {input_shape}")
     return x
 
 
@@ -635,7 +617,7 @@ def mlp_spec(input_dim, hidden, num_classes, name=None):
         prev = width
     layers.append(Dense(prev, num_classes))
     label = name or ("mlp:" + ",".join(str(h) for h in hidden))
-    return NetworkSpec(label, tuple(layers), input_dim, num_classes)
+    return NetworkSpec(label, tuple(layers), (input_dim,), num_classes)
 
 
 def cnn_spec(side, num_classes, in_ch=1, name="cnn"):
@@ -649,21 +631,20 @@ def cnn_spec(side, num_classes, in_ch=1, name="cnn"):
 
 
 def arch_from_selector(text, input_shape, num_classes):
-    """Build a NetworkSpec from a CLI selector.
+    """Build a NetworkSpec from a CLI selector for rows of input_shape, a
+    dataset's features.shape[1:]: (d,) flat or (H, W, ch) images.
 
-    mlp:<w1,w2,...>  dense stack with the given hidden widths
-    linear           single dense layer
+    mlp:<w1,w2,...>  dense stack with the given hidden widths, on flattened rows
+    linear           single dense layer, on flattened rows
     cnn              two conv blocks + dense head (needs square image input)
     """
-    flat_dim = int(math.prod(input_shape) if isinstance(input_shape, tuple) else input_shape)
+    flat_dim = math.prod(input_shape)
     if text == "linear":
         return mlp_spec(flat_dim, [], num_classes, name="linear")
     if text == "cnn":
-        if not isinstance(input_shape, tuple) or input_shape[0] != input_shape[1]:
+        if len(input_shape) != 3 or input_shape[0] != input_shape[1]:
             raise ValueError("cnn needs square image input")
-        side = input_shape[0]
-        ch = input_shape[2] if len(input_shape) > 2 else 1
-        return cnn_spec(side, num_classes, in_ch=ch)
+        return cnn_spec(input_shape[0], num_classes, in_ch=input_shape[2])
     if text.startswith("mlp:"):
         hidden = [int(p) for p in text[4:].split(",") if p]
         if not hidden or min(hidden) < 1:

@@ -20,7 +20,7 @@ import numpy as np
 from .bench import ConfigError, config_from_dict, csv_text, selector_errors
 from .cma import CmaState, stop_reason
 from .datasets import noisy_split
-from .network import TrainConfig, arch_from_selector, check_fields, fit_many, input_shape_of
+from .network import TrainConfig, arch_from_selector, check_fields, fit_many
 from .seeding import derive_seed
 from .taylor import (
     TaylorLossParams,
@@ -141,7 +141,7 @@ def run_generation(state, cfg, gen_seed):
         }
         arch_specs = {
             (a, sel): arch_from_selector(
-                a, input_shape_of(splits[sel].train_features), splits[sel].num_classes
+                a, splits[sel].train_features.shape[1:], splits[sel].num_classes
             )
             for a in cfg.architectures
             for sel in cfg.datasets

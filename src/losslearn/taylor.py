@@ -70,8 +70,60 @@ def num_parameters(order: int) -> int:
     return 2 + order * (order + 1) // 2
 
 
+class _Polynomial(_Loss):
+    """What a raw and a normalized polynomial loss share: one fused call."""
+
+    @cached_property
+    def _call(self):
+        return _Polynomial.stacked([self])
+
+    def indexed(self, yhat, labels):
+        """(n,) values and (n, C) gradients on label indices: a population of
+        one, whose call is built once; the gradients are a fresh copy."""
+        values, grads = self._call(yhat[None], labels)
+        return values[0], grads[0].copy()
+
+    @staticmethod
+    def stacked(losses):
+        """One call for a population of polynomial losses, raw or normalized, of one order.
+
+        Returns a function of (m, n, C) predictions and (n,) label indices
+        giving (m, n) values and (m, n, C) gradients, member k under loss k,
+        bit for bit what batch_value and batch_grad give slice by slice on the
+        one-hot label rows; None for any other population. Each member's
+        offset and scale come from its affine at the C of yhat. The function
+        keeps its (m, n, C) arrays, so the next call overwrites the gradients.
+        """
+        polys = [l.inner if isinstance(l, NormalizedLoss) else l for l in losses]
+        if not all(isinstance(p, TaylorLossParams) and p.order == polys[0].order for p in polys):
+            return None
+        theta0 = np.array([p.expansion_point[0] for p in polys])[:, None, None]
+        # (value or gradient, label entry t, power, member, 1, 1)
+        coeffs = np.moveaxis(np.array([p._univariate for p in polys]), 0, -1)
+        (g0, g1), (dg0, dg1) = coeffs[..., None, None]
+        g1, dg1 = g1[..., 0], dg1[..., 0]  # (power, member, 1): against (m, n) label entries
+        work, scales = {}, {}  # per batch length: d, values, gradients; per C: (m, 1) arrays
+
+        def value_and_grad(yhat, labels):
+            c = yhat.shape[-1]
+            if c not in scales:
+                scales[c] = np.array([l.affine(c) for l in losses]).T[:, :, None]
+            offset, scale = scales[c]
+            d, values, grads = _buffer(work, yhat.shape, (3,) + yhat.shape)
+            np.subtract(yhat, theta0, out=d)
+            _label_split(g0, g1, d, labels, values)
+            values *= d
+            means = _class_fold(np.add, values) / c
+            _label_split(dg0, dg1, d, labels, grads)
+            grads /= c
+            grads *= scale[..., None]
+            return scale * (means - offset), grads
+
+        return value_and_grad
+
+
 @dataclass(frozen=True)
-class TaylorLossParams(_Loss):
+class TaylorLossParams(_Polynomial):
     """Expansion point plus graded coefficient table of a polynomial loss."""
 
     order: int = DEFAULT_ORDER
@@ -110,13 +162,9 @@ class TaylorLossParams(_Loss):
     # _Loss's label-weighted mix over indexed, bound here by name for perfbench's tracer
     batch_value, batch_grad = _Loss.batch_value, _Loss.batch_grad
 
-    @cached_property
-    def _unit(self):
-        # eta None: scale 1 and offset 0 leave the bits of the normalized call unchanged
-        return NormalizedLoss(self, None)
-
-    def indexed(self, yhat, labels):
-        return self._unit.indexed(yhat, labels)
+    def affine(self, num_classes: int) -> tuple[float, float]:
+        """(offset, scale) of the values at any C: a raw loss keeps its own."""
+        return 0.0, 1.0
 
     def estimate_range(self, num_classes: int) -> tuple[float, float]:
         """(min, max) of the loss over a fixed scan of the simplex, not a certified bound.
@@ -174,24 +222,21 @@ class TaylorLossParams(_Loss):
 
 
 @dataclass(frozen=True)
-class NormalizedLoss(_Loss):
+class NormalizedLoss(_Polynomial):
     """Polynomial loss rescaled, at the class count C of each batch, so that its
-    range over the scan at C maps onto [0, eta]. eta None keeps the values as
-    they are: the unit wrapper through which a TaylorLossParams is called."""
+    range over the scan at C maps onto [0, eta], eta finite and > 0."""
 
     inner: TaylorLossParams
-    eta: float | None = 1.0
+    eta: float = 1.0
 
     def __post_init__(self):
-        if self.eta is not None and not (math.isfinite(self.eta) and self.eta > 0):
+        if not (isinstance(self.eta, (int, float)) and math.isfinite(self.eta) and self.eta > 0):
             raise ValueError(f"need a finite eta > 0, got {self.eta!r}")
         object.__setattr__(self, "_affine_at", {})  # class count -> (offset, scale)
 
     def affine(self, num_classes: int) -> tuple[float, float]:
         """(offset, scale) making the values scale * (loss - offset) at C, from
         the range at C, scanned once; DegenerateRange if it has no width."""
-        if self.eta is None:
-            return 0.0, 1.0
         if num_classes not in self._affine_at:
             lo, hi = self.inner.estimate_range(num_classes)
             if not DEGENERATE_RANGE <= hi - lo < math.inf:  # NaN fails too
@@ -200,56 +245,6 @@ class NormalizedLoss(_Loss):
         return self._affine_at[num_classes]
 
     batch_value, batch_grad = _Loss.batch_value, _Loss.batch_grad  # as in TaylorLossParams
-
-    @cached_property
-    def _call(self):
-        return NormalizedLoss.stacked([self])
-
-    def indexed(self, yhat, labels):
-        """(n,) values and (n, C) gradients on label indices: a population of
-        one, whose call is built once; the gradients are a fresh copy."""
-        values, grads = self._call(yhat[None], labels)
-        return values[0], grads[0].copy()
-
-    @staticmethod
-    def stacked(losses):
-        """One call for a population of normalized losses of one order.
-
-        Returns a function of (m, n, C) predictions and (n,) label indices
-        giving (m, n) values and (m, n, C) gradients, member k under loss k,
-        bit for bit what batch_value and batch_grad give slice by slice on the
-        one-hot label rows; None for any other population. Each member's
-        offset and scale come from its affine at the C of yhat. The function
-        keeps its (m, n, C) arrays, so the next call overwrites the gradients.
-        """
-        if not all(
-            isinstance(l, NormalizedLoss) and l.inner.order == losses[0].inner.order
-            for l in losses
-        ):
-            return None
-        theta0 = np.array([l.inner.expansion_point[0] for l in losses])[:, None, None]
-        # (value or gradient, label entry t, power, member, 1, 1)
-        coeffs = np.moveaxis(np.array([l.inner._univariate for l in losses]), 0, -1)
-        (g0, g1), (dg0, dg1) = coeffs[..., None, None]
-        g1, dg1 = g1[..., 0], dg1[..., 0]  # (power, member, 1): against (m, n) label entries
-        work, scales = {}, {}  # per batch length: d, values, gradients; per C: (m, 1) arrays
-
-        def value_and_grad(yhat, labels):
-            c = yhat.shape[-1]
-            if c not in scales:
-                scales[c] = np.array([l.affine(c) for l in losses]).T[:, :, None]
-            offset, scale = scales[c]
-            d, values, grads = _buffer(work, yhat.shape, (3,) + yhat.shape)
-            np.subtract(yhat, theta0, out=d)
-            _label_split(g0, g1, d, labels, values)
-            values *= d
-            means = _class_fold(np.add, values) / c
-            _label_split(dg0, dg1, d, labels, grads)
-            grads /= c
-            grads *= scale[..., None]
-            return scale * (means - offset), grads
-
-        return value_and_grad
 
 
 def normalize(

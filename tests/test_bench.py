@@ -489,6 +489,26 @@ def test_benchmark_builds_each_dataset_once_per_seed(tmp_path, monkeypatch):
     assert len(calls) == len(grid.cells) * grid.seeds
 
 
+def test_loss_without_range_at_a_later_cell_fails_before_training(tmp_path, monkeypatch, capsys):
+    # constant on the two-class simplex, not on three classes
+    coeffs = dict.fromkeys(coefficient_keys(4), 0.0)
+    coeffs.update({(2, 0): 2.0, (1, 1): 2.0, (2, 1): -4.0})
+    path = tmp_path / "loss.json"
+    save_loss(NormalizedLoss(TaylorLossParams(coefficients=coeffs), eta=8.0), path)
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({
+        "cells": [["mlp:4", "blobs:3:40:0.3", "none"], ["mlp:4", "blobs:2:40:0.3", "none"]],
+        "losses": ["ce", str(path)], "seeds": 2, "epochs": 1,
+    }))
+    fits, real = [], bench.fit_many
+    monkeypatch.setattr(bench, "fit_many", lambda *args: fits.append(args) or real(*args))
+    out_dir = tmp_path / "out"
+    assert main_entry(["benchmark", "--config", str(config), "--out", str(out_dir)]) == 2
+    assert "no range at 2 classes" in capsys.readouterr().err
+    assert fits == []  # the blobs:3 cell comes first, and trains nothing
+    assert not (out_dir / "results.csv").exists()
+
+
 def test_unresolvable_selector_fails_before_training(tmp_path):
     grid = small_grid(cells=[("mlp:8", "blobs:3:30:0.3", "sym:2.0")])
     with pytest.raises(ConfigError, match="unresolvable cell selector"):

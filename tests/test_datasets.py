@@ -53,9 +53,10 @@ def tiny_idx(tmp_path):
 def test_load_idx_fixture(tiny_idx):
     ip, lp, images, labels = tiny_idx
     ds = load_idx(ip, lp)
-    assert ds.features.shape == (2, 3, 3)
+    assert ds.features.shape == (2, 3, 3, 1)  # one grey channel
+    assert ds.features.base.shape == (2, 3, 3)  # added as a view, not a copy
     assert ds.features.min() >= 0.0 and ds.features.max() <= 1.0
-    np.testing.assert_allclose(ds.features, images / 255.0)
+    np.testing.assert_allclose(ds.features[..., 0], images / 255.0)
     np.testing.assert_array_equal(ds.labels, labels)
     assert ds.num_classes == 2
 
@@ -104,7 +105,7 @@ def test_downsample_exact_factor(tmp_path):
     write_idx_labels(lp, [0, 1])
     ds = load_idx(ip, lp, downsample=2)
     expected = np.array([[100, 0], [0, 200]]) / 255.0
-    np.testing.assert_allclose(ds.features[0], expected)
+    np.testing.assert_allclose(ds.features[0, ..., 0], expected)
 
 
 def test_downsample_with_crop(tmp_path):
@@ -116,11 +117,11 @@ def test_downsample_with_crop(tmp_path):
     write_idx_images(ip, imgs)
     write_idx_labels(lp, [0, 1])
     ds = load_idx(ip, lp, downsample=8)
-    assert ds.features.shape == (2, 8, 8)
+    assert ds.features.shape == (2, 8, 8, 1)
     # oracle: crop [2:26, 2:26], mean over 3x3 blocks
     block = imgs[0, 2:26, 2:26].astype(float) / 255.0
     oracle = block.reshape(8, 3, 8, 3).mean(axis=(1, 3))
-    np.testing.assert_allclose(ds.features[0], oracle)
+    np.testing.assert_allclose(ds.features[0, ..., 0], oracle)
 
 
 def test_load_idx_limit(tmp_path):
@@ -279,7 +280,7 @@ def test_dataset_selector_rings():
 def test_dataset_selector_idx(tiny_idx):
     ip, lp, _, _ = tiny_idx
     ds = dataset_from_selector(f"idx:{ip}:{lp}")
-    assert ds.features.shape == (2, 3, 3)
+    assert ds.features.shape == (2, 3, 3, 1)
 
 
 def test_dataset_selector_errors(tiny_idx):

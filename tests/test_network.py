@@ -41,6 +41,7 @@ from losslearn.reference import (
 from losslearn.taylor import (
     NormalizedLoss,
     TaylorLossParams,
+    _Polynomial,
     coefficient_keys,
     mse_embedding,
     normalize,
@@ -48,7 +49,7 @@ from losslearn.taylor import (
 
 
 def tiny_mlp():
-    return NetworkSpec("t", (Dense(4, 6), ReLU(), Dense(6, 3)), 4, 3)
+    return NetworkSpec("t", (Dense(4, 6), ReLU(), Dense(6, 3)), (4,), 3)
 
 
 def tiny_cnn():
@@ -101,12 +102,12 @@ def make_split(x_train, y_train, x_val, y_val, num_classes):
 
 def test_spec_rejects_mismatched_dense():
     with pytest.raises(ValueError, match="layer 1"):
-        NetworkSpec("bad", (Dense(4, 6), Dense(5, 3)), 4, 3)
+        NetworkSpec("bad", (Dense(4, 6), Dense(5, 3)), (4,), 3)
 
 
 def test_spec_rejects_wrong_final_width():
     with pytest.raises(ValueError, match="expected 3 classes"):
-        NetworkSpec("bad", (Dense(4, 5),), 4, 3)
+        NetworkSpec("bad", (Dense(4, 5),), (4,), 3)
 
 
 def test_spec_rejects_bad_pool():
@@ -121,7 +122,13 @@ def test_spec_rejects_bad_pool():
 
 def test_spec_rejects_conv_on_flat_input():
     with pytest.raises(ValueError, match="H, W, ch"):
-        NetworkSpec("bad", (Conv2D(1, 2, 3),), 16, 2)
+        NetworkSpec("bad", (Conv2D(1, 2, 3),), (16,), 2)
+
+
+def test_spec_takes_its_input_shape_as_a_tuple():
+    with pytest.raises(ValueError, match=r"^input_shape must be \(d,\) or \(H, W, ch\), got 4$"):
+        NetworkSpec("bad", (Dense(4, 3),), 4, 3)
+    assert (tiny_mlp().row_width, tiny_cnn().row_width) == (6, 36)
 
 
 @pytest.mark.parametrize(
@@ -129,7 +136,7 @@ def test_spec_rejects_conv_on_flat_input():
     [
         ((Conv2D(1, 2, 3), Conv2D(3, 2, 3)), (8, 8, 1), "expects 3 channels"),
         ((Conv2D(1, 2, 3), Conv2D(2, 2, 5)), (6, 6, 1), "kernel 5 too large"),
-        ((Dense(4, 4), Flatten()), 4, "input is already flat"),
+        ((Dense(4, 4), Flatten()), (4,), "input is already flat"),
         ((Conv2D(1, 2, 3), Dense(32, 2)), (6, 6, 1), "needs a flat input"),
     ],
 )
@@ -153,7 +160,7 @@ def test_init_deterministic():
 
 
 def test_parameter_counts():
-    spec = NetworkSpec("m", (Dense(784, 256), ReLU(), Dense(256, 10)), 784, 10)
+    spec = NetworkSpec("m", (Dense(784, 256), ReLU(), Dense(256, 10)), (784,), 10)
     net = init(spec, 0)
     assert net.num_parameters == 784 * 256 + 256 + 256 * 10 + 10
 
@@ -318,7 +325,7 @@ def test_pool_keeps_a_nan_in_its_tile(size):
 @pytest.mark.parametrize("init_seed", [0, 1, 2])
 def test_training_with_the_fold_equals_argmax_pooling(relu_after_pool, init_seed):
     rng = np.random.default_rng(28)
-    images = rng.random((40, 8, 8))
+    images = rng.random((40, 8, 8, 1))
     sp = make_split(images[:30], np.arange(30) % 3, images[30:], np.arange(10) % 3, 3)
 
     def run(pool):
@@ -406,10 +413,7 @@ def test_parameter_gradients_match_fd(make_spec, loss):
     net = init(spec, seed=11)
     assert net.num_parameters <= 200
     rng = np.random.default_rng(12)
-    shape = (5, spec.input_shape) if isinstance(spec.input_shape, int) else (
-        (5,) + tuple(spec.input_shape)
-    )
-    x = rng.random(shape)
+    x = rng.random((5,) + spec.input_shape)
     labels = rng.integers(0, spec.num_classes, 5)
 
     bufs = [{} for _ in spec.layers]
@@ -666,43 +670,47 @@ def test_accuracy_rejects_empty():
 
 
 def test_prepare_features_flattens_images():
-    x = np.zeros((5, 3, 3))
-    flat = prepare_features(x, 9)
+    x = np.zeros((5, 3, 3, 1))
+    flat = prepare_features(x, (9,))
     assert flat.shape == (5, 9)
-    with pytest.raises(ValueError, match="network wants 4"):
-        prepare_features(x, 4)
+    with pytest.raises(ValueError, match=r"\(9,\) does not match \(4,\)"):
+        prepare_features(x, (4,))
 
 
-def test_prepare_features_adds_channel():
-    x = np.zeros((5, 6, 6))
+def test_prepare_features_takes_images_of_exactly_the_input_shape():
+    x = np.zeros((5, 6, 6, 1))
     spatial = prepare_features(x, (6, 6, 1))
     assert spatial.shape == (5, 6, 6, 1)
-    with pytest.raises(ValueError, match="does not match"):
-        prepare_features(np.zeros((5, 4, 4)), (6, 6, 1))
+    assert np.shares_memory(spatial, x)
+    for shape in ((5, 4, 4, 1), (5, 6, 6), (5, 36)):  # no channel is made up, no row reshaped
+        with pytest.raises(ValueError, match="does not match"):
+            prepare_features(np.zeros(shape), (6, 6, 1))
 
 
 def test_arch_selectors():
-    spec = arch_from_selector("mlp:256,256", 784, 10)
+    spec = arch_from_selector("mlp:256,256", (784,), 10)
+    assert spec.input_shape == (784,)
     assert [l for l in spec.layers if isinstance(l, Dense)][0].out_dim == 256
     assert spec.num_classes == 10
     spec = arch_from_selector("linear", (8, 8, 1), 5)
-    assert spec.layers == (Dense(64, 5),)
+    assert spec.layers == (Dense(64, 5),) and spec.input_shape == (64,)
     spec = arch_from_selector("cnn", (28, 28, 1), 10)
     dense = [l for l in spec.layers if isinstance(l, Dense)]
     assert dense[0] == Dense(1024, 1024)
     with pytest.raises(ValueError, match="unknown architecture"):
-        arch_from_selector("transformer", 4, 2)
-    with pytest.raises(ValueError, match="square image"):
-        arch_from_selector("cnn", 784, 10)
+        arch_from_selector("transformer", (4,), 2)
+    for shape in ((784,), (28, 28), (28, 14, 1)):
+        with pytest.raises(ValueError, match="square image"):
+            arch_from_selector("cnn", shape, 10)
     for text in ("mlp:", "mlp:8,0", "mlp:-1"):
         with pytest.raises(ValueError, match="hidden widths of at least 1"):
-            arch_from_selector(text, 4, 2)
+            arch_from_selector(text, (4,), 2)
 
 
 def test_cnn_trains_on_quadrant_brightness():
     rng = np.random.default_rng(22)
     n = 80
-    images = rng.random((n, 16, 16)) * 0.2
+    images = rng.random((n, 16, 16, 1)) * 0.2
     labels = rng.integers(0, 2, n)
     for i in range(n):
         if labels[i] == 0:
@@ -760,7 +768,7 @@ def test_stacked_polynomial_members_equal_serial_fits():
 def test_stacked_grid_mix_equals_serial_fits():
     sp = noisy_split("blobs:10:12:0.5:dim=8", "sym:0.4", data_seed=1, split_seed=2,
                      val_fraction=0.25, pairing=None)
-    spec = arch_from_selector("mlp:64,64", 8, 10)
+    spec = arch_from_selector("mlp:64,64", (8,), 10)
     losses = [loss_from_selector(s) for s in (
         "ce", "mae", "gce:q=0.7", "sce", "ls:epsilon=0.1", "bootstrap:weight=0.8:mode=hard"
     )] + [normalized_member(7, eta=8.0, num_classes=10)]
@@ -782,13 +790,13 @@ def test_stacked_mixed_orders_equal_serial_fits():
 
 
 def test_mixed_stack_builds_the_polynomial_call_once(monkeypatch):
-    built, stacked = [], NormalizedLoss.stacked
+    built, stacked = [], _Polynomial.stacked
 
     def counted(losses):
         built.append(len(losses))
         return stacked(losses)
 
-    monkeypatch.setattr(NormalizedLoss, "stacked", staticmethod(counted))
+    monkeypatch.setattr(_Polynomial, "stacked", staticmethod(counted))
     spec, sp = fit_problem()
     losses = [CrossEntropy(), normalized_member(9, eta=8.0)]
     for seed in (3, 4):  # the loss keeps its call from one training to the next
@@ -798,7 +806,7 @@ def test_mixed_stack_builds_the_polynomial_call_once(monkeypatch):
 
 def assert_stacked_cnn_equals_serial(layers):
     rng = np.random.default_rng(25)
-    images = rng.random((40, 8, 8))
+    images = rng.random((40, 8, 8, 1))
     labels = np.arange(40) % 3
     sp = make_split(images[:30], labels[:30], images[30:], labels[30:], 3)
     spec = NetworkSpec("c2", layers, (8, 8, 1), 3)
@@ -862,7 +870,7 @@ def test_stacked_validation_peak_memory_stays_near_one_network():
     sp = noisy_split("blobs:3:6000:0.5", "none", data_seed=1, split_seed=2,
                      val_fraction=0.25, pairing=None)
     assert len(sp.val_labels) == 4500
-    spec = arch_from_selector("mlp:64", 2, 3)
+    spec = arch_from_selector("mlp:64", (2,), 3)
     cfg = TrainConfig(epochs=1, batch_size=128, seed=3)
     losses = [normalized_member(s, eta=8.0) for s in range(8)]
 
@@ -877,7 +885,7 @@ def test_cnn_validation_peak_memory_does_not_grow_with_the_set():
     # columns over the whole set
     net = init(cnn_spec(16, 3), seed=6)
     rng = np.random.default_rng(7)
-    x, y = rng.random((500, 16, 16)), rng.integers(0, 3, 500)
+    x, y = rng.random((500, 16, 16, 1)), rng.integers(0, 3, 500)
     half = traced_peak(lambda: accuracy(net, x[:250], y[:250]))
     assert traced_peak(lambda: accuracy(net, x, y)) <= 1.1 * half
 
@@ -897,7 +905,7 @@ def test_short_last_batch_adds_no_peak_memory():
     # arrays while the new ones are made raised this peak by about 7%
     rng = np.random.default_rng(5)
     x, y = rng.normal(size=(1000, 2)), rng.integers(0, 3, 1000)
-    spec = arch_from_selector("mlp:256,256", 2, 3)
+    spec = arch_from_selector("mlp:256,256", (2,), 3)
     losses = [normalized_member(s, eta=8.0) for s in range(8)]
     cfg = TrainConfig(epochs=1, batch_size=500, seed=3)
 
@@ -910,7 +918,7 @@ def test_short_last_batch_adds_no_peak_memory():
 
 @pytest.mark.parametrize(
     "layers, input_shape",
-    [((ReLU(), Dense(4, 3)), 4), ((Flatten(), ReLU(), Dense(16, 3)), (4, 4, 1))],
+    [((ReLU(), Dense(4, 3)), (4,)), ((Flatten(), ReLU(), Dense(16, 3)), (4, 4, 1))],
 )
 def test_spec_rejects_a_relu_on_the_input_batch(layers, input_shape):
     # ReLU runs in place, which must never reach the caller's batch

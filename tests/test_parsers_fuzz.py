@@ -114,7 +114,7 @@ def test_idx_files_raise_only_value_errors(idx_pair, sizes, payload, labels):
 @given(widths=st.lists(SMALL, max_size=3), dim=st.integers(1, 40), classes=st.integers(2, 12))
 def test_mlp_selectors_build_a_network_or_raise_value_errors(widths, dim, classes):
     try:
-        spec = arch_from_selector("mlp:" + ",".join(map(str, widths)), dim, classes)
+        spec = arch_from_selector("mlp:" + ",".join(map(str, widths)), (dim,), classes)
     except ValueError:
         return
     init(spec, 0)  # what the selector accepts must also build a network

@@ -1,0 +1,52 @@
+"""The diagnostic scripts under scripts/ borrow the acceptance test's settings
+and helpers; a rename there must fail here, not when a script next runs."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+BORROWED = {"deploy", "mean_curve", "SEARCH_CONFIG", "BLOBS", "RINGS", "SMALL_BLOBS"}
+
+
+def borrowed_names(script):
+    """The names a script reads from test_acceptance (imported as acc) and
+    the names it imports from acceptance_sweep."""
+    tree = ast.parse((SCRIPTS / f"{script}.py").read_text())
+    acc = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "acc"
+    }
+    sweep = {
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "acceptance_sweep"
+        for alias in node.names
+    }
+    return acc, sweep
+
+
+@pytest.fixture
+def scripts(monkeypatch):
+    """Both scripts as modules; their sys.path additions end with the test."""
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    return {name: importlib.import_module(name) for name in ("acceptance_sweep", "reuse_check")}
+
+
+def test_scripts_resolve_every_name_they_borrow(scripts):
+    sweep = scripts["acceptance_sweep"]
+    used = set()
+    for name, module in scripts.items():
+        acc, imported = borrowed_names(name)
+        assert [n for n in sorted(acc) if not hasattr(module.acc, n)] == []
+        assert [n for n in sorted(imported) if not hasattr(sweep, n)] == []
+        used |= acc
+    assert used == BORROWED  # the scan sees what the scripts use
+    assert sweep.seed_range("3") == range(3, 4)
+
+
+def test_scripts_parse_their_seeds_without_running(scripts):
+    for module in scripts.values():
+        assert module.parse_seeds(["--seeds", "0-1"], "0-9", module.__doc__) == range(0, 2)
+    assert scripts["reuse_check"].parse_seeds([], "0-4") == range(0, 5)

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from losslearn import taylor
+from losslearn.reference import CrossEntropy
 from losslearn.taylor import (
     DEFAULT_ORDER,
     DegenerateRange,
     LossFormatError,
     NormalizedLoss,
     TaylorLossParams,
+    _Polynomial,
     coefficient_keys,
     loss_from_json,
     loss_to_json,
@@ -587,11 +589,11 @@ def test_normalized_grad_is_scaled_inner_grad():
 @pytest.mark.parametrize("num_classes", [2, 3, 10])
 def test_stacked_population_equals_member_calls(order, num_classes):
     rng = np.random.default_rng(31 * order + num_classes)
-    losses = [
-        # an order-1 loss is constant on the simplex: no range, so the unit wrapper
-        NormalizedLoss(random_params(rng, order), eta=None if order == 1 else 1 + rng.random())
-        for _ in range(5)
-    ]
+    # an order-1 loss is constant on the simplex: no range, so raw members only;
+    # at higher orders the first member stays raw among normalized ones
+    losses = [random_params(rng, order) for _ in range(5)]
+    if order > 1:
+        losses[1:] = [NormalizedLoss(p, eta=1 + rng.random()) for p in losses[1:]]
     yhat = rng.dirichlet(np.ones(num_classes), (5, 40))
     labels = rng.integers(0, num_classes, 40)
     y = np.eye(num_classes)[labels]
@@ -603,13 +605,13 @@ def test_stacked_population_equals_member_calls(order, num_classes):
 
 @pytest.mark.parametrize("normalized", [False, True])
 def test_indexed_builds_its_call_once_and_returns_fresh_gradients(monkeypatch, normalized):
-    built, stacked = [], NormalizedLoss.stacked
+    built, stacked = [], _Polynomial.stacked
 
     def counted(losses):
         built.append(len(losses))
         return stacked(losses)
 
-    monkeypatch.setattr(NormalizedLoss, "stacked", staticmethod(counted))
+    monkeypatch.setattr(_Polynomial, "stacked", staticmethod(counted))
     rng = np.random.default_rng(53)
     params = random_params(rng)
     loss = NormalizedLoss(params, eta=8.0) if normalized else params
@@ -624,13 +626,15 @@ def test_indexed_builds_its_call_once_and_returns_fresh_gradients(monkeypatch, n
         assert np.array_equal(grad, loss.batch_grad(yhat, y))
 
 
-def test_stacked_population_needs_normalized_losses_of_one_order():
+def test_stacked_population_needs_polynomial_losses_of_one_order():
     normalized = normalize(mse_embedding(), num_classes=3, seed=1)
     other_order = normalize(mse_embedding(order=3), num_classes=3, seed=1)
     assert NormalizedLoss.stacked([normalized, normalized]) is not None
+    assert NormalizedLoss.stacked([normalized, mse_embedding()]) is not None
+    assert TaylorLossParams.stacked([mse_embedding(), normalized]) is not None
     assert NormalizedLoss.stacked([normalized, other_order]) is None
-    assert NormalizedLoss.stacked([normalized, mse_embedding()]) is None
-    assert NormalizedLoss.stacked([mse_embedding(), normalized]) is None
+    assert NormalizedLoss.stacked([normalized, mse_embedding(order=3)]) is None
+    assert TaylorLossParams.stacked([mse_embedding(), CrossEntropy()]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -704,6 +708,39 @@ def test_loss_file_round_trip(tmp_path):
     yhat = rng.dirichlet(np.ones(5), 10)
     y = np.eye(5)[rng.integers(0, 5, 10)]
     assert np.array_equal(back.batch_value(yhat, y), nl.batch_value(yhat, y))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    order=st.integers(1, 6),
+    eta=st.none() | st.floats(1e-6, 1e6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_loss_file_round_trip_keeps_every_bit(tmp_path_factory, order, eta, seed):
+    rng = np.random.default_rng(seed)
+    params = random_params(rng, order)
+    with pytest.raises(ValueError, match="eta"):
+        NormalizedLoss(params, None)
+    loss = params if eta is None else NormalizedLoss(params, eta)
+    path = tmp_path_factory.mktemp("loss") / "loss.json"
+    save_loss(loss, path)
+    back = load_loss(path)
+    assert type(back) is type(loss)
+    inner = back if eta is None else back.inner
+    assert inner.coefficients == params.coefficients
+    assert inner.expansion_point == params.expansion_point
+    assert getattr(back, "eta", None) == eta
+    for c in (2, 3, 10):
+        yhat = rng.dirichlet(np.ones(c), 20)
+        labels = rng.integers(0, c, 20)
+        try:
+            want = loss.indexed(yhat, labels)
+        except DegenerateRange:  # a normalized loss of order 1 is constant
+            with pytest.raises(DegenerateRange):
+                back.indexed(yhat, labels)
+            continue
+        got = back.indexed(yhat, labels)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_loss_file_version_1_is_malformed():
