@@ -1,0 +1,138 @@
+"""Digests of every artifact a fixed command set writes, to compare checkouts.
+
+Runs a fixed set of commands in-process through the command line's
+``main_entry``, inside OUT, then prints ``sha256  path`` for every file under
+OUT (paths relative to OUT, sorted) and the stdout of each ``train``. A
+change meant to leave every output byte-identical prints the same lines as
+its parent checkout on the same machine and BLAS build:
+
+    python scripts/artifact_digests.py OUT
+
+The commands:
+- meta-train: the acceptance test's frozen search config, capped at 4
+  generations, and a Full-mode search over {mlp:8, linear} x {blobs:3,
+  blobs:10}; checkpoints included;
+- benchmark: ce, mae, gce:q=0.5 and the first search's best_loss.json on a
+  C = 3 and a C = 10 cell, 2 seeds;
+- train: --arch mlp:16 and --arch cnn, each with --curve-out, on a tiny IDX
+  pair this script writes;
+- inspect-loss on a raw and on a normalized polynomial loss;
+- make-noise-matrix asym:0.3 over 4 classes.
+
+OUT must not exist yet or be empty. Every path handed to a command is
+relative to OUT, so no artifact records where OUT is.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import struct
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+import test_acceptance as acc  # noqa: E402
+from losslearn.cli import main_entry  # noqa: E402
+from losslearn.taylor import mse_embedding, save_loss  # noqa: E402
+
+FULL_CONFIG = {
+    "mode": "Full",
+    "architectures": ["mlp:8", "linear"],
+    "datasets": ["blobs:3:40:0.5", "blobs:10:20:0.5:dim=4"],
+    "noise": "sym:0.3",
+    "max_generations": 2,
+    "master_seed": 7,
+    "epochs": 2,
+    "batch_size": 16,
+    "eta": 8.0,
+}
+GRID = {
+    "cells": [
+        ["mlp:8", "blobs:3:40:0.5", "sym:0.3"],
+        ["linear", "blobs:10:20:0.5:dim=4", "asym:0.2"],
+    ],
+    "losses": ["ce", "mae", "gce:q=0.5", "ar/best_loss.json"],
+    "seeds": 2,
+    "epochs": 3,
+    "master_seed": 5,
+}
+
+
+def write_inputs():
+    """The configs, a raw loss file and a 16 x 16 IDX pair of 3 classes, in inputs/."""
+    Path("inputs").mkdir()
+    Path("inputs/ar.json").write_text(json.dumps({**acc.SEARCH_CONFIG, "max_generations": 4}))
+    Path("inputs/full.json").write_text(json.dumps(FULL_CONFIG))
+    Path("inputs/grid.json").write_text(json.dumps(GRID))
+    save_loss(mse_embedding(), "inputs/raw_loss.json")
+    rng = np.random.default_rng(0)
+    labels = np.repeat(np.arange(3, dtype=np.uint8), 20)
+    images = rng.integers(0, 128, (len(labels), 16, 16))
+    for k in range(3):  # a bright band per class
+        images[labels == k, 5 * k : 5 * k + 5, :] += 120
+    with open("inputs/images.idx", "wb") as out:
+        out.write(struct.pack(">IIII", 2051, *images.shape) + images.astype(np.uint8).tobytes())
+    with open("inputs/labels.idx", "wb") as out:
+        out.write(struct.pack(">II", 2049, len(labels)) + labels.tobytes())
+
+
+def commands():
+    idx = "idx:inputs/images.idx:inputs/labels.idx"
+    train = ["train", "--loss", "ar/best_loss.json", "--dataset", idx, "--noise", "sym:0.2",
+             "--epochs", "2", "--seed", "3"]
+    return [
+        ["meta-train", "--config", "inputs/ar.json", "--out", "ar"],
+        ["meta-train", "--config", "inputs/full.json", "--out", "full"],
+        ["benchmark", "--config", "inputs/grid.json", "--out", "grid"],
+        [*train, "--arch", "mlp:16", "--curve-out", "train_mlp.csv"],
+        [*train, "--arch", "cnn", "--curve-out", "train_cnn.csv"],
+        ["inspect-loss", "--loss", "inputs/raw_loss.json", "--resolution", "20",
+         "--out", "inspect_raw.csv"],
+        ["inspect-loss", "--loss", "ar/best_loss.json", "--resolution", "20",
+         "--out", "inspect_normalized.csv"],
+        ["make-noise-matrix", "--noise", "asym:0.3", "--classes", "4", "--out", "noise.csv"],
+    ]
+
+
+def run(out):
+    """Run the command set in out; returns the lines to print."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    if any(out.iterdir()):
+        raise SystemExit(f"{out} is not empty")
+    here = os.getcwd()
+    os.chdir(out)
+    try:
+        write_inputs()
+        printed = []
+        for argv in commands():
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main_entry(argv)
+            if code != 0:
+                raise SystemExit(f"{' '.join(argv)} exited {code}")
+            if argv[0] == "train":
+                printed.append(f"stdout of train --arch {argv[argv.index('--arch') + 1]}: "
+                               + stdout.getvalue().strip())
+        paths = sorted(p for p in Path().rglob("*") if p.is_file())
+        digests = [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.as_posix()}" for p in paths]
+    finally:
+        os.chdir(here)
+    return digests + printed
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        raise SystemExit(__doc__)
+    print("\n".join(run(argv[0])))
+
+
+if __name__ == "__main__":
+    main()

@@ -142,10 +142,14 @@ def synth_blobs(num_classes, per_class, dim=2, spread=0.5, seed=0):
     centers[:, 0] = np.cos(angles)
     centers[:, 1] = np.sin(angles)
     labels = np.repeat(np.arange(num_classes), per_class)
-    features = centers[labels] + spread * rng.standard_normal((len(labels), dim))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked once, below
+        noise = spread * rng.standard_normal((len(labels), dim))
+        features = _minmax_scale(centers[labels] + noise)
+    if not np.isfinite(features).all():
+        raise ValueError(f"spread {spread} gives non-finite features")
     return Dataset(
         name=f"blobs:{num_classes}:{per_class}:{spread}",
-        features=_minmax_scale(features),
+        features=features,
         labels=labels,
         num_classes=num_classes,
     )

@@ -228,7 +228,6 @@ class Flatten(_Layer):
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    name: str
     layers: tuple
     input_shape: tuple  # (d,) for flat inputs, (H, W, ch) for images
     num_classes: int
@@ -609,25 +608,24 @@ def fit_many(spec, losses, data, init_seed, cfg):
 # ---------------------------------------------------------------------------
 
 
-def mlp_spec(input_dim, hidden, num_classes, name=None):
+def mlp_spec(input_dim, hidden, num_classes):
     layers = []
     prev = input_dim
     for width in hidden:
         layers += [Dense(prev, width), ReLU()]
         prev = width
     layers.append(Dense(prev, num_classes))
-    label = name or ("mlp:" + ",".join(str(h) for h in hidden))
-    return NetworkSpec(label, tuple(layers), (input_dim,), num_classes)
+    return NetworkSpec(tuple(layers), (input_dim,), num_classes)
 
 
-def cnn_spec(side, num_classes, in_ch=1, name="cnn"):
+def cnn_spec(side, num_classes, in_ch=1):
     """Two 5x5 conv blocks with 2x2 pooling, then a 1024-wide dense layer."""
     h = ((side - 4) // 2 - 4) // 2  # each block: a valid 5x5 conv, then 2x2 pooling
     layers = (
         Conv2D(in_ch, 32, 5), ReLU(), MaxPool(2), Conv2D(32, 64, 5), ReLU(), MaxPool(2),
         Flatten(), Dense(h * h * 64, 1024), ReLU(), Dense(1024, num_classes),
     )
-    return NetworkSpec(name, layers, (side, side, in_ch), num_classes)
+    return NetworkSpec(layers, (side, side, in_ch), num_classes)
 
 
 def arch_from_selector(text, input_shape, num_classes):
@@ -640,7 +638,7 @@ def arch_from_selector(text, input_shape, num_classes):
     """
     flat_dim = math.prod(input_shape)
     if text == "linear":
-        return mlp_spec(flat_dim, [], num_classes, name="linear")
+        return mlp_spec(flat_dim, [], num_classes)
     if text == "cnn":
         if len(input_shape) != 3 or input_shape[0] != input_shape[1]:
             raise ValueError("cnn needs square image input")
@@ -649,5 +647,5 @@ def arch_from_selector(text, input_shape, num_classes):
         hidden = [int(p) for p in text[4:].split(",") if p]
         if not hidden or min(hidden) < 1:
             raise ValueError(f"mlp selector needs hidden widths of at least 1, got {text!r}")
-        return mlp_spec(flat_dim, hidden, num_classes, name=text)
+        return mlp_spec(flat_dim, hidden, num_classes)
     raise ValueError(f"unknown architecture {text!r} (known: mlp:<widths>, linear, cnn)")

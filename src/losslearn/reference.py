@@ -53,11 +53,13 @@ class _Loss:
 
     def _mix(self, yhat, y):
         yhat, y = _as_batch(yhat, y)
+        rows, labels = np.nonzero(y)  # the weighted entries, each row's in class order
+        weights = y[rows, labels]
+        value, grad = self.indexed(yhat[rows], labels)
         values, grads = np.zeros(len(yhat)), np.zeros(yhat.shape)
-        for k in np.flatnonzero(y.any(axis=0)):  # classes of weight 0 add nothing
-            value, grad = self.indexed(yhat, np.full(len(yhat), k))
-            values += y[:, k] * value
-            grads += y[:, k, None] * grad
+        # add.at adds in entry order, so each row sums its classes in order
+        np.add.at(values, rows, weights * value)
+        np.add.at(grads, rows, weights[:, None] * grad)
         return values, grads
 
     def value(self, yhat, y):

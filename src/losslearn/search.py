@@ -1,11 +1,12 @@
 """Bilevel search for noise-robust losses.
 
 The outer loop is CMA-ES over flat polynomial-loss parameter vectors; each
-candidate is decoded, range-normalized, and scored by the mean clean
-validation accuracy of small networks trained on noise-corrupted data across
-the architecture x dataset job grid. Everything is derived from the master
-seed, and job results are reduced in job-index order, so the run is a pure
-function of its config.
+candidate is decoded, range-normalized, and used to train small networks on
+noise-corrupted data, one per job, a job being an (architecture, dataset)
+pair. A generation is one (candidate x job) table of clean validation
+accuracies and divergence flags, and a candidate's fitness is its row mean.
+Everything is derived from the master seed, so the run is a pure function of
+its config.
 """
 
 import json
@@ -13,6 +14,7 @@ import logging
 import os
 import time
 from dataclasses import asdict, dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -97,35 +99,21 @@ class MetaConfig:
         return CmaState(n, mean0=self.mean0, sigma0=self.sigma0, lam=self.population)
 
 
-@dataclass
-class JobResult:
-    arch: str
-    dataset: str
-    accuracy: float
-    diverged: bool
-
-
-@dataclass
-class FitnessRecord:
-    candidate: int
-    jobs: list
-    score: float
-    degenerate: bool = False  # its range was too narrow to normalize; nothing trained
-
-
-def aggregate_score(accuracies):
-    """Eq.-style mean over the job grid; diverged jobs enter as 0."""
-    return float(np.mean(accuracies))
-
-
 def run_generation(state, cfg, gen_seed):
-    """One ask -> train-grid -> tell cycle.
+    """One ask -> train-grid -> tell cycle over the (candidate x job) table.
 
-    Returns (records, champion) where champion is (index, score, loss, params)
-    and loss is the candidate's NormalizedLoss (None when degenerate).
+    The jobs are the (arch, dataset) pairs, architectures outer. Returns
+    (scores, accuracy, diverged, degenerate, champion): the (lambda, J) clean
+    validation accuracies and divergence flags, their row means as the
+    (lambda,) scores told to CMA-ES, and the (lambda,) flags of candidates
+    whose range was too narrow to normalize; such a row trains nothing and
+    reads 0 and diverged. champion is (score, loss) for the first best
+    score, loss being the normalized candidate, or its raw params when it
+    is degenerate.
     """
     ask_rng = np.random.default_rng(derive_seed(gen_seed, "ask"))
     candidates = state.ask(ask_rng)
+    jobs = list(product(cfg.architectures, cfg.datasets))
 
     with selector_errors("unresolvable selector"):
         splits = {
@@ -139,50 +127,38 @@ def run_generation(state, cfg, gen_seed):
             )
             for sel in cfg.datasets
         }
-        arch_specs = {
-            (a, sel): arch_from_selector(
-                a, splits[sel].train_features.shape[1:], splits[sel].num_classes
-            )
-            for a in cfg.architectures
-            for sel in cfg.datasets
-        }
+        specs = [
+            arch_from_selector(a, splits[sel].train_features.shape[1:], splits[sel].num_classes)
+            for a, sel in jobs
+        ]
 
     # degenerate at any class count in the pool makes a candidate degenerate
     classes = sorted({split.num_classes for split in splits.values()})
     decoded = [TaylorLossParams.from_flat(vec, order=cfg.order) for vec in candidates]
     losses = [normalize(params, num_classes=classes, eta=cfg.eta) for params in decoded]
+    degenerate = np.array([loss is None for loss in losses])
 
-    # one stacked training per job over the candidates; a degenerate one scores
-    # 0 as diverged without training
-    live = [i for i, loss in enumerate(losses) if loss is not None]
-    fitted = {}  # (candidate, arch, dataset) -> (accuracy, diverged)
-    for a in cfg.architectures:
-        for sel in cfg.datasets:
-            fits = fit_many(
-                arch_specs[(a, sel)],
-                [losses[i] for i in live],
-                splits[sel],
-                derive_seed(gen_seed, "init", a),
-                TrainConfig.of(cfg, derive_seed(gen_seed, "train", a, sel)),
-            )
-            for i, (acc, diverged, _) in zip(live, fits):
-                fitted[(i, a, sel)] = (acc, diverged)
+    # one stacked training per job over the live candidates
+    accuracy = np.zeros((len(candidates), len(jobs)))
+    diverged = np.ones((len(candidates), len(jobs)), dtype=bool)
+    live = np.flatnonzero(~degenerate)
+    for j, ((a, sel), spec) in enumerate(zip(jobs, specs)):
+        fits = fit_many(
+            spec,
+            [losses[i] for i in live],
+            splits[sel],
+            derive_seed(gen_seed, "init", a),
+            TrainConfig.of(cfg, derive_seed(gen_seed, "train", a, sel)),
+        )
+        for i, (acc, failed, _) in zip(live, fits):
+            accuracy[i, j], diverged[i, j] = acc, failed
 
-    records = []
-    for i in range(len(candidates)):
-        jobs = [
-            JobResult(a, sel, *fitted.get((i, a, sel), (0.0, True)))
-            for a in cfg.architectures
-            for sel in cfg.datasets
-        ]
-        score = aggregate_score([job.accuracy for job in jobs])
-        records.append(FitnessRecord(i, jobs, score, degenerate=losses[i] is None))
-    scores = np.array([rec.score for rec in records])
-
+    scores = accuracy.mean(axis=1)  # diverged and degenerate jobs enter as 0
     state.tell(candidates, scores, maximize=True)
 
     top = int(np.argmax(scores))  # the first of equal scores
-    return records, (top, float(scores[top]), losses[top], decoded[top])
+    champion = losses[top] if losses[top] is not None else decoded[top]
+    return scores, accuracy, diverged, degenerate, (float(scores[top]), champion)
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +189,12 @@ def _config_change(path, config_text):
     return f"the first field that differs is {name!r}{removed}"
 
 
-def _fitness_csv(records):
+def _fitness_csv(cfg, accuracy, diverged):
+    jobs = list(product(cfg.architectures, cfg.datasets))
     return csv_text(
         [["candidate", "arch", "dataset", "accuracy", "diverged"]]
-        + [(rec.candidate, job.arch, job.dataset, f"{job.accuracy:.6f}", int(job.diverged))
-           for rec in records for job in rec.jobs]
+        + [(i, *job, f"{accuracy[i, j]:.6f}", int(diverged[i, j]))
+           for i in range(len(accuracy)) for j, job in enumerate(jobs)]
     )
 
 
@@ -237,14 +214,13 @@ def _write(path, text):
     os.replace(tmp, path)
 
 
-def _log_generation(row, records, seconds):
-    trained = [job for rec in records if not rec.degenerate for job in rec.jobs]
+def _log_generation(row, diverged, degenerate, seconds):
+    trained = diverged[~degenerate]
     log.info(
         "generation %d: best %.6f, mean %.6f, sigma %.4g, %d of %d trainings diverged, "
         "%d candidates degenerate, %.2f s, %.1f trainings/s",
         row["generation"], row["best_fitness"], row["mean_fitness"], row["sigma"],
-        sum(job.diverged for job in trained), len(trained),
-        sum(rec.degenerate for rec in records), seconds, len(trained) / seconds,
+        trained.sum(), trained.size, degenerate.sum(), seconds, trained.size / seconds,
     )
 
 
@@ -297,18 +273,14 @@ def meta_train(cfg, run_dir, stop_after=None):
             break
         started = time.perf_counter()
         gen_seed = derive_seed(cfg.master_seed, "gen", state.generation)
-        records, champion = run_generation(state, cfg, gen_seed)
+        scores, accuracy, diverged, degenerate, (score, loss) = run_generation(
+            state, cfg, gen_seed
+        )
         ran += 1
         generation = state.generation  # post-tell, 1-based
 
-        _, score, norm_loss, raw_params = champion
         if best is None or score > best["score"]:
-            loss_obj = norm_loss if norm_loss is not None else raw_params
-            best = {
-                "score": score,
-                "generation": generation,
-                "loss_json": loss_to_json(loss_obj),
-            }
+            best = {"score": score, "generation": generation, "loss_json": loss_to_json(loss)}
 
         lo, hi = state.eigenvalues()
         history.append(
@@ -316,14 +288,14 @@ def meta_train(cfg, run_dir, stop_after=None):
                 "generation": generation,
                 "evals": state.evals,
                 "best_fitness": best["score"],
-                "mean_fitness": float(np.mean([rec.score for rec in records])),
+                "mean_fitness": float(np.mean(scores)),
                 "sigma": state.sigma,
                 "min_eig": lo,
                 "max_eig": hi,
             }
         )
 
-        _write(run_dir / f"fitness_gen_{generation}.csv", _fitness_csv(records))
+        _write(run_dir / f"fitness_gen_{generation}.csv", _fitness_csv(cfg, accuracy, diverged))
         _write(run_dir / "cma_log.csv", _cma_log_csv(history))
         checkpoint = {
             "version": CHECKPOINT_VERSION,
@@ -335,7 +307,7 @@ def meta_train(cfg, run_dir, stop_after=None):
             run_dir / f"checkpoint_gen_{generation}.json",
             json.dumps(checkpoint, sort_keys=True) + "\n",
         )
-        _log_generation(history[-1], records, time.perf_counter() - started)
+        _log_generation(history[-1], diverged, degenerate, time.perf_counter() - started)
 
     if best is None:  # nothing ran: the loss encoded by the current mean, unnormalized
         best = {"loss_json": loss_to_json(TaylorLossParams.from_flat(state.mean, order=cfg.order))}

@@ -272,6 +272,13 @@ def test_dataset_selector_blobs():
     assert ds.features.shape == (60, 4)
 
 
+@pytest.mark.parametrize("spread", ["inf", "1e308"])
+def test_dataset_selector_blobs_out_of_range_spread(spread):
+    # one clean error; the suite turns any numpy RuntimeWarning on the way into a failure
+    with pytest.raises(ValueError, match="^spread .* gives non-finite features$"):
+        dataset_from_selector(f"blobs:3:20:{spread}")
+
+
 def test_dataset_selector_rings():
     ds = dataset_from_selector("rings:2:30", seed=6)
     assert ds.features.shape == (60, 2)

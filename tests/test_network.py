@@ -49,18 +49,18 @@ from losslearn.taylor import (
 
 
 def tiny_mlp():
-    return NetworkSpec("t", (Dense(4, 6), ReLU(), Dense(6, 3)), (4,), 3)
+    return NetworkSpec((Dense(4, 6), ReLU(), Dense(6, 3)), (4,), 3)
 
 
 def tiny_cnn():
     layers = (Conv2D(1, 2, 3), ReLU(), MaxPool(2), Flatten(), Dense(8, 3))
-    return NetworkSpec("tc", layers, (6, 6, 1), 3)
+    return NetworkSpec(layers, (6, 6, 1), 3)
 
 
 def tiny_cnn_relu_after_pool():
     # the ReLU clamps the pool's cached output in place
     layers = (Conv2D(1, 2, 3), MaxPool(2), ReLU(), Flatten(), Dense(8, 3))
-    return NetworkSpec("tcp", layers, (6, 6, 1), 3)
+    return NetworkSpec(layers, (6, 6, 1), 3)
 
 
 def random_taylor(seed):
@@ -102,32 +102,27 @@ def make_split(x_train, y_train, x_val, y_val, num_classes):
 
 def test_spec_rejects_mismatched_dense():
     with pytest.raises(ValueError, match="layer 1"):
-        NetworkSpec("bad", (Dense(4, 6), Dense(5, 3)), (4,), 3)
+        NetworkSpec((Dense(4, 6), Dense(5, 3)), (4,), 3)
 
 
 def test_spec_rejects_wrong_final_width():
     with pytest.raises(ValueError, match="expected 3 classes"):
-        NetworkSpec("bad", (Dense(4, 5),), (4,), 3)
+        NetworkSpec((Dense(4, 5),), (4,), 3)
 
 
 def test_spec_rejects_bad_pool():
     with pytest.raises(ValueError, match="divisible"):
-        NetworkSpec(
-            "bad",
-            (Conv2D(1, 2, 3), MaxPool(3), Flatten(), Dense(2, 2)),
-            (6, 6, 1),
-            2,
-        )
+        NetworkSpec((Conv2D(1, 2, 3), MaxPool(3), Flatten(), Dense(2, 2)), (6, 6, 1), 2)
 
 
 def test_spec_rejects_conv_on_flat_input():
     with pytest.raises(ValueError, match="H, W, ch"):
-        NetworkSpec("bad", (Conv2D(1, 2, 3),), (16,), 2)
+        NetworkSpec((Conv2D(1, 2, 3),), (16,), 2)
 
 
 def test_spec_takes_its_input_shape_as_a_tuple():
     with pytest.raises(ValueError, match=r"^input_shape must be \(d,\) or \(H, W, ch\), got 4$"):
-        NetworkSpec("bad", (Dense(4, 3),), 4, 3)
+        NetworkSpec((Dense(4, 3),), 4, 3)
     assert (tiny_mlp().row_width, tiny_cnn().row_width) == (6, 36)
 
 
@@ -143,7 +138,7 @@ def test_spec_takes_its_input_shape_as_a_tuple():
 def test_spec_names_the_failing_layer(layers, input_shape, message):
     name = type(layers[1]).__name__
     with pytest.raises(ValueError, match=rf"^layer 1 \({name}\): {message}"):
-        NetworkSpec("bad", layers, input_shape, 2)
+        NetworkSpec(layers, input_shape, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +155,7 @@ def test_init_deterministic():
 
 
 def test_parameter_counts():
-    spec = NetworkSpec("m", (Dense(784, 256), ReLU(), Dense(256, 10)), (784,), 10)
+    spec = NetworkSpec((Dense(784, 256), ReLU(), Dense(256, 10)), (784,), 10)
     net = init(spec, 0)
     assert net.num_parameters == 784 * 256 + 256 + 256 * 10 + 10
 
@@ -211,9 +206,7 @@ def test_forward_matches_matrix_oracle():
 
 
 def test_conv_matches_loop_oracle():
-    spec = NetworkSpec(
-        "c", (Conv2D(2, 3, 3), Flatten(), Dense(2 * 2 * 3, 2)), (4, 4, 2), 2
-    )
+    spec = NetworkSpec((Conv2D(2, 3, 3), Flatten(), Dense(2 * 2 * 3, 2)), (4, 4, 2), 2)
     net = init(spec, seed=6)
     rng = np.random.default_rng(3)
     net.theta[:] = rng.uniform(-1, 1, net.theta.size)
@@ -330,7 +323,7 @@ def test_training_with_the_fold_equals_argmax_pooling(relu_after_pool, init_seed
 
     def run(pool):
         block = (pool, ReLU()) if relu_after_pool else (ReLU(), pool)
-        spec = NetworkSpec("c", (Conv2D(1, 3, 3), *block, Flatten(), Dense(27, 3)), (8, 8, 1), 3)
+        spec = NetworkSpec((Conv2D(1, 3, 3), *block, Flatten(), Dense(27, 3)), (8, 8, 1), 3)
         losses = [CrossEntropy(), normalized_member(8, eta=8.0)]
         return train(init(spec, init_seed, 2), losses, sp, TrainConfig(epochs=2, batch_size=8))
 
@@ -809,7 +802,7 @@ def assert_stacked_cnn_equals_serial(layers):
     images = rng.random((40, 8, 8, 1))
     labels = np.arange(40) % 3
     sp = make_split(images[:30], labels[:30], images[30:], labels[30:], 3)
-    spec = NetworkSpec("c2", layers, (8, 8, 1), 3)
+    spec = NetworkSpec(layers, (8, 8, 1), 3)
     losses = [CrossEntropy(), normalized_member(8, eta=8.0)]
     assert_stack_equals_serial(spec, losses, sp, 26, TrainConfig(epochs=2, batch_size=8, seed=27))
 
@@ -923,4 +916,4 @@ def test_short_last_batch_adds_no_peak_memory():
 def test_spec_rejects_a_relu_on_the_input_batch(layers, input_shape):
     # ReLU runs in place, which must never reach the caller's batch
     with pytest.raises(ValueError, match="would overwrite the batch"):
-        NetworkSpec("bad", layers, input_shape, 3)
+        NetworkSpec(layers, input_shape, 3)

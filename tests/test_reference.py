@@ -18,7 +18,7 @@ from losslearn.reference import (
     SymmetricCrossEntropy,
     make_reference_loss,
 )
-from losslearn.taylor import mse_embedding
+from losslearn.taylor import mse_embedding, normalize
 
 # Scalar oracle for GCE, computed with plain math before the implementation.
 GCE_HALF_ORACLE = (1.0 - math.pow(0.5, 0.7)) / 0.7  # q=0.7, p_t=0.5
@@ -352,3 +352,28 @@ def test_soft_rows_give_the_label_weighted_mix(loss, num_classes, n, seed):
         want_value, want_grad = oracle(loss, yhat, q)
         np.testing.assert_allclose(value, want_value, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
+
+
+POLYNOMIALS = {
+    "poly": mse_embedding(),
+    "poly(normalized)": normalize(mse_embedding(), num_classes=5),
+}
+
+
+@pytest.mark.parametrize(
+    "loss", [*ALL_LOSSES.values(), *POLYNOMIALS.values()], ids=[*ALL_LOSSES, *POLYNOMIALS]
+)
+def test_label_rows_take_one_indexed_call(loss, monkeypatch):
+    # however many classes carry weight, a batch of label rows is one indexed
+    # call over its weighted label entries
+    calls, indexed = [], type(loss).indexed
+    monkeypatch.setattr(
+        type(loss), "indexed", lambda self, *args: calls.append(args) or indexed(self, *args)
+    )
+    rng, yhat = predictions(3, 9, 5)
+    for rows in (np.eye(5)[rng.integers(0, 5, 9)], rng.dirichlet(np.ones(5), 9)):
+        for method in (loss.batch_value, loss.batch_grad):
+            calls.clear()
+            method(yhat, rows)
+            assert len(calls) == 1
+            assert len(calls[0][1]) == np.count_nonzero(rows)

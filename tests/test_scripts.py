@@ -50,3 +50,23 @@ def test_scripts_parse_their_seeds_without_running(scripts):
     for module in scripts.values():
         assert module.parse_seeds(["--seeds", "0-1"], "0-9", module.__doc__) == range(0, 2)
     assert scripts["reuse_check"].parse_seeds([], "0-4") == range(0, 5)
+
+
+def test_artifact_digests_repeat_exactly(monkeypatch, tmp_path):
+    # the byte-identity check between two checkouts is only as good as its
+    # own repeatability: two runs print the same lines, and a run leaves the
+    # working directory as it found it
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    digests = importlib.import_module("artifact_digests")
+    cwd = Path.cwd()
+    first = digests.run(tmp_path / "a")
+    assert Path.cwd() == cwd
+    assert first == digests.run(tmp_path / "b")
+    files = [line.split("  ", 1)[1] for line in first if not line.startswith("stdout of")]
+    assert {"ar/checkpoint_gen_4.json", "full/fitness_gen_2.csv", "grid/results.csv",
+            "train_cnn.csv", "inspect_normalized.csv", "noise.csv"} <= set(files)
+    assert [line.split(":")[0] for line in first if line.startswith("stdout of")] == [
+        "stdout of train --arch mlp", "stdout of train --arch cnn"
+    ]
+    with pytest.raises(SystemExit, match="is not empty"):
+        digests.run(tmp_path / "a")

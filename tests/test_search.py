@@ -1,4 +1,4 @@
-"""Meta-search loop: config validation, aggregation, determinism, resume."""
+"""Meta-search loop: config validation, the generation table, determinism, resume."""
 
 import json
 import logging
@@ -9,14 +9,7 @@ import pytest
 
 from losslearn import search
 from losslearn.cli import main_entry
-from losslearn.cma import cma_init
-from losslearn.search import (
-    FitnessRecord,
-    MetaConfig,
-    aggregate_score,
-    meta_train,
-    run_generation,
-)
+from losslearn.search import MetaConfig, meta_train, run_generation
 from losslearn.seeding import derive_seed
 from losslearn.taylor import (
     NormalizedLoss,
@@ -162,16 +155,8 @@ CONFIG_JSON = """{
 
 
 # ---------------------------------------------------------------------------
-# Aggregation
+# Candidates
 # ---------------------------------------------------------------------------
-
-
-def test_single_job_score_passthrough():
-    assert aggregate_score([0.7]) == pytest.approx(0.7)
-
-
-def test_two_job_mean():
-    assert aggregate_score([0.8, 0.6]) == pytest.approx(0.7)
 
 
 def test_candidate_decode_round_trip():
@@ -186,26 +171,50 @@ def test_candidate_decode_round_trip():
 # ---------------------------------------------------------------------------
 
 
-def test_run_generation_shapes_and_bounds():
+def test_single_job_score_passthrough():
+    # one job: a candidate's score is that job's accuracy
     cfg = tiny_config()
-    state = cma_init(num_parameters(cfg.order), sigma0=cfg.sigma0, lam=cfg.population)
-    records, champion = run_generation(state, cfg, derive_seed(11, "gen", 0))
-    assert len(records) == 6
-    for rec in records:
-        assert len(rec.jobs) == 1
-        assert 0.0 <= rec.score <= 1.0
-        assert rec.score == aggregate_score([j.accuracy for j in rec.jobs])
-        for job in rec.jobs:
-            assert 0.0 <= job.accuracy <= 1.0
-            if job.diverged:
-                assert job.accuracy == 0.0
-    assert state.generation == 1
-    assert champion is not None
-    idx, score, loss, params = champion
-    assert score == max(rec.score for rec in records)
-    assert isinstance(params, TaylorLossParams)
-    if loss is not None:
-        assert isinstance(loss, NormalizedLoss)
+    scores, accuracy, _, _, _ = run_generation(
+        cfg.initial_state(), cfg, derive_seed(11, "gen", 0)
+    )
+    assert accuracy.shape == (6, 1)
+    np.testing.assert_array_equal(scores, accuracy[:, 0])
+
+
+def test_two_job_mean():
+    # two jobs: a candidate's score is the mean of its row
+    cfg = tiny_config(architectures=["mlp:8", "linear"])
+    scores, accuracy, _, _, _ = run_generation(
+        cfg.initial_state(), cfg, derive_seed(11, "gen", 0)
+    )
+    assert accuracy.shape == (6, 2)
+    for (a, b), score in zip(accuracy, scores):
+        assert score == pytest.approx((a + b) / 2)
+        assert score == np.mean([a, b])
+
+
+def test_run_generation_shapes_and_bounds():
+    # one job, and four jobs with architectures outer
+    for cfg, jobs in [
+        (tiny_config(), 1),
+        (tiny_config(mode="Full", architectures=["mlp:8", "linear"],
+                     datasets=["blobs:3:30:0.3", "rings:3:30"]), 4),
+    ]:
+        state = cfg.initial_state()
+        scores, accuracy, diverged, degenerate, champion = run_generation(
+            state, cfg, derive_seed(11, "gen", 0)
+        )
+        assert accuracy.shape == diverged.shape == (6, jobs)
+        assert scores.shape == degenerate.shape == (6,)
+        assert ((0.0 <= accuracy) & (accuracy <= 1.0)).all()
+        assert (accuracy[diverged] == 0.0).all()
+        for row, score in zip(accuracy, scores):
+            assert score == np.mean(list(row))
+        assert state.generation == 1
+        score, loss = champion
+        assert score == scores.max()
+        top = scores.argmax()
+        assert isinstance(loss, TaylorLossParams if degenerate[top] else NormalizedLoss)
 
 
 def test_dr_jobs_normalize_at_their_own_class_count(monkeypatch):
@@ -252,6 +261,32 @@ def test_degenerate_candidates_score_zero(tmp_path):
         assert line.endswith(",0.000000,1")
     # champion falls back to the raw (unnormalized) polynomial
     assert isinstance(best, TaylorLossParams)
+
+
+def test_mixed_generation_writes_each_row_to_its_candidate(tmp_path, monkeypatch):
+    # a stacked training is member-independent, so taking candidates 1 and 3
+    # out of it leaves every other candidate's rows as they were
+    cfg = tiny_config(mode="DR", datasets=["blobs:3:30:0.3", "rings:3:30"], max_generations=1)
+    meta_train(cfg, tmp_path / "whole")
+    calls, normalize = [], search.normalize
+
+    def degenerate_1_and_3(params, **kwargs):
+        calls.append(params)
+        return None if len(calls) in (2, 4) else normalize(params, **kwargs)
+
+    monkeypatch.setattr(search, "normalize", degenerate_1_and_3)
+    meta_train(cfg, tmp_path / "mixed")
+    whole, mixed = (
+        (tmp_path / run / "fitness_gen_1.csv").read_text().splitlines()
+        for run in ("whole", "mixed")
+    )
+    assert len(calls) == 6 and len(mixed) == 1 + 6 * 2
+    for line, unpatched in zip(mixed[1:], whole[1:]):
+        if line.split(",")[0] in ("1", "3"):
+            assert line.endswith(",0.000000,1")
+        else:
+            assert line == unpatched
+    assert not all(line.endswith(",0.000000,1") for line in whole[1:])
 
 
 # ---------------------------------------------------------------------------
