@@ -2,9 +2,10 @@
 
 Runs a fixed set of commands in-process through the command line's
 ``main_entry``, inside OUT, then prints ``sha256  path`` for every file under
-OUT (paths relative to OUT, sorted) and the stdout of each ``train``. A
-change meant to leave every output byte-identical prints the same lines as
-its parent checkout on the same machine and BLAS build:
+OUT (paths relative to OUT, sorted), the stdout of each ``train`` and the
+stderr of ``benchmark`` (its average-rank lines). A change meant to leave
+every output byte-identical prints the same lines as its parent checkout on
+the same machine and BLAS build:
 
     python scripts/artifact_digests.py OUT
 
@@ -112,14 +113,17 @@ def run(out):
         write_inputs()
         printed = []
         for argv in commands():
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = main_entry(argv)
             if code != 0:
-                raise SystemExit(f"{' '.join(argv)} exited {code}")
+                raise SystemExit(f"{' '.join(argv)} exited {code}: {stderr.getvalue().strip()}")
             if argv[0] == "train":
                 printed.append(f"stdout of train --arch {argv[argv.index('--arch') + 1]}: "
                                + stdout.getvalue().strip())
+            if argv[0] == "benchmark":
+                printed += [f"stderr of benchmark: {line}"
+                            for line in stderr.getvalue().splitlines()]
         paths = sorted(p for p in Path().rglob("*") if p.is_file())
         digests = [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.as_posix()}" for p in paths]
     finally:

@@ -12,7 +12,7 @@ import io
 import logging
 import time
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -227,8 +227,8 @@ def _cell_triple(cell):
 @dataclass
 class RankTable:
     losses: tuple
-    rows: list = field(default_factory=list)  # (arch, ds, noise, loss, mean, std, rank)
-    averages: dict = field(default_factory=dict)  # loss -> average rank
+    rows: list  # (arch, ds, noise, loss, mean, std, rank), cells outer
+    averages: dict  # loss -> average rank
 
 
 def mid_ranks(values):
@@ -241,30 +241,20 @@ def mid_ranks(values):
     return ranks
 
 
-def compute_ranks(grid, results):
-    """Build the RankTable from raw result rows.
-
-    results rows are (arch, dataset, noise, loss, seed, accuracy, diverged),
-    exactly as written to results.csv.
-    """
-    table = RankTable(losses=grid.losses)
-    for cell in grid.cells:
-        arch, dsel, nsel = cell
-        means, stds = [], []
-        for loss in grid.losses:
-            accs = [row[5] for row in results if row[:4] == (*cell, loss)]
-            if len(accs) != grid.seeds:
-                raise RuntimeError(f"cell {cell} x {loss}: {len(accs)} rows")
-            means.append(float(np.mean(accs)))
-            stds.append(float(np.std(accs)))
-        ranks = mid_ranks(means)
-        for loss, mean, std, rank in zip(grid.losses, means, stds, ranks):
-            table.rows.append((arch, dsel, nsel, loss, mean, std, float(rank)))
-    table.averages = {
-        loss: sum(row[6] for row in table.rows if row[3] == loss) / len(grid.cells)
-        for loss in grid.losses
-    }
-    return table
+def compute_ranks(grid, accuracy):
+    """Build the RankTable from the (cell, loss, seed) accuracy table."""
+    shape = (len(grid.cells), len(grid.losses), grid.seeds)
+    if np.shape(accuracy) != shape:
+        raise ValueError(f"accuracy table of shape {np.shape(accuracy)}, grid needs {shape}")
+    means, stds = np.mean(accuracy, axis=2), np.std(accuracy, axis=2)  # ddof=0
+    ranks = np.array([mid_ranks(row) for row in means])
+    rows = [
+        (*cell, loss, float(means[k, i]), float(stds[k, i]), float(ranks[k, i]))
+        for k, cell in enumerate(grid.cells)
+        for i, loss in enumerate(grid.losses)
+    ]
+    averages = dict(zip(grid.losses, map(float, ranks.mean(axis=0))))
+    return RankTable(grid.losses, rows, averages)
 
 
 def run_benchmark(grid, out_dir):
@@ -286,25 +276,22 @@ def run_benchmark(grid, out_dir):
         for loss in losses:
             if hasattr(loss, "affine"):  # a polynomial loss; it keeps each C's range
                 loss.affine(sp.num_classes)
-    results = []
-    for cell in grid.cells:
-        rows = [[] for _ in grid.losses]
+    accuracy = np.zeros((len(grid.cells), len(losses), grid.seeds))
+    diverged = np.zeros(accuracy.shape, dtype=bool)
+    for k, cell in enumerate(grid.cells):
         for s in range(grid.seeds):
             started = time.perf_counter()
             seed, job = first.pop(0) if s == 0 else resolve(cell, s)
-            fits = _fit_at_seed(losses, job, seed, cfg)
+            fits = _fit_at_seed(losses, job, seed, cfg)  # (accuracy, diverged, curve) per loss
+            accuracy[k, :, s], diverged[k, :, s], _ = zip(*fits)
             log.info(
                 "cell %s seed %d: %d losses, %d diverged, best accuracy %.6f, %.2f s",
-                " ".join(cell), s, len(fits), sum(diverged for _, diverged, _ in fits),
-                max(acc for acc, _, _ in fits), time.perf_counter() - started,
+                " ".join(cell), s, len(losses), diverged[k, :, s].sum(),
+                accuracy[k, :, s].max(), time.perf_counter() - started,
             )
-            for loss_rows, loss_sel, (acc, diverged, _) in zip(rows, grid.losses, fits):
-                loss_rows.append((*cell, loss_sel, s, acc, diverged))
-        for loss_rows in rows:  # a cell's rows are listed loss by loss
-            results += loss_rows
 
-    (out_dir / "results.csv").write_text(results_csv(results))
-    table = compute_ranks(grid, results)
+    (out_dir / "results.csv").write_text(results_csv(grid, accuracy, diverged))
+    table = compute_ranks(grid, accuracy)
     (out_dir / "rank_table.csv").write_text(rank_table_csv(table))
     (out_dir / "avg_ranks.csv").write_text(avg_ranks_csv(table))
     return table
@@ -317,10 +304,12 @@ def csv_text(rows):
     return buf.getvalue()
 
 
-def results_csv(results):
+def results_csv(grid, accuracy, diverged):
+    """One row per (cell, loss, seed) entry: cells in grid order, then losses, then seeds."""
     return csv_text(
         [["arch", "dataset", "noise", "loss", "seed", "accuracy", "diverged"]]
-        + [(*job, s, f"{acc:.6f}", int(diverged)) for *job, s, acc, diverged in results]
+        + [(*grid.cells[k], grid.losses[i], s, f"{accuracy[k, i, s]:.6f}", int(diverged[k, i, s]))
+           for k, i, s in np.ndindex(accuracy.shape)]
     )
 
 
@@ -357,14 +346,11 @@ def inspect_loss_csv(loss, resolution=100):
     """
     if resolution < 1:
         raise ConfigError("resolution must be at least 1")
-    rows = [["yhat", "y", "loss"]]
-    for step in range(resolution + 1):
-        p = step / resolution
-        pred = np.array([[p, 1.0 - p]])
-        for y in (0, 1):
-            value = float(loss.indexed(pred, [1 - y])[0][0])  # y = 1 is class 0
-            rows.append((f"{p:.6f}", y, f"{value + 0.0:.6f}"))  # +0.0 drops the sign of -0.0
-    return csv_text(rows)
+    p = np.repeat(np.arange(resolution + 1) / resolution, 2)  # each yhat against y = 0, 1
+    y = np.tile([0, 1], resolution + 1)
+    values = loss.indexed(np.column_stack([p, 1.0 - p]), 1 - y)[0]  # y = 1 is class 0
+    rows = zip(p, y.tolist(), values + 0.0)  # +0.0 drops the sign of -0.0
+    return csv_text([["yhat", "y", "loss"]] + [(f"{a:.6f}", b, f"{v:.6f}") for a, b, v in rows])
 
 
 def noise_matrix_csv(noise_sel, num_classes, pairing=None):

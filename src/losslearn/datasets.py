@@ -136,6 +136,8 @@ def synth_blobs(num_classes, per_class, dim=2, spread=0.5, seed=0):
         raise ValueError("per_class must be at least 1")
     if dim < 2:
         raise ValueError("dim must be at least 2")
+    if spread < 0:  # NaN passes on to the non-finite check below
+        raise ValueError(f"spread must be >= 0, got {spread}")
     rng = np.random.default_rng(seed)
     angles = 2 * np.pi * np.arange(num_classes) / num_classes
     centers = np.zeros((num_classes, dim))

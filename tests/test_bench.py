@@ -91,13 +91,8 @@ def toy_grid(**overrides):
 
 
 def rows_from(grid, accs):
-    # accs[cell_index][loss_index][seed_index]
-    rows = []
-    for ci, cell in enumerate(grid.cells):
-        for li, loss in enumerate(grid.losses):
-            for s in range(grid.seeds):
-                rows.append((*cell, loss, s, accs[ci][li][s], False))
-    return rows
+    # accs[cell_index][loss_index][seed_index] is already the accuracy table
+    return np.array(accs)
 
 
 def test_consistent_winner_gets_average_rank_one():
@@ -138,9 +133,9 @@ def test_ranks_invariant_under_monotone_rescaling():
 
 def test_missing_rows_detected():
     grid = toy_grid(seeds=2)
-    rows = rows_from(grid, [[[0.9, 0.8], [0.5, 0.4]], [[0.8, 0.7], [0.6, 0.5]]])
-    with pytest.raises(RuntimeError, match="rows"):
-        compute_ranks(grid, rows[:-1])
+    table = rows_from(grid, [[[0.9, 0.8], [0.5, 0.4]], [[0.8, 0.7], [0.6, 0.5]]])
+    with pytest.raises(ValueError, match=r"shape \(2, 2, 1\), grid needs \(2, 2, 2\)"):
+        compute_ranks(grid, table[:, :, :-1])
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +221,21 @@ def test_inspect_polynomial_matches_closed_form():
         label = np.array([1.0, 0.0]) if y == 1 else np.array([0.0, 1.0])
         expected = np.mean((pred - label) ** 2 - label**2)
         assert float(row["loss"]) == pytest.approx(expected, abs=1e-6)
+
+
+def test_inspect_surface_is_one_indexed_call(monkeypatch):
+    calls, real = [], CrossEntropy.indexed
+
+    def counted(self, yhat, labels):
+        calls.append(len(yhat))
+        return real(self, yhat, labels)
+
+    monkeypatch.setattr(CrossEntropy, "indexed", counted)
+    rows = list(csv.DictReader(io.StringIO(inspect_loss_csv(CrossEntropy(), resolution=7))))
+    assert calls == [16]  # 8 grid points x 2 labels
+    assert [(row["yhat"], row["y"]) for row in rows] == [
+        (f"{k / 7:.6f}", str(y)) for k in range(8) for y in (0, 1)
+    ]
 
 
 def test_inspect_rejects_zero_resolution():
@@ -449,6 +459,49 @@ def test_rank_table_recomputable_from_results_csv(tmp_path):
         np.testing.assert_allclose(got, expected_ranks)
 
 
+def test_every_entry_lands_in_its_own_row(tmp_path, monkeypatch):
+    # a distinct accuracy per (cell, loss, seed); 9 seeds, since numpy sums 8
+    # or more values pairwise, so the means and stds below are checked bit for
+    # bit against numpy on each entry's own seed list
+    grid = BenchmarkGrid(
+        cells=[("linear", "blobs:3:10:0.3", "none"), ("linear", "blobs:4:10:0.3", "sym:0.2")],
+        losses=("ce", "mae", "gce:q=0.5"),
+        seeds=9,
+        epochs=1,
+        master_seed=2,
+    )
+    entries = np.random.default_rng(0).uniform(0.0, 1.0, (2, 3, 9))
+    flags = np.random.default_rng(1).uniform(size=entries.shape) < 0.5
+    assert len({f"{a:.6f}" for a in entries.flat}) == entries.size
+    cell_seed = {
+        derive_seed(derive_seed(grid.master_seed, "cell", *cell, s), "init"): (k, s)
+        for k, cell in enumerate(grid.cells)
+        for s in range(grid.seeds)
+    }
+
+    def fake_fit_many(spec, losses, sp, init_seed, cfg):
+        k, s = cell_seed[init_seed]
+        return [(float(entries[k, i, s]), bool(flags[k, i, s]), []) for i in range(len(losses))]
+
+    monkeypatch.setattr(bench, "fit_many", fake_fit_many)
+    table = run_benchmark(grid, tmp_path)
+    rows = read_csv(tmp_path / "results.csv")
+    expected_rows, expected_ranks = [], []
+    for k, cell in enumerate(grid.cells):
+        for i, loss in enumerate(grid.losses):
+            for s in range(grid.seeds):
+                expected_rows.append(
+                    [*cell, loss, str(s), f"{entries[k, i, s]:.6f}", str(int(flags[k, i, s]))]
+                )
+            accs = entries[k, i].tolist()
+            *key, mean, std, _ = table.rows[3 * k + i]
+            assert (*key, mean, std) == (*cell, loss, float(np.mean(accs)), float(np.std(accs)))
+        expected_ranks.append(rankdata(-entries[k].mean(axis=1), method="average"))
+    assert [list(row.values()) for row in rows] == expected_rows
+    assert [row[6] for row in table.rows] == np.concatenate(expected_ranks).tolist()
+    assert list(table.averages.values()) == np.mean(expected_ranks, axis=0).tolist()
+
+
 def test_diverged_jobs_keep_their_rows(tmp_path):
     grid = small_grid(learning_rate=1e160, seeds=1, losses=("ce",))
     run_benchmark(grid, tmp_path)
@@ -571,6 +624,16 @@ def test_cli_train_bad_dataset_selector_exits_two(capsys):
     assert "cubes" in capsys.readouterr().err
 
 
+def test_cli_train_negative_blobs_spread_exits_two(capsys):
+    code = main_entry(
+        ["train", "--loss", "ce", "--dataset", "blobs:3:20:-1", "--arch", "linear"]
+    )
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: unresolvable cell selector: spread must be >= 0, got -1.0\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -688,7 +751,7 @@ def test_cli_benchmark_roundtrip(tmp_path, capsys):
         ({"losses": [5]}, "losses must be strings, got [5]"),
         ({"cells": [[1, 2, 3]]}, "cell [1, 2, 3] must be [arch, dataset, noise] selector"),
         ({"cells": [["mlp:8", "blobs:3:2:0.5", "none"]]}, "leaves no validation examples"),
-        # a repeated loss or cell would give compute_ranks two rows per seed
+        # a repeated loss or cell would be ranked against itself
         ({"losses": ["ce", "mae", "ce"]}, "grid lists loss 'ce' twice"),
         (
             {"cells": GRID_CONFIG["cells"]

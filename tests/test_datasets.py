@@ -272,10 +272,19 @@ def test_dataset_selector_blobs():
     assert ds.features.shape == (60, 4)
 
 
-@pytest.mark.parametrize("spread", ["inf", "1e308"])
-def test_dataset_selector_blobs_out_of_range_spread(spread):
+@pytest.mark.parametrize(
+    "spread, message",
+    [
+        ("inf", "^spread inf gives non-finite features$"),
+        ("1e308", r"^spread 1e\+308 gives non-finite features$"),
+        # mirrored noise would make blobs:3:20:-1 a second name for blobs:3:20:1
+        ("-1", "^spread must be >= 0, got -1.0$"),
+    ],
+    ids=["inf", "1e308", "-1"],
+)
+def test_dataset_selector_blobs_out_of_range_spread(spread, message):
     # one clean error; the suite turns any numpy RuntimeWarning on the way into a failure
-    with pytest.raises(ValueError, match="^spread .* gives non-finite features$"):
+    with pytest.raises(ValueError, match=message):
         dataset_from_selector(f"blobs:3:20:{spread}")
 
 

@@ -62,11 +62,16 @@ def test_artifact_digests_repeat_exactly(monkeypatch, tmp_path):
     first = digests.run(tmp_path / "a")
     assert Path.cwd() == cwd
     assert first == digests.run(tmp_path / "b")
-    files = [line.split("  ", 1)[1] for line in first if not line.startswith("stdout of")]
+    printed = ("stdout of", "stderr of")
+    files = [line.split("  ", 1)[1] for line in first if not line.startswith(printed)]
     assert {"ar/checkpoint_gen_4.json", "full/fitness_gen_2.csv", "grid/results.csv",
             "train_cnn.csv", "inspect_normalized.csv", "noise.csv"} <= set(files)
     assert [line.split(":")[0] for line in first if line.startswith("stdout of")] == [
         "stdout of train --arch mlp", "stdout of train --arch cnn"
+    ]
+    ranks = [line for line in first if line.startswith("stderr of")]
+    assert [line.split(": average rank ")[0] for line in ranks] == [
+        f"stderr of benchmark: {loss}" for loss in digests.GRID["losses"]
     ]
     with pytest.raises(SystemExit, match="is not empty"):
         digests.run(tmp_path / "a")
