@@ -11,8 +11,9 @@ the same machine and BLAS build:
 
 The commands:
 - meta-train: the acceptance test's frozen search config, capped at 4
-  generations, and a Full-mode search over {mlp:8, linear} x {blobs:3,
-  blobs:10}; checkpoints included;
+  generations, a Full-mode search over {mlp:8, linear} x {blobs:3,
+  blobs:10}, and a 2-generation AR search of {mlp:8, linear} on the IDX pair
+  below (dense networks on image rows); checkpoints included;
 - benchmark: ce, mae, gce:q=0.5 and the first search's best_loss.json on a
   C = 3 and a C = 10 cell, 2 seeds;
 - train: --arch mlp:16 and --arch cnn, each with --curve-out, on a tiny IDX
@@ -53,6 +54,18 @@ FULL_CONFIG = {
     "batch_size": 16,
     "eta": 8.0,
 }
+IDX = "idx:inputs/images.idx:inputs/labels.idx"
+IDX_CONFIG = {
+    "mode": "AR",
+    "architectures": ["mlp:8", "linear"],
+    "datasets": [IDX],
+    "noise": "sym:0.2",
+    "max_generations": 2,
+    "master_seed": 11,
+    "epochs": 2,
+    "batch_size": 16,
+    "eta": 8.0,
+}
 GRID = {
     "cells": [
         ["mlp:8", "blobs:3:40:0.5", "sym:0.3"],
@@ -70,6 +83,7 @@ def write_inputs():
     Path("inputs").mkdir()
     Path("inputs/ar.json").write_text(json.dumps({**acc.SEARCH_CONFIG, "max_generations": 4}))
     Path("inputs/full.json").write_text(json.dumps(FULL_CONFIG))
+    Path("inputs/idx.json").write_text(json.dumps(IDX_CONFIG))
     Path("inputs/grid.json").write_text(json.dumps(GRID))
     save_loss(mse_embedding(), "inputs/raw_loss.json")
     rng = np.random.default_rng(0)
@@ -84,12 +98,12 @@ def write_inputs():
 
 
 def commands():
-    idx = "idx:inputs/images.idx:inputs/labels.idx"
-    train = ["train", "--loss", "ar/best_loss.json", "--dataset", idx, "--noise", "sym:0.2",
+    train = ["train", "--loss", "ar/best_loss.json", "--dataset", IDX, "--noise", "sym:0.2",
              "--epochs", "2", "--seed", "3"]
     return [
         ["meta-train", "--config", "inputs/ar.json", "--out", "ar"],
         ["meta-train", "--config", "inputs/full.json", "--out", "full"],
+        ["meta-train", "--config", "inputs/idx.json", "--out", "idx"],
         ["benchmark", "--config", "inputs/grid.json", "--out", "grid"],
         [*train, "--arch", "mlp:16", "--curve-out", "train_mlp.csv"],
         [*train, "--arch", "cnn", "--curve-out", "train_cnn.csv"],

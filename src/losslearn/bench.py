@@ -108,7 +108,7 @@ def loss_from_selector(text):
 
 
 # ---------------------------------------------------------------------------
-# Training at one seed (the train command and each benchmark seed)
+# One seed's job (the train command and each benchmark seed)
 # ---------------------------------------------------------------------------
 
 
@@ -131,8 +131,9 @@ def run_single_training(
         cfg = TrainConfig(learning_rate, momentum, batch_size, epochs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    job = _resolve(arch_sel, dataset_sel, noise_sel, seed, val_fraction, pairing)
-    return _fit_at_seed([loss], job, seed, cfg)[0]
+    spec, sp, init_seed, cfg = _seed_job(
+        arch_sel, dataset_sel, noise_sel, seed, val_fraction, pairing, cfg)
+    return fit_many(spec, [loss], sp, init_seed, cfg)[0]
 
 
 @contextmanager
@@ -146,8 +147,10 @@ def selector_errors(what):
         raise ConfigError(f"{what}: {exc}") from None
 
 
-def _resolve(arch_sel, dataset_sel, noise_sel, seed, val_fraction, pairing):
-    """The (split, network spec) of one seed; a selector that fails is a ConfigError."""
+def _seed_job(arch_sel, dataset_sel, noise_sel, seed, val_fraction, pairing, cfg):
+    """fit_many's (spec, split, init seed, TrainConfig) at one seed; a selector that fails
+    is a ConfigError. The seed path excludes the loss, so losses fitted on one job
+    share its split, init and batch order, and are compared on equal footing."""
     with selector_errors("unresolvable cell selector"):
         sp = noisy_split(
             dataset_sel,
@@ -158,17 +161,7 @@ def _resolve(arch_sel, dataset_sel, noise_sel, seed, val_fraction, pairing):
             pairing=pairing,
         )
         spec = arch_from_selector(arch_sel, sp.train_features.shape[1:], sp.num_classes)
-    return sp, spec
-
-
-def _fit_at_seed(losses, job, seed, cfg):
-    """Fit every loss on the split and spec, init and batch order of one seed.
-
-    The seed path excludes the loss, so losses are compared on equal footing.
-    """
-    sp, spec = job
-    cfg = replace(cfg, seed=derive_seed(seed, "train"))
-    return fit_many(spec, losses, sp, derive_seed(seed, "init"), cfg)
+    return spec, sp, derive_seed(seed, "init"), replace(cfg, seed=derive_seed(seed, "train"))
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +189,6 @@ class BenchmarkGrid:
             raise ConfigError("benchmark needs at least one cell")
         if not self.losses:
             raise ConfigError("benchmark needs at least one loss")
-        for what, items in (("cell", self.cells), ("loss", self.losses)):
-            for i, item in enumerate(items):
-                if item in items[:i]:
-                    raise ConfigError(f"grid lists {what} {item!r} twice")
         if self.seeds < 1:
             raise ConfigError(f"seeds must be >= 1, got {self.seeds!r}")
         if not 0.0 < self.val_fraction < 1.0:
@@ -214,6 +203,9 @@ class BenchmarkGrid:
 def _cell_triple(cell):
     """An [arch, dataset, noise] list or {"arch", "dataset", "noise"} object as a triple."""
     if isinstance(cell, dict):
+        for key in cell:
+            if key not in ("arch", "dataset", "noise"):
+                raise ConfigError(f"cell {cell!r} has unknown key {key!r}")
         try:
             cell = (cell["arch"], cell["dataset"], cell["noise"])
         except KeyError as exc:
@@ -262,17 +254,21 @@ def run_benchmark(grid, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     losses = [loss_from_selector(sel) for sel in grid.losses]
+    _reject_repeats("loss", grid.losses, losses)
     cfg = TrainConfig.of(grid)
 
-    def resolve(cell, s):
+    def job(cell, s):
         seed = derive_seed(grid.master_seed, "cell", *cell, s)
-        return seed, _resolve(*cell, seed, grid.val_fraction, grid.pairing)
+        return _seed_job(*cell, seed, grid.val_fraction, grid.pairing, cfg)
 
-    # every cell's first seed resolves before any training, so a selector typo
-    # fails before anything runs, as does a polynomial loss without a range at
-    # some cell's class count; each is held until its cell trains
-    first = [resolve(cell, 0) for cell in grid.cells]
-    for _, (sp, _) in first:
+    # every cell's first seed resolves before any training, so a selector typo fails
+    # before anything runs, as do a repeated cell and a polynomial loss without a
+    # range at some cell's class count; each job is held until its cell trains
+    first = [job(cell, 0) for cell in grid.cells]
+    _reject_repeats("cell", grid.cells, [
+        (spec, sp.provenance["dataset"], sp.provenance["noise"]) for spec, sp, _, _ in first
+    ])
+    for _, sp, _, _ in first:
         for loss in losses:
             if hasattr(loss, "affine"):  # a polynomial loss; it keeps each C's range
                 loss.affine(sp.num_classes)
@@ -281,8 +277,8 @@ def run_benchmark(grid, out_dir):
     for k, cell in enumerate(grid.cells):
         for s in range(grid.seeds):
             started = time.perf_counter()
-            seed, job = first.pop(0) if s == 0 else resolve(cell, s)
-            fits = _fit_at_seed(losses, job, seed, cfg)  # (accuracy, diverged, curve) per loss
+            spec, sp, init_seed, seed_cfg = first.pop(0) if s == 0 else job(cell, s)
+            fits = fit_many(spec, losses, sp, init_seed, seed_cfg)  # (accuracy, diverged, curve)
             accuracy[k, :, s], diverged[k, :, s], _ = zip(*fits)
             log.info(
                 "cell %s seed %d: %d losses, %d diverged, best accuracy %.6f, %.2f s",
@@ -295,6 +291,13 @@ def run_benchmark(grid, out_dir):
     (out_dir / "rank_table.csv").write_text(rank_table_csv(table))
     (out_dir / "avg_ranks.csv").write_text(avg_ranks_csv(table))
     return table
+
+
+def _reject_repeats(what, names, values):
+    """ConfigError at the first value equal to an earlier one, named as the grid spells it."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"grid lists {what} {names[i]!r} twice")
 
 
 def csv_text(rows):

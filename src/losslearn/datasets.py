@@ -94,7 +94,8 @@ def _avg_pool(images, target):
 
 
 def load_idx(images_path, labels_path, downsample=None, limit=None):
-    for name, value in (("downsample", downsample), ("limit", limit)):
+    options = (("downsample", downsample), ("limit", limit))
+    for name, value in options:
         if value is not None and value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     images = _read_idx(images_path, IMAGES_MAGIC, 3)
@@ -111,7 +112,8 @@ def load_idx(images_path, labels_path, downsample=None, limit=None):
         features = _avg_pool(features, int(downsample))
     labels = labels.astype(np.int64)
     return Dataset(
-        name=f"idx:{images_path}",
+        name=f"idx:{images_path}:{labels_path}"
+        + "".join(f":{key}={value}" for key, value in options if value is not None),
         features=features[..., None],  # (n, H, W, 1): one grey channel
         labels=labels,
         num_classes=int(labels.max()) + 1,
@@ -150,7 +152,7 @@ def synth_blobs(num_classes, per_class, dim=2, spread=0.5, seed=0):
     if not np.isfinite(features).all():
         raise ValueError(f"spread {spread} gives non-finite features")
     return Dataset(
-        name=f"blobs:{num_classes}:{per_class}:{spread}",
+        name=f"blobs:{num_classes}:{per_class}:{spread}" + (f":dim={dim}" if dim != 2 else ""),
         features=features,
         labels=labels,
         num_classes=num_classes,

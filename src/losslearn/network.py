@@ -2,7 +2,8 @@
 
 Dense and valid-convolution layers, ReLU, non-overlapping max pooling, a
 softmax head, and mini-batch SGD with momentum. Everything is float64 numpy.
-A shape is a tuple: (d,) for flat rows, (H, W, ch) for images.
+A shape is a tuple: (d,) for flat rows, (H, W, ch) for images; a network takes
+rows of exactly its input shape, and a dense one on images starts with Flatten.
 
 A Network is a stack of m networks with one spec; one network is m = 1. Its
 parameters carry a leading member axis, (m, P), and so do its activations,
@@ -253,6 +254,9 @@ class NetworkSpec:
                 f"final layer produces {shape}, expected {self.num_classes} classes"
             )
         object.__setattr__(self, "row_width", max(1, width))  # entries in the widest row
+        # the backward pass needs no input gradient below the lowest layer with parameters
+        trained = [i for i, layer in enumerate(self.layers) if layer.param_shapes()]
+        object.__setattr__(self, "lowest_trained", min(trained, default=len(self.layers)))
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +334,12 @@ class Network:
         # dL/dlogits through the softmax Jacobian, row by row
         dot = _class_fold(np.add, dprobs * probs)[..., None]
         dx = probs * (dprobs - dot)
-        for i in reversed(range(len(caches))):
+        lowest = self.spec.lowest_trained
+        for i in reversed(range(lowest, len(caches))):
             layer, params = self.spec.layers[i], self._theta_views[i]
             layer.param_grad(self._grad_views[i], caches[i], dx)
-            if not i:  # nothing uses the gradient with respect to the input batch
-                break
-            dx = layer.input_grad(params, caches[i], dx, bufs[i])
+            if i > lowest:
+                dx = layer.input_grad(params, caches[i], dx, bufs[i])
         return self._grad
 
 
@@ -448,17 +452,6 @@ class TrainResult:
         return self.curve[-1][2] if self.curve else None
 
 
-def prepare_features(features, input_shape):
-    """Features as the network's input rows: an image network takes rows of
-    exactly its shape, a dense one of shape (d,) any rows of d entries, flattened."""
-    x = np.asarray(features, dtype=float)
-    if len(input_shape) == 1:
-        x = x.reshape(x.shape[0], -1)
-    if x.shape[1:] != input_shape:
-        raise ValueError(f"feature shape {x.shape[1:]} does not match {input_shape}")
-    return x
-
-
 VALIDATION_BUDGET = 2**20  # 8 MiB of float64
 
 
@@ -470,12 +463,11 @@ def accuracy(net, features, labels):
     labels = np.asarray(labels)
     if len(labels) == 0:
         raise ValueError("empty evaluation set")
-    x = prepare_features(features, net.spec.input_shape)
     m = len(net.theta)
     chunk = min(-(-len(labels) // m), max(1, VALIDATION_BUDGET // (m * net.spec.row_width)))
     correct = np.zeros(m, dtype=np.int64)
     for start in range(0, len(labels), chunk):
-        probs = net.forward(x[start : start + chunk])
+        probs = net.forward(features[start : start + chunk])
         correct += np.sum(np.argmax(probs, axis=-1) == labels[start : start + chunk], axis=-1)
     return [float(c / len(labels)) for c in correct]
 
@@ -542,7 +534,7 @@ def train(net, losses, data, cfg):
     losses = list(losses)
     if len(losses) != len(net.theta):
         raise ValueError(f"{len(losses)} losses for a stack of {len(net.theta)}")
-    x = prepare_features(data.train_features, net.spec.input_shape)
+    x = np.asarray(data.train_features, dtype=float)
     y = np.asarray(data.train_labels)
     if len(y) == 0:
         raise ValueError("empty training set")
@@ -632,20 +624,22 @@ def arch_from_selector(text, input_shape, num_classes):
     """Build a NetworkSpec from a CLI selector for rows of input_shape, a
     dataset's features.shape[1:]: (d,) flat or (H, W, ch) images.
 
-    mlp:<w1,w2,...>  dense stack with the given hidden widths, on flattened rows
-    linear           single dense layer, on flattened rows
+    mlp:<w1,w2,...>  dense stack with the given hidden widths, after Flatten on images
+    linear           single dense layer, after Flatten on images
     cnn              two conv blocks + dense head (needs square image input)
     """
-    flat_dim = math.prod(input_shape)
-    if text == "linear":
-        return mlp_spec(flat_dim, [], num_classes)
     if text == "cnn":
         if len(input_shape) != 3 or input_shape[0] != input_shape[1]:
             raise ValueError("cnn needs square image input")
         return cnn_spec(input_shape[0], num_classes, in_ch=input_shape[2])
-    if text.startswith("mlp:"):
+    if text == "linear":
+        hidden = []
+    elif text.startswith("mlp:"):
         hidden = [int(p) for p in text[4:].split(",") if p]
         if not hidden or min(hidden) < 1:
             raise ValueError(f"mlp selector needs hidden widths of at least 1, got {text!r}")
-        return mlp_spec(flat_dim, hidden, num_classes)
-    raise ValueError(f"unknown architecture {text!r} (known: mlp:<widths>, linear, cnn)")
+    else:
+        raise ValueError(f"unknown architecture {text!r} (known: mlp:<widths>, linear, cnn)")
+    flatten = (Flatten(),) if len(input_shape) > 1 else ()
+    layers = mlp_spec(math.prod(input_shape), hidden, num_classes).layers
+    return NetworkSpec(flatten + layers, input_shape, num_classes)

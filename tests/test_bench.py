@@ -758,6 +758,22 @@ def test_cli_benchmark_roundtrip(tmp_path, capsys):
              + [{"arch": "mlp:8", "dataset": "blobs:3:20:0.3", "noise": "none"}]},
             "grid lists cell ('mlp:8', 'blobs:3:20:0.3', 'none') twice",
         ),
+        # repeats are judged by what the selectors name, not by their spelling
+        (
+            {"cells": GRID_CONFIG["cells"] + [["mlp:8", "blobs:3:20:0.30:dim=2", "none"]]},
+            "grid lists cell ('mlp:8', 'blobs:3:20:0.30:dim=2', 'none') twice",
+        ),
+        ({"losses": ["ce", "gce:q=0.5", "gce:q=0.50"]}, "grid lists loss 'gce:q=0.50' twice"),
+        (
+            {"cells": [["mlp:8,8", "blobs:3:20:0.3", "none"],
+                       ["mlp:8,,8", "blobs:3:20:0.3", "none"]]},
+            "grid lists cell ('mlp:8,,8', 'blobs:3:20:0.3', 'none') twice",
+        ),
+        (
+            {"cells": [{"arch": "linear", "dataset": "blobs:3:20:0.5", "noise": "none",
+                        "seeds": 9}]},
+            "has unknown key 'seeds'",
+        ),
     ],
 )
 def test_cli_benchmark_bad_config_exits_two(tmp_path, capsys, override, message):

@@ -299,6 +299,16 @@ def test_dataset_selector_idx(tiny_idx):
     assert ds.features.shape == (2, 3, 3, 1)
 
 
+def test_dataset_name_carries_every_selector_value(tiny_idx):
+    # two selectors name one dataset exactly when their names are equal
+    assert dataset_from_selector("blobs:3:20:0.50:dim=2").name == "blobs:3:20:0.5"
+    assert dataset_from_selector("blobs:3:20:0.5:dim=3").name == "blobs:3:20:0.5:dim=3"
+    ip, lp, _, _ = tiny_idx
+    assert dataset_from_selector(f"idx:{ip}:{lp}").name == f"idx:{ip}:{lp}"
+    ds = dataset_from_selector(f"idx:{ip}:{lp}:limit=2:downsample=3")
+    assert ds.name == f"idx:{ip}:{lp}:downsample=3:limit=2"
+
+
 def test_dataset_selector_errors(tiny_idx):
     with pytest.raises(ValueError, match="unknown dataset kind"):
         dataset_from_selector("moons:2:10")

@@ -24,7 +24,6 @@ from losslearn.network import (
     fit_many,
     init,
     mlp_spec,
-    prepare_features,
     train,
     _buffer,
     _class_fold,
@@ -658,26 +657,60 @@ def test_accuracy_rejects_empty():
 
 
 # ---------------------------------------------------------------------------
-# Feature preparation and selectors
+# Input rows and selectors
 # ---------------------------------------------------------------------------
 
 
-def test_prepare_features_flattens_images():
-    x = np.zeros((5, 3, 3, 1))
-    flat = prepare_features(x, (9,))
-    assert flat.shape == (5, 9)
-    with pytest.raises(ValueError, match=r"\(9,\) does not match \(4,\)"):
-        prepare_features(x, (4,))
+def test_flatten_first_mlp_trains_as_on_flat_rows():
+    # a dense network on image rows starts with Flatten, which has no
+    # parameters: the init, every step and every score are those on flat rows
+    rng = np.random.default_rng(30)
+    images = rng.random((40, 3, 3, 1))
+    labels = rng.integers(0, 3, 40)
+    rows = images.reshape(40, 9)
+    spec = arch_from_selector("mlp:4", (3, 3, 1), 3)
+    assert spec.layers[0] == Flatten() and spec.input_shape == (3, 3, 1)
+    cfg = TrainConfig(epochs=3, batch_size=8, seed=31)
+    results = [
+        train_one(init(s, seed=32), CrossEntropy(),
+                  make_split(x[:30], labels[:30], x[30:], labels[30:], 3), cfg)
+        for s, x in ((spec, images), (mlp_spec(9, [4], 3), rows))
+    ]
+    assert np.array_equal(results[0].curve, results[1].curve)
+    assert np.array_equal(results[0].network.theta, results[1].network.theta)
 
 
-def test_prepare_features_takes_images_of_exactly_the_input_shape():
-    x = np.zeros((5, 6, 6, 1))
-    spatial = prepare_features(x, (6, 6, 1))
-    assert spatial.shape == (5, 6, 6, 1)
-    assert np.shares_memory(spatial, x)
-    for shape in ((5, 4, 4, 1), (5, 6, 6), (5, 36)):  # no channel is made up, no row reshaped
+def test_backward_pass_stops_at_the_lowest_layer_with_parameters(monkeypatch):
+    # below the first Dense only the parameter-free Flatten is left, so no
+    # gradient with respect to the input batch is worked out
+    called = []
+    input_grad = Dense.input_grad
+
+    def spy(self, *args):
+        called.append(self)
+        return input_grad(self, *args)
+
+    monkeypatch.setattr(Dense, "input_grad", spy)
+    spec = arch_from_selector("mlp:4", (3, 3, 1), 3)
+    x = np.random.default_rng(33).random((8, 3, 3, 1))
+    y = np.arange(8) % 3
+    train_one(init(spec, seed=34), CrossEntropy(), make_split(x, y, x, y, 3),
+              TrainConfig(epochs=1, batch_size=8))
+    assert called == [Dense(4, 3)]
+
+
+def test_train_and_accuracy_take_rows_of_exactly_the_input_shape():
+    # no channel is made up and no row reshaped, and image rows do not
+    # flatten themselves for a flat network
+    cases = [((6, 6, 1), shape) for shape in ((4, 4, 1), (6, 6), (36,))] + [((9,), (3, 3, 1))]
+    labels = np.array([0, 1, 0, 1])
+    for input_shape, row_shape in cases:
+        net = init(arch_from_selector("linear", input_shape, 2), seed=35)
+        x = np.zeros((4,) + row_shape)
         with pytest.raises(ValueError, match="does not match"):
-            prepare_features(np.zeros(shape), (6, 6, 1))
+            train_one(net, CrossEntropy(), make_split(x, labels, x, labels, 2), TrainConfig())
+        with pytest.raises(ValueError, match="does not match"):
+            accuracy(net, x, labels)
 
 
 def test_arch_selectors():
@@ -686,7 +719,7 @@ def test_arch_selectors():
     assert [l for l in spec.layers if isinstance(l, Dense)][0].out_dim == 256
     assert spec.num_classes == 10
     spec = arch_from_selector("linear", (8, 8, 1), 5)
-    assert spec.layers == (Dense(64, 5),) and spec.input_shape == (64,)
+    assert spec.layers == (Flatten(), Dense(64, 5)) and spec.input_shape == (8, 8, 1)
     spec = arch_from_selector("cnn", (28, 28, 1), 10)
     dense = [l for l in spec.layers if isinstance(l, Dense)]
     assert dense[0] == Dense(1024, 1024)

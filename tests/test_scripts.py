@@ -64,8 +64,9 @@ def test_artifact_digests_repeat_exactly(monkeypatch, tmp_path):
     assert first == digests.run(tmp_path / "b")
     printed = ("stdout of", "stderr of")
     files = [line.split("  ", 1)[1] for line in first if not line.startswith(printed)]
-    assert {"ar/checkpoint_gen_4.json", "full/fitness_gen_2.csv", "grid/results.csv",
-            "train_cnn.csv", "inspect_normalized.csv", "noise.csv"} <= set(files)
+    assert {"ar/checkpoint_gen_4.json", "full/fitness_gen_2.csv", "idx/checkpoint_gen_2.json",
+            "grid/results.csv", "train_cnn.csv", "inspect_normalized.csv",
+            "noise.csv"} <= set(files)
     assert [line.split(":")[0] for line in first if line.startswith("stdout of")] == [
         "stdout of train --arch mlp", "stdout of train --arch cnn"
     ]
