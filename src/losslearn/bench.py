@@ -126,14 +126,15 @@ def run_single_training(
     seed=0,
     pairing=None,
 ):
-    """Train once from scratch; returns (clean val accuracy, diverged, curve)."""
+    """Train once from scratch, validating after every epoch; returns (clean
+    val accuracy, diverged, curve)."""
     try:
         cfg = TrainConfig(learning_rate, momentum, batch_size, epochs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     spec, sp, init_seed, cfg = _seed_job(
         arch_sel, dataset_sel, noise_sel, seed, val_fraction, pairing, cfg)
-    return fit_many(spec, [loss], sp, init_seed, cfg)[0]
+    return fit_many(spec, [loss], sp, init_seed, cfg, curves=True)[0]
 
 
 @contextmanager
@@ -254,7 +255,7 @@ def run_benchmark(grid, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     losses = [loss_from_selector(sel) for sel in grid.losses]
-    _reject_repeats("loss", grid.losses, losses)
+    _reject_repeats("grid lists loss", grid.losses, losses)
     cfg = TrainConfig.of(grid)
 
     def job(cell, s):
@@ -265,7 +266,7 @@ def run_benchmark(grid, out_dir):
     # before anything runs, as do a repeated cell and a polynomial loss without a
     # range at some cell's class count; each job is held until its cell trains
     first = [job(cell, 0) for cell in grid.cells]
-    _reject_repeats("cell", grid.cells, [
+    _reject_repeats("grid lists cell", grid.cells, [
         (spec, sp.provenance["dataset"], sp.provenance["noise"]) for spec, sp, _, _ in first
     ])
     for _, sp, _, _ in first:
@@ -278,7 +279,7 @@ def run_benchmark(grid, out_dir):
         for s in range(grid.seeds):
             started = time.perf_counter()
             spec, sp, init_seed, seed_cfg = first.pop(0) if s == 0 else job(cell, s)
-            fits = fit_many(spec, losses, sp, init_seed, seed_cfg)  # (accuracy, diverged, curve)
+            fits = fit_many(spec, losses, sp, init_seed, seed_cfg)  # (accuracy, diverged, [])
             accuracy[k, :, s], diverged[k, :, s], _ = zip(*fits)
             log.info(
                 "cell %s seed %d: %d losses, %d diverged, best accuracy %.6f, %.2f s",
@@ -294,10 +295,10 @@ def run_benchmark(grid, out_dir):
 
 
 def _reject_repeats(what, names, values):
-    """ConfigError at the first value equal to an earlier one, named as the grid spells it."""
+    """ConfigError at the first value equal to an earlier one, named as the config spells it."""
     for i, value in enumerate(values):
         if value in values[:i]:
-            raise ConfigError(f"grid lists {what} {names[i]!r} twice")
+            raise ConfigError(f"{what} {names[i]!r} twice")
 
 
 def csv_text(rows):

@@ -18,10 +18,12 @@ not cross-entropy-shaped work too. A stack makes one loss call per step: a
 population whose loss class offers stacked(losses) (the polynomial losses,
 raw or normalized) runs in one pass over (m, n, C) predictions, any other
 member by member through indexed, where a polynomial loss runs the
-population-of-one call that it keeps itself; no one-hot label matrix is built. Validation scores
-the whole stack in row chunks of ceil(n / m), so it holds about one network's
-activations over the validation set, and never more than VALIDATION_BUDGET
-entries of the widest layer output.
+population-of-one call that it keeps itself; no one-hot label matrix is built. A
+training validates once, after its last epoch, unless its caller asks for
+per-epoch curves; only then do its steps ask the loss for values as well as
+gradients. Validation scores the whole stack in row chunks of ceil(n / m), so
+it holds about one network's activations over the validation set, and never
+more than VALIDATION_BUDGET entries of the widest layer output.
 """
 
 import copy
@@ -445,11 +447,8 @@ class TrainResult:
     network: Network
     diverged: bool = False
     fail_epoch: int = None
-    curve: list = field(default_factory=list)  # (epoch, train_loss, val_accuracy)
-
-    @property
-    def final_accuracy(self):
-        return self.curve[-1][2] if self.curve else None
+    final_accuracy: float = None  # clean validation accuracy at the end; None if diverged
+    curve: list = field(default_factory=list)  # (epoch, train_loss, val_accuracy), if asked
 
 
 VALIDATION_BUDGET = 2**20  # 8 MiB of float64
@@ -473,12 +472,14 @@ def accuracy(net, features, labels):
 
 
 def _loss_call(losses):
-    """The one loss call per step for m members: (m, n, C) predictions and
-    (n,) label indices in, (m, n) values and (m, n, C) gradients out.
+    """The one loss call per step for m members: (m, n, C) predictions, (n,)
+    label indices and whether values are wanted in; (m, n) values, or None
+    when they are not, and (m, n, C) gradients out.
 
-    A population whose class stacks it runs in one pass; any other runs member
-    by member through each loss's indexed call, into arrays kept from call to
-    call. A polynomial member's indexed call is its own population of one,
+    A population whose class stacks it runs in one pass, which skips the values
+    when they are not wanted; any other runs member by member through each
+    loss's indexed call, into arrays kept from call to call, and always gives
+    values. A polynomial member's indexed call is its own population of one,
     built once by the loss itself.
     """
     stacked = getattr(losses[0], "stacked", None)
@@ -487,11 +488,11 @@ def _loss_call(losses):
         return fused
     work = {}
 
-    def member_by_member(probs, labels):
-        values, grads = _buffer(work, "v", probs.shape[:-1]), _buffer(work, "g", probs.shape)
+    def member_by_member(probs, labels, values=True):  # gives values either way
+        out, grads = _buffer(work, "v", probs.shape[:-1]), _buffer(work, "g", probs.shape)
         for k, loss in enumerate(losses):
-            values[k], grads[k] = loss.indexed(probs[k], labels)
-        return values, grads
+            out[k], grads[k] = loss.indexed(probs[k], labels)
+        return out, grads
 
     return member_by_member
 
@@ -510,26 +511,31 @@ def _buffer(buf, key, shape):
     return buf[key]
 
 
-def _sgd_step(net, loss_call, xb, yb, cfg, bufs):
-    """One SGD step of every member on one batch; returns each member's loss sum."""
+def _sgd_step(net, loss_call, xb, yb, cfg, bufs, values):
+    """One SGD step of every member on one batch; returns each member's loss
+    sum if values, else None."""
     probs, cache = net._forward_cache(xb, bufs)
-    values, grads = loss_call(probs, yb)
+    loss_values, grads = loss_call(probs, yb, values)
     # objective is the batch mean, so scale per-sample gradients
     grad = net._gradient(cache, grads / len(xb), bufs)
     net.momentum *= cfg.momentum
     net.momentum += grad
     # the gradient is spent, so its buffer takes the step instead of a new array
     net.theta -= np.multiply(cfg.learning_rate, net.momentum, out=grad)
-    return values.sum(axis=-1)
+    return loss_values.sum(axis=-1) if values else None
 
 
-def train(net, losses, data, cfg):
+def train(net, losses, data, cfg, curves=False):
     """Mini-batch SGD with momentum.
 
     A stack of m trains under a sequence of m losses, member k under loss k,
-    on one batch stream, and gives m TrainResults. A member whose parameters
+    on one batch stream, and gives m TrainResults. The members that survive
+    are validated once, after the last epoch (at init if no epochs run), for
+    their final_accuracy. With curves, they are validated after every epoch
+    instead, and each result keeps its (epoch, train_loss, val_accuracy)
+    curve, whose last point is the final accuracy. A member whose parameters
     turn non-finite leaves the stack at that step, flagged diverged, with its
-    curve so far.
+    curve so far and no final accuracy.
     """
     losses = list(losses)
     if len(losses) != len(net.theta):
@@ -544,16 +550,19 @@ def train(net, losses, data, cfg):
     bufs = [{} for _ in net.spec.layers]  # each layer's arrays, kept across steps
     rng = np.random.default_rng(cfg.seed)
     n = len(y)
+    val_accs = None
     # mis-scaled candidate losses overflow before the finiteness check below
-    # catches them; that path is expected, not an error, and the end-of-epoch
-    # evaluation must stay quiet about it too
+    # catches them; that path is expected, not an error, and the validation
+    # must stay quiet about it too
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.epochs + 1):
             order = rng.permutation(n)
             loss_sums = np.zeros(len(alive))
             for start in range(0, n, cfg.batch_size):
                 take = order[start : start + cfg.batch_size]
-                loss_sums += _sgd_step(net, loss_call, x[take], y[take], cfg, bufs)
+                sums = _sgd_step(net, loss_call, x[take], y[take], cfg, bufs, curves)
+                if curves:
+                    loss_sums += sums
                 finite = np.isfinite(net.theta).all(axis=-1)
                 if finite.all():
                     continue
@@ -567,32 +576,30 @@ def train(net, losses, data, cfg):
                 net._keep(finite)
                 loss_sums = loss_sums[finite]
                 loss_call = _loss_call([losses[j] for j in alive])
+            if curves:
+                val_accs = accuracy(net, data.val_features, data.val_labels)
+                for j, loss_sum, val_acc in zip(alive, loss_sums, val_accs):
+                    results[j].curve.append((epoch, float(loss_sum / n), val_acc))
+        if val_accs is None:  # no curves, or no epochs
             val_accs = accuracy(net, data.val_features, data.val_labels)
-            for j, loss_sum, val_acc in zip(alive, loss_sums, val_accs):
-                results[j].curve.append((epoch, float(loss_sum / n), val_acc))
     for k, j in enumerate(alive):
         results[j].network = net.member(k)
+        results[j].final_accuracy = val_accs[k]
     return results
 
 
-def fit_many(spec, losses, data, init_seed, cfg):
+def fit_many(spec, losses, data, init_seed, cfg, curves=False):
     """Initialize, train and score one network per loss: the job behind every command.
 
     The networks share the init and every batch; only the loss differs.
     Returns one (clean validation accuracy, diverged, curve) per loss; a
-    diverged network scores 0.
+    diverged network scores 0. Each network is validated once, after its last
+    epoch; with curves, after every epoch, and the curve is train's, else [].
     """
     if not losses:
         return []
-    scored = []
-    for result in train(init(spec, init_seed, len(losses)), losses, data, cfg):
-        acc = result.final_accuracy
-        if result.diverged:
-            acc = 0.0
-        elif acc is None:  # no epochs ran
-            (acc,) = accuracy(result.network, data.val_features, data.val_labels)
-        scored.append((acc, result.diverged, result.curve))
-    return scored
+    results = train(init(spec, init_seed, len(losses)), losses, data, cfg, curves)
+    return [(0.0 if r.diverged else r.final_accuracy, r.diverged, r.curve) for r in results]
 
 
 # ---------------------------------------------------------------------------

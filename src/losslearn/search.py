@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import ConfigError, config_from_dict, csv_text, selector_errors
+from .bench import ConfigError, _reject_repeats, config_from_dict, csv_text, selector_errors
 from .cma import CmaState, stop_reason
 from .datasets import noisy_split
 from .network import TrainConfig, arch_from_selector, check_fields, fit_many
@@ -109,7 +109,8 @@ def run_generation(state, cfg, gen_seed):
     whose range was too narrow to normalize; such a row trains nothing and
     reads 0 and diverged. champion is (score, loss) for the first best
     score, loss being the normalized candidate, or its raw params when it
-    is degenerate.
+    is degenerate. A pool that lists one architecture or dataset twice,
+    however spelled, is a ConfigError before anything trains.
     """
     ask_rng = np.random.default_rng(derive_seed(gen_seed, "ask"))
     candidates = state.ask(ask_rng)
@@ -131,6 +132,12 @@ def run_generation(state, cfg, gen_seed):
             arch_from_selector(a, splits[sel].train_features.shape[1:], splits[sel].num_classes)
             for a, sel in jobs
         ]
+    # one task under two spellings would count twice in every score
+    _reject_repeats("dataset pool lists", cfg.datasets,
+                    [splits[sel].provenance["dataset"] for sel in cfg.datasets])
+    width = len(cfg.datasets)  # jobs are architectures outer
+    _reject_repeats("architecture pool lists", cfg.architectures,
+                    [specs[i : i + width] for i in range(0, len(specs), width)])
 
     # degenerate at any class count in the pool makes a candidate degenerate
     classes = sorted({split.num_classes for split in splits.values()})

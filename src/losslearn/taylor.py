@@ -87,12 +87,15 @@ class _Polynomial(_Loss):
     def stacked(losses):
         """One call for a population of polynomial losses, raw or normalized, of one order.
 
-        Returns a function of (m, n, C) predictions and (n,) label indices
-        giving (m, n) values and (m, n, C) gradients, member k under loss k,
-        bit for bit what batch_value and batch_grad give slice by slice on the
-        one-hot label rows; None for any other population. Each member's
-        offset and scale come from its affine at the C of yhat. The function
-        keeps its (m, n, C) arrays, so the next call overwrites the gradients.
+        Returns a function of (m, n, C) predictions, (n,) label indices and
+        whether values are wanted (default True), giving (m, n) values, or
+        None when they are not, and (m, n, C) gradients, member k under loss
+        k, bit for bit what batch_value and batch_grad give slice by slice on
+        the one-hot label rows; None for any other population. Without values
+        the call skips their polynomial pass, class mean and affine; the
+        gradients are the same bits either way. Each member's offset and scale
+        come from its affine at the C of yhat. The function keeps its
+        (m, n, C) arrays, so the next call overwrites the gradients.
         """
         polys = [l.inner if isinstance(l, NormalizedLoss) else l for l in losses]
         if not all(isinstance(p, TaylorLossParams) and p.order == polys[0].order for p in polys):
@@ -102,22 +105,24 @@ class _Polynomial(_Loss):
         coeffs = np.moveaxis(np.array([p._univariate for p in polys]), 0, -1)
         (g0, g1), (dg0, dg1) = coeffs[..., None, None]
         g1, dg1 = g1[..., 0], dg1[..., 0]  # (power, member, 1): against (m, n) label entries
-        work, scales = {}, {}  # per batch length: d, values, gradients; per C: (m, 1) arrays
+        work, scales = {}, {}  # per batch length: d, value terms, gradients; per C: (m, 1) arrays
 
-        def value_and_grad(yhat, labels):
+        def value_and_grad(yhat, labels, values=True):
             c = yhat.shape[-1]
             if c not in scales:
                 scales[c] = np.array([l.affine(c) for l in losses]).T[:, :, None]
             offset, scale = scales[c]
-            d, values, grads = _buffer(work, yhat.shape, (3,) + yhat.shape)
+            d, terms, grads = _buffer(work, yhat.shape, (3,) + yhat.shape)
             np.subtract(yhat, theta0, out=d)
-            _label_split(g0, g1, d, labels, values)
-            values *= d
-            means = _class_fold(np.add, values) / c
+            means = None
+            if values:
+                _label_split(g0, g1, d, labels, terms)
+                terms *= d
+                means = scale * (_class_fold(np.add, terms) / c - offset)
             _label_split(dg0, dg1, d, labels, grads)
             grads /= c
             grads *= scale[..., None]
-            return scale * (means - offset), grads
+            return means, grads
 
         return value_and_grad
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from losslearn import bench, datasets
+from losslearn import bench, datasets, network
 from losslearn.bench import (
     BenchmarkGrid,
     ConfigError,
@@ -510,6 +510,38 @@ def test_diverged_jobs_keep_their_rows(tmp_path):
     for row in rows:
         assert row["accuracy"] == "0.000000"
         assert row["diverged"] == "1"
+
+
+def count_validations(monkeypatch):
+    """The stack size of every network.accuracy call from here on."""
+    stacks, accuracy = [], network.accuracy
+
+    def counted(net, features, labels):
+        stacks.append(len(net.theta))
+        return accuracy(net, features, labels)
+
+    monkeypatch.setattr(network, "accuracy", counted)
+    return stacks
+
+
+def test_benchmark_validates_each_cell_seed_once(tmp_path, monkeypatch):
+    # a grid reads each network's accuracy after its last epoch alone
+    stacks = count_validations(monkeypatch)
+    grid = small_grid(epochs=3)
+    run_benchmark(grid, tmp_path)
+    assert len(stacks) == len(grid.cells) * grid.seeds
+    rows = read_csv(tmp_path / "results.csv")
+    assert sum(stacks) == sum(row["diverged"] == "0" for row in rows) > 0
+
+
+def test_cli_train_with_a_curve_validates_every_epoch(tmp_path, monkeypatch):
+    stacks = count_validations(monkeypatch)
+    curve = tmp_path / "curve.csv"
+    argv = ["train", "--loss", "ce", "--dataset", "blobs:3:30:0.3", "--arch", "mlp:8",
+            "--epochs", "4", "--curve-out", str(curve)]
+    assert main_entry(argv) == 0
+    assert stacks == [1] * 4
+    assert len(curve.read_text().splitlines()) == 1 + 4
 
 
 def test_benchmark_accepts_polynomial_loss_file(tmp_path):

@@ -70,15 +70,15 @@ def random_taylor(seed):
     )
 
 
-def train_one(net, loss, data, cfg):
+def train_one(net, loss, data, cfg, curves=False):
     """train for a stack of one under one loss."""
-    (result,) = train(net, [loss], data, cfg)
+    (result,) = train(net, [loss], data, cfg, curves)
     return result
 
 
-def fit(spec, loss, data, init_seed, cfg):
+def fit(spec, loss, data, init_seed, cfg, curves=False):
     """fit_many for one loss."""
-    (scored,) = fit_many(spec, [loss], data, init_seed, cfg)
+    (scored,) = fit_many(spec, [loss], data, init_seed, cfg, curves)
     return scored
 
 
@@ -324,7 +324,8 @@ def test_training_with_the_fold_equals_argmax_pooling(relu_after_pool, init_seed
         block = (pool, ReLU()) if relu_after_pool else (ReLU(), pool)
         spec = NetworkSpec((Conv2D(1, 3, 3), *block, Flatten(), Dense(27, 3)), (8, 8, 1), 3)
         losses = [CrossEntropy(), normalized_member(8, eta=8.0)]
-        return train(init(spec, init_seed, 2), losses, sp, TrainConfig(epochs=2, batch_size=8))
+        cfg = TrainConfig(epochs=2, batch_size=8)
+        return train(init(spec, init_seed, 2), losses, sp, cfg, curves=True)
 
     for got, want in zip(run(MaxPool(2)), run(ArgmaxPool(2))):
         assert got.curve == want.curve
@@ -498,9 +499,9 @@ def test_training_deterministic():
     ds = synth_blobs(3, 40, seed=10)
     sp = split(ds, val_fraction=0.25, seed=10)
     cfg = TrainConfig(epochs=4, batch_size=16, seed=21)
-    r1 = train_one(init(mlp_spec(2, [16], 3), seed=20), CrossEntropy(), sp, cfg)
-    r2 = train_one(init(mlp_spec(2, [16], 3), seed=20), CrossEntropy(), sp, cfg)
-    assert r1.curve == r2.curve
+    r1 = train_one(init(mlp_spec(2, [16], 3), seed=20), CrossEntropy(), sp, cfg, curves=True)
+    r2 = train_one(init(mlp_spec(2, [16], 3), seed=20), CrossEntropy(), sp, cfg, curves=True)
+    assert len(r1.curve) == 4 and r1.curve == r2.curve
     np.testing.assert_array_equal(r1.network.theta, r2.network.theta)
 
 
@@ -539,14 +540,17 @@ def test_loss_scale_learning_rate_equivalence():
         CrossEntropy(),
         sp,
         TrainConfig(learning_rate=0.01, epochs=5, batch_size=8, seed=31),
+        curves=True,
     )
     scaled = train_one(
         init(mlp_spec(2, [8], 3), seed=30),
         Scaled(CrossEntropy(), k),
         sp,
         TrainConfig(learning_rate=0.01 / k, epochs=5, batch_size=8, seed=31),
+        curves=True,
     )
     np.testing.assert_array_equal(base.network.theta, scaled.network.theta)
+    assert len(base.curve) == len(scaled.curve) == 5
     for (e1, _, a1), (e2, _, a2) in zip(base.curve, scaled.curve):
         assert (e1, a1) == (e2, a2)
 
@@ -570,18 +574,19 @@ def fit_problem():
 def test_fit_scores_the_trained_network():
     spec, sp = fit_problem()
     cfg = TrainConfig(epochs=3, batch_size=16, seed=19)
-    acc, diverged, curve = fit(spec, CrossEntropy(), sp, 20, cfg)
+    acc, diverged, curve = fit(spec, CrossEntropy(), sp, 20, cfg, curves=True)
     net = init(spec, 20)
-    result = train_one(net, CrossEntropy(), sp, cfg)
-    assert (diverged, curve) == (False, result.curve)
+    result = train_one(net, CrossEntropy(), sp, cfg, curves=True)
+    assert len(curve) == 3 and (diverged, curve) == (False, result.curve)
     assert [acc] == accuracy(net, sp.val_features, sp.val_labels)
+    assert fit(spec, CrossEntropy(), sp, 20, cfg) == (acc, False, [])
 
 
 def test_fit_without_epochs_scores_the_initial_network():
     spec, sp = fit_problem()
-    acc, diverged, curve = fit(spec, CrossEntropy(), sp, 20, TrainConfig(epochs=0))
-    assert [acc] == accuracy(init(spec, 20), sp.val_features, sp.val_labels)
-    assert (diverged, curve) == (False, [])
+    (want,) = accuracy(init(spec, 20), sp.val_features, sp.val_labels)
+    for curves in (False, True):
+        assert fit(spec, CrossEntropy(), sp, 20, TrainConfig(epochs=0), curves) == (want, False, [])
 
 
 def test_fit_scores_a_diverged_network_zero():
@@ -593,9 +598,10 @@ def test_fit_scores_a_diverged_network_zero():
 
     spec, sp = fit_problem()
     cfg = TrainConfig(epochs=2, batch_size=16, seed=19)
-    acc, diverged, curve = fit(spec, Exploding(), sp, 20, cfg)
+    acc, diverged, curve = fit(spec, Exploding(), sp, 20, cfg, curves=True)
     assert (acc, diverged) == (0.0, True)
-    assert curve == train_one(init(spec, 20), Exploding(), sp, cfg).curve
+    assert curve == train_one(init(spec, 20), Exploding(), sp, cfg, curves=True).curve
+    assert fit(spec, Exploding(), sp, 20, cfg) == (0.0, True, [])
 
 
 def test_curve_csv_format():
@@ -673,9 +679,10 @@ def test_flatten_first_mlp_trains_as_on_flat_rows():
     cfg = TrainConfig(epochs=3, batch_size=8, seed=31)
     results = [
         train_one(init(s, seed=32), CrossEntropy(),
-                  make_split(x[:30], labels[:30], x[30:], labels[30:], 3), cfg)
+                  make_split(x[:30], labels[:30], x[30:], labels[30:], 3), cfg, curves=True)
         for s, x in ((spec, images), (mlp_spec(9, [4], 3), rows))
     ]
+    assert len(results[0].curve) == 3
     assert np.array_equal(results[0].curve, results[1].curve)
     assert np.array_equal(results[0].network.theta, results[1].network.theta)
 
@@ -756,17 +763,23 @@ def test_cnn_trains_on_quadrant_brightness():
 
 
 def assert_stack_equals_serial(spec, losses, sp, init_seed, cfg):
-    """fit_many and a stacked train against one serial fit and train per loss."""
-    assert fit_many(spec, losses, sp, init_seed, cfg) == [
-        fit(spec, loss, sp, init_seed, cfg) for loss in losses
-    ]
-    stacked = train(init(spec, init_seed, len(losses)), losses, sp, cfg)
-    for loss, got in zip(losses, stacked):
-        want = train_one(init(spec, init_seed), loss, sp, cfg)
-        assert (got.diverged, got.fail_epoch, got.curve) == (
-            want.diverged, want.fail_epoch, want.curve
-        )
-        assert np.array_equal(got.network.theta, want.network.theta, equal_nan=True)
+    """fit_many and a stacked train, with curves and without, against one serial
+    fit and train per loss with curves; without curves, every member scores the
+    last point of its curve. Returns the stacked train's results with curves."""
+    scored = fit_many(spec, losses, sp, init_seed, cfg, curves=True)
+    assert scored == [fit(spec, loss, sp, init_seed, cfg, curves=True) for loss in losses]
+    assert fit_many(spec, losses, sp, init_seed, cfg) == [(a, d, []) for a, d, _ in scored]
+    stacked = train(init(spec, init_seed, len(losses)), losses, sp, cfg, curves=True)
+    bare = train(init(spec, init_seed, len(losses)), losses, sp, cfg)
+    for loss, got, lean, (acc, _, _) in zip(losses, stacked, bare, scored):
+        want = train_one(init(spec, init_seed), loss, sp, cfg, curves=True)
+        end = (want.diverged, want.fail_epoch, want.final_accuracy)
+        assert (got.diverged, got.fail_epoch, got.final_accuracy, got.curve) == (*end, want.curve)
+        assert (lean.diverged, lean.fail_epoch, lean.final_accuracy, lean.curve) == (*end, [])
+        if want.curve and not want.diverged:
+            assert want.final_accuracy == want.curve[-1][2] == acc
+        for result in (got, lean):
+            assert np.array_equal(result.network.theta, want.network.theta, equal_nan=True)
     return stacked
 
 
@@ -858,8 +871,8 @@ def test_stacked_cnn_with_relu_after_pool_equals_serial_fits():
 def test_stacked_fit_without_epochs_scores_every_member():
     spec, sp = fit_problem()
     losses = [CrossEntropy(), normalized_member(9, eta=8.0)]
+    assert_stack_equals_serial(spec, losses, sp, 20, TrainConfig(epochs=0))
     scored = fit_many(spec, losses, sp, 20, TrainConfig(epochs=0))
-    assert scored == [fit(spec, loss, sp, 20, TrainConfig(epochs=0)) for loss in losses]
     (acc,) = accuracy(init(spec, 20), sp.val_features, sp.val_labels)
     assert scored == [(acc, False, [])] * 2
     assert fit_many(spec, [], sp, 20, TrainConfig(epochs=0)) == []
@@ -891,8 +904,8 @@ def traced_peak(run):
 
 
 def test_stacked_validation_peak_memory_stays_near_one_network():
-    # the epoch-end accuracy runs member by member: a stacked pass over 4500
-    # validation rows would hold (m, 4500, 64) activations at once
+    # validation runs the stack in ceil(n / m)-row chunks: one stacked pass
+    # over all 4500 validation rows would hold (m, 4500, 64) activations at once
     sp = noisy_split("blobs:3:6000:0.5", "none", data_seed=1, split_seed=2,
                      val_fraction=0.25, pairing=None)
     assert len(sp.val_labels) == 4500

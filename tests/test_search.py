@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from losslearn import search
+from losslearn import network, search
 from losslearn.cli import main_entry
 from losslearn.search import MetaConfig, meta_train, run_generation
 from losslearn.seeding import derive_seed
@@ -287,6 +287,51 @@ def test_mixed_generation_writes_each_row_to_its_candidate(tmp_path, monkeypatch
         else:
             assert line == unpatched
     assert not all(line.endswith(",0.000000,1") for line in whole[1:])
+
+
+def test_search_validates_each_job_once_after_its_last_epoch(tmp_path, monkeypatch):
+    # a candidate is scored by its accuracy at the end of training alone, so
+    # each (generation, job) stack is validated once, not after every epoch
+    stacks, accuracy = [], network.accuracy
+
+    def counted(net, features, labels):
+        stacks.append(len(net.theta))
+        return accuracy(net, features, labels)
+
+    monkeypatch.setattr(network, "accuracy", counted)
+    cfg = tiny_config(mode="Full", architectures=["mlp:8", "linear"],
+                      datasets=["blobs:3:30:0.3", "rings:3:30"], epochs=3)
+    _, history = meta_train(cfg, tmp_path)
+    assert len(history) == 2 and len(stacks) == 2 * 4
+    # every network that did not diverge is in exactly one validated stack
+    rows = [line for g in (1, 2)
+            for line in (tmp_path / f"fitness_gen_{g}.csv").read_text().splitlines()[1:]]
+    assert sum(stacks) == sum(line.endswith(",0") for line in rows) > 0
+
+
+@pytest.mark.parametrize(
+    "pools, message",
+    [
+        ({"architectures": ["mlp:8", "mlp:8,"]}, "architecture pool lists 'mlp:8,' twice"),
+        ({"mode": "DR", "datasets": ["blobs:3:100:0.5", "blobs:3:100:0.50"]},
+         "dataset pool lists 'blobs:3:100:0.50' twice"),
+        ({"mode": "Full", "architectures": ["mlp:8", "mlp:8,"],
+          "datasets": ["blobs:3:30:0.3", "rings:3:30"]},
+         "architecture pool lists 'mlp:8,' twice"),
+    ],
+)
+def test_pool_listing_one_task_twice_exits_two(tmp_path, monkeypatch, capsys, pools, message):
+    # one task under two spellings would count twice in every score
+    config = tmp_path / "meta.json"
+    config.write_text(json.dumps({**tiny_config().to_dict(), **pools}))
+    fits = []
+    monkeypatch.setattr(search, "fit_many", lambda *args: fits.append(args))
+    run_dir = tmp_path / "run"
+    assert main_entry(["meta-train", "--config", str(config), "--out", str(run_dir)]) == 2
+    assert message in capsys.readouterr().err
+    assert fits == []
+    assert not list(run_dir.glob("fitness_gen_*.csv"))
+    assert not list(run_dir.glob("checkpoint_gen_*.json"))
 
 
 # ---------------------------------------------------------------------------

@@ -597,10 +597,15 @@ def test_stacked_population_equals_member_calls(order, num_classes):
     yhat = rng.dirichlet(np.ones(num_classes), (5, 40))
     labels = rng.integers(0, num_classes, 40)
     y = np.eye(num_classes)[labels]
-    values, grads = NormalizedLoss.stacked(losses)(yhat, labels)
+    call = NormalizedLoss.stacked(losses)
+    values, grads = call(yhat, labels)
     for loss, p, value, grad in zip(losses, yhat, values, grads):
         assert np.array_equal(value, loss.batch_value(p, y))
         assert np.array_equal(grad, loss.batch_grad(p, y))
+    # a training step asks for gradients alone: the same bits, and no values
+    grads = grads.copy()  # the next call overwrites them
+    none, lean = call(yhat, labels, values=False)
+    assert none is None and np.array_equal(lean, grads)
 
 
 @pytest.mark.parametrize("normalized", [False, True])
