@@ -134,7 +134,8 @@ def run_single_training(
         raise ConfigError(str(exc)) from None
     spec, sp, init_seed, cfg = _seed_job(
         arch_sel, dataset_sel, noise_sel, seed, val_fraction, pairing, cfg)
-    return fit_many(spec, [loss], sp, init_seed, cfg, curves=True)[0]
+    (acc,), (fail_epoch,), (curve,) = fit_many(spec, [loss], sp, init_seed, cfg, curves=True)
+    return float(acc), bool(fail_epoch > 0), curve
 
 
 @contextmanager
@@ -279,8 +280,8 @@ def run_benchmark(grid, out_dir):
         for s in range(grid.seeds):
             started = time.perf_counter()
             spec, sp, init_seed, seed_cfg = first.pop(0) if s == 0 else job(cell, s)
-            fits = fit_many(spec, losses, sp, init_seed, seed_cfg)  # (accuracy, diverged, [])
-            accuracy[k, :, s], diverged[k, :, s], _ = zip(*fits)
+            accuracy[k, :, s], fail_epoch, _ = fit_many(spec, losses, sp, init_seed, seed_cfg)
+            diverged[k, :, s] = fail_epoch > 0
             log.info(
                 "cell %s seed %d: %d losses, %d diverged, best accuracy %.6f, %.2f s",
                 " ".join(cell), s, len(losses), diverged[k, :, s].sum(),

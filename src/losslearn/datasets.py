@@ -8,6 +8,7 @@ were never touched.
 
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -94,8 +95,10 @@ def _avg_pool(images, target):
 
 
 def load_idx(images_path, labels_path, downsample=None, limit=None):
-    options = (("downsample", downsample), ("limit", limit))
-    for name, value in options:
+    """Images and labels from IDX files. The name holds the files' resolved
+    paths, and a limit only where it cuts rows, so two selectors name one
+    dataset exactly when their names are equal."""
+    for name, value in (("downsample", downsample), ("limit", limit)):
         if value is not None and value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     images = _read_idx(images_path, IMAGES_MAGIC, 3)
@@ -104,15 +107,17 @@ def load_idx(images_path, labels_path, downsample=None, limit=None):
         raise ValueError(
             f"{images.shape[0]} images but {labels.shape[0]} labels"
         )
-    if limit is not None:
-        images = images[:limit]
-        labels = labels[:limit]
+    if limit is not None and limit >= len(labels):
+        limit = None  # the whole file
+    images = images[:limit]
+    labels = labels[:limit]
     features = images.astype(float) / 255.0
     if downsample is not None:
         features = _avg_pool(features, int(downsample))
     labels = labels.astype(np.int64)
+    options = (("downsample", downsample), ("limit", limit))
     return Dataset(
-        name=f"idx:{images_path}:{labels_path}"
+        name=f"idx:{Path(images_path).resolve()}:{Path(labels_path).resolve()}"
         + "".join(f":{key}={value}" for key, value in options if value is not None),
         features=features[..., None],  # (n, H, W, 1): one grey channel
         labels=labels,
@@ -225,7 +230,7 @@ def split(ds, val_fraction=0.2, noise=None, seed=0, pairing=None):
     val_labels = ds.labels[val_idx].copy()
     provenance = {
         "dataset": ds.name,
-        "noise": None if noise is None else (noise.kind, noise.ratio),
+        "noise": None if noise is None or noise.ratio == 0.0 else (noise.kind, noise.ratio),
         "seed": seed,
         "val_fraction": val_fraction,
         "flip_fraction": flip_fraction,

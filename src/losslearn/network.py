@@ -9,7 +9,10 @@ A Network is a stack of m networks with one spec; one network is m = 1. Its
 parameters carry a leading member axis, (m, P), and so do its activations,
 (m, n, ...); the shared input batch broadcasts over the members in the first
 layer. One training loop advances every member on one batch stream, each
-under its own loss; a member that diverges leaves the stack.
+under its own loss; a member that diverges leaves the stack. A training
+returns columns, one entry per loss: the clean validation accuracy (0 for a
+diverged member), the epoch it diverged in (0 for a survivor) and, if asked,
+its curve; the stack it trained holds the survivors afterwards.
 
 A loss plugs in through one method, indexed(probs, labels): (n, C)
 predictions and (n,) class indices in, (n,) values and (n, C) gradients out.
@@ -26,10 +29,9 @@ it holds about one network's activations over the validation set, and never
 more than VALIDATION_BUDGET entries of the widest layer output.
 """
 
-import copy
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import get_args, get_origin
 
 import numpy as np
@@ -289,15 +291,8 @@ class Network:
     def num_parameters(self):
         return self.theta.shape[-1]
 
-    def member(self, k):
-        """Member k as a stack of one on views of row k."""
-        net = copy.copy(self)
-        rows = slice(k, k + 1)
-        net._bind(self.theta[rows], self.momentum[rows], self._grad[rows])
-        return net
-
     def _keep(self, rows):
-        """Keep only the given members; networks from member() keep the old rows."""
+        """Keep only the given members (a boolean mask over the stack)."""
         self._bind(self.theta[rows], self.momentum[rows], self._grad[rows])
 
     def _views(self, vector):
@@ -442,15 +437,6 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs!r}")
 
 
-@dataclass
-class TrainResult:
-    network: Network
-    diverged: bool = False
-    fail_epoch: int = None
-    final_accuracy: float = None  # clean validation accuracy at the end; None if diverged
-    curve: list = field(default_factory=list)  # (epoch, train_loss, val_accuracy), if asked
-
-
 VALIDATION_BUDGET = 2**20  # 8 MiB of float64
 
 
@@ -526,16 +512,19 @@ def _sgd_step(net, loss_call, xb, yb, cfg, bufs, values):
 
 
 def train(net, losses, data, cfg, curves=False):
-    """Mini-batch SGD with momentum.
+    """Mini-batch SGD with momentum; returns (accuracy, fail_epoch, curves).
 
     A stack of m trains under a sequence of m losses, member k under loss k,
-    on one batch stream, and gives m TrainResults. The members that survive
-    are validated once, after the last epoch (at init if no epochs run), for
-    their final_accuracy. With curves, they are validated after every epoch
-    instead, and each result keeps its (epoch, train_loss, val_accuracy)
-    curve, whose last point is the final accuracy. A member whose parameters
-    turn non-finite leaves the stack at that step, flagged diverged, with its
-    curve so far and no final accuracy.
+    on one batch stream. Each column holds one entry per loss: accuracy is
+    an (m,) float array of clean validation accuracies, fail_epoch an (m,)
+    int array, and curves a list of m lists. A member whose parameters turn
+    non-finite leaves the stack at that step: its fail_epoch is that epoch
+    and it scores 0. A member that survives has fail_epoch 0 and is
+    validated once, after the last epoch (at init if no epochs run). With
+    curves, the survivors are validated after every epoch instead, and each
+    member keeps its (epoch, train_loss, val_accuracy) curve, whose last
+    point is a survivor's accuracy; without, every curve is empty.
+    Afterwards net holds the surviving members, in order.
     """
     losses = list(losses)
     if len(losses) != len(net.theta):
@@ -544,8 +533,10 @@ def train(net, losses, data, cfg, curves=False):
     y = np.asarray(data.train_labels)
     if len(y) == 0:
         raise ValueError("empty training set")
-    results = [TrainResult(network=None) for _ in losses]
-    alive = list(range(len(losses)))  # the result behind each member of the stack
+    scores = np.zeros(len(losses))
+    fail_epoch = np.zeros(len(losses), dtype=int)
+    member_curves = [[] for _ in losses]
+    alive = np.arange(len(losses))  # the loss behind each member of the stack
     loss_call = _loss_call(losses)
     bufs = [{} for _ in net.spec.layers]  # each layer's arrays, kept across steps
     rng = np.random.default_rng(cfg.seed)
@@ -566,40 +557,35 @@ def train(net, losses, data, cfg, curves=False):
                 finite = np.isfinite(net.theta).all(axis=-1)
                 if finite.all():
                     continue
-                for k in np.flatnonzero(~finite):
-                    results[alive[k]].diverged = True
-                    results[alive[k]].fail_epoch = epoch
-                    results[alive[k]].network = net.member(k)
-                alive = [j for j, ok in zip(alive, finite) if ok]
-                if not alive:
-                    return results
+                fail_epoch[alive[~finite]] = epoch
+                alive = alive[finite]
                 net._keep(finite)
+                if not len(alive):
+                    return scores, fail_epoch, member_curves
                 loss_sums = loss_sums[finite]
                 loss_call = _loss_call([losses[j] for j in alive])
             if curves:
                 val_accs = accuracy(net, data.val_features, data.val_labels)
                 for j, loss_sum, val_acc in zip(alive, loss_sums, val_accs):
-                    results[j].curve.append((epoch, float(loss_sum / n), val_acc))
+                    member_curves[j].append((epoch, float(loss_sum / n), val_acc))
         if val_accs is None:  # no curves, or no epochs
             val_accs = accuracy(net, data.val_features, data.val_labels)
-    for k, j in enumerate(alive):
-        results[j].network = net.member(k)
-        results[j].final_accuracy = val_accs[k]
-    return results
+    scores[alive] = val_accs
+    return scores, fail_epoch, member_curves
 
 
 def fit_many(spec, losses, data, init_seed, cfg, curves=False):
-    """Initialize, train and score one network per loss: the job behind every command.
+    """Initialize and train one network per loss: the job behind every command.
 
     The networks share the init and every batch; only the loss differs.
-    Returns one (clean validation accuracy, diverged, curve) per loss; a
-    diverged network scores 0. Each network is validated once, after its last
-    epoch; with curves, after every epoch, and the curve is train's, else [].
+    Returns train's (accuracy, fail_epoch, curves) columns, one entry per
+    loss: a diverged network scores 0 and has the epoch it failed in, a
+    survivor fail_epoch 0. Each network is validated once, after its last
+    epoch; with curves, after every epoch, else every curve is [].
     """
     if not losses:
-        return []
-    results = train(init(spec, init_seed, len(losses)), losses, data, cfg, curves)
-    return [(0.0 if r.diverged else r.final_accuracy, r.diverged, r.curve) for r in results]
+        return np.zeros(0), np.zeros(0, dtype=int), []
+    return train(init(spec, init_seed, len(losses)), losses, data, cfg, curves)
 
 
 # ---------------------------------------------------------------------------

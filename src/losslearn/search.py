@@ -150,15 +150,14 @@ def run_generation(state, cfg, gen_seed):
     diverged = np.ones((len(candidates), len(jobs)), dtype=bool)
     live = np.flatnonzero(~degenerate)
     for j, ((a, sel), spec) in enumerate(zip(jobs, specs)):
-        fits = fit_many(
+        accuracy[live, j], fail_epoch, _ = fit_many(
             spec,
             [losses[i] for i in live],
             splits[sel],
             derive_seed(gen_seed, "init", a),
             TrainConfig.of(cfg, derive_seed(gen_seed, "train", a, sel)),
         )
-        for i, (acc, failed, _) in zip(live, fits):
-            accuracy[i, j], diverged[i, j] = acc, failed
+        diverged[live, j] = fail_epoch > 0
 
     scores = accuracy.mean(axis=1)  # diverged and degenerate jobs enter as 0
     state.tell(candidates, scores, maximize=True)
@@ -221,12 +220,13 @@ def _write(path, text):
     os.replace(tmp, path)
 
 
-def _log_generation(row, diverged, degenerate, seconds):
+def _log_generation(row, scores, diverged, degenerate, seconds):
+    """One line on stderr: the cumulative best beside this generation's own best."""
     trained = diverged[~degenerate]
     log.info(
-        "generation %d: best %.6f, mean %.6f, sigma %.4g, %d of %d trainings diverged, "
-        "%d candidates degenerate, %.2f s, %.1f trainings/s",
-        row["generation"], row["best_fitness"], row["mean_fitness"], row["sigma"],
+        "generation %d: best %.6f, generation best %.6f, mean %.6f, sigma %.4g, "
+        "%d of %d trainings diverged, %d candidates degenerate, %.2f s, %.1f trainings/s",
+        row["generation"], row["best_fitness"], scores.max(), row["mean_fitness"], row["sigma"],
         trained.sum(), trained.size, degenerate.sum(), seconds, trained.size / seconds,
     )
 
@@ -314,7 +314,7 @@ def meta_train(cfg, run_dir, stop_after=None):
             run_dir / f"checkpoint_gen_{generation}.json",
             json.dumps(checkpoint, sort_keys=True) + "\n",
         )
-        _log_generation(history[-1], diverged, degenerate, time.perf_counter() - started)
+        _log_generation(history[-1], scores, diverged, degenerate, time.perf_counter() - started)
 
     if best is None:  # nothing ran: the loss encoded by the current mean, unnormalized
         best = {"loss_json": loss_to_json(TaylorLossParams.from_flat(state.mean, order=cfg.order))}

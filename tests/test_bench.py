@@ -481,7 +481,7 @@ def test_every_entry_lands_in_its_own_row(tmp_path, monkeypatch):
 
     def fake_fit_many(spec, losses, sp, init_seed, cfg):
         k, s = cell_seed[init_seed]
-        return [(float(entries[k, i, s]), bool(flags[k, i, s]), []) for i in range(len(losses))]
+        return entries[k, :, s].copy(), flags[k, :, s].astype(int), [[] for _ in losses]
 
     monkeypatch.setattr(bench, "fit_many", fake_fit_many)
     table = run_benchmark(grid, tmp_path)
@@ -814,6 +814,39 @@ def test_cli_benchmark_bad_config_exits_two(tmp_path, capsys, override, message)
     out_dir = tmp_path / "out"
     assert main_entry(["benchmark", "--config", str(config), "--out", str(out_dir)]) == 2
     assert message in capsys.readouterr().err
+    assert not (out_dir / "results.csv").exists()
+
+
+def write_idx(directory, n):
+    """i.idx and l.idx in directory: n random 4x4 images in 3 classes."""
+    images = np.random.default_rng(n).integers(0, 256, (n, 4, 4), dtype=np.uint8)
+    labels = (np.arange(n) % 3).astype(np.uint8)
+    (directory / "i.idx").write_bytes(np.array([2051, n, 4, 4], ">u4").tobytes() + images.tobytes())
+    (directory / "l.idx").write_bytes(np.array([2049, n], ">u4").tobytes() + labels.tobytes())
+
+
+@pytest.mark.parametrize(
+    "first, again",
+    [
+        # zero-ratio noise of any kind is no noise
+        (("linear", "blobs:3:20:0.5", "none"), ("linear", "blobs:3:20:0.5", "sym:0")),
+        (("linear", "blobs:3:20:0.5", "sym:0"), ("linear", "blobs:3:20:0.5", "asym:0")),
+        # an IDX file is named by its resolved path, and a limit only where it cuts rows
+        (("linear", "idx:i.idx:l.idx", "none"), ("linear", "idx:./i.idx:l.idx", "none")),
+        (("linear", "idx:i.idx:l.idx", "none"), ("linear", "idx:i.idx:l.idx:limit=30", "none")),
+    ],
+)
+def test_grid_listing_one_task_twice_exits_two(tmp_path, monkeypatch, capsys, first, again):
+    monkeypatch.chdir(tmp_path)
+    write_idx(tmp_path, 30)
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({**GRID_CONFIG, "cells": [first, again]}))
+    fits = []
+    monkeypatch.setattr(bench, "fit_many", lambda *args: fits.append(args))
+    out_dir = tmp_path / "out"
+    assert main_entry(["benchmark", "--config", str(config), "--out", str(out_dir)]) == 2
+    assert f"grid lists cell {again!r} twice" in capsys.readouterr().err
+    assert fits == []
     assert not (out_dir / "results.csv").exists()
 
 
@@ -1167,8 +1200,8 @@ def test_cli_asym_zero_pairing_exits_two_everywhere(tmp_path, capsys):
     "command, config, line",
     [
         ("meta-train", {**META_CONFIG, "max_generations": 2},
-         r"generation 2: best [\d.]+, mean [\d.]+, sigma \S+, \d+ of \d+ trainings diverged, "
-         r"\d+ candidates degenerate, [\d.]+ s, [\d.]+ trainings/s"),
+         r"generation 2: best [\d.]+, generation best [\d.]+, mean [\d.]+, sigma \S+, "
+         r"\d+ of \d+ trainings diverged, \d+ candidates degenerate, [\d.]+ s, [\d.]+ trainings/s"),
         ("benchmark", GRID_CONFIG,
          r"cell mlp:8 blobs:3:20:0.3 none seed 0: 2 losses, 0 diverged, "
          r"best accuracy [\d.]+, [\d.]+ s"),

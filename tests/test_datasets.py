@@ -304,9 +304,30 @@ def test_dataset_name_carries_every_selector_value(tiny_idx):
     assert dataset_from_selector("blobs:3:20:0.50:dim=2").name == "blobs:3:20:0.5"
     assert dataset_from_selector("blobs:3:20:0.5:dim=3").name == "blobs:3:20:0.5:dim=3"
     ip, lp, _, _ = tiny_idx
+    ip, lp = ip.resolve(), lp.resolve()
     assert dataset_from_selector(f"idx:{ip}:{lp}").name == f"idx:{ip}:{lp}"
     ds = dataset_from_selector(f"idx:{ip}:{lp}:limit=2:downsample=3")
-    assert ds.name == f"idx:{ip}:{lp}:downsample=3:limit=2"
+    assert ds.name == f"idx:{ip}:{lp}:downsample=3"  # the limit reads the whole file
+
+
+def test_idx_name_is_one_for_every_spelling_of_one_dataset(tmp_path, monkeypatch):
+    # the files' resolved paths, and a limit only where it cuts rows
+    write_idx_images(tmp_path / "imgs.idx", np.zeros((4, 3, 3)))
+    write_idx_labels(tmp_path / "lbls.idx", [0, 1, 0, 1])
+    monkeypatch.chdir(tmp_path)
+    whole = f"idx:{(tmp_path / 'imgs.idx').resolve()}:{(tmp_path / 'lbls.idx').resolve()}"
+    spellings = [whole, "idx:imgs.idx:lbls.idx", "idx:./imgs.idx:lbls.idx",
+                 "idx:imgs.idx:lbls.idx:limit=4", "idx:imgs.idx:lbls.idx:limit=9"]
+    assert {dataset_from_selector(sel).name for sel in spellings} == {whole}
+    assert dataset_from_selector("idx:./imgs.idx:lbls.idx:limit=3").name == whole + ":limit=3"
+
+
+def test_zero_ratio_noise_is_no_noise_in_the_provenance():
+    ds = synth_blobs(3, 20, seed=1)
+    for sel in ("none", "sym:0", "asym:0", "sym:0.0"):
+        assert split(ds, noise=noise_from_selector(sel, 3), seed=2).provenance["noise"] is None
+    noisy = split(ds, noise=noise_from_selector("sym:0.2", 3), seed=2)
+    assert noisy.provenance["noise"] == ("symmetric", 0.2)
 
 
 def test_dataset_selector_errors(tiny_idx):

@@ -71,15 +71,15 @@ def random_taylor(seed):
 
 
 def train_one(net, loss, data, cfg, curves=False):
-    """train for a stack of one under one loss."""
-    (result,) = train(net, [loss], data, cfg, curves)
-    return result
+    """train for a stack of one under one loss: its (accuracy, fail epoch, curve)."""
+    (acc,), (fail_epoch,), (curve,) = train(net, [loss], data, cfg, curves)
+    return acc, fail_epoch, curve
 
 
 def fit(spec, loss, data, init_seed, cfg, curves=False):
-    """fit_many for one loss."""
-    (scored,) = fit_many(spec, [loss], data, init_seed, cfg, curves)
-    return scored
+    """fit_many for one loss: its (accuracy, fail epoch, curve)."""
+    (acc,), (fail_epoch,), (curve,) = fit_many(spec, [loss], data, init_seed, cfg, curves)
+    return acc, fail_epoch, curve
 
 
 def make_split(x_train, y_train, x_val, y_val, num_classes):
@@ -325,11 +325,13 @@ def test_training_with_the_fold_equals_argmax_pooling(relu_after_pool, init_seed
         spec = NetworkSpec((Conv2D(1, 3, 3), *block, Flatten(), Dense(27, 3)), (8, 8, 1), 3)
         losses = [CrossEntropy(), normalized_member(8, eta=8.0)]
         cfg = TrainConfig(epochs=2, batch_size=8)
-        return train(init(spec, init_seed, 2), losses, sp, cfg, curves=True)
+        net = init(spec, init_seed, 2)
+        _, _, curves = train(net, losses, sp, cfg, curves=True)
+        return curves, net.theta
 
-    for got, want in zip(run(MaxPool(2)), run(ArgmaxPool(2))):
-        assert got.curve == want.curve
-        assert np.array_equal(got.network.theta, want.network.theta)
+    (got_curves, got_theta), (want_curves, want_theta) = run(MaxPool(2)), run(ArgmaxPool(2))
+    assert got_curves == want_curves
+    assert np.array_equal(got_theta, want_theta)
 
 
 def test_forward_rejects_wrong_shape():
@@ -438,10 +440,11 @@ def test_zero_learning_rate_changes_nothing():
     net = init(mlp_spec(2, [8], 3), seed=9)
     before = net.theta.copy()
     (base_acc,) = accuracy(net, sp.val_features, sp.val_labels)
-    result = train_one(net, CrossEntropy(), sp, TrainConfig(learning_rate=0.0, epochs=3, seed=1))
+    acc, fail_epoch, _ = train_one(
+        net, CrossEntropy(), sp, TrainConfig(learning_rate=0.0, epochs=3, seed=1)
+    )
     np.testing.assert_array_equal(net.theta, before)
-    assert not result.diverged
-    assert result.final_accuracy == base_acc
+    assert (acc, fail_epoch) == (base_acc, 0)
 
 
 def test_one_step_matches_hand_backprop():
@@ -499,27 +502,29 @@ def test_training_deterministic():
     ds = synth_blobs(3, 40, seed=10)
     sp = split(ds, val_fraction=0.25, seed=10)
     cfg = TrainConfig(epochs=4, batch_size=16, seed=21)
-    r1 = train_one(init(mlp_spec(2, [16], 3), seed=20), CrossEntropy(), sp, cfg, curves=True)
-    r2 = train_one(init(mlp_spec(2, [16], 3), seed=20), CrossEntropy(), sp, cfg, curves=True)
-    assert len(r1.curve) == 4 and r1.curve == r2.curve
-    np.testing.assert_array_equal(r1.network.theta, r2.network.theta)
+    nets = [init(mlp_spec(2, [16], 3), seed=20) for _ in range(2)]
+    (_, _, c1), (_, _, c2) = [train_one(n, CrossEntropy(), sp, cfg, curves=True) for n in nets]
+    assert len(c1) == 4 and c1 == c2
+    np.testing.assert_array_equal(nets[0].theta, nets[1].theta)
 
 
 def test_separable_blobs_reach_high_accuracy():
     ds = synth_blobs(2, 250, spread=0.15, seed=11)
     sp = split(ds, val_fraction=0.2, seed=11)
     net = init(mlp_spec(2, [32], 2), seed=12)
-    result = train_one(net, CrossEntropy(), sp, TrainConfig(epochs=20, batch_size=32, seed=13))
-    assert not result.diverged
-    assert result.final_accuracy > 0.95
+    acc, fail_epoch, _ = train_one(
+        net, CrossEntropy(), sp, TrainConfig(epochs=20, batch_size=32, seed=13)
+    )
+    assert fail_epoch == 0
+    assert acc > 0.95
 
 
 def test_three_class_blobs_regression():
     ds = synth_blobs(3, 500, spread=0.5, seed=12)
     sp = split(ds, val_fraction=0.2, seed=12)
     net = init(mlp_spec(2, [32], 3), seed=14)
-    result = train_one(net, CrossEntropy(), sp, TrainConfig(epochs=20, batch_size=32, seed=15))
-    assert result.final_accuracy >= 0.9
+    acc, _, _ = train_one(net, CrossEntropy(), sp, TrainConfig(epochs=20, batch_size=32, seed=15))
+    assert acc >= 0.9
 
 
 def test_loss_scale_learning_rate_equivalence():
@@ -535,23 +540,24 @@ def test_loss_scale_learning_rate_equivalence():
     ds = synth_blobs(3, 50, seed=13)
     sp = split(ds, val_fraction=0.2, seed=13)
     k = 4.0  # power of two so the float trajectories agree exactly
-    base = train_one(
-        init(mlp_spec(2, [8], 3), seed=30),
+    base_net, scaled_net = init(mlp_spec(2, [8], 3), seed=30), init(mlp_spec(2, [8], 3), seed=30)
+    _, _, base = train_one(
+        base_net,
         CrossEntropy(),
         sp,
         TrainConfig(learning_rate=0.01, epochs=5, batch_size=8, seed=31),
         curves=True,
     )
-    scaled = train_one(
-        init(mlp_spec(2, [8], 3), seed=30),
+    _, _, scaled = train_one(
+        scaled_net,
         Scaled(CrossEntropy(), k),
         sp,
         TrainConfig(learning_rate=0.01 / k, epochs=5, batch_size=8, seed=31),
         curves=True,
     )
-    np.testing.assert_array_equal(base.network.theta, scaled.network.theta)
-    assert len(base.curve) == len(scaled.curve) == 5
-    for (e1, _, a1), (e2, _, a2) in zip(base.curve, scaled.curve):
+    np.testing.assert_array_equal(base_net.theta, scaled_net.theta)
+    assert len(base) == len(scaled) == 5
+    for (e1, _, a1), (e2, _, a2) in zip(base, scaled):
         assert (e1, a1) == (e2, a2)
 
 
@@ -559,11 +565,11 @@ def test_divergence_flagged_not_thrown():
     ds = synth_blobs(2, 20, seed=14)
     sp = split(ds, val_fraction=0.2, seed=14)
     net = init(mlp_spec(2, [8], 2), seed=15)
-    result = train_one(
+    acc, fail_epoch, _ = train_one(
         net, CrossEntropy(), sp, TrainConfig(learning_rate=1e160, epochs=5, seed=16)
     )
-    assert result.diverged
-    assert result.fail_epoch is not None
+    assert acc == 0.0 and 1 <= fail_epoch <= 5
+    assert net.theta.shape == (0, net.num_parameters)  # the diverged member left the stack
 
 
 def fit_problem():
@@ -574,19 +580,19 @@ def fit_problem():
 def test_fit_scores_the_trained_network():
     spec, sp = fit_problem()
     cfg = TrainConfig(epochs=3, batch_size=16, seed=19)
-    acc, diverged, curve = fit(spec, CrossEntropy(), sp, 20, cfg, curves=True)
+    acc, fail_epoch, curve = fit(spec, CrossEntropy(), sp, 20, cfg, curves=True)
     net = init(spec, 20)
-    result = train_one(net, CrossEntropy(), sp, cfg, curves=True)
-    assert len(curve) == 3 and (diverged, curve) == (False, result.curve)
+    _, _, trained = train_one(net, CrossEntropy(), sp, cfg, curves=True)
+    assert len(curve) == 3 and (fail_epoch, curve) == (0, trained)
     assert [acc] == accuracy(net, sp.val_features, sp.val_labels)
-    assert fit(spec, CrossEntropy(), sp, 20, cfg) == (acc, False, [])
+    assert fit(spec, CrossEntropy(), sp, 20, cfg) == (acc, 0, [])
 
 
 def test_fit_without_epochs_scores_the_initial_network():
     spec, sp = fit_problem()
     (want,) = accuracy(init(spec, 20), sp.val_features, sp.val_labels)
     for curves in (False, True):
-        assert fit(spec, CrossEntropy(), sp, 20, TrainConfig(epochs=0), curves) == (want, False, [])
+        assert fit(spec, CrossEntropy(), sp, 20, TrainConfig(epochs=0), curves) == (want, 0, [])
 
 
 def test_fit_scores_a_diverged_network_zero():
@@ -598,10 +604,10 @@ def test_fit_scores_a_diverged_network_zero():
 
     spec, sp = fit_problem()
     cfg = TrainConfig(epochs=2, batch_size=16, seed=19)
-    acc, diverged, curve = fit(spec, Exploding(), sp, 20, cfg, curves=True)
-    assert (acc, diverged) == (0.0, True)
-    assert curve == train_one(init(spec, 20), Exploding(), sp, cfg, curves=True).curve
-    assert fit(spec, Exploding(), sp, 20, cfg) == (0.0, True, [])
+    acc, fail_epoch, curve = fit(spec, Exploding(), sp, 20, cfg, curves=True)
+    assert (acc, fail_epoch) == (0.0, 1)
+    assert curve == train_one(init(spec, 20), Exploding(), sp, cfg, curves=True)[2]
+    assert fit(spec, Exploding(), sp, 20, cfg) == (0.0, 1, [])
 
 
 def test_curve_csv_format():
@@ -653,7 +659,13 @@ def test_stacked_accuracy_equals_member_by_member(members):
     x = rng.normal(size=(301, 4))
     labels = rng.integers(0, 3, 301)
     scores = accuracy(net, x, labels)
-    assert scores == [accuracy(net.member(k), x, labels)[0] for k in range(members)]
+
+    def member(k):  # a stack of one holding row k
+        one = init(tiny_mlp(), seed=7)
+        one.theta[0] = net.theta[k]
+        return one
+
+    assert scores == [accuracy(member(k), x, labels)[0] for k in range(members)]
 
 
 def test_accuracy_rejects_empty():
@@ -677,14 +689,15 @@ def test_flatten_first_mlp_trains_as_on_flat_rows():
     spec = arch_from_selector("mlp:4", (3, 3, 1), 3)
     assert spec.layers[0] == Flatten() and spec.input_shape == (3, 3, 1)
     cfg = TrainConfig(epochs=3, batch_size=8, seed=31)
-    results = [
-        train_one(init(s, seed=32), CrossEntropy(),
-                  make_split(x[:30], labels[:30], x[30:], labels[30:], 3), cfg, curves=True)
-        for s, x in ((spec, images), (mlp_spec(9, [4], 3), rows))
+    nets = [init(spec, seed=32), init(mlp_spec(9, [4], 3), seed=32)]
+    curves = [
+        train_one(net, CrossEntropy(),
+                  make_split(x[:30], labels[:30], x[30:], labels[30:], 3), cfg, curves=True)[2]
+        for net, x in zip(nets, (images, rows))
     ]
-    assert len(results[0].curve) == 3
-    assert np.array_equal(results[0].curve, results[1].curve)
-    assert np.array_equal(results[0].network.theta, results[1].network.theta)
+    assert len(curves[0]) == 3
+    assert np.array_equal(curves[0], curves[1])
+    assert np.array_equal(nets[0].theta, nets[1].theta)
 
 
 def test_backward_pass_stops_at_the_lowest_layer_with_parameters(monkeypatch):
@@ -752,9 +765,11 @@ def test_cnn_trains_on_quadrant_brightness():
             images[i, 8:, 8:] += 0.8
     sp = make_split(images[:60], labels[:60], images[60:], labels[60:], 2)
     net = init(cnn_spec(16, 2), seed=23)
-    result = train_one(net, CrossEntropy(), sp, TrainConfig(epochs=3, batch_size=16, seed=24))
-    assert not result.diverged
-    assert result.final_accuracy >= 0.8
+    acc, fail_epoch, _ = train_one(
+        net, CrossEntropy(), sp, TrainConfig(epochs=3, batch_size=16, seed=24)
+    )
+    assert fail_epoch == 0
+    assert acc >= 0.8
 
 
 # ---------------------------------------------------------------------------
@@ -764,23 +779,27 @@ def test_cnn_trains_on_quadrant_brightness():
 
 def assert_stack_equals_serial(spec, losses, sp, init_seed, cfg):
     """fit_many and a stacked train, with curves and without, against one serial
-    fit and train per loss with curves; without curves, every member scores the
-    last point of its curve. Returns the stacked train's results with curves."""
-    scored = fit_many(spec, losses, sp, init_seed, cfg, curves=True)
-    assert scored == [fit(spec, loss, sp, init_seed, cfg, curves=True) for loss in losses]
-    assert fit_many(spec, losses, sp, init_seed, cfg) == [(a, d, []) for a, d, _ in scored]
-    stacked = train(init(spec, init_seed, len(losses)), losses, sp, cfg, curves=True)
-    bare = train(init(spec, init_seed, len(losses)), losses, sp, cfg)
-    for loss, got, lean, (acc, _, _) in zip(losses, stacked, bare, scored):
-        want = train_one(init(spec, init_seed), loss, sp, cfg, curves=True)
-        end = (want.diverged, want.fail_epoch, want.final_accuracy)
-        assert (got.diverged, got.fail_epoch, got.final_accuracy, got.curve) == (*end, want.curve)
-        assert (lean.diverged, lean.fail_epoch, lean.final_accuracy, lean.curve) == (*end, [])
-        if want.curve and not want.diverged:
-            assert want.final_accuracy == want.curve[-1][2] == acc
-        for result in (got, lean):
-            assert np.array_equal(result.network.theta, want.network.theta, equal_nan=True)
-    return stacked
+    fit and train per loss with curves: the same (accuracy, fail epoch, curve)
+    per loss, where a survivor scores the last point of its curve, and the
+    stack left holding the survivors' serial parameters in order. Returns the
+    stacked train's columns with curves."""
+    nets = [init(spec, init_seed) for _ in losses]
+    serial = [train_one(net, loss, sp, cfg, curves=True) for net, loss in zip(nets, losses)]
+    assert serial == [fit(spec, loss, sp, init_seed, cfg, curves=True) for loss in losses]
+    for acc, fail_epoch, curve in serial:
+        if curve and not fail_epoch:
+            assert acc == curve[-1][2]
+    survivors = np.concatenate([net.theta for net in nets])  # a diverged net holds no row
+    for curves in (False, True):  # the last columns, with curves, are returned
+        want = [(acc, fail_epoch, curve if curves else []) for acc, fail_epoch, curve in serial]
+        assert list(zip(*fit_many(spec, losses, sp, init_seed, cfg, curves))) == want
+        stack = init(spec, init_seed, len(losses))
+        columns = train(stack, losses, sp, cfg, curves)
+        assert list(zip(*columns)) == want
+        assert columns[0].shape == columns[1].shape == (len(losses),)
+        assert columns[1].dtype.kind == "i"
+        assert np.array_equal(stack.theta, survivors)
+    return columns
 
 
 def normalized_member(seed, eta, num_classes=3, order=4):
@@ -798,10 +817,10 @@ def test_stacked_polynomial_members_equal_serial_fits():
     losses = [normalized_member(s, eta=8.0) for s in range(6)]
     losses[3] = normalized_member(3, eta=1e300)  # its first steps overflow
     cfg = TrainConfig(epochs=3, batch_size=16, seed=19)
-    results = assert_stack_equals_serial(spec, losses, sp, 20, cfg)
-    assert [r.diverged for r in results] == [False, False, False, True, False, False]
-    assert results[3].fail_epoch == 1 and results[3].curve == []
-    assert all(len(r.curve) == 3 for i, r in enumerate(results) if i != 3)
+    _, fail_epoch, curves = assert_stack_equals_serial(spec, losses, sp, 20, cfg)
+    assert fail_epoch.tolist() == [0, 0, 0, 1, 0, 0]
+    assert curves[3] == []
+    assert all(len(curve) == 3 for i, curve in enumerate(curves) if i != 3)
 
 
 def test_stacked_grid_mix_equals_serial_fits():
@@ -824,8 +843,8 @@ def test_stacked_mixed_orders_equal_serial_fits():
         GeneralizedCrossEntropy(), mse_embedding(), normalized_member(12, eta=1e300, order=3),
     ]
     cfg = TrainConfig(epochs=3, batch_size=16, seed=19)
-    results = assert_stack_equals_serial(spec, losses, sp, 20, cfg)
-    assert [r.diverged for r in results] == [False] * 5 + [True]
+    _, fail_epoch, _ = assert_stack_equals_serial(spec, losses, sp, 20, cfg)
+    assert (fail_epoch > 0).tolist() == [False] * 5 + [True]
 
 
 def test_mixed_stack_builds_the_polynomial_call_once(monkeypatch):
@@ -874,8 +893,9 @@ def test_stacked_fit_without_epochs_scores_every_member():
     assert_stack_equals_serial(spec, losses, sp, 20, TrainConfig(epochs=0))
     scored = fit_many(spec, losses, sp, 20, TrainConfig(epochs=0))
     (acc,) = accuracy(init(spec, 20), sp.val_features, sp.val_labels)
-    assert scored == [(acc, False, [])] * 2
-    assert fit_many(spec, [], sp, 20, TrainConfig(epochs=0)) == []
+    assert list(zip(*scored)) == [(acc, 0, [])] * 2
+    accs, fail_epoch, curves = fit_many(spec, [], sp, 20, TrainConfig(epochs=0))
+    assert accs.shape == fail_epoch.shape == (0,) and curves == []
 
 
 def test_stacked_members_are_views_of_one_stack():
@@ -883,12 +903,11 @@ def test_stacked_members_are_views_of_one_stack():
     single = init(tiny_mlp(), seed=5)
     assert net.theta.shape == (3, single.num_parameters)
     for k in range(3):
-        member = net.member(k)
-        np.testing.assert_array_equal(member.theta, single.theta)
-        assert np.shares_memory(member.theta, net.theta)
-        for views, own in zip(net._theta_views, member._theta_views):
-            for name in own:
-                assert np.shares_memory(views[name], net.theta)
+        np.testing.assert_array_equal(net.theta[k], single.theta[0])
+    for views, own in zip(net._theta_views, single._theta_views):
+        for name in own:
+            assert np.shares_memory(views[name], net.theta)
+            for k in range(3):
                 np.testing.assert_array_equal(views[name][k], own[name][0])
     with pytest.raises(ValueError, match="2 losses for a stack of 3"):
         train(net, [CrossEntropy()] * 2, fit_problem()[1], TrainConfig(epochs=1))

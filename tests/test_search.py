@@ -96,6 +96,17 @@ def test_full_mode_logs_cost_warning(caplog):
     assert any("slow" in rec.message for rec in caplog.records)
 
 
+def test_generation_log_reads_the_generation_best_beside_the_cumulative_best(tmp_path, caplog):
+    with caplog.at_level(logging.INFO, logger="losslearn"):
+        _, history = meta_train(tiny_config(max_generations=3), tmp_path)
+    lines = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("generation")]
+    assert len(lines) == len(history) == 3
+    for row, line in zip(history, lines):
+        fitness = (tmp_path / f"fitness_gen_{row['generation']}.csv").read_text().splitlines()
+        own = max(float(r.split(",")[3]) for r in fitness[1:])  # one job: a row is a score
+        assert f"best {row['best_fitness']:.6f}, generation best {own:.6f}, " in line
+
+
 def test_config_round_trip():
     cfg = tiny_config()
     assert MetaConfig.from_dict(cfg.to_dict()) == cfg
@@ -318,10 +329,19 @@ def test_search_validates_each_job_once_after_its_last_epoch(tmp_path, monkeypat
         ({"mode": "Full", "architectures": ["mlp:8", "mlp:8,"],
           "datasets": ["blobs:3:30:0.3", "rings:3:30"]},
          "architecture pool lists 'mlp:8,' twice"),
+        # an IDX file is named by its resolved path
+        ({"mode": "DR", "architectures": ["linear"],
+          "datasets": ["idx:i.idx:l.idx", "idx:./i.idx:l.idx"]},
+         "dataset pool lists 'idx:./i.idx:l.idx' twice"),
     ],
 )
 def test_pool_listing_one_task_twice_exits_two(tmp_path, monkeypatch, capsys, pools, message):
     # one task under two spellings would count twice in every score
+    monkeypatch.chdir(tmp_path)
+    images = np.random.default_rng(30).integers(0, 256, (30, 4, 4), dtype=np.uint8)
+    labels = (np.arange(30) % 3).astype(np.uint8)
+    (tmp_path / "i.idx").write_bytes(np.array([2051, 30, 4, 4], ">u4").tobytes() + images.tobytes())
+    (tmp_path / "l.idx").write_bytes(np.array([2049, 30], ">u4").tobytes() + labels.tobytes())
     config = tmp_path / "meta.json"
     config.write_text(json.dumps({**tiny_config().to_dict(), **pools}))
     fits = []
