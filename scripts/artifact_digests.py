@@ -16,8 +16,8 @@ The commands:
   below (dense networks on image rows); checkpoints included;
 - benchmark: ce, mae, gce:q=0.5 and the first search's best_loss.json on a
   C = 3 and a C = 10 cell, 2 seeds;
-- train: --arch mlp:16 and --arch cnn, each with --curve-out, on a tiny IDX
-  pair this script writes;
+- train: --arch mlp:16 and --arch cnn, each with --curve-out, and --arch
+  mlp:16 without it, on a tiny IDX pair this script writes;
 - inspect-loss on a raw and on a normalized polynomial loss;
 - make-noise-matrix asym:0.3 over 4 classes.
 
@@ -107,6 +107,7 @@ def commands():
         ["benchmark", "--config", "inputs/grid.json", "--out", "grid"],
         [*train, "--arch", "mlp:16", "--curve-out", "train_mlp.csv"],
         [*train, "--arch", "cnn", "--curve-out", "train_cnn.csv"],
+        [*train, "--arch", "mlp:16"],
         ["inspect-loss", "--loss", "inputs/raw_loss.json", "--resolution", "20",
          "--out", "inspect_raw.csv"],
         ["inspect-loss", "--loss", "ar/best_loss.json", "--resolution", "20",
@@ -133,7 +134,7 @@ def run(out):
             if code != 0:
                 raise SystemExit(f"{' '.join(argv)} exited {code}: {stderr.getvalue().strip()}")
             if argv[0] == "train":
-                printed.append(f"stdout of train --arch {argv[argv.index('--arch') + 1]}: "
+                printed.append(f"stdout of train {' '.join(argv[argv.index('--arch'):])}: "
                                + stdout.getvalue().strip())
             if argv[0] == "benchmark":
                 printed += [f"stderr of benchmark: {line}"

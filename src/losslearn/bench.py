@@ -19,7 +19,7 @@ import numpy as np
 
 from .datasets import ValFractionError, noisy_split
 from .network import TrainConfig, arch_from_selector, check_fields, fit_many
-from .noise import NoiseSpec, build_transition, noise_from_selector
+from .noise import noise_from_selector, transition
 from .reference import REFERENCE_KINDS, make_reference_loss
 from .seeding import derive_seed
 from .taylor import load_loss
@@ -108,8 +108,42 @@ def loss_from_selector(text):
 
 
 # ---------------------------------------------------------------------------
-# One seed's job (the train command and each benchmark seed)
+# One job: search, benchmark and the train command resolve each the same way
 # ---------------------------------------------------------------------------
+
+
+@contextmanager
+def _cell_errors():
+    """Report a cell selector that fails to build in the block as a ConfigError."""
+    try:
+        yield
+    except ValFractionError as exc:  # a value, not a selector, is wrong
+        raise ConfigError(str(exc)) from None
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"unresolvable cell selector: {exc}") from None
+
+
+def resolve_split(dataset_sel, noise_sel, data_seed, split_seed, val_fraction, pairing):
+    """A cell's (dataset, noise) pair split at its data and split seeds; its jobs share it."""
+    with _cell_errors():
+        return noisy_split(dataset_sel, noise_sel, data_seed=data_seed, split_seed=split_seed,
+                           val_fraction=val_fraction, pairing=pairing)
+
+
+def resolve_job(arch_sel, sp, init_seed, train_seed, cfg):
+    """fit_many's (spec, split, init seed, TrainConfig) for an architecture on a split,
+    and the job's task key: what the selectors build (spec, dataset name, noise
+    transition), equal for one task however spelled. The seeds exclude the loss, so
+    losses fitted on one job are compared on equal footing."""
+    with _cell_errors():
+        spec = arch_from_selector(arch_sel, sp.train_features.shape[1:], sp.num_classes)
+    key = (spec, sp.provenance["dataset"], tuple(map(tuple, sp.provenance["transition"])))
+    return (spec, sp, init_seed, replace(cfg, seed=train_seed)), key
+
+
+def _seed_parts(seed):
+    """The (data, split, init, train) seeds of a benchmark or train command seed."""
+    return tuple(derive_seed(seed, part) for part in ("data", "split", "init", "train"))
 
 
 def run_single_training(
@@ -125,45 +159,19 @@ def run_single_training(
     val_fraction=0.2,
     seed=0,
     pairing=None,
+    curves=True,
 ):
-    """Train once from scratch, validating after every epoch; returns (clean
-    val accuracy, diverged, curve)."""
+    """Train once from scratch; returns (clean val accuracy, diverged, curve). Without
+    curves the network is validated only after its last epoch, and the curve is []."""
     try:
         cfg = TrainConfig(learning_rate, momentum, batch_size, epochs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    spec, sp, init_seed, cfg = _seed_job(
-        arch_sel, dataset_sel, noise_sel, seed, val_fraction, pairing, cfg)
-    (acc,), (fail_epoch,), (curve,) = fit_many(spec, [loss], sp, init_seed, cfg, curves=True)
+    data, split, init, train = _seed_parts(seed)
+    sp = resolve_split(dataset_sel, noise_sel, data, split, val_fraction, pairing)
+    (spec, sp, init_seed, cfg), _ = resolve_job(arch_sel, sp, init, train, cfg)
+    (acc,), (fail_epoch,), (curve,) = fit_many(spec, [loss], sp, init_seed, cfg, curves=curves)
     return float(acc), bool(fail_epoch > 0), curve
-
-
-@contextmanager
-def selector_errors(what):
-    """Report a selector that fails to build in the block as a ConfigError."""
-    try:
-        yield
-    except ValFractionError as exc:  # a value, not a selector, is wrong
-        raise ConfigError(str(exc)) from None
-    except (ValueError, OSError) as exc:
-        raise ConfigError(f"{what}: {exc}") from None
-
-
-def _seed_job(arch_sel, dataset_sel, noise_sel, seed, val_fraction, pairing, cfg):
-    """fit_many's (spec, split, init seed, TrainConfig) at one seed; a selector that fails
-    is a ConfigError. The seed path excludes the loss, so losses fitted on one job
-    share its split, init and batch order, and are compared on equal footing."""
-    with selector_errors("unresolvable cell selector"):
-        sp = noisy_split(
-            dataset_sel,
-            noise_sel,
-            data_seed=derive_seed(seed, "data"),
-            split_seed=derive_seed(seed, "split"),
-            val_fraction=val_fraction,
-            pairing=pairing,
-        )
-        spec = arch_from_selector(arch_sel, sp.train_features.shape[1:], sp.num_classes)
-    return spec, sp, derive_seed(seed, "init"), replace(cfg, seed=derive_seed(seed, "train"))
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +268,15 @@ def run_benchmark(grid, out_dir):
     cfg = TrainConfig.of(grid)
 
     def job(cell, s):
-        seed = derive_seed(grid.master_seed, "cell", *cell, s)
-        return _seed_job(*cell, seed, grid.val_fraction, grid.pairing, cfg)
+        data, split, init, train = _seed_parts(derive_seed(grid.master_seed, "cell", *cell, s))
+        sp = resolve_split(*cell[1:], data, split, grid.val_fraction, grid.pairing)
+        return resolve_job(cell[0], sp, init, train, cfg)
 
     # every cell's first seed resolves before any training, so a selector typo fails
     # before anything runs, as do a repeated cell and a polynomial loss without a
     # range at some cell's class count; each job is held until its cell trains
-    first = [job(cell, 0) for cell in grid.cells]
-    _reject_repeats("grid lists cell", grid.cells, [
-        (spec, sp.provenance["dataset"], sp.provenance["noise"]) for spec, sp, _, _ in first
-    ])
+    first, keys = map(list, zip(*(job(cell, 0) for cell in grid.cells)))
+    _reject_repeats("grid lists cell", grid.cells, keys)
     for _, sp, _, _ in first:
         for loss in losses:
             if hasattr(loss, "affine"):  # a polynomial loss; it keeps each C's range
@@ -279,7 +286,7 @@ def run_benchmark(grid, out_dir):
     for k, cell in enumerate(grid.cells):
         for s in range(grid.seeds):
             started = time.perf_counter()
-            spec, sp, init_seed, seed_cfg = first.pop(0) if s == 0 else job(cell, s)
+            spec, sp, init_seed, seed_cfg = first.pop(0) if s == 0 else job(cell, s)[0]
             accuracy[k, :, s], fail_epoch, _ = fit_many(spec, losses, sp, init_seed, seed_cfg)
             diverged[k, :, s] = fail_epoch > 0
             log.info(
@@ -359,8 +366,5 @@ def inspect_loss_csv(loss, resolution=100):
 
 
 def noise_matrix_csv(noise_sel, num_classes, pairing=None):
-    spec = noise_from_selector(noise_sel, num_classes)
-    if spec is None:  # ratio 0 gives the identity and still checks the class count
-        spec = NoiseSpec("symmetric", 0.0, num_classes)
-    t = build_transition(spec, pairing=pairing)
+    t = transition(noise_from_selector(noise_sel, num_classes), num_classes, pairing)
     return csv_text([f"{v:.6f}" for v in row] for row in t)

@@ -67,6 +67,7 @@ def cmd_train(args):
         val_fraction=args.val_fraction,
         seed=args.seed,
         pairing=_load_pairing(args.pairing),
+        curves=bool(args.curve_out),
     )
     if args.curve_out:
         Path(args.curve_out).write_text(curve_to_csv(curve))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .noise import build_transition, corrupt, noise_from_selector
+from .noise import corrupt, noise_from_selector, transition
 from .seeding import derive_seed, label_checksum
 
 IMAGES_MAGIC = 2051
@@ -96,8 +96,9 @@ def _avg_pool(images, target):
 
 def load_idx(images_path, labels_path, downsample=None, limit=None):
     """Images and labels from IDX files. The name holds the files' resolved
-    paths, and a limit only where it cuts rows, so two selectors name one
-    dataset exactly when their names are equal."""
+    paths, a limit only where it cuts rows and a downsample only where it
+    changes the side, so two selectors name one dataset exactly when their
+    names are equal."""
     for name, value in (("downsample", downsample), ("limit", limit)):
         if value is not None and value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
@@ -109,6 +110,8 @@ def load_idx(images_path, labels_path, downsample=None, limit=None):
         )
     if limit is not None and limit >= len(labels):
         limit = None  # the whole file
+    if images.shape[1:] == (downsample, downsample):
+        downsample = None  # the images as they are
     images = images[:limit]
     labels = labels[:limit]
     features = images.astype(float) / 255.0
@@ -219,18 +222,17 @@ def split(ds, val_fraction=0.2, noise=None, seed=0, pairing=None):
 
     train_labels = ds.labels[train_idx].copy()
     flip_fraction = 0.0
-    if noise is not None:
-        if noise.num_classes != ds.num_classes:
-            raise ValueError("noise spec class count does not match dataset")
-        t = build_transition(noise, pairing)  # checks the pairing at ratio 0 too
-        if noise.ratio > 0.0:
-            train_labels, flipped = corrupt(train_labels, t, derive_seed(seed, "noise"))
-            flip_fraction = float(flipped.mean())
+    if noise is not None and noise.num_classes != ds.num_classes:
+        raise ValueError("noise spec class count does not match dataset")
+    t = transition(noise, ds.num_classes, pairing)  # checks the pairing at ratio 0 too
+    if noise is not None and noise.ratio > 0.0:
+        train_labels, flipped = corrupt(train_labels, t, derive_seed(seed, "noise"))
+        flip_fraction = float(flipped.mean())
 
     val_labels = ds.labels[val_idx].copy()
     provenance = {
         "dataset": ds.name,
-        "noise": None if noise is None or noise.ratio == 0.0 else (noise.kind, noise.ratio),
+        "transition": t,  # the identity without noise
         "seed": seed,
         "val_fraction": val_fraction,
         "flip_fraction": flip_fraction,

@@ -81,6 +81,13 @@ def noise_from_selector(text, num_classes):
     return NoiseSpec(names[kind], float(ratio), num_classes)
 
 
+def transition(spec, num_classes, pairing=None):
+    """A noise spec's C x C transition matrix; no noise (None) or ratio 0 is the identity."""
+    if spec is None and num_classes < 2:
+        raise ValueError("need at least 2 classes")
+    return np.eye(num_classes) if spec is None else build_transition(spec, pairing)
+
+
 def corrupt(labels, transition, seed):
     """Resample each label from its transition row.
 

@@ -19,10 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import ConfigError, _reject_repeats, config_from_dict, csv_text, selector_errors
+from .bench import ConfigError, _reject_repeats, config_from_dict, csv_text
+from .bench import resolve_job, resolve_split
 from .cma import CmaState, stop_reason
-from .datasets import noisy_split
-from .network import TrainConfig, arch_from_selector, check_fields, fit_many
+from .network import TrainConfig, check_fields, fit_many
 from .seeding import derive_seed
 from .taylor import (
     TaylorLossParams,
@@ -114,33 +114,23 @@ def run_generation(state, cfg, gen_seed):
     """
     ask_rng = np.random.default_rng(derive_seed(gen_seed, "ask"))
     candidates = state.ask(ask_rng)
-    jobs = list(product(cfg.architectures, cfg.datasets))
 
-    with selector_errors("unresolvable selector"):
-        splits = {
-            sel: noisy_split(
-                sel,
-                cfg.noise,
-                data_seed=derive_seed(gen_seed, "data", sel),
-                split_seed=derive_seed(gen_seed, "split", sel),
-                val_fraction=cfg.val_fraction,
-                pairing=cfg.pairing,
-            )
-            for sel in cfg.datasets
-        }
-        specs = [
-            arch_from_selector(a, splits[sel].train_features.shape[1:], splits[sel].num_classes)
-            for a, sel in jobs
-        ]
+    splits = [resolve_split(sel, cfg.noise, derive_seed(gen_seed, "data", sel),
+                            derive_seed(gen_seed, "split", sel), cfg.val_fraction, cfg.pairing)
+              for sel in cfg.datasets]
+    jobs, keys = zip(*(  # each dataset's one split serves every architecture
+        resolve_job(a, sp, derive_seed(gen_seed, "init", a),
+                    derive_seed(gen_seed, "train", a, sel), TrainConfig.of(cfg))
+        for a in cfg.architectures for sel, sp in zip(cfg.datasets, splits)
+    ))
     # one task under two spellings would count twice in every score
-    _reject_repeats("dataset pool lists", cfg.datasets,
-                    [splits[sel].provenance["dataset"] for sel in cfg.datasets])
     width = len(cfg.datasets)  # jobs are architectures outer
+    _reject_repeats("dataset pool lists", cfg.datasets, keys[:width])
     _reject_repeats("architecture pool lists", cfg.architectures,
-                    [specs[i : i + width] for i in range(0, len(specs), width)])
+                    [keys[i : i + width] for i in range(0, len(keys), width)])
 
     # degenerate at any class count in the pool makes a candidate degenerate
-    classes = sorted({split.num_classes for split in splits.values()})
+    classes = sorted({sp.num_classes for sp in splits})
     decoded = [TaylorLossParams.from_flat(vec, order=cfg.order) for vec in candidates]
     losses = [normalize(params, num_classes=classes, eta=cfg.eta) for params in decoded]
     degenerate = np.array([loss is None for loss in losses])
@@ -149,14 +139,9 @@ def run_generation(state, cfg, gen_seed):
     accuracy = np.zeros((len(candidates), len(jobs)))
     diverged = np.ones((len(candidates), len(jobs)), dtype=bool)
     live = np.flatnonzero(~degenerate)
-    for j, ((a, sel), spec) in enumerate(zip(jobs, specs)):
+    for j, (spec, sp, init_seed, train_cfg) in enumerate(jobs):
         accuracy[live, j], fail_epoch, _ = fit_many(
-            spec,
-            [losses[i] for i in live],
-            splits[sel],
-            derive_seed(gen_seed, "init", a),
-            TrainConfig.of(cfg, derive_seed(gen_seed, "train", a, sel)),
-        )
+            spec, [losses[i] for i in live], sp, init_seed, train_cfg)
         diverged[live, j] = fail_epoch > 0
 
     scores = accuracy.mean(axis=1)  # diverged and degenerate jobs enter as 0

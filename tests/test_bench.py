@@ -255,6 +255,9 @@ def test_noise_matrix_none_is_identity():
     text = noise_matrix_csv("none", 4)
     rows = [[float(v) for v in line.split(",")] for line in text.strip().split("\n")]
     np.testing.assert_allclose(rows, np.eye(4))
+    # as is any zero ratio, to the byte
+    assert noise_matrix_csv("sym:0", 4) == noise_matrix_csv("asym:0", 4) == text
+    assert text.splitlines()[1] == "0.000000,1.000000,0.000000,0.000000"
 
 
 def test_noise_matrix_with_custom_pairing():
@@ -639,6 +642,27 @@ def test_cli_train_prints_accuracy_and_writes_curve(tmp_path, capsys):
     assert len(lines) == 21
 
 
+def test_cli_train_validates_after_every_epoch_only_for_a_curve(tmp_path, monkeypatch, capsys):
+    # without --curve-out only the final accuracy is printed, so it is the one validation
+    calls, accuracy = [], network.accuracy
+
+    def counted(net, features, labels):
+        calls.append(len(net.theta))
+        return accuracy(net, features, labels)
+
+    monkeypatch.setattr(network, "accuracy", counted)
+    argv = ["train", "--loss", "ce", "--dataset", "blobs:3:30:0.3", "--arch", "mlp:8",
+            "--epochs", "4"]
+    printed = []
+    for extra, validations in (([], 1), (["--curve-out", str(tmp_path / "c.csv")], 4)):
+        calls.clear()
+        assert main_entry(argv + extra) == 0
+        printed.append(capsys.readouterr().out)
+        assert calls == [1] * validations
+    assert printed[0] == printed[1]
+    assert len((tmp_path / "c.csv").read_text().splitlines()) == 5
+
+
 def test_cli_train_bad_loss_selector_exits_two(capsys):
     code = main_entry(
         ["train", "--loss", "nosuch", "--dataset", "blobs:2:10:0.3", "--arch", "linear"]
@@ -834,6 +858,11 @@ def write_idx(directory, n):
         # an IDX file is named by its resolved path, and a limit only where it cuts rows
         (("linear", "idx:i.idx:l.idx", "none"), ("linear", "idx:./i.idx:l.idx", "none")),
         (("linear", "idx:i.idx:l.idx", "none"), ("linear", "idx:i.idx:l.idx:limit=30", "none")),
+        # and a downsample only where it changes the 4 x 4 side
+        (("linear", "idx:i.idx:l.idx", "none"),
+         ("linear", "idx:i.idx:l.idx:downsample=4", "none")),
+        # at C = 2 both kinds of noise flip a label to the one other class
+        (("linear", "blobs:2:20:0.5", "sym:0.3"), ("linear", "blobs:2:20:0.5", "asym:0.3")),
     ],
 )
 def test_grid_listing_one_task_twice_exits_two(tmp_path, monkeypatch, capsys, first, again):
@@ -1077,6 +1106,8 @@ def test_cli_meta_train_missing_field_exits_two(tmp_path, capsys):
             {"datasets": ["blobs:3:2:0.5"], "val_fraction": 0.9},
             "val_fraction 0.9 leaves no training examples",
         ),
+        # a search job is resolved as a benchmark cell is
+        ({"noise": "sym:2.0"}, "unresolvable cell selector: noise ratio must lie in [0, 1)"),
     ],
 )
 def test_cli_meta_train_bad_config_exits_two(tmp_path, capsys, override, message):

@@ -306,8 +306,10 @@ def test_dataset_name_carries_every_selector_value(tiny_idx):
     ip, lp, _, _ = tiny_idx
     ip, lp = ip.resolve(), lp.resolve()
     assert dataset_from_selector(f"idx:{ip}:{lp}").name == f"idx:{ip}:{lp}"
-    ds = dataset_from_selector(f"idx:{ip}:{lp}:limit=2:downsample=3")
-    assert ds.name == f"idx:{ip}:{lp}:downsample=3"  # the limit reads the whole file
+    ds = dataset_from_selector(f"idx:{ip}:{lp}:limit=2:downsample=1")
+    assert ds.name == f"idx:{ip}:{lp}:downsample=1"  # the limit reads the whole file
+    # a downsample to the images' own side leaves them as they are
+    assert dataset_from_selector(f"idx:{ip}:{lp}:downsample=3").name == f"idx:{ip}:{lp}"
 
 
 def test_idx_name_is_one_for_every_spelling_of_one_dataset(tmp_path, monkeypatch):
@@ -324,10 +326,13 @@ def test_idx_name_is_one_for_every_spelling_of_one_dataset(tmp_path, monkeypatch
 
 def test_zero_ratio_noise_is_no_noise_in_the_provenance():
     ds = synth_blobs(3, 20, seed=1)
+    # the provenance holds the transition matrix the labels were drawn from
     for sel in ("none", "sym:0", "asym:0", "sym:0.0"):
-        assert split(ds, noise=noise_from_selector(sel, 3), seed=2).provenance["noise"] is None
+        t = split(ds, noise=noise_from_selector(sel, 3), seed=2).provenance["transition"]
+        np.testing.assert_array_equal(t, np.eye(3))
     noisy = split(ds, noise=noise_from_selector("sym:0.2", 3), seed=2)
-    assert noisy.provenance["noise"] == ("symmetric", 0.2)
+    np.testing.assert_array_equal(noisy.provenance["transition"],
+                                  [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
 
 
 def test_dataset_selector_errors(tiny_idx):

@@ -67,9 +67,13 @@ def test_artifact_digests_repeat_exactly(monkeypatch, tmp_path):
     assert {"ar/checkpoint_gen_4.json", "full/fitness_gen_2.csv", "idx/checkpoint_gen_2.json",
             "grid/results.csv", "train_cnn.csv", "inspect_normalized.csv",
             "noise.csv"} <= set(files)
-    assert [line.split(":")[0] for line in first if line.startswith("stdout of")] == [
-        "stdout of train --arch mlp", "stdout of train --arch cnn"
+    trains = [line.split(": ") for line in first if line.startswith("stdout of")]
+    assert [label for label, _ in trains] == [
+        "stdout of train --arch mlp:16 --curve-out train_mlp.csv",
+        "stdout of train --arch cnn --curve-out train_cnn.csv",
+        "stdout of train --arch mlp:16",
     ]
+    assert trains[0][1] == trains[2][1]  # a curve does not change the training
     ranks = [line for line in first if line.startswith("stderr of")]
     assert [line.split(": average rank ")[0] for line in ranks] == [
         f"stderr of benchmark: {loss}" for loss in digests.GRID["losses"]

@@ -333,6 +333,9 @@ def test_search_validates_each_job_once_after_its_last_epoch(tmp_path, monkeypat
         ({"mode": "DR", "architectures": ["linear"],
           "datasets": ["idx:i.idx:l.idx", "idx:./i.idx:l.idx"]},
          "dataset pool lists 'idx:./i.idx:l.idx' twice"),
+        ({"mode": "DR", "architectures": ["linear"],
+          "datasets": ["idx:i.idx:l.idx", "idx:i.idx:l.idx:downsample=4"]},
+         "dataset pool lists 'idx:i.idx:l.idx:downsample=4' twice"),
     ],
 )
 def test_pool_listing_one_task_twice_exits_two(tmp_path, monkeypatch, capsys, pools, message):
