@@ -14,10 +14,13 @@ The commands:
   generations, a Full-mode search over {mlp:8, linear} x {blobs:3,
   blobs:10}, and a 2-generation AR search of {mlp:8, linear} on the IDX pair
   below (dense networks on image rows); checkpoints included;
-- benchmark: ce, mae, gce:q=0.5 and the first search's best_loss.json on a
-  C = 3 and a C = 10 cell, 2 seeds;
-- train: --arch mlp:16 and --arch cnn, each with --curve-out, and --arch
-  mlp:16 without it, on a tiny IDX pair this script writes;
+- benchmark: every reference kind (ce, mae, gce:q=0.5, sce, ls, bootstrap
+  hard and soft) and the first search's best_loss.json on a C = 3 and a
+  C = 10 cell, 2 seeds;
+- train with that best_loss.json: --arch mlp:16 and --arch cnn, each with
+  --curve-out, and --arch mlp:16 without it, on a tiny IDX pair this script
+  writes; and train --arch mlp:16 --loss sce with --curve-out, whose steps
+  ask a reference loss for its values;
 - inspect-loss on a raw and on a normalized polynomial loss;
 - make-noise-matrix asym:0.3 over 4 classes.
 
@@ -71,7 +74,8 @@ GRID = {
         ["mlp:8", "blobs:3:40:0.5", "sym:0.3"],
         ["linear", "blobs:10:20:0.5:dim=4", "asym:0.2"],
     ],
-    "losses": ["ce", "mae", "gce:q=0.5", "ar/best_loss.json"],
+    "losses": ["ce", "mae", "gce:q=0.5", "sce", "ls:epsilon=0.1",
+               "bootstrap:weight=0.8:mode=hard", "bootstrap:mode=soft", "ar/best_loss.json"],
     "seeds": 2,
     "epochs": 3,
     "master_seed": 5,
@@ -98,8 +102,8 @@ def write_inputs():
 
 
 def commands():
-    train = ["train", "--loss", "ar/best_loss.json", "--dataset", IDX, "--noise", "sym:0.2",
-             "--epochs", "2", "--seed", "3"]
+    job = ["--dataset", IDX, "--noise", "sym:0.2", "--epochs", "2", "--seed", "3"]
+    train = ["train", "--loss", "ar/best_loss.json", *job]
     return [
         ["meta-train", "--config", "inputs/ar.json", "--out", "ar"],
         ["meta-train", "--config", "inputs/full.json", "--out", "full"],
@@ -108,6 +112,7 @@ def commands():
         [*train, "--arch", "mlp:16", "--curve-out", "train_mlp.csv"],
         [*train, "--arch", "cnn", "--curve-out", "train_cnn.csv"],
         [*train, "--arch", "mlp:16"],
+        ["train", "--arch", "mlp:16", "--loss", "sce", *job, "--curve-out", "train_sce.csv"],
         ["inspect-loss", "--loss", "inputs/raw_loss.json", "--resolution", "20",
          "--out", "inspect_raw.csv"],
         ["inspect-loss", "--loss", "ar/best_loss.json", "--resolution", "20",

@@ -23,10 +23,11 @@ raw or normalized) runs in one pass over (m, n, C) predictions, any other
 member by member through indexed, where a polynomial loss runs the
 population-of-one call that it keeps itself; no one-hot label matrix is built. A
 training validates once, after its last epoch, unless its caller asks for
-per-epoch curves; only then do its steps ask the loss for values as well as
-gradients. Validation scores the whole stack in row chunks of ceil(n / m), so
-it holds about one network's activations over the validation set, and never
-more than VALIDATION_BUDGET entries of the widest layer output.
+per-epoch curves; only then do its steps want values, and without them a package
+loss is called with values=False, which skips their work (a plug-in loss's are
+dropped). Validation scores the whole stack in row chunks of ceil(n / m), so it
+holds about one network's activations over the validation set, and never more
+than VALIDATION_BUDGET entries of the widest layer output.
 """
 
 import math
@@ -91,7 +92,7 @@ class Dense(_Layer):
 
     def param_grad(self, grads, x, dy):
         np.matmul(x.swapaxes(-1, -2), dy, out=grads["w"])
-        grads["b"][...] = dy.sum(axis=-2)
+        np.add.reduce(dy, axis=-2, out=grads["b"])
 
     def input_grad(self, params, x, dy, buf):
         return np.matmul(dy, params["w"].swapaxes(-1, -2), out=_buffer(buf, "dx", x.shape))
@@ -156,7 +157,7 @@ class Conv2D(_Layer):
         _, cols = cache
         dy_flat = dy.reshape(dy.shape[:-4] + (-1, self.out_ch))
         grads["w"][...] = (cols.swapaxes(-1, -2) @ dy_flat).reshape(grads["w"].shape)
-        grads["b"][...] = dy_flat.sum(axis=-2)
+        np.add.reduce(dy_flat, axis=-2, out=grads["b"])
 
     def input_grad(self, params, cache, dy, buf):
         k = self.kernel
@@ -326,11 +327,12 @@ class Network:
 
     def _gradient(self, cache, dprobs, bufs):
         """The parameter gradient in the gradient buffer, which the next call
-        overwrites; layer i takes its arrays from bufs[i]."""
+        overwrites; layer i takes its arrays from bufs[i], and dprobs is spent."""
         caches, probs = cache
-        # dL/dlogits through the softmax Jacobian, row by row
-        dot = _class_fold(np.add, dprobs * probs)[..., None]
-        dx = probs * (dprobs - dot)
+        # dL/dlogits through the softmax Jacobian, in dprobs: (m, n, C), or (n, C) at m = 1
+        dx = dprobs.reshape(probs.shape)
+        dx -= _class_fold(np.add, dx * probs)[..., None]
+        dx *= probs
         lowest = self.spec.lowest_trained
         for i in reversed(range(lowest, len(caches))):
             layer, params = self.spec.layers[i], self._theta_views[i]
@@ -462,23 +464,27 @@ def _loss_call(losses):
     label indices and whether values are wanted in; (m, n) values, or None
     when they are not, and (m, n, C) gradients out.
 
-    A population whose class stacks it runs in one pass, which skips the values
-    when they are not wanted; any other runs member by member through each
-    loss's indexed call, into arrays kept from call to call, and always gives
-    values. A polynomial member's indexed call is its own population of one,
-    built once by the loss itself.
+    A population whose class stacks it runs in one pass; any other runs
+    member by member through indexed, into arrays kept from call to call,
+    where a package loss (decided once, by type) takes the values flag and a
+    plug-in's indexed(probs, labels) gives values, dropped when unwanted.
     """
     stacked = getattr(losses[0], "stacked", None)
     fused = stacked(losses) if stacked else None
     if fused is not None:
         return fused
+    from .reference import _Loss  # here: reference imports check_fields from this module
+    flagged = [isinstance(loss, _Loss) for loss in losses]
     work = {}
 
-    def member_by_member(probs, labels, values=True):  # gives values either way
+    def member_by_member(probs, labels, values=True):
         out, grads = _buffer(work, "v", probs.shape[:-1]), _buffer(work, "g", probs.shape)
-        for k, loss in enumerate(losses):
-            out[k], grads[k] = loss.indexed(probs[k], labels)
-        return out, grads
+        for k, (loss, flag) in enumerate(zip(losses, flagged)):
+            kwargs = {"values": values} if flag else {}
+            value, grads[k] = loss.indexed(probs[k], labels, **kwargs)
+            if values:
+                out[k] = value
+        return out if values else None, grads
 
     return member_by_member
 
@@ -502,8 +508,8 @@ def _sgd_step(net, loss_call, xb, yb, cfg, bufs, values):
     sum if values, else None."""
     probs, cache = net._forward_cache(xb, bufs)
     loss_values, grads = loss_call(probs, yb, values)
-    # objective is the batch mean, so scale per-sample gradients
-    grad = net._gradient(cache, grads / len(xb), bufs)
+    grads /= len(xb)  # objective is the batch mean, so scale per-sample gradients
+    grad = net._gradient(cache, grads, bufs)
     net.momentum *= cfg.momentum
     net.momentum += grad
     # the gradient is spent, so its buffer takes the step instead of a new array

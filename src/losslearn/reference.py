@@ -1,12 +1,13 @@
 """Hand-designed comparison losses: CE, MAE, GCE, SCE, label smoothing, bootstrap.
 
 Every loss, the polynomial family included, is written once as
-``indexed(yhat, labels)``: (n, C) predictions and (n,) class indices in, (n,)
-values and (n, C) gradients out; the trainer calls only that. ``batch_value``
-and ``batch_grad`` take (n, C) label rows: a row q gives the label-weighted mix
-sum_k q_k * indexed(yhat, k), which on a one-hot row is the indexed call
-itself. Gradients are full derivatives of the implemented value, so central
-finite differences agree at interior points.
+``indexed(yhat, labels, values=True)``: (n, C) predictions and (n,) class
+indices in, (n,) values and (n, C) gradients out; the trainer calls only that.
+With values=False the values are None and their work is skipped; the gradients
+are the same bits. ``batch_value`` and ``batch_grad`` take (n, C) label rows: a
+row q gives the label-weighted mix sum_k q_k * indexed(yhat, k), which on a
+one-hot row is the indexed call itself. Gradients are full derivatives of the
+implemented value, so central finite differences agree at interior points.
 """
 
 from dataclasses import dataclass
@@ -79,17 +80,18 @@ def _one_row(yhat, y):
 
 @dataclass(frozen=True)
 class CrossEntropy(_Loss):
-    def indexed(self, yhat, labels):
+    def indexed(self, yhat, labels, values=True):
         p_t = _label_prob(yhat, labels)
-        return -np.log(p_t), _at_labels(np.zeros(yhat.shape), labels, -1.0 / p_t)
+        grads = _at_labels(np.zeros(yhat.shape), labels, -1.0 / p_t)
+        return -np.log(p_t) if values else None, grads
 
 
 @dataclass(frozen=True)
 class MeanAbsoluteError(_Loss):
-    def indexed(self, yhat, labels):
+    def indexed(self, yhat, labels, values=True):
         d = yhat.copy()
         d[np.arange(len(d)), labels] -= 1.0
-        return np.abs(d).sum(axis=1), np.sign(d)
+        return np.abs(d).sum(axis=1) if values else None, np.sign(d)
 
 
 @dataclass(frozen=True)
@@ -101,10 +103,10 @@ class GeneralizedCrossEntropy(_Loss):
         if not 0.0 < self.q <= 1.0:
             raise ValueError(f"q must lie in (0, 1], got {self.q}")
 
-    def indexed(self, yhat, labels):
+    def indexed(self, yhat, labels, values=True):
         p_t = _label_prob(yhat, labels)
         grads = _at_labels(np.zeros(yhat.shape), labels, -(p_t ** (self.q - 1.0)))
-        return (1.0 - p_t**self.q) / self.q, grads
+        return (1.0 - p_t**self.q) / self.q if values else None, grads
 
 
 @dataclass(frozen=True)
@@ -122,13 +124,15 @@ class SymmetricCrossEntropy(_Loss):
         if self.log_zero >= 0:
             raise ValueError("log-zero surrogate must be negative")
 
-    def indexed(self, yhat, labels):
+    def indexed(self, yhat, labels, values=True):
         p_t = _label_prob(yhat, labels)
-        # ln of the label row is 0 on the label and A off it
-        rce = -_at_labels(yhat * self.log_zero, labels, 0.0).sum(axis=1)
         grads = _at_labels(
             np.full(yhat.shape, self.beta * -self.log_zero), labels, self.alpha * (-1.0 / p_t)
         )
+        if not values:
+            return None, grads
+        # ln of the label row is 0 on the label and A off it
+        rce = -_at_labels(yhat * self.log_zero, labels, 0.0).sum(axis=1)
         return self.alpha * -np.log(p_t) + self.beta * rce, grads
 
 
@@ -141,11 +145,11 @@ class LabelSmoothing(_Loss):
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
 
-    def indexed(self, yhat, labels):
+    def indexed(self, yhat, labels, values=True):
         off = self.epsilon / yhat.shape[1]
         targets = _at_labels(np.full(yhat.shape, off), labels, (1.0 - self.epsilon) + off)
         p = np.clip(yhat, LOG_CLAMP, 1.0)
-        return -(targets * np.log(p)).sum(axis=1), -targets / p
+        return -(targets * np.log(p)).sum(axis=1) if values else None, -targets / p
 
 
 @dataclass(frozen=True)
@@ -165,16 +169,16 @@ class Bootstrap(_Loss):
         if not 0.0 <= self.weight <= 1.0:
             raise ValueError(f"weight must lie in [0, 1], got {self.weight}")
 
-    def indexed(self, yhat, labels):
+    def indexed(self, yhat, labels, values=True):
         guess = _at_labels(np.zeros(yhat.shape), yhat.argmax(axis=1), 1.0) if self.hard else yhat
         targets = (1.0 - self.weight) * guess
         targets[np.arange(len(yhat)), labels] += self.weight
         p = np.clip(yhat, LOG_CLAMP, 1.0)
-        log_p = np.log(p)
+        log_p = np.log(p) if values or not self.hard else None  # a soft gradient needs it
         grads = -targets / p
         if not self.hard:
             grads -= (1.0 - self.weight) * log_p
-        return -(targets * log_p).sum(axis=1), grads
+        return -(targets * log_p).sum(axis=1) if values else None, grads
 
 
 REFERENCE_KINDS = {

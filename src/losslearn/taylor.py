@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import islice
 from pathlib import Path
 
@@ -77,11 +77,11 @@ class _Polynomial(_Loss):
     def _call(self):
         return _Polynomial.stacked([self])
 
-    def indexed(self, yhat, labels):
-        """(n,) values and (n, C) gradients on label indices: a population of
-        one, whose call is built once; the gradients are a fresh copy."""
-        values, grads = self._call(yhat[None], labels)
-        return values[0], grads[0].copy()
+    def indexed(self, yhat, labels, values=True):
+        """(n,) values (None if not values) and (n, C) gradients on label indices:
+        a population of one, whose call is built once; the gradients are a fresh copy."""
+        out, grads = self._call(yhat[None], labels, values)
+        return None if out is None else out[0], grads[0].copy()
 
     @staticmethod
     def stacked(losses):
@@ -154,14 +154,15 @@ class TaylorLossParams(_Polynomial):
 
     @cached_property
     def _univariate(self):
-        # values[t][a - 1] = P_a(t - theta1) for label entries t = 0, 1, where
-        # P_a(e) = sum_b c_ab / (a! b!) e^b; grads[t][a - 1] = a P_a(t - theta1)
+        # values[t][a - 1] = P_a(t - theta1) for t = 0, 1 by Horner on plain floats (_horner's
+        # bits), P_a(e) = sum_b c_ab / (a! b!) e^b; grads[t][a - 1] = a P_a(t - theta1)
         c, fact, theta1 = self.coefficients, math.factorial, self.expansion_point[1]
         rows = [
             [c[(a, b)] / (fact(a) * fact(b)) for b in range(self.order - a + 1)]
             for a in range(1, self.order + 1)
         ]
-        values = [[_horner(row, e) for row in rows] for e in (0.0 - theta1, 1.0 - theta1)]
+        values = [[reduce(lambda acc, coeff: acc * e + coeff, row[::-1]) for row in rows]
+                  for e in (0.0 - theta1, 1.0 - theta1)]
         return values, [[a * p for a, p in enumerate(g, start=1)] for g in values]
 
     # _Loss's label-weighted mix over indexed, bound here by name for perfbench's tracer
@@ -375,7 +376,7 @@ def mse_embedding(order: int = DEFAULT_ORDER) -> TaylorLossParams:
 
 
 def _horner(coeffs, x, out=None):
-    """sum_i coeffs[i] * x**i by Horner's rule, in place in out (a new array if None)."""
+    """sum_i coeffs[i] * x**i over arrays by Horner's rule, in place in out (new if None)."""
     if out is None:
         out = np.empty(np.broadcast_shapes(np.shape(coeffs[-1]), np.shape(x)))
     out[...] = coeffs[-1]

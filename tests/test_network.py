@@ -823,15 +823,63 @@ def test_stacked_polynomial_members_equal_serial_fits():
     assert all(len(curve) == 3 for i, curve in enumerate(curves) if i != 3)
 
 
-def test_stacked_grid_mix_equals_serial_fits():
+def grid_mix():
+    """The benchmark grid's mixed stack on a C = 10 cell: (spec, split, losses, cfg)."""
     sp = noisy_split("blobs:10:12:0.5:dim=8", "sym:0.4", data_seed=1, split_seed=2,
                      val_fraction=0.25, pairing=None)
     spec = arch_from_selector("mlp:64,64", (8,), 10)
     losses = [loss_from_selector(s) for s in (
         "ce", "mae", "gce:q=0.7", "sce", "ls:epsilon=0.1", "bootstrap:weight=0.8:mode=hard"
     )] + [normalized_member(7, eta=8.0, num_classes=10)]
-    cfg = TrainConfig(learning_rate=0.1, epochs=2, batch_size=32, seed=3)
+    return spec, sp, losses, TrainConfig(learning_rate=0.1, epochs=2, batch_size=32, seed=3)
+
+
+def test_stacked_grid_mix_equals_serial_fits():
+    spec, sp, losses, cfg = grid_mix()
     assert_stack_equals_serial(spec, losses, sp, 4, cfg)
+
+
+PACKAGE_LOSSES = (
+    CrossEntropy, MeanAbsoluteError, GeneralizedCrossEntropy, SymmetricCrossEntropy,
+    LabelSmoothing, Bootstrap, _Polynomial,
+)
+
+
+@pytest.mark.parametrize("curves", [False, True])
+def test_mixed_stack_asks_package_losses_for_values_only_with_curves(monkeypatch, curves):
+    asked = []
+    for cls in PACKAGE_LOSSES:
+        def spy(self, yhat, labels, values=True, indexed=cls.indexed):
+            asked.append((type(self), values))
+            return indexed(self, yhat, labels, values=values)
+
+        monkeypatch.setattr(cls, "indexed", spy)
+    spec, sp, losses, cfg = grid_mix()
+    train(init(spec, 4, len(losses)), losses, sp, cfg, curves)
+    assert {kind for kind, _ in asked} == {type(loss) for loss in losses}
+    assert {values for _, values in asked} == {curves}
+
+
+@dataclass(frozen=True)
+class Halved:
+    """A plug-in loss whose indexed takes (probs, labels) alone and always gives values."""
+
+    inner: object
+
+    def indexed(self, yhat, labels):
+        values, grads = self.inner.indexed(yhat, labels)
+        return values / 2, grads / 2
+
+
+def test_two_argument_plug_in_loss_trains_in_a_mixed_stack():
+    spec, sp = fit_problem()
+    losses = [
+        CrossEntropy(), Halved(GeneralizedCrossEntropy()), normalized_member(13, eta=8.0),
+        Halved(normalized_member(14, eta=8.0)), Bootstrap(weight=0.8, hard=True),
+    ]
+    cfg = TrainConfig(epochs=3, batch_size=16, seed=19)
+    _, fail_epoch, curves = assert_stack_equals_serial(spec, losses, sp, 20, cfg)
+    assert not fail_epoch.any() and all(len(curve) == 3 for curve in curves)
 
 
 def test_stacked_mixed_orders_equal_serial_fits():

@@ -363,6 +363,19 @@ POLYNOMIALS = {
 @pytest.mark.parametrize(
     "loss", [*ALL_LOSSES.values(), *POLYNOMIALS.values()], ids=[*ALL_LOSSES, *POLYNOMIALS]
 )
+@settings(max_examples=20, deadline=None)
+@given(**CASES)
+def test_indexed_without_values_gives_the_same_gradients(loss, num_classes, n, seed):
+    rng, yhat = predictions(seed, n, num_classes)
+    labels = rng.integers(0, num_classes, n)
+    _, grad = loss.indexed(yhat, labels)
+    none, lean = loss.indexed(yhat, labels, values=False)
+    assert none is None and np.array_equal(lean, grad)
+
+
+@pytest.mark.parametrize(
+    "loss", [*ALL_LOSSES.values(), *POLYNOMIALS.values()], ids=[*ALL_LOSSES, *POLYNOMIALS]
+)
 def test_label_rows_take_one_indexed_call(loss, monkeypatch):
     # however many classes carry weight, a batch of label rows is one indexed
     # call over its weighted label entries

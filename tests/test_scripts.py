@@ -72,6 +72,8 @@ def test_artifact_digests_repeat_exactly(monkeypatch, tmp_path):
         "stdout of train --arch mlp:16 --curve-out train_mlp.csv",
         "stdout of train --arch cnn --curve-out train_cnn.csv",
         "stdout of train --arch mlp:16",
+        "stdout of train --arch mlp:16 --loss sce --dataset idx:inputs/images.idx:inputs/labels.idx"
+        " --noise sym:0.2 --epochs 2 --seed 3 --curve-out train_sce.csv",
     ]
     assert trains[0][1] == trains[2][1]  # a curve does not change the training
     ranks = [line for line in first if line.startswith("stderr of")]
