@@ -19,10 +19,11 @@ The commands:
   C = 10 cell, 2 seeds;
 - train with that best_loss.json: --arch mlp:16 and --arch cnn, each with
   --curve-out, and --arch mlp:16 without it, on a tiny IDX pair this script
-  writes; and train --arch mlp:16 --loss sce with --curve-out, whose steps
-  ask a reference loss for its values;
+  writes; train --arch mlp:16 --loss sce with --curve-out, whose steps
+  ask a reference loss for its values; and train --loss ce with
+  --noise asym:0.3 and a --pairing file, on a C = 3 blobs set;
 - inspect-loss on a raw and on a normalized polynomial loss;
-- make-noise-matrix asym:0.3 over 4 classes.
+- make-noise-matrix asym:0.3 over 4 classes and sym:0.4 over 7.
 
 OUT must not exist yet or be empty. Every path handed to a command is
 relative to OUT, so no artifact records where OUT is.
@@ -81,14 +82,17 @@ GRID = {
     "master_seed": 5,
 }
 
+PAIRING = [2, 0, 1]
+
 
 def write_inputs():
-    """The configs, a raw loss file and a 16 x 16 IDX pair of 3 classes, in inputs/."""
+    """The configs, a pairing, a raw loss file and a 16 x 16 IDX pair of 3 classes, in inputs/."""
     Path("inputs").mkdir()
     Path("inputs/ar.json").write_text(json.dumps({**acc.SEARCH_CONFIG, "max_generations": 4}))
     Path("inputs/full.json").write_text(json.dumps(FULL_CONFIG))
     Path("inputs/idx.json").write_text(json.dumps(IDX_CONFIG))
     Path("inputs/grid.json").write_text(json.dumps(GRID))
+    Path("inputs/pairing.json").write_text(json.dumps(PAIRING))
     save_loss(mse_embedding(), "inputs/raw_loss.json")
     rng = np.random.default_rng(0)
     labels = np.repeat(np.arange(3, dtype=np.uint8), 20)
@@ -113,11 +117,15 @@ def commands():
         [*train, "--arch", "cnn", "--curve-out", "train_cnn.csv"],
         [*train, "--arch", "mlp:16"],
         ["train", "--arch", "mlp:16", "--loss", "sce", *job, "--curve-out", "train_sce.csv"],
+        ["train", "--arch", "mlp:16", "--loss", "ce", "--dataset", "blobs:3:40:0.5",
+         "--noise", "asym:0.3", "--pairing", "inputs/pairing.json", "--epochs", "3",
+         "--seed", "3", "--curve-out", "train_pairing.csv"],
         ["inspect-loss", "--loss", "inputs/raw_loss.json", "--resolution", "20",
          "--out", "inspect_raw.csv"],
         ["inspect-loss", "--loss", "ar/best_loss.json", "--resolution", "20",
          "--out", "inspect_normalized.csv"],
         ["make-noise-matrix", "--noise", "asym:0.3", "--classes", "4", "--out", "noise.csv"],
+        ["make-noise-matrix", "--noise", "sym:0.4", "--classes", "7", "--out", "noise_sym.csv"],
     ]
 
 

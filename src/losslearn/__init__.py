@@ -17,10 +17,10 @@ from .taylor import (
     save_loss,
 )
 from .reference import make_reference_loss
-from .noise import NoiseSpec, build_transition, corrupt
+from .noise import corrupt
 from .datasets import Dataset, DatasetSplit, dataset_from_selector, load_idx, split
 from .network import NetworkSpec, TrainConfig, accuracy, arch_from_selector, init, train
-from .cma import CmaState, cma_init, default_population, stop_reason
+from .cma import CmaState, default_population, stop_reason
 from .search import MetaConfig, meta_train
 from .bench import BenchmarkGrid, loss_from_selector, run_benchmark
 
@@ -33,14 +33,11 @@ __all__ = [
     "DatasetSplit",
     "MetaConfig",
     "NetworkSpec",
-    "NoiseSpec",
     "NormalizedLoss",
     "TaylorLossParams",
     "TrainConfig",
     "accuracy",
     "arch_from_selector",
-    "build_transition",
-    "cma_init",
     "corrupt",
     "dataset_from_selector",
     "default_population",

@@ -12,46 +12,20 @@ import io
 import logging
 import time
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigError, check_fields, config_from_dict
 from .datasets import ValFractionError, noisy_split
-from .network import TrainConfig, arch_from_selector, check_fields, fit_many
-from .noise import noise_from_selector, transition
+from .network import TrainConfig, arch_from_selector, fit_many
+from .noise import noise_from_selector
 from .reference import REFERENCE_KINDS, make_reference_loss
 from .seeding import derive_seed
 from .taylor import load_loss
 
 log = logging.getLogger("losslearn")
-
-
-class ConfigError(ValueError):
-    """Bad configuration or unresolvable selector; maps to exit code 2."""
-
-
-def config_from_dict(cls, doc, what):
-    """Build the config dataclass ``cls`` from a parsed JSON object.
-
-    The dataclass is the schema: a field without a default is required, an
-    absent optional field takes its default, and any other name is rejected.
-    The class itself checks each value against its field's annotation
-    (``network.check_fields``), however it is built.
-    """
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{what} must be a JSON object")
-    for f in fields(cls):
-        if f.name not in doc and f.default is MISSING:
-            raise ConfigError(f"missing field '{f.name}'")
-    names = {f.name for f in fields(cls)}
-    for name in doc:
-        if name not in names:
-            raise ConfigError(f"unknown field '{name}'")
-    try:
-        return cls(**doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -366,5 +340,5 @@ def inspect_loss_csv(loss, resolution=100):
 
 
 def noise_matrix_csv(noise_sel, num_classes, pairing=None):
-    t = transition(noise_from_selector(noise_sel, num_classes), num_classes, pairing)
+    t = noise_from_selector(noise_sel, num_classes, pairing)
     return csv_text([f"{v:.6f}" for v in row] for row in t)

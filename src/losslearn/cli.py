@@ -15,7 +15,6 @@ from pathlib import Path
 
 from .bench import (
     BenchmarkGrid,
-    ConfigError,
     curve_to_csv,
     inspect_loss_csv,
     loss_from_selector,
@@ -23,6 +22,7 @@ from .bench import (
     run_benchmark,
     run_single_training,
 )
+from .config import ConfigError
 from .search import MetaConfig, meta_train
 from .taylor import LossFormatError
 

@@ -194,10 +194,6 @@ def _replace_non_finite(fitnesses, maximize):
     return fitnesses
 
 
-def cma_init(n, mean0=None, sigma0=0.5, lam=None):
-    return CmaState(n, mean0=mean0, sigma0=sigma0, lam=lam)
-
-
 def stop_reason(state, best_fitness, max_generations):
     """Why the search should stop now, or None to keep going.
 

@@ -1,0 +1,65 @@
+"""Config checks of every layer: a config dataclass's annotations are its schema."""
+
+import sys
+from dataclasses import MISSING, fields
+from typing import get_args, get_origin
+
+
+class ConfigError(ValueError):
+    """Bad configuration or unresolvable selector; maps to exit code 2."""
+
+
+def config_from_dict(cls, doc, what):
+    """Build the config dataclass ``cls`` from a parsed JSON object.
+
+    The dataclass is the schema: a field without a default is required, an
+    absent optional field takes its default, and any other name is rejected.
+    The class itself checks each value against its field's annotation
+    (``check_fields``), however it is built.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    for f in fields(cls):
+        if f.name not in doc and f.default is MISSING:
+            raise ConfigError(f"missing field '{f.name}'")
+    names = {f.name for f in fields(cls)}
+    for name in doc:
+        if name not in names:
+            raise ConfigError(f"unknown field '{name}'")
+    try:
+        return cls(**doc)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
+# annotation -> (what one value must be, what array elements must be, a test of
+# one value); a bool is no integer, and NaN, Infinity or 10**400 fits no float
+_FIELD_TYPES = {
+    int: ("an integer", "integers", lambda v: type(v) is int),
+    float: ("a finite number", "finite numbers",
+            lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
+    str: ("a string", "strings", lambda v: isinstance(v, str)),
+    bool: ("true or false", "booleans", lambda v: type(v) is bool),
+    tuple: ("an array", "arrays", lambda v: isinstance(v, (list, tuple))),
+}
+
+
+def check_fields(config):
+    """ValueError unless each field of dataclass config fits its annotation
+    (None too where the default is None); a tuple[T, ...] field needs a list of
+    T, and an array field is stored as a tuple."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.default is None and value is None:
+            continue
+        base = get_origin(f.type) or f.type
+        kind, _, fits = _FIELD_TYPES[base]
+        if not fits(value):
+            null = " or null" if f.default is None else ""
+            raise ValueError(f"{f.name} must be {kind}{null}, got {value!r}")
+        if get_args(f.type):  # tuple[T, ...]
+            _, kinds, fits = _FIELD_TYPES[get_args(f.type)[0]]
+            if not all(fits(v) for v in value):
+                raise ValueError(f"{f.name} must be {kinds}, got {value!r}")
+        if base is tuple:
+            object.__setattr__(config, f.name, tuple(value))

@@ -1,9 +1,9 @@
 """Dataset loading and splitting: IDX image files, synthetic generators.
 
-Features are scaled to [0, 1]. Splits are stratified by class; label noise is
-applied to the training half only, and the clean validation labels are
-checksummed into the split provenance so downstream artifacts can prove they
-were never touched.
+Features are scaled to [0, 1]. Splits are stratified by class; label noise,
+given as its transition matrix, is applied to the training half only, and the
+clean validation labels are checksummed into the split provenance so
+downstream artifacts can prove they were never touched.
 """
 
 import struct
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .noise import corrupt, noise_from_selector, transition
+from .noise import corrupt, noise_from_selector
 from .seeding import derive_seed, label_checksum
 
 IMAGES_MAGIC = 2051
@@ -197,8 +197,9 @@ class ValFractionError(ValueError):
     """A val_fraction outside (0, 1), or one that leaves a split part empty."""
 
 
-def split(ds, val_fraction=0.2, noise=None, seed=0, pairing=None):
-    """Stratified train/val split; corrupts train labels when noise is given."""
+def split(ds, val_fraction=0.2, noise=None, seed=0):
+    """Stratified train/val split. noise is the C x C transition matrix the train
+    labels are drawn through (None: the identity); any other matrix corrupts them."""
     if not 0.0 < val_fraction < 1.0:
         raise ValFractionError(f"val_fraction must lie in (0, 1), got {val_fraction}")
     rng = np.random.default_rng(derive_seed(seed, "split"))
@@ -220,12 +221,13 @@ def split(ds, val_fraction=0.2, noise=None, seed=0, pairing=None):
                 f"val_fraction {val_fraction} leaves no {part} examples in {ds.name}"
             )
 
+    eye = np.eye(ds.num_classes)
+    t = eye if noise is None else np.asarray(noise, dtype=float)
+    if t.shape != eye.shape:
+        raise ValueError(f"noise matrix has shape {t.shape}, {ds.name} needs {eye.shape}")
     train_labels = ds.labels[train_idx].copy()
     flip_fraction = 0.0
-    if noise is not None and noise.num_classes != ds.num_classes:
-        raise ValueError("noise spec class count does not match dataset")
-    t = transition(noise, ds.num_classes, pairing)  # checks the pairing at ratio 0 too
-    if noise is not None and noise.ratio > 0.0:
+    if not np.array_equal(t, eye):
         train_labels, flipped = corrupt(train_labels, t, derive_seed(seed, "noise"))
         flip_fraction = float(flipped.mean())
 
@@ -257,8 +259,8 @@ def noisy_split(dataset_sel, noise_sel, *, data_seed, split_seed, val_fraction, 
     may corrupt labels, scoring must never see them.
     """
     ds = dataset_from_selector(dataset_sel, seed=data_seed)
-    noise = noise_from_selector(noise_sel, ds.num_classes)
-    sp = split(ds, val_fraction=val_fraction, noise=noise, seed=split_seed, pairing=pairing)
+    noise = noise_from_selector(noise_sel, ds.num_classes, pairing)
+    sp = split(ds, val_fraction=val_fraction, noise=noise, seed=split_seed)
     if label_checksum(sp.val_labels) != sp.provenance["val_label_checksum"]:
         raise RuntimeError(f"validation labels for {dataset_sel} were modified")
     if not np.array_equal(sp.val_labels, ds.labels[sp.val_indices]):

@@ -31,11 +31,12 @@ than VALIDATION_BUDGET entries of the widest layer output.
 """
 
 import math
-import sys
-from dataclasses import dataclass, fields
-from typing import get_args, get_origin
+from dataclasses import dataclass
 
 import numpy as np
+
+from .config import check_fields
+from .reference import _Loss
 
 # ---------------------------------------------------------------------------
 # Layers: each knows its output shape, parameters, forward and backward pass
@@ -381,39 +382,6 @@ def _class_fold(ufunc, x):
 # ---------------------------------------------------------------------------
 
 
-# annotation -> (what one value must be, what array elements must be, a test of
-# one value); a bool is no integer, and NaN, Infinity or 10**400 fits no float
-_FIELD_TYPES = {
-    int: ("an integer", "integers", lambda v: type(v) is int),
-    float: ("a finite number", "finite numbers",
-            lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
-    str: ("a string", "strings", lambda v: isinstance(v, str)),
-    bool: ("true or false", "booleans", lambda v: type(v) is bool),
-    tuple: ("an array", "arrays", lambda v: isinstance(v, (list, tuple))),
-}
-
-
-def check_fields(config):
-    """ValueError unless each field of dataclass config fits its annotation
-    (None too where the default is None); a tuple[T, ...] field needs a list of
-    T, and an array field is stored as a tuple."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if f.default is None and value is None:
-            continue
-        base = get_origin(f.type) or f.type
-        kind, _, fits = _FIELD_TYPES[base]
-        if not fits(value):
-            null = " or null" if f.default is None else ""
-            raise ValueError(f"{f.name} must be {kind}{null}, got {value!r}")
-        if get_args(f.type):  # tuple[T, ...]
-            _, kinds, fits = _FIELD_TYPES[get_args(f.type)[0]]
-            if not all(fits(v) for v in value):
-                raise ValueError(f"{f.name} must be {kinds}, got {value!r}")
-        if base is tuple:
-            object.__setattr__(config, f.name, tuple(value))
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.01
@@ -473,7 +441,6 @@ def _loss_call(losses):
     fused = stacked(losses) if stacked else None
     if fused is not None:
         return fused
-    from .reference import _Loss  # here: reference imports check_fields from this module
     flagged = [isinstance(loss, _Loss) for loss in losses]
     work = {}
 

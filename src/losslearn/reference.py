@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import check_fields
+from .config import check_fields
 
 # Probabilities are clamped to this range before logs and fractional powers.
 LOG_CLAMP = 1e-12
@@ -50,18 +50,19 @@ class _Loss:
         return self._mix(yhat, y)[0]
 
     def batch_grad(self, yhat, y):
-        return self._mix(yhat, y)[1]
+        return self._mix(yhat, y, values=False)[1]
 
-    def _mix(self, yhat, y):
+    def _mix(self, yhat, y, values=True):
         yhat, y = _as_batch(yhat, y)
         rows, labels = np.nonzero(y)  # the weighted entries, each row's in class order
         weights = y[rows, labels]
-        value, grad = self.indexed(yhat[rows], labels)
-        values, grads = np.zeros(len(yhat)), np.zeros(yhat.shape)
+        value, grad = self.indexed(yhat[rows], labels, values)
+        out, grads = np.zeros(len(yhat)), np.zeros(yhat.shape)
         # add.at adds in entry order, so each row sums its classes in order
-        np.add.at(values, rows, weights * value)
+        if values:
+            np.add.at(out, rows, weights * value)
         np.add.at(grads, rows, weights[:, None] * grad)
-        return values, grads
+        return out, grads
 
     def value(self, yhat, y):
         return float(self.batch_value(*_one_row(yhat, y))[0])

@@ -19,10 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import ConfigError, _reject_repeats, config_from_dict, csv_text
-from .bench import resolve_job, resolve_split
+from .bench import _reject_repeats, csv_text, resolve_job, resolve_split
 from .cma import CmaState, stop_reason
-from .network import TrainConfig, check_fields, fit_many
+from .config import ConfigError, check_fields, config_from_dict
+from .network import TrainConfig, fit_many
 from .seeding import derive_seed
 from .taylor import (
     TaylorLossParams,

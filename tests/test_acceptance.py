@@ -16,10 +16,10 @@ import pytest
 from scipy.stats import rankdata
 
 from losslearn.bench import BenchmarkGrid, run_benchmark, run_single_training
-from losslearn.cma import cma_init, default_population
+from losslearn.cma import CmaState, default_population
 from losslearn.datasets import dataset_from_selector
 from losslearn.datasets import split as split_dataset
-from losslearn.noise import NoiseSpec, build_transition, corrupt, noise_from_selector
+from losslearn.noise import corrupt, noise_from_selector
 from losslearn.reference import (
     Bootstrap,
     CrossEntropy,
@@ -251,7 +251,7 @@ def test_criterion_3_evolution_strategy(capsys):
     start = time.perf_counter()
     sphere_bests = [
         run_maximize(
-            sphere_neg, cma_init(12, mean0=np.ones(12), sigma0=0.5), 1000 + s, 6000
+            sphere_neg, CmaState(12, mean0=np.ones(12), sigma0=0.5), 1000 + s, 6000
         )
         for s in range(10)
     ]
@@ -260,7 +260,7 @@ def test_criterion_3_evolution_strategy(capsys):
     rosen_bests = [
         -run_maximize(
             lambda x: -rosenbrock(x),
-            cma_init(5, mean0=np.zeros(5), sigma0=0.5),
+            CmaState(5, mean0=np.zeros(5), sigma0=0.5),
             2000 + s,
             30000,
         )
@@ -270,8 +270,8 @@ def test_criterion_3_evolution_strategy(capsys):
 
     # monotone transform: identical trajectories, bit for bit
     master = np.random.default_rng(304)
-    a = cma_init(4, sigma0=0.3, lam=8)
-    b = cma_init(4, sigma0=0.3, lam=8)
+    a = CmaState(4, sigma0=0.3, lam=8)
+    b = CmaState(4, sigma0=0.3, lam=8)
     monotone_exact = True
     for _ in range(15):
         seed = int(master.integers(2**32))
@@ -287,8 +287,8 @@ def test_criterion_3_evolution_strategy(capsys):
     )
 
     shift = np.array([3.0, -2.0, 0.5])
-    a = cma_init(3, mean0=np.zeros(3), sigma0=0.4, lam=7)
-    b = cma_init(3, mean0=shift, sigma0=0.4, lam=7)
+    a = CmaState(3, mean0=np.zeros(3), sigma0=0.4, lam=7)
+    b = CmaState(3, mean0=shift, sigma0=0.4, lam=7)
     master = np.random.default_rng(305)
     for _ in range(20):
         seed = int(master.integers(2**32))
@@ -328,10 +328,10 @@ def test_criterion_3_evolution_strategy(capsys):
 
 def test_criterion_4_noise_lab(capsys):
     worst = 0.0
-    for kind in ("symmetric", "asymmetric"):
+    for kind, selector in (("symmetric", "sym"), ("asymmetric", "asym")):
         for c in (2, 6, 10):
             for r in (0.2, 0.4, 0.8):
-                t = build_transition(NoiseSpec(kind, r, c))
+                t = noise_from_selector(f"{selector}:{r}", c)
                 # 100,000 draws per source class: each row of the empirical
                 # matrix is estimated from the full sample count
                 labels = np.repeat(np.arange(c), 100000)
@@ -342,7 +342,7 @@ def test_criterion_4_noise_lab(capsys):
                     emp[i] = np.bincount(new[mask], minlength=c) / mask.sum()
                 worst = max(worst, float(np.abs(emp - t).max()))
 
-    fig = build_transition(NoiseSpec("symmetric", 0.4, 6))
+    fig = noise_from_selector("sym:0.4", 6)
     target = np.full((6, 6), 0.08)
     np.fill_diagonal(target, 0.6)
     exact = np.array_equal(fig, target)

@@ -9,11 +9,12 @@ from losslearn.datasets import (
     Dataset,
     dataset_from_selector,
     load_idx,
+    noisy_split,
     split,
     synth_blobs,
     synth_rings,
 )
-from losslearn.noise import NoiseSpec, noise_from_selector
+from losslearn.noise import noise_from_selector
 from losslearn.seeding import label_checksum
 
 
@@ -199,7 +200,7 @@ def test_split_no_noise_keeps_labels():
 
 def test_split_noise_flips_expected_fraction():
     ds = synth_blobs(10, 1000, spread=0.5, seed=2)
-    noise = NoiseSpec("symmetric", 0.8, 10)
+    noise = noise_from_selector("sym:0.8", 10)
     sp = split(ds, val_fraction=0.2, noise=noise, seed=7)
     n = len(sp.train_labels)
     observed = float(np.mean(sp.train_labels != ds.labels[sp.train_indices]))
@@ -210,7 +211,7 @@ def test_split_noise_flips_expected_fraction():
 
 def test_split_val_labels_stay_clean():
     ds = synth_blobs(4, 100, seed=3)
-    noise = NoiseSpec("symmetric", 0.9, 4)
+    noise = noise_from_selector("sym:0.9", 4)
     sp = split(ds, val_fraction=0.3, noise=noise, seed=11)
     np.testing.assert_array_equal(sp.val_labels, ds.labels[sp.val_indices])
     assert sp.provenance["val_label_checksum"] == label_checksum(
@@ -220,13 +221,39 @@ def test_split_val_labels_stay_clean():
 
 def test_split_deterministic():
     ds = synth_blobs(3, 60, seed=4)
-    noise = NoiseSpec("asymmetric", 0.4, 3)
+    noise = noise_from_selector("asym:0.4", 3)
     a = split(ds, val_fraction=0.2, noise=noise, seed=13)
     b = split(ds, val_fraction=0.2, noise=noise, seed=13)
     np.testing.assert_array_equal(a.train_indices, b.train_indices)
     np.testing.assert_array_equal(a.train_labels, b.train_labels)
     c = split(ds, val_fraction=0.2, noise=noise, seed=14)
     assert not np.array_equal(a.train_labels, c.train_labels)
+
+
+@pytest.mark.parametrize(
+    "dataset_sel, noise_sel, pairing, checksum, flip_fraction",
+    [
+        ("blobs:3:40:0.5", "sym:0.4", None,
+         "5608d7d7cd41187259807a46527a38de9866cacc063ed1189f97c594c37aec70", 0.37777777777777777),
+        ("blobs:3:40:0.5", "asym:0.3", None,
+         "da5707c731114de983fff3c0fa119676f03448be82ac70d634c8541932633f61", 0.25555555555555554),
+        ("blobs:3:40:0.5", "asym:0.3", [2, 0, 1],
+         "048b71518ce47adad50f269c987cd353cca481829a30a4e7cf1fed453f054121", 0.32222222222222224),
+        ("blobs:10:20:0.5", "sym:0.4", None,
+         "48731976dde56956c75686319dbc85fcf26f1ae2b03b54b4de16ec93246f4372", 0.3466666666666667),
+        ("blobs:10:20:0.5", "asym:0.3", None,
+         "a12a4ec09ac6ef6a5913ce415bfe9f7d2511febd6e32ed2309be711e380fb994", 0.2733333333333333),
+    ],
+    ids=["sym-3", "asym-3", "asym-3-paired", "sym-10", "asym-10"],
+)
+def test_noisy_split_label_bits_are_pinned(dataset_sel, noise_sel, pairing, checksum,
+                                           flip_fraction):
+    # the noisy training labels of each noise kind, a pairing included: a
+    # change to how noise is represented must keep these bits
+    sp = noisy_split(dataset_sel, noise_sel, data_seed=1, split_seed=2, val_fraction=0.25,
+                     pairing=pairing)
+    assert label_checksum(sp.train_labels) == checksum
+    assert sp.provenance["flip_fraction"] == flip_fraction
 
 
 def test_split_rejects_tiny_class():
@@ -250,9 +277,18 @@ def test_split_rejects_an_empty_part(val_fraction, part):
 
 
 def test_split_checks_the_pairing_at_ratio_zero():
+    # asym:0 flips no label, but a pairing that maps a class to itself is wrong all the same
+    np.testing.assert_array_equal(noise_from_selector("asym:0.0", 3, pairing=[2, 0, 1]), np.eye(3))
+    with pytest.raises(ValueError, match="^pairing may not map a class to itself$"):
+        noisy_split("blobs:3:10:0.5", "asym:0.0", data_seed=0, split_seed=0, val_fraction=0.2,
+                    pairing=[0, 2, 1])
+
+
+def test_split_rejects_a_noise_matrix_of_another_class_count():
     ds = synth_blobs(3, 10, seed=0)
-    with pytest.raises(ValueError, match="itself"):
-        split(ds, noise=NoiseSpec("asymmetric", 0.0, 3), pairing=[0, 2, 1])
+    message = r"^noise matrix has shape \(4, 4\), blobs:3:10:0.5 needs \(3, 3\)$"
+    with pytest.raises(ValueError, match=message):
+        split(ds, noise=noise_from_selector("sym:0.2", 4))
 
 
 def test_dataset_validation():
@@ -354,10 +390,12 @@ def test_dataset_selector_errors(tiny_idx):
 
 
 def test_noise_selector():
-    spec = noise_from_selector("sym:0.4", num_classes=6)
-    assert spec == NoiseSpec("symmetric", 0.4, 6)
-    spec = noise_from_selector("asym:0.2", num_classes=3)
-    assert spec.kind == "asymmetric"
-    assert noise_from_selector("none", num_classes=5) is None
-    with pytest.raises(ValueError, match="noise selector"):
+    sym = np.full((6, 6), 0.08)
+    np.fill_diagonal(sym, 0.6)
+    np.testing.assert_array_equal(noise_from_selector("sym:0.4", num_classes=6), sym)
+    np.testing.assert_array_equal(noise_from_selector("asym:0.2", num_classes=3),
+                                  [[0.8, 0.2, 0.0], [0.0, 0.8, 0.2], [0.2, 0.0, 0.8]])
+    np.testing.assert_array_equal(noise_from_selector("none", num_classes=5), np.eye(5))
+    message = r"^bad noise selector 'gauss:0.1' \(use sym:<r>, asym:<r>, none\)$"
+    with pytest.raises(ValueError, match=message):
         noise_from_selector("gauss:0.1", num_classes=3)

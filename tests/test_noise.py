@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from losslearn.noise import NoiseSpec, build_transition, check_transition, corrupt
+from losslearn.noise import check_transition, corrupt, noise_from_selector
+
+SELECTOR = {"symmetric": "sym", "asymmetric": "asym"}
 
 
 def empirical_row(transition, true_class, n, seed):
@@ -16,7 +18,7 @@ def empirical_row(transition, true_class, n, seed):
 
 
 def test_symmetric_matrix_values():
-    t = build_transition(NoiseSpec("symmetric", 0.4, 6))
+    t = noise_from_selector("sym:0.4", 6)
     assert t.shape == (6, 6)
     np.testing.assert_allclose(np.diag(t), 0.6, atol=1e-15)
     off = t[~np.eye(6, dtype=bool)]
@@ -24,13 +26,13 @@ def test_symmetric_matrix_values():
 
 
 def test_zero_ratio_is_identity():
-    for kind in ("symmetric", "asymmetric"):
-        t = build_transition(NoiseSpec(kind, 0.0, 5))
+    for kind in ("sym", "asym"):
+        t = noise_from_selector(f"{kind}:0.0", 5)
         np.testing.assert_array_equal(t, np.eye(5))
 
 
 def test_asymmetric_cyclic_rows():
-    t = build_transition(NoiseSpec("asymmetric", 0.4, 3))
+    t = noise_from_selector("asym:0.4", 3)
     expected = np.array(
         [
             [0.6, 0.4, 0.0],
@@ -42,7 +44,7 @@ def test_asymmetric_cyclic_rows():
 
 
 def test_custom_pairing():
-    t = build_transition(NoiseSpec("asymmetric", 0.2, 4), pairing=[1, 0, 3, 2])
+    t = noise_from_selector("asym:0.2", 4, pairing=[1, 0, 3, 2])
     assert t[0, 1] == pytest.approx(0.2)
     assert t[1, 0] == pytest.approx(0.2)
     assert t[2, 3] == pytest.approx(0.2)
@@ -51,28 +53,27 @@ def test_custom_pairing():
 
 
 def test_pairing_validation():
-    spec = NoiseSpec("asymmetric", 0.2, 3)
     with pytest.raises(ValueError, match="permutation"):
-        build_transition(spec, pairing=[1, 1, 0])
+        noise_from_selector("asym:0.2", 3, pairing=[1, 1, 0])
     with pytest.raises(ValueError, match="itself"):
-        build_transition(spec, pairing=[0, 2, 1])
+        noise_from_selector("asym:0.2", 3, pairing=[0, 2, 1])
     with pytest.raises(ValueError, match="exactly 3"):
-        build_transition(spec, pairing=[1, 0])
+        noise_from_selector("asym:0.2", 3, pairing=[1, 0])
     # a float or bool entry is no class index, even where it would truncate to one
     for bad in ([1.5, 2, 0], [True, 2, 0], [1, 2, np.float64(0.0)]):
         with pytest.raises(ValueError, match="integer classes"):
-            build_transition(spec, pairing=bad)
+            noise_from_selector("asym:0.2", 3, pairing=bad)
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError, match="kind"):
-        NoiseSpec("salt", 0.1, 3)
+    with pytest.raises(ValueError, match="bad noise selector"):
+        noise_from_selector("salt:0.1", 3)
     with pytest.raises(ValueError, match="ratio"):
-        NoiseSpec("symmetric", 1.0, 3)
+        noise_from_selector("sym:1.0", 3)
     with pytest.raises(ValueError, match="ratio"):
-        NoiseSpec("symmetric", -0.1, 3)
+        noise_from_selector("sym:-0.1", 3)
     with pytest.raises(ValueError, match="classes"):
-        NoiseSpec("symmetric", 0.1, 1)
+        noise_from_selector("sym:0.1", 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -82,7 +83,7 @@ def test_spec_validation():
     st.integers(2, 12),
 )
 def test_rows_are_stochastic(kind, ratio, num_classes):
-    t = build_transition(NoiseSpec(kind, ratio, num_classes))
+    t = noise_from_selector(f"{SELECTOR[kind]}:{ratio}", num_classes)
     assert np.all(t >= 0)
     np.testing.assert_allclose(t.sum(axis=1), 1.0, atol=1e-9)
     np.testing.assert_allclose(np.diag(t), 1.0 - ratio, atol=1e-12)
@@ -97,7 +98,7 @@ def test_identity_corruption_is_noop():
 
 def test_corrupt_leaves_input_untouched():
     labels = np.zeros(100, dtype=np.int64)
-    t = build_transition(NoiseSpec("symmetric", 0.9, 4))
+    t = noise_from_selector("sym:0.9", 4)
     backup = labels.copy()
     corrupt(labels, t, seed=1)
     np.testing.assert_array_equal(labels, backup)
@@ -105,7 +106,7 @@ def test_corrupt_leaves_input_untouched():
 
 def test_corrupt_deterministic():
     labels = np.arange(1000) % 6
-    t = build_transition(NoiseSpec("symmetric", 0.4, 6))
+    t = noise_from_selector("sym:0.4", 6)
     a, fa = corrupt(labels, t, seed=77)
     b, fb = corrupt(labels, t, seed=77)
     np.testing.assert_array_equal(a, b)
@@ -115,7 +116,7 @@ def test_corrupt_deterministic():
 
 
 def test_empirical_row_symmetric():
-    t = build_transition(NoiseSpec("symmetric", 0.4, 6))
+    t = noise_from_selector("sym:0.4", 6)
     freq = empirical_row(t, true_class=0, n=100_000, seed=5)
     expected = np.array([0.6, 0.08, 0.08, 0.08, 0.08, 0.08])
     assert np.max(np.abs(freq - expected)) < 0.01
@@ -132,7 +133,7 @@ def test_empirical_row_symmetric():
 )
 def test_empirical_matrix_converges(kind, ratio, num_classes):
     n = 40_000
-    t = build_transition(NoiseSpec(kind, ratio, num_classes))
+    t = noise_from_selector(f"{SELECTOR[kind]}:{ratio}", num_classes)
     tol = 5 * np.sqrt(0.25 / n)
     for i in range(num_classes):
         freq = empirical_row(t, i, n, seed=1000 + i)
@@ -142,7 +143,7 @@ def test_empirical_matrix_converges(kind, ratio, num_classes):
 def test_flip_fraction_matches_ratio():
     n = 50_000
     ratio = 0.4
-    t = build_transition(NoiseSpec("symmetric", ratio, 6))
+    t = noise_from_selector(f"sym:{ratio}", 6)
     labels = np.arange(n) % 6
     _, flipped = corrupt(labels, t, seed=9)
     std = np.sqrt(ratio * (1 - ratio) / n)

@@ -378,15 +378,16 @@ def test_indexed_without_values_gives_the_same_gradients(loss, num_classes, n, s
 )
 def test_label_rows_take_one_indexed_call(loss, monkeypatch):
     # however many classes carry weight, a batch of label rows is one indexed
-    # call over its weighted label entries
+    # call over its weighted label entries, asking for values only for batch_value
     calls, indexed = [], type(loss).indexed
     monkeypatch.setattr(
         type(loss), "indexed", lambda self, *args: calls.append(args) or indexed(self, *args)
     )
     rng, yhat = predictions(3, 9, 5)
     for rows in (np.eye(5)[rng.integers(0, 5, 9)], rng.dirichlet(np.ones(5), 9)):
-        for method in (loss.batch_value, loss.batch_grad):
+        for method, values in ((loss.batch_value, True), (loss.batch_grad, False)):
             calls.clear()
             method(yhat, rows)
             assert len(calls) == 1
             assert len(calls[0][1]) == np.count_nonzero(rows)
+            assert calls[0][2] is values

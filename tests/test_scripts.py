@@ -66,7 +66,7 @@ def test_artifact_digests_repeat_exactly(monkeypatch, tmp_path):
     files = [line.split("  ", 1)[1] for line in first if not line.startswith(printed)]
     assert {"ar/checkpoint_gen_4.json", "full/fitness_gen_2.csv", "idx/checkpoint_gen_2.json",
             "grid/results.csv", "train_cnn.csv", "inspect_normalized.csv",
-            "noise.csv"} <= set(files)
+            "noise.csv", "noise_sym.csv", "train_pairing.csv"} <= set(files)
     trains = [line.split(": ") for line in first if line.startswith("stdout of")]
     assert [label for label, _ in trains] == [
         "stdout of train --arch mlp:16 --curve-out train_mlp.csv",
@@ -74,6 +74,8 @@ def test_artifact_digests_repeat_exactly(monkeypatch, tmp_path):
         "stdout of train --arch mlp:16",
         "stdout of train --arch mlp:16 --loss sce --dataset idx:inputs/images.idx:inputs/labels.idx"
         " --noise sym:0.2 --epochs 2 --seed 3 --curve-out train_sce.csv",
+        "stdout of train --arch mlp:16 --loss ce --dataset blobs:3:40:0.5 --noise asym:0.3"
+        " --pairing inputs/pairing.json --epochs 3 --seed 3 --curve-out train_pairing.csv",
     ]
     assert trains[0][1] == trains[2][1]  # a curve does not change the training
     ranks = [line for line in first if line.startswith("stderr of")]
