@@ -19,9 +19,11 @@ The commands:
   C = 10 cell, 2 seeds;
 - train with that best_loss.json: --arch mlp:16 and --arch cnn, each with
   --curve-out, and --arch mlp:16 without it, on a tiny IDX pair this script
-  writes; train --arch mlp:16 --loss sce with --curve-out, whose steps
-  ask a reference loss for its values; and train --loss ce with
-  --noise asym:0.3 and a --pairing file, on a C = 3 blobs set;
+  writes; train --arch cnn with --curve-out for 1 epoch on a 28 x 28 IDX
+  pair of 64 images, so the convolutions run at the CNN's real shapes
+  (24 x 24 x 32 and 8 x 8 x 64); train --arch mlp:16 --loss sce with
+  --curve-out, whose steps ask a reference loss for its values; and train
+  --loss ce with --noise asym:0.3 and a --pairing file, on a C = 3 blobs set;
 - inspect-loss on a raw and on a normalized polynomial loss;
 - make-noise-matrix asym:0.3 over 4 classes and sym:0.4 over 7.
 
@@ -59,6 +61,7 @@ FULL_CONFIG = {
     "eta": 8.0,
 }
 IDX = "idx:inputs/images.idx:inputs/labels.idx"
+CNN_IDX = "idx:inputs/cnn_images.idx:inputs/cnn_labels.idx"
 IDX_CONFIG = {
     "mode": "AR",
     "architectures": ["mlp:8", "linear"],
@@ -85,8 +88,23 @@ GRID = {
 PAIRING = [2, 0, 1]
 
 
+def write_idx(prefix, side, classes, per_class, rng):
+    """inputs/<prefix>images.idx and <prefix>labels.idx: side x side images of
+    classes x per_class examples, a bright band per class."""
+    labels = np.repeat(np.arange(classes, dtype=np.uint8), per_class)
+    images = rng.integers(0, 128, (len(labels), side, side))
+    band = side // classes
+    for k in range(classes):
+        images[labels == k, band * k : band * (k + 1), :] += 120
+    with open(f"inputs/{prefix}images.idx", "wb") as out:
+        out.write(struct.pack(">IIII", 2051, *images.shape) + images.astype(np.uint8).tobytes())
+    with open(f"inputs/{prefix}labels.idx", "wb") as out:
+        out.write(struct.pack(">II", 2049, len(labels)) + labels.tobytes())
+
+
 def write_inputs():
-    """The configs, a pairing, a raw loss file and a 16 x 16 IDX pair of 3 classes, in inputs/."""
+    """The configs, a pairing, a raw loss file, a 16 x 16 IDX pair of 3 classes
+    and a 28 x 28 one of 4 classes, in inputs/."""
     Path("inputs").mkdir()
     Path("inputs/ar.json").write_text(json.dumps({**acc.SEARCH_CONFIG, "max_generations": 4}))
     Path("inputs/full.json").write_text(json.dumps(FULL_CONFIG))
@@ -95,14 +113,8 @@ def write_inputs():
     Path("inputs/pairing.json").write_text(json.dumps(PAIRING))
     save_loss(mse_embedding(), "inputs/raw_loss.json")
     rng = np.random.default_rng(0)
-    labels = np.repeat(np.arange(3, dtype=np.uint8), 20)
-    images = rng.integers(0, 128, (len(labels), 16, 16))
-    for k in range(3):  # a bright band per class
-        images[labels == k, 5 * k : 5 * k + 5, :] += 120
-    with open("inputs/images.idx", "wb") as out:
-        out.write(struct.pack(">IIII", 2051, *images.shape) + images.astype(np.uint8).tobytes())
-    with open("inputs/labels.idx", "wb") as out:
-        out.write(struct.pack(">II", 2049, len(labels)) + labels.tobytes())
+    write_idx("", 16, 3, 20, rng)
+    write_idx("cnn_", 28, 4, 16, rng)
 
 
 def commands():
@@ -116,6 +128,8 @@ def commands():
         [*train, "--arch", "mlp:16", "--curve-out", "train_mlp.csv"],
         [*train, "--arch", "cnn", "--curve-out", "train_cnn.csv"],
         [*train, "--arch", "mlp:16"],
+        ["train", "--loss", "ar/best_loss.json", "--dataset", CNN_IDX, "--noise", "sym:0.2",
+         "--seed", "3", "--arch", "cnn", "--epochs", "1", "--curve-out", "train_cnn28.csv"],
         ["train", "--arch", "mlp:16", "--loss", "sce", *job, "--curve-out", "train_sce.csv"],
         ["train", "--arch", "mlp:16", "--loss", "ce", "--dataset", "blobs:3:40:0.5",
          "--noise", "asym:0.3", "--pairing", "inputs/pairing.json", "--epochs", "3",

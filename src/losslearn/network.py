@@ -1,7 +1,7 @@
 """Small feed-forward network engine with a pluggable differentiable loss.
 
 Dense and valid-convolution layers, ReLU, non-overlapping max pooling, a
-softmax head, and mini-batch SGD with momentum. Everything is float64 numpy.
+softmax head, and momentum SGD updated in column blocks. All float64 numpy.
 A shape is a tuple: (d,) for flat rows, (H, W, ch) for images; a network takes
 rows of exactly its input shape, and a dense one on images starts with Flatten.
 
@@ -121,7 +121,7 @@ class ReLU(_Layer):
 
 @dataclass(frozen=True)
 class Conv2D(_Layer):
-    """Valid convolution by im2col: one matmul over all k x k windows."""
+    """Valid convolution: forward by im2col, one matmul; backward one product per kernel tap."""
 
     in_ch: int
     out_ch: int
@@ -157,20 +157,23 @@ class Conv2D(_Layer):
     def param_grad(self, grads, cache, dy):
         _, cols = cache
         dy_flat = dy.reshape(dy.shape[:-4] + (-1, self.out_ch))
-        grads["w"][...] = (cols.swapaxes(-1, -2) @ dy_flat).reshape(grads["w"].shape)
+        if cols.shape[-1] > self.out_ch:  # faster for a tall dw; conv2's bits stay colsᵀ @ dy's
+            dw = (dy_flat.swapaxes(-1, -2) @ cols).swapaxes(-1, -2)
+        else:  # conv1 (K = 25): slower transposed, and an odd K changes bits on some BLAS kernels
+            dw = cols.swapaxes(-1, -2) @ dy_flat
+        grads["w"][...] = dw.reshape(grads["w"].shape)
         np.add.reduce(dy_flat, axis=-2, out=grads["b"])
 
     def input_grad(self, params, cache, dy, buf):
-        k = self.kernel
         x_shape, _ = cache
         *lead, n, oh, ow, _ = dy.shape
         dy_flat = dy.reshape(tuple(lead) + (-1, self.out_ch))
-        dcols = dy_flat @ self._wmat(params).swapaxes(-1, -2)
-        dcols = dcols.reshape(tuple(lead) + (n, oh, ow, k, k, -1))
+        tap = _buffer(buf, "tap", dy_flat.shape[:-1] + (self.in_ch,))
         dx = np.zeros(x_shape)
-        for i in range(k):
-            for j in range(k):
-                dx[..., i : i + oh, j : j + ow, :] += dcols[..., i, j, :]
+        for i in range(self.kernel):
+            for j in range(self.kernel):
+                np.matmul(dy_flat, params["w"][..., i, j, :, :].swapaxes(-1, -2), out=tap)
+                dx[..., i : i + oh, j : j + ow, :] += tap.reshape(tuple(lead) + (n, oh, ow, -1))
         return dx
 
 
@@ -274,8 +277,8 @@ class Network:
     """Mutable parameter state of a stack of m networks; one network is m = 1.
 
     theta, momentum and the one gradient buffer are (m, P). They are only
-    ever updated in place, so the cached per-layer views of theta and of the
-    gradient stay valid. Not thread-shared.
+    ever updated in place, so the cached views (each layer's of theta and of
+    the gradient, the SGD update's column blocks) stay valid. Not thread-shared.
     """
 
     def __init__(self, spec, members=1):
@@ -288,6 +291,8 @@ class Network:
         self.theta, self.momentum, self._grad = theta, momentum, grad
         self._theta_views = self._views(theta)
         self._grad_views = self._views(grad)
+        cols = [slice(s, s + SGD_BLOCK) for s in range(0, theta.shape[-1], SGD_BLOCK)]
+        self._blocks = [(theta[:, c], momentum[:, c], grad[:, c]) for c in cols]
 
     @property
     def num_parameters(self):
@@ -408,6 +413,7 @@ class TrainConfig:
 
 
 VALIDATION_BUDGET = 2**20  # 8 MiB of float64
+SGD_BLOCK = 2**15  # parameter columns per SGD update pass
 
 
 def accuracy(net, features, labels):
@@ -477,10 +483,11 @@ def _sgd_step(net, loss_call, xb, yb, cfg, bufs, values):
     loss_values, grads = loss_call(probs, yb, values)
     grads /= len(xb)  # objective is the batch mean, so scale per-sample gradients
     grad = net._gradient(cache, grads, bufs)
-    net.momentum *= cfg.momentum
-    net.momentum += grad
-    # the gradient is spent, so its buffer takes the step instead of a new array
-    net.theta -= np.multiply(cfg.learning_rate, net.momentum, out=grad)
+    for theta, momentum, g in net._blocks:  # column blocks, each updated while in cache
+        momentum *= cfg.momentum
+        momentum += g
+        # the gradient is spent, so its buffer takes the step instead of a new array
+        theta -= np.multiply(cfg.learning_rate, momentum, out=g)
     return loss_values.sum(axis=-1) if values else None
 
 
@@ -577,10 +584,11 @@ def mlp_spec(input_dim, hidden, num_classes):
 
 
 def cnn_spec(side, num_classes, in_ch=1):
-    """Two 5x5 conv blocks with 2x2 pooling, then a 1024-wide dense layer."""
+    """Two 5x5 conv blocks with 2x2 pooling, then a 1024-wide dense layer. A block pools
+    before its ReLU: max pooling commutes with ReLU, bit for bit, and the ReLU does a quarter."""
     h = ((side - 4) // 2 - 4) // 2  # each block: a valid 5x5 conv, then 2x2 pooling
     layers = (
-        Conv2D(in_ch, 32, 5), ReLU(), MaxPool(2), Conv2D(32, 64, 5), ReLU(), MaxPool(2),
+        Conv2D(in_ch, 32, 5), MaxPool(2), ReLU(), Conv2D(32, 64, 5), MaxPool(2), ReLU(),
         Flatten(), Dense(h * h * 64, 1024), ReLU(), Dense(1024, num_classes),
     )
     return NetworkSpec(layers, (side, side, in_ch), num_classes)

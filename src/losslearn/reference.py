@@ -47,22 +47,22 @@ class _Loss:
     """Label-row and scalar wrappers over the indexed call of every loss."""
 
     def batch_value(self, yhat, y):
-        return self._mix(yhat, y)[0]
+        return self._mix(yhat, y, values=True)
 
     def batch_grad(self, yhat, y):
-        return self._mix(yhat, y, values=False)[1]
+        return self._mix(yhat, y, values=False)
 
-    def _mix(self, yhat, y, values=True):
+    def _mix(self, yhat, y, values):
         yhat, y = _as_batch(yhat, y)
         rows, labels = np.nonzero(y)  # the weighted entries, each row's in class order
         weights = y[rows, labels]
         value, grad = self.indexed(yhat[rows], labels, values)
-        out, grads = np.zeros(len(yhat)), np.zeros(yhat.shape)
-        # add.at adds in entry order, so each row sums its classes in order
         if values:
-            np.add.at(out, rows, weights * value)
-        np.add.at(grads, rows, weights[:, None] * grad)
-        return out, grads
+            out, entries = np.zeros(len(yhat)), weights * value
+        else:
+            out, entries = np.zeros(yhat.shape), weights[:, None] * grad
+        np.add.at(out, rows, entries)  # in entry order, so each row sums its classes in order
+        return out
 
     def value(self, yhat, y):
         return float(self.batch_value(*_one_row(yhat, y))[0])

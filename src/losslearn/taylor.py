@@ -79,23 +79,24 @@ class _Polynomial(_Loss):
 
     def indexed(self, yhat, labels, values=True):
         """(n,) values (None if not values) and (n, C) gradients on label indices:
-        a population of one, whose call is built once; the gradients are a fresh copy."""
-        out, grads = self._call(yhat[None], labels, values)
-        return None if out is None else out[0], grads[0].copy()
+        a population of one, whose call is built once and gives fresh gradients."""
+        out, grads = self._call(yhat[None], labels, values, np.empty((1,) + yhat.shape))
+        return None if out is None else out[0], grads[0]
 
     @staticmethod
     def stacked(losses):
         """One call for a population of polynomial losses, raw or normalized, of one order.
 
-        Returns a function of (m, n, C) predictions, (n,) label indices and
-        whether values are wanted (default True), giving (m, n) values, or
-        None when they are not, and (m, n, C) gradients, member k under loss
-        k, bit for bit what batch_value and batch_grad give slice by slice on
-        the one-hot label rows; None for any other population. Without values
-        the call skips their polynomial pass, class mean and affine; the
-        gradients are the same bits either way. Each member's offset and scale
-        come from its affine at the C of yhat. The function keeps its
-        (m, n, C) arrays, so the next call overwrites the gradients.
+        Returns a function of (m, n, C) predictions, (n,) label indices,
+        whether values are wanted (default True) and an optional gradient
+        array, giving (m, n) values, or None when they are not, and (m, n, C)
+        gradients, member k under loss k, bit for bit what batch_value and
+        batch_grad give slice by slice on the one-hot label rows; None for any
+        other population. Without values the call skips their polynomial
+        pass, class mean and affine; the gradients are the same bits either
+        way. Each member's offset and scale come from its affine at the C of
+        yhat. The function keeps its (m, n, C) arrays, so the next call
+        overwrites the gradients, unless they went into a given array.
         """
         polys = [l.inner if isinstance(l, NormalizedLoss) else l for l in losses]
         if not all(isinstance(p, TaylorLossParams) and p.order == polys[0].order for p in polys):
@@ -107,12 +108,13 @@ class _Polynomial(_Loss):
         g1, dg1 = g1[..., 0], dg1[..., 0]  # (power, member, 1): against (m, n) label entries
         work, scales = {}, {}  # per batch length: d, value terms, gradients; per C: (m, 1) arrays
 
-        def value_and_grad(yhat, labels, values=True):
+        def value_and_grad(yhat, labels, values=True, grads=None):
             c = yhat.shape[-1]
             if c not in scales:
                 scales[c] = np.array([l.affine(c) for l in losses]).T[:, :, None]
             offset, scale = scales[c]
-            d, terms, grads = _buffer(work, yhat.shape, (3,) + yhat.shape)
+            d, terms, kept = _buffer(work, yhat.shape, (3,) + yhat.shape)
+            grads = kept if grads is None else grads
             np.subtract(yhat, theta0, out=d)
             means = None
             if values:

@@ -15,6 +15,7 @@ from losslearn.network import (
     Dense,
     Flatten,
     MaxPool,
+    SGD_BLOCK,
     NetworkSpec,
     ReLU,
     TrainConfig,
@@ -27,6 +28,8 @@ from losslearn.network import (
     train,
     _buffer,
     _class_fold,
+    _loss_call,
+    _sgd_step,
     _softmax,
 )
 from losslearn.reference import (
@@ -225,6 +228,104 @@ def test_conv_matches_loop_oracle():
                     oracle[n, i, j, o] = acc + b[o]
     out, _ = spec.layers[0].forward(net._views(net.theta[0])[0], x, {})
     np.testing.assert_allclose(out, oracle, atol=1e-12)
+
+
+def conv_grad_oracle(conv, w, x, dy):
+    """dL/dw, dL/db and dL/dx of one member, summed window by window over the
+    output positions: (n, H, W, in_ch) x and (n, oh, ow, out_ch) dy."""
+    k = conv.kernel
+    dw, dx = np.zeros(w.shape), np.zeros(x.shape)
+    for p in range(dy.shape[1]):
+        for q in range(dy.shape[2]):
+            window = x[:, p : p + k, q : q + k, :]
+            dw += np.einsum("nijc,no->ijco", window, dy[:, p, q])
+            dx[:, p : p + k, q : q + k, :] += np.einsum("no,ijco->nijc", dy[:, p, q], w)
+    return dw, dy.sum(axis=(0, 1, 2)), dx
+
+
+@pytest.mark.parametrize("members", [1, 3])
+@pytest.mark.parametrize("conv, side, shared", [
+    # the CNN's conv1, as the first layer on the batch the stack shares (no
+    # input gradient is asked of it there) and on each member's own input
+    (Conv2D(1, 32, 5), 28, True),
+    (Conv2D(1, 32, 5), 28, False),
+    (Conv2D(32, 64, 5), 12, False),  # its conv2
+])
+def test_conv_gradients_match_loop_oracle_at_the_cnn_shapes(conv, side, shared, members):
+    rng = np.random.default_rng(31)
+    k, n, out = conv.kernel, 2, side - conv.kernel + 1
+    params = {"w": rng.normal(0, 0.1, (members, k, k, conv.in_ch, conv.out_ch)),
+              "b": rng.normal(0, 0.1, (members, conv.out_ch))}
+    lead = () if shared else (members,)
+    x = rng.normal(0, 1, lead + (n, side, side, conv.in_ch))
+    dy = rng.normal(0, 1, (members, n, out, out, conv.out_ch))
+    _, cache = conv.forward(params, x, {})
+    grads = {name: np.empty(a.shape) for name, a in params.items()}
+    conv.param_grad(grads, cache, dy)
+    dx = None if shared else conv.input_grad(params, cache, dy, {})
+    for m in range(members):
+        own_x = x if shared else x[m]
+        want_w, want_b, want_x = conv_grad_oracle(conv, params["w"][m], own_x, dy[m])
+        np.testing.assert_allclose(grads["w"][m], want_w, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(grads["b"][m], want_b, rtol=1e-10, atol=1e-10)
+        if dx is not None:
+            np.testing.assert_allclose(dx[m], want_x, rtol=1e-10, atol=1e-10)
+
+
+def test_cnn_pool_before_relu_is_bit_identical_to_relu_before_pool():
+    # max pooling commutes with ReLU, ties and all-negative tiles included:
+    # flat patches give tied conv outputs, negative ones on about half the channels
+    spec = cnn_spec(28, 10)
+    layers = list(spec.layers)
+    assert [type(layer) for layer in layers[:6]] == [Conv2D, MaxPool, ReLU] * 2
+    layers[1:3], layers[4:6] = layers[2:0:-1], layers[5:3:-1]
+    relu_first = NetworkSpec(tuple(layers), spec.input_shape, spec.num_classes)
+    rng = np.random.default_rng(32)
+    x = rng.random((6, 28, 28, 1))
+    x[:3, :14, :14] = 0.5  # a flat quarter
+    x[3:, 10:26, 4:20] = 0.0  # a dark square
+    nets = [init(s, seed=33, members=2) for s in (spec, relu_first)]
+    offset = rng.normal(0, 0.01, nets[0].num_parameters)  # the second member apart
+    probs, grads = [], []
+    for net in nets:
+        net.theta[1] += offset
+        for views in net._theta_views:
+            if "b" in views:
+                b = views["b"]
+                b[...] = np.linspace(-0.05, 0.05, b.size).reshape(b.shape)
+        p, cache = net._forward_cache(x, [{} for _ in net.spec.layers])
+        dprobs = np.random.default_rng(34).normal(0, 1, p.shape)
+        probs.append(p.copy())
+        grads.append(net._gradient(cache, dprobs, [{} for _ in net.spec.layers]).copy())
+    conv1, _ = spec.layers[0].forward(nets[0]._theta_views[0], x, {})
+    tiles = conv1.reshape(2, 6, 12, 2, 12, 2, 32).transpose(0, 1, 2, 4, 6, 3, 5).reshape(-1, 4)
+    assert (tiles.max(axis=1) < 0).sum() > 1000  # all-negative tiles
+    assert ((tiles == tiles.max(axis=1, keepdims=True)).sum(axis=1) > 1).sum() > 1000  # ties
+    assert np.array_equal(probs[0], probs[1])
+    assert np.array_equal(grads[0], grads[1])
+    assert np.array_equal(np.signbit(grads[0]), np.signbit(grads[1]))
+
+
+def test_blocked_sgd_update_equals_the_whole_vector_formula():
+    spec = arch_from_selector("mlp:200", (200,), 3)
+    rng = np.random.default_rng(35)
+    x, y = rng.normal(0, 1, (16, 200)), rng.integers(0, 3, 16)
+    cfg = TrainConfig(learning_rate=0.05, momentum=0.9)
+    blocked, whole = init(spec, seed=36, members=2), init(spec, seed=36, members=2)
+    assert blocked.num_parameters > SGD_BLOCK  # a full block and a partial one
+    losses = [CrossEntropy(), MeanAbsoluteError()]
+    call, bufs = _loss_call(losses), [{} for _ in spec.layers]
+    for _ in range(3):
+        _sgd_step(blocked, call, x, y, cfg, bufs, False)
+        probs, cache = whole._forward_cache(x, [{} for _ in spec.layers])
+        _, dprobs = call(probs, y, False)
+        dprobs /= len(x)
+        grad = whole._gradient(cache, dprobs, [{} for _ in spec.layers])
+        whole.momentum *= cfg.momentum
+        whole.momentum += grad
+        whole.theta -= cfg.learning_rate * whole.momentum
+        assert np.array_equal(blocked.momentum, whole.momentum)
+        assert np.array_equal(blocked.theta, whole.theta)
 
 
 def test_pool_matches_loop_oracle():

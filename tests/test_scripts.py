@@ -65,13 +65,14 @@ def test_artifact_digests_repeat_exactly(monkeypatch, tmp_path):
     printed = ("stdout of", "stderr of")
     files = [line.split("  ", 1)[1] for line in first if not line.startswith(printed)]
     assert {"ar/checkpoint_gen_4.json", "full/fitness_gen_2.csv", "idx/checkpoint_gen_2.json",
-            "grid/results.csv", "train_cnn.csv", "inspect_normalized.csv",
+            "grid/results.csv", "train_cnn.csv", "train_cnn28.csv", "inspect_normalized.csv",
             "noise.csv", "noise_sym.csv", "train_pairing.csv"} <= set(files)
     trains = [line.split(": ") for line in first if line.startswith("stdout of")]
     assert [label for label, _ in trains] == [
         "stdout of train --arch mlp:16 --curve-out train_mlp.csv",
         "stdout of train --arch cnn --curve-out train_cnn.csv",
         "stdout of train --arch mlp:16",
+        "stdout of train --arch cnn --epochs 1 --curve-out train_cnn28.csv",
         "stdout of train --arch mlp:16 --loss sce --dataset idx:inputs/images.idx:inputs/labels.idx"
         " --noise sym:0.2 --epochs 2 --seed 3 --curve-out train_sce.csv",
         "stdout of train --arch mlp:16 --loss ce --dataset blobs:3:40:0.5 --noise asym:0.3"
