@@ -157,11 +157,7 @@ class Conv2D(_Layer):
     def param_grad(self, grads, cache, dy):
         _, cols = cache
         dy_flat = dy.reshape(dy.shape[:-4] + (-1, self.out_ch))
-        if cols.shape[-1] > self.out_ch:  # faster for a tall dw; conv2's bits stay colsᵀ @ dy's
-            dw = (dy_flat.swapaxes(-1, -2) @ cols).swapaxes(-1, -2)
-        else:  # conv1 (K = 25): slower transposed, and an odd K changes bits on some BLAS kernels
-            dw = cols.swapaxes(-1, -2) @ dy_flat
-        grads["w"][...] = dw.reshape(grads["w"].shape)
+        grads["w"][...] = (cols.swapaxes(-1, -2) @ dy_flat).reshape(grads["w"].shape)
         np.add.reduce(dy_flat, axis=-2, out=grads["b"])
 
     def input_grad(self, params, cache, dy, buf):
@@ -277,8 +273,8 @@ class Network:
     """Mutable parameter state of a stack of m networks; one network is m = 1.
 
     theta, momentum and the one gradient buffer are (m, P). They are only
-    ever updated in place, so the cached views (each layer's of theta and of
-    the gradient, the SGD update's column blocks) stay valid. Not thread-shared.
+    ever updated in place, so the cached per-layer views of theta and of the
+    gradient stay valid. Not thread-shared.
     """
 
     def __init__(self, spec, members=1):
@@ -291,8 +287,6 @@ class Network:
         self.theta, self.momentum, self._grad = theta, momentum, grad
         self._theta_views = self._views(theta)
         self._grad_views = self._views(grad)
-        cols = [slice(s, s + SGD_BLOCK) for s in range(0, theta.shape[-1], SGD_BLOCK)]
-        self._blocks = [(theta[:, c], momentum[:, c], grad[:, c]) for c in cols]
 
     @property
     def num_parameters(self):
@@ -483,7 +477,8 @@ def _sgd_step(net, loss_call, xb, yb, cfg, bufs, values):
     loss_values, grads = loss_call(probs, yb, values)
     grads /= len(xb)  # objective is the batch mean, so scale per-sample gradients
     grad = net._gradient(cache, grads, bufs)
-    for theta, momentum, g in net._blocks:  # column blocks, each updated while in cache
+    for s in range(0, net.num_parameters, SGD_BLOCK):  # column blocks, each updated while in cache
+        theta, momentum, g = (a[:, s : s + SGD_BLOCK] for a in (net.theta, net.momentum, grad))
         momentum *= cfg.momentum
         momentum += g
         # the gradient is spent, so its buffer takes the step instead of a new array
