@@ -2,10 +2,12 @@
 
 Runs a fixed set of commands in-process through the command line's
 ``main_entry``, inside OUT, then prints ``sha256  path`` for every file under
-OUT (paths relative to OUT, sorted), the stdout of each ``train`` and the
-stderr of ``benchmark`` (its average-rank lines). A change meant to leave
-every output byte-identical prints the same lines as its parent checkout on
-the same machine and BLAS build:
+OUT (paths relative to OUT, sorted), the stdout of each ``train``, the
+stderr of ``benchmark`` (its average-rank lines) and the sha256 of the
+trained parameters and momentum of two networks trained through library
+calls, which no artifact holds. A change meant to leave every output
+byte-identical prints the same lines as its parent checkout on the same
+machine and BLAS build:
 
     python scripts/artifact_digests.py OUT
 
@@ -23,9 +25,14 @@ The commands:
   pair of 64 images, so the convolutions run at the CNN's real shapes
   (24 x 24 x 32 and 8 x 8 x 64); train --arch mlp:16 --loss sce with
   --curve-out, whose steps ask a reference loss for its values; and train
-  --loss ce with --noise asym:0.3 and a --pairing file, on a C = 3 blobs set;
+  --loss ce with --noise matrix:inputs/pairing.csv, asym:0.3 with the
+  partners [2, 0, 1], on a C = 3 blobs set;
 - inspect-loss on a raw and on a normalized polynomial loss;
 - make-noise-matrix asym:0.3 over 4 classes and sym:0.4 over 7.
+
+The trained parameters: network.train from network.init of the CNN on the
+28 x 28 IDX pair (1 epoch, one member) and of a stack of three mlp:16
+members on the 16 x 16 IDX pair under ce, mae and ar/best_loss.json.
 
 OUT must not exist yet or be empty. Every path handed to a command is
 relative to OUT, so no artifact records where OUT is.
@@ -46,7 +53,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import test_acceptance as acc  # noqa: E402
+from losslearn.bench import loss_from_selector  # noqa: E402
 from losslearn.cli import main_entry  # noqa: E402
+from losslearn.datasets import noisy_split  # noqa: E402
+from losslearn.network import TrainConfig, arch_from_selector, init, train  # noqa: E402
 from losslearn.taylor import mse_embedding, save_loss  # noqa: E402
 
 FULL_CONFIG = {
@@ -85,7 +95,14 @@ GRID = {
     "master_seed": 5,
 }
 
-PAIRING = [2, 0, 1]
+# asym:0.3 at C = 3 with the partners [2, 0, 1] in place of the cyclic ones
+PAIRING = "0.7,0.0,0.3\n0.3,0.7,0.0\n0.0,0.3,0.7\n"
+# (name, dataset, arch, loss selectors, epochs) of each network whose trained
+# parameters are digested
+THETA_RUNS = [
+    ("cnn28", CNN_IDX, "cnn", ["ar/best_loss.json"], 1),
+    ("mixed", IDX, "mlp:16", ["ce", "mae", "ar/best_loss.json"], 2),
+]
 
 
 def write_idx(prefix, side, classes, per_class, rng):
@@ -103,14 +120,14 @@ def write_idx(prefix, side, classes, per_class, rng):
 
 
 def write_inputs():
-    """The configs, a pairing, a raw loss file, a 16 x 16 IDX pair of 3 classes
+    """The configs, a pairing's noise matrix, a raw loss file, a 16 x 16 IDX pair of 3 classes
     and a 28 x 28 one of 4 classes, in inputs/."""
     Path("inputs").mkdir()
     Path("inputs/ar.json").write_text(json.dumps({**acc.SEARCH_CONFIG, "max_generations": 4}))
     Path("inputs/full.json").write_text(json.dumps(FULL_CONFIG))
     Path("inputs/idx.json").write_text(json.dumps(IDX_CONFIG))
     Path("inputs/grid.json").write_text(json.dumps(GRID))
-    Path("inputs/pairing.json").write_text(json.dumps(PAIRING))
+    Path("inputs/pairing.csv").write_text(PAIRING)
     save_loss(mse_embedding(), "inputs/raw_loss.json")
     rng = np.random.default_rng(0)
     write_idx("", 16, 3, 20, rng)
@@ -132,7 +149,7 @@ def commands():
          "--seed", "3", "--arch", "cnn", "--epochs", "1", "--curve-out", "train_cnn28.csv"],
         ["train", "--arch", "mlp:16", "--loss", "sce", *job, "--curve-out", "train_sce.csv"],
         ["train", "--arch", "mlp:16", "--loss", "ce", "--dataset", "blobs:3:40:0.5",
-         "--noise", "asym:0.3", "--pairing", "inputs/pairing.json", "--epochs", "3",
+         "--noise", "matrix:inputs/pairing.csv", "--epochs", "3",
          "--seed", "3", "--curve-out", "train_pairing.csv"],
         ["inspect-loss", "--loss", "inputs/raw_loss.json", "--resolution", "20",
          "--out", "inspect_raw.csv"],
@@ -141,6 +158,21 @@ def commands():
         ["make-noise-matrix", "--noise", "asym:0.3", "--classes", "4", "--out", "noise.csv"],
         ["make-noise-matrix", "--noise", "sym:0.4", "--classes", "7", "--out", "noise_sym.csv"],
     ]
+
+
+def theta_digests():
+    """sha256 of theta and of momentum after training each THETA_RUNS network."""
+    lines = []
+    for name, dataset, arch, selectors, epochs in THETA_RUNS:
+        sp = noisy_split(dataset, "sym:0.2", data_seed=1, split_seed=2, val_fraction=0.2)
+        spec = arch_from_selector(arch, sp.train_features.shape[1:], sp.num_classes)
+        net = init(spec, 3, members=len(selectors))
+        cfg = TrainConfig(batch_size=16, epochs=epochs, seed=4)
+        train(net, [loss_from_selector(sel) for sel in selectors], sp, cfg)
+        lines += [f"sha256 of {part} after train {name}: "
+                  + hashlib.sha256(getattr(net, part).tobytes()).hexdigest()
+                  for part in ("theta", "momentum")]
+    return lines
 
 
 def run(out):
@@ -168,6 +200,7 @@ def run(out):
                             for line in stderr.getvalue().splitlines()]
         paths = sorted(p for p in Path().rglob("*") if p.is_file())
         digests = [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.as_posix()}" for p in paths]
+        printed += theta_digests()
     finally:
         os.chdir(here)
     return digests + printed

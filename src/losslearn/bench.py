@@ -97,11 +97,11 @@ def _cell_errors():
         raise ConfigError(f"unresolvable cell selector: {exc}") from None
 
 
-def resolve_split(dataset_sel, noise_sel, data_seed, split_seed, val_fraction, pairing):
+def resolve_split(dataset_sel, noise_sel, data_seed, split_seed, val_fraction):
     """A cell's (dataset, noise) pair split at its data and split seeds; its jobs share it."""
     with _cell_errors():
         return noisy_split(dataset_sel, noise_sel, data_seed=data_seed, split_seed=split_seed,
-                           val_fraction=val_fraction, pairing=pairing)
+                           val_fraction=val_fraction)
 
 
 def resolve_job(arch_sel, sp, init_seed, train_seed, cfg):
@@ -132,7 +132,6 @@ def run_single_training(
     momentum=0.9,
     val_fraction=0.2,
     seed=0,
-    pairing=None,
     curves=True,
 ):
     """Train once from scratch; returns (clean val accuracy, diverged, curve). Without
@@ -142,7 +141,7 @@ def run_single_training(
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     data, split, init, train = _seed_parts(seed)
-    sp = resolve_split(dataset_sel, noise_sel, data, split, val_fraction, pairing)
+    sp = resolve_split(dataset_sel, noise_sel, data, split, val_fraction)
     (spec, sp, init_seed, cfg), _ = resolve_job(arch_sel, sp, init, train, cfg)
     (acc,), (fail_epoch,), (curve,) = fit_many(spec, [loss], sp, init_seed, cfg, curves=curves)
     return float(acc), bool(fail_epoch > 0), curve
@@ -164,7 +163,6 @@ class BenchmarkGrid:
     momentum: float = 0.9
     val_fraction: float = 0.2
     master_seed: int = 0
-    pairing: tuple[int, ...] = None
 
     def __post_init__(self):
         check_fields(self)
@@ -243,7 +241,7 @@ def run_benchmark(grid, out_dir):
 
     def job(cell, s):
         data, split, init, train = _seed_parts(derive_seed(grid.master_seed, "cell", *cell, s))
-        sp = resolve_split(*cell[1:], data, split, grid.val_fraction, grid.pairing)
+        sp = resolve_split(*cell[1:], data, split, grid.val_fraction)
         return resolve_job(cell[0], sp, init, train, cfg)
 
     # every cell's first seed resolves before any training, so a selector typo fails
@@ -339,6 +337,6 @@ def inspect_loss_csv(loss, resolution=100):
     return csv_text([["yhat", "y", "loss"]] + [(f"{a:.6f}", b, f"{v:.6f}") for a, b, v in rows])
 
 
-def noise_matrix_csv(noise_sel, num_classes, pairing=None):
-    t = noise_from_selector(noise_sel, num_classes, pairing)
-    return csv_text([f"{v:.6f}" for v in row] for row in t)
+def noise_matrix_csv(noise_sel, num_classes):
+    """The selector's matrix as CSV, each entry as repr writes it: matrix:<path> reads it back."""
+    return csv_text(noise_from_selector(noise_sel, num_classes).tolist())

@@ -37,15 +37,6 @@ def _load_json(path, what):
         raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from None
 
 
-def _load_pairing(path):
-    if path is None:
-        return None
-    doc = _load_json(path, "pairing")
-    if not isinstance(doc, list) or not all(isinstance(v, int) for v in doc):
-        raise ConfigError(f"pairing file {path} must hold a JSON list of ints")
-    return doc
-
-
 def cmd_meta_train(args):
     cfg = MetaConfig.from_dict(_load_json(args.config, "config"))
     meta_train(cfg, args.out, stop_after=args.stop_after)
@@ -66,7 +57,6 @@ def cmd_train(args):
         momentum=args.momentum,
         val_fraction=args.val_fraction,
         seed=args.seed,
-        pairing=_load_pairing(args.pairing),
         curves=bool(args.curve_out),
     )
     if args.curve_out:
@@ -93,9 +83,7 @@ def cmd_inspect_loss(args):
 
 def cmd_make_noise_matrix(args):
     try:
-        text = noise_matrix_csv(
-            args.noise, args.classes, pairing=_load_pairing(args.pairing)
-        )
+        text = noise_matrix_csv(args.noise, args.classes)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     Path(args.out).write_text(text)
@@ -134,7 +122,6 @@ def build_parser():
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--val-fraction", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pairing", default=None, help="JSON file with a class pairing")
     p.add_argument("--curve-out", default=None, help="write the training curve CSV here")
     p.set_defaults(func=cmd_train)
 
@@ -150,9 +137,8 @@ def build_parser():
     p.set_defaults(func=cmd_inspect_loss)
 
     p = sub.add_parser("make-noise-matrix", help="dump a label transition matrix")
-    p.add_argument("--noise", required=True, help='e.g. "sym:0.4" or "none"')
+    p.add_argument("--noise", required=True, help='e.g. "sym:0.4", "matrix:t.csv" or "none"')
     p.add_argument("--classes", type=int, required=True)
-    p.add_argument("--pairing", default=None, help="JSON file with a class pairing")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_make_noise_matrix)
 

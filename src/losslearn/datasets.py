@@ -252,14 +252,14 @@ def split(ds, val_fraction=0.2, noise=None, seed=0):
     )
 
 
-def noisy_split(dataset_sel, noise_sel, *, data_seed, split_seed, val_fraction, pairing):
+def noisy_split(dataset_sel, noise_sel, *, data_seed, split_seed, val_fraction):
     """Build a dataset from its selector and split it with noisy train labels.
 
     Fails unless the validation labels are the clean source labels: training
     may corrupt labels, scoring must never see them.
     """
     ds = dataset_from_selector(dataset_sel, seed=data_seed)
-    noise = noise_from_selector(noise_sel, ds.num_classes, pairing)
+    noise = noise_from_selector(noise_sel, ds.num_classes)
     sp = split(ds, val_fraction=val_fraction, noise=noise, seed=split_seed)
     if label_checksum(sp.val_labels) != sp.provenance["val_label_checksum"]:
         raise RuntimeError(f"validation labels for {dataset_sel} were modified")

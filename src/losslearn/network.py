@@ -390,9 +390,9 @@ class TrainConfig:
     seed: int = 0
 
     @classmethod
-    def of(cls, config, seed=0):
-        """The training fields of a search or grid config, at this seed."""
-        return cls(config.learning_rate, config.momentum, config.batch_size, config.epochs, seed)
+    def of(cls, config):
+        """The training fields of a search or grid config, at seed 0."""
+        return cls(config.learning_rate, config.momentum, config.batch_size, config.epochs)
 
     def __post_init__(self):
         check_fields(self)

@@ -37,7 +37,7 @@ log = logging.getLogger("losslearn")
 CHECKPOINT_VERSION = 3
 
 MODES = ("AR", "DR", "Full")
-REMOVED_FIELDS = ("workers", "range_samples")  # config fields of earlier releases
+REMOVED_FIELDS = ("workers", "range_samples", "pairing")  # config fields of earlier releases
 
 @dataclass(frozen=True)
 class MetaConfig:
@@ -57,7 +57,6 @@ class MetaConfig:
     momentum: float = 0.9
     batch_size: int = 128
     epochs: int = 5
-    pairing: tuple[int, ...] = None
 
     def __post_init__(self):
         check_fields(self)
@@ -116,7 +115,7 @@ def run_generation(state, cfg, gen_seed):
     candidates = state.ask(ask_rng)
 
     splits = [resolve_split(sel, cfg.noise, derive_seed(gen_seed, "data", sel),
-                            derive_seed(gen_seed, "split", sel), cfg.val_fraction, cfg.pairing)
+                            derive_seed(gen_seed, "split", sel), cfg.val_fraction)
               for sel in cfg.datasets]
     jobs, keys = zip(*(  # each dataset's one split serves every architecture
         resolve_job(a, sp, derive_seed(gen_seed, "init", a),
@@ -260,8 +259,10 @@ def meta_train(cfg, run_dir, stop_after=None):
         history = doc["history"]
 
     ran = 0
-    while stop_reason(state, [h["best_fitness"] for h in history], cfg.max_generations) is None:
+    while (reason := stop_reason(state, [h["best_fitness"] for h in history],
+                                 cfg.max_generations)) is None:
         if stop_after is not None and ran >= stop_after:
+            reason = "paused by --stop-after"
             break
         started = time.perf_counter()
         gen_seed = derive_seed(cfg.master_seed, "gen", state.generation)
@@ -301,6 +302,7 @@ def meta_train(cfg, run_dir, stop_after=None):
         )
         _log_generation(history[-1], scores, diverged, degenerate, time.perf_counter() - started)
 
+    log.info("search stopped: %s, after %d generations", reason, state.generation)
     if best is None:  # nothing ran: the loss encoded by the current mean, unnormalized
         best = {"loss_json": loss_to_json(TaylorLossParams.from_flat(state.mean, order=cfg.order))}
     _write(run_dir / "best_loss.json", best["loss_json"])

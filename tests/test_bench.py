@@ -27,6 +27,8 @@ from losslearn.bench import (
     run_single_training,
 )
 from losslearn.cli import main_entry
+from losslearn.datasets import noisy_split
+from losslearn.noise import noise_from_selector
 from losslearn.reference import (
     Bootstrap,
     CrossEntropy,
@@ -257,15 +259,14 @@ def test_noise_matrix_none_is_identity():
     np.testing.assert_allclose(rows, np.eye(4))
     # as is any zero ratio, to the byte
     assert noise_matrix_csv("sym:0", 4) == noise_matrix_csv("asym:0", 4) == text
-    assert text.splitlines()[1] == "0.000000,1.000000,0.000000,0.000000"
+    assert text.splitlines()[1] == "0.0,1.0,0.0,0.0"
 
 
-def test_noise_matrix_with_custom_pairing():
-    text = noise_matrix_csv("asym:0.3", 3, pairing=[2, 0, 1])
-    rows = [[float(v) for v in line.split(",")] for line in text.strip().split("\n")]
-    np.testing.assert_allclose(
-        rows, [[0.7, 0.0, 0.3], [0.3, 0.7, 0.0], [0.0, 0.3, 0.7]]
-    )
+def test_noise_matrix_with_custom_pairing(tmp_path):
+    # a pairing is a matrix file; its dump is the file, entry for entry
+    path = tmp_path / "paired.csv"
+    path.write_text("0.7,0.0,0.3\n0.3,0.7,0.0\n0.0,0.3,0.7\n")
+    assert noise_matrix_csv(f"matrix:{path}", 3) == path.read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +295,6 @@ def test_grid_from_dict_sets_every_field():
         "momentum": 0.5,
         "val_fraction": 0.25,
         "master_seed": 9,
-        "pairing": [2, 0, 1],
     }
     assert BenchmarkGrid.from_dict(doc) == BenchmarkGrid(
         cells=(("mlp:8", "blobs:3:20:0.3", "asym:0.2"),),
@@ -306,7 +306,6 @@ def test_grid_from_dict_sets_every_field():
         momentum=0.5,
         val_fraction=0.25,
         master_seed=9,
-        pairing=(2, 0, 1),
     )
 
 
@@ -404,7 +403,6 @@ def test_benchmark_rows_equal_single_trainings(tmp_path):
                     momentum=grid.momentum,
                     val_fraction=grid.val_fraction,
                     seed=derive_seed(grid.master_seed, "cell", arch, dsel, nsel, s),
-                    pairing=grid.pairing,
                 )
                 expected.append(
                     [arch, dsel, nsel, loss, str(s), f"{acc:.6f}", str(int(diverged))]
@@ -793,8 +791,8 @@ def test_cli_benchmark_roundtrip(tmp_path, capsys):
         ({"cells": [{"arch": "mlp:8", "noise": "none"}]}, "has no key 'dataset'"),
         ({"seeds": 1.5}, "seeds"),
         (
-            {"cells": [["mlp:8", "blobs:3:20:0.3", "asym:0.2"]], "pairing": [0, 1, 2]},
-            "pairing may not map a class to itself",
+            {"cells": [["mlp:8", "blobs:3:20:0.3", "matrix:no/such.csv"]]},
+            "unresolvable cell selector: noise matrix file 'no/such.csv': No such file",
         ),
         ({"master_seed": True}, "master_seed must be an integer, got True"),
         ({"master_seed": 1.5}, "master_seed must be an integer, got 1.5"),
@@ -802,8 +800,8 @@ def test_cli_benchmark_roundtrip(tmp_path, capsys):
         ({"learning_rate": math.nan}, "learning_rate must be a finite number, got nan"),
         ({"momentum": math.inf}, "momentum must be a finite number, got inf"),
         ({"losses": "ce"}, "losses must be an array, got 'ce'"),
-        ({"pairing": "120"}, "pairing must be an array or null, got '120'"),
-        ({"pairing": [1.5, 2, 0]}, "pairing must be integers, got [1.5, 2, 0]"),
+        ({"pairing": [2, 0, 1]}, "unknown field 'pairing'"),
+        ({"cells": [["mlp:8", "blobs:3:20:0.3", "matrix:."]]}, "file '.': Is a directory"),
         ({"losses": [5]}, "losses must be strings, got [5]"),
         ({"cells": [[1, 2, 3]]}, "cell [1, 2, 3] must be [arch, dataset, noise] selector"),
         ({"cells": [["mlp:8", "blobs:3:2:0.5", "none"]]}, "leaves no validation examples"),
@@ -1029,8 +1027,6 @@ def test_cli_unreadable_json_file_exits_two(tmp_path, capsys):
     for argv in (
         ["benchmark", "--config", directory, "--out", str(tmp_path / "o")],
         ["meta-train", "--config", directory, "--out", str(tmp_path / "r")],
-        ["train", "--loss", "ce", "--dataset", "blobs:3:10:0.3", "--arch", "linear",
-         "--noise", "asym:0.2", "--pairing", directory],
     ):
         assert main_entry(argv) == 2, argv[0]
         assert "unreadable" in capsys.readouterr().err
@@ -1099,7 +1095,7 @@ def test_cli_meta_train_missing_field_exits_two(tmp_path, capsys):
         ({"architectures": "mlp:8"}, "architectures must be an array, got 'mlp:8'"),
         ({"datasets": [5]}, "datasets must be strings, got [5]"),
         ({"architectures": [None]}, "architectures must be strings, got [None]"),
-        ({"noise": "asym:0.2", "pairing": [1.5, 2, 0]}, "pairing must be integers"),
+        ({"noise": "asym:0.2", "pairing": [2, 0, 1]}, "unknown field 'pairing'"),
         # 2 examples per class leave no validation part at 0.2 and no training part at 0.9
         ({"datasets": ["blobs:3:2:0.5"]}, "val_fraction 0.2 leaves no validation examples"),
         (
@@ -1205,26 +1201,115 @@ def test_cli_meta_train_checkpoints_without_config_exit_two(tmp_path, capsys):
 
 
 def test_cli_asym_zero_pairing_exits_two_everywhere(tmp_path, capsys):
-    # ratio 0 flips no label, but a pairing that maps a class to itself is
-    # still a bad config, in every command that takes one
+    # the pairing option is gone, a matrix:<path> file gives any pairing: a
+    # config field or flag that still names one is a bad config in every
+    # command that took it, whatever the ratio
     pairing = tmp_path / "pairing.json"
-    pairing.write_text("[0, 2, 1]")
+    pairing.write_text("[2, 0, 1]")
     meta = tmp_path / "meta.json"
-    meta.write_text(json.dumps({**META_CONFIG, "noise": "asym:0.0", "pairing": [0, 2, 1]}))
+    meta.write_text(json.dumps({**META_CONFIG, "noise": "asym:0.0", "pairing": [2, 0, 1]}))
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({
-        **GRID_CONFIG, "cells": [["mlp:8", "blobs:3:20:0.3", "asym:0.0"]], "pairing": [0, 2, 1]
+        **GRID_CONFIG, "cells": [["mlp:8", "blobs:3:20:0.3", "asym:0.0"]], "pairing": [2, 0, 1]
     }))
-    for argv in (
-        ["meta-train", "--config", str(meta), "--out", str(tmp_path / "run")],
-        ["train", "--loss", "ce", "--dataset", "blobs:3:20:0.3", "--arch", "mlp:8",
-         "--noise", "asym:0.0", "--pairing", str(pairing)],
-        ["benchmark", "--config", str(grid), "--out", str(tmp_path / "out")],
+    for argv, message in (
+        (["meta-train", "--config", str(meta), "--out", str(tmp_path / "run")],
+         "error: unknown field 'pairing'\n"),
+        (["benchmark", "--config", str(grid), "--out", str(tmp_path / "out")],
+         "error: unknown field 'pairing'\n"),
+        (["train", "--loss", "ce", "--dataset", "blobs:3:20:0.3", "--arch", "mlp:8",
+          "--noise", "asym:0.0", "--pairing", str(pairing)],
+         f"error: unrecognized arguments: --pairing {pairing}\n"),
+        (["make-noise-matrix", "--noise", "asym:0.0", "--classes", "3", "--pairing", str(pairing),
+          "--out", str(tmp_path / "t.csv")],
+         f"error: unrecognized arguments: --pairing {pairing}\n"),
     ):
         assert main_entry(argv) == 2, argv[0]
-        assert "pairing may not map a class to itself" in capsys.readouterr().err
-    assert not list((tmp_path / "run").glob("fitness_gen_*.csv"))
-    assert not (tmp_path / "out" / "results.csv").exists()
+        err = capsys.readouterr().err
+        assert err.endswith(message) and "Traceback" not in err, argv[0]
+    assert not (tmp_path / "run").exists()
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("noise", ["sym:0.4", "sym:0.2", "asym:0.3", "none"])
+@pytest.mark.parametrize("classes", [3, 7, 10])
+def test_make_noise_matrix_output_reads_back(tmp_path, capsys, noise, classes):
+    # the written file, read back through matrix:, is the selector's matrix to
+    # the bit, so it splits the labels as the selector does
+    out = tmp_path / "t.csv"
+    argv = ["make-noise-matrix", "--noise", noise, "--classes", str(classes), "--out", str(out)]
+    assert main_entry(argv) == 0
+    assert capsys.readouterr() == ("", "")
+    read_back = noise_from_selector(f"matrix:{out}", classes)
+    assert read_back.tobytes() == noise_from_selector(noise, classes).tobytes()
+    splits = [noisy_split(f"blobs:{classes}:30:0.5", sel, data_seed=1, split_seed=2,
+                          val_fraction=0.2) for sel in (noise, f"matrix:{out}")]
+    np.testing.assert_array_equal(splits[0].train_labels, splits[1].train_labels)
+    assert splits[0].provenance["flip_fraction"] == splits[1].provenance["flip_fraction"]
+
+
+def test_grid_lists_a_selector_and_its_matrix_file_twice(tmp_path, capsys):
+    # a matrix file equal to asym:0.3 is the same noise, so the same cell
+    matrix = tmp_path / "asym.csv"
+    assert main_entry(["make-noise-matrix", "--noise", "asym:0.3", "--classes", "3",
+                       "--out", str(matrix)]) == 0
+    cell = ["mlp:8", "blobs:3:20:0.3"]
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps(
+        {**GRID_CONFIG, "cells": [[*cell, "asym:0.3"], [*cell, f"matrix:{matrix}"]]}
+    ))
+    out_dir = tmp_path / "out"
+    assert main_entry(["benchmark", "--config", str(config), "--out", str(out_dir)]) == 2
+    repeat = ("mlp:8", "blobs:3:20:0.3", f"matrix:{matrix}")
+    assert capsys.readouterr().err == f"error: grid lists cell {repeat!r} twice\n"
+    assert not (out_dir / "results.csv").exists()
+
+
+ROWS = "needs 3 rows of 3 comma-separated numbers"
+NOT_A_TRANSITION = "transition matrix entries must be finite and nonnegative"
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("", ROWS),
+        ("1,0,0\n0,1\n0,0,1\n", ROWS),
+        ("1,0\n0,1\n", ROWS),
+        ("1,0,0\n0,1,0\n0,0,1\n\n", "could not convert string to float: ''"),
+        ("1,0,0\n0,x,1\n0,0,1\n", "could not convert string to float: 'x'"),
+        (b"1,0,0\n0,\xff,1\n0,0,1\n", None),  # not UTF-8; the reason is the codec's
+        ("1,0,0\n-0.5,1.5,0\n0,0,1\n", NOT_A_TRANSITION),
+        ("1,0,0\nnan,1,0\n0,0,1\n", NOT_A_TRANSITION),
+        ("1,0,0\n0,1,0\n0,0,1.000000001\n", "transition matrix rows must sum to 1"),
+        (None, "No such file or directory"),
+        ("directory", "Is a directory"),
+    ],
+    ids=["empty", "ragged", "other-class-count", "blank-line", "non-numeric", "not-utf8",
+         "negative", "nan", "non-stochastic", "missing", "directory"],
+)
+def test_cli_bad_matrix_file_exits_two(tmp_path, capsys, content, message):
+    # a matrix file that cannot be read, parsed or used is a configuration
+    # error that names the file, in every command that reads one
+    path = tmp_path / "t.csv"
+    if content == "directory":
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+    train = ["train", "--loss", "ce", "--dataset", "blobs:3:20:0.3", "--arch", "linear",
+             "--noise", f"matrix:{path}", "--epochs", "1"]
+    dump = ["make-noise-matrix", "--noise", f"matrix:{path}", "--classes", "3",
+            "--out", str(tmp_path / "out.csv")]
+    for argv, prefix in ((train, "unresolvable cell selector: "), (dump, "")):
+        assert main_entry(argv) == 2, argv[0]
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {prefix}noise matrix file {str(path)!r}: ")
+        if message is not None:
+            assert err == f"error: {prefix}noise matrix file {str(path)!r}: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -230,14 +230,24 @@ def test_split_deterministic():
     assert not np.array_equal(a.train_labels, c.train_labels)
 
 
+# the asym:0.3 matrix at C = 3 with the partners [2, 0, 1] in place of the cyclic ones
+PAIRED = [[0.7, 0.0, 0.3], [0.3, 0.7, 0.0], [0.0, 0.3, 0.7]]
+
+
+def matrix_selector(path, rows):
+    """Write rows as a CSV file at path; the matrix:<path> selector that reads it."""
+    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+    return f"matrix:{path}"
+
+
 @pytest.mark.parametrize(
-    "dataset_sel, noise_sel, pairing, checksum, flip_fraction",
+    "dataset_sel, noise_sel, matrix, checksum, flip_fraction",
     [
         ("blobs:3:40:0.5", "sym:0.4", None,
          "5608d7d7cd41187259807a46527a38de9866cacc063ed1189f97c594c37aec70", 0.37777777777777777),
         ("blobs:3:40:0.5", "asym:0.3", None,
          "da5707c731114de983fff3c0fa119676f03448be82ac70d634c8541932633f61", 0.25555555555555554),
-        ("blobs:3:40:0.5", "asym:0.3", [2, 0, 1],
+        ("blobs:3:40:0.5", None, PAIRED,
          "048b71518ce47adad50f269c987cd353cca481829a30a4e7cf1fed453f054121", 0.32222222222222224),
         ("blobs:10:20:0.5", "sym:0.4", None,
          "48731976dde56956c75686319dbc85fcf26f1ae2b03b54b4de16ec93246f4372", 0.3466666666666667),
@@ -246,12 +256,13 @@ def test_split_deterministic():
     ],
     ids=["sym-3", "asym-3", "asym-3-paired", "sym-10", "asym-10"],
 )
-def test_noisy_split_label_bits_are_pinned(dataset_sel, noise_sel, pairing, checksum,
+def test_noisy_split_label_bits_are_pinned(tmp_path, dataset_sel, noise_sel, matrix, checksum,
                                            flip_fraction):
-    # the noisy training labels of each noise kind, a pairing included: a
+    # the noisy training labels of each noise kind, a matrix file included: a
     # change to how noise is represented must keep these bits
-    sp = noisy_split(dataset_sel, noise_sel, data_seed=1, split_seed=2, val_fraction=0.25,
-                     pairing=pairing)
+    if matrix is not None:
+        noise_sel = matrix_selector(tmp_path / "t.csv", matrix)
+    sp = noisy_split(dataset_sel, noise_sel, data_seed=1, split_seed=2, val_fraction=0.25)
     assert label_checksum(sp.train_labels) == checksum
     assert sp.provenance["flip_fraction"] == flip_fraction
 
@@ -276,12 +287,21 @@ def test_split_rejects_an_empty_part(val_fraction, part):
         split(ds, val_fraction=val_fraction, seed=0)
 
 
-def test_split_checks_the_pairing_at_ratio_zero():
-    # asym:0 flips no label, but a pairing that maps a class to itself is wrong all the same
-    np.testing.assert_array_equal(noise_from_selector("asym:0.0", 3, pairing=[2, 0, 1]), np.eye(3))
-    with pytest.raises(ValueError, match="^pairing may not map a class to itself$"):
-        noisy_split("blobs:3:10:0.5", "asym:0.0", data_seed=0, split_seed=0, val_fraction=0.2,
-                    pairing=[0, 2, 1])
+def test_cifar10_asymmetric_map_flips_a_fifth_of_the_labels(tmp_path):
+    # Patrini et al.'s CIFAR-10 map, no permutation: truck -> automobile,
+    # bird -> airplane, deer -> horse, cat <-> dog; five of ten classes flip
+    # with probability 0.4, so about 0.2 of the labels
+    partner = {9: 1, 2: 0, 4: 7, 3: 5, 5: 3}
+    rows = np.eye(10)
+    for true, observed in partner.items():
+        rows[true, true], rows[true, observed] = 0.6, 0.4
+    sp = noisy_split("blobs:10:100:0.5", matrix_selector(tmp_path / "t.csv", rows.tolist()),
+                     data_seed=1, split_seed=2, val_fraction=0.2)
+    assert abs(sp.provenance["flip_fraction"] - 0.2) < 0.03
+    clean = dataset_from_selector("blobs:10:100:0.5", seed=1).labels[sp.train_indices]
+    flipped = clean != sp.train_labels
+    assert {(int(a), int(b)) for a, b in zip(clean[flipped], sp.train_labels[flipped])} \
+        == set(partner.items())
 
 
 def test_split_rejects_a_noise_matrix_of_another_class_count():
@@ -396,6 +416,6 @@ def test_noise_selector():
     np.testing.assert_array_equal(noise_from_selector("asym:0.2", num_classes=3),
                                   [[0.8, 0.2, 0.0], [0.0, 0.8, 0.2], [0.2, 0.0, 0.8]])
     np.testing.assert_array_equal(noise_from_selector("none", num_classes=5), np.eye(5))
-    message = r"^bad noise selector 'gauss:0.1' \(use sym:<r>, asym:<r>, none\)$"
+    message = r"^bad noise selector 'gauss:0.1' \(use sym:<r>, asym:<r>, matrix:<path>, none\)$"
     with pytest.raises(ValueError, match=message):
         noise_from_selector("gauss:0.1", num_classes=3)

@@ -927,7 +927,7 @@ def test_stacked_polynomial_members_equal_serial_fits():
 def grid_mix():
     """The benchmark grid's mixed stack on a C = 10 cell: (spec, split, losses, cfg)."""
     sp = noisy_split("blobs:10:12:0.5:dim=8", "sym:0.4", data_seed=1, split_seed=2,
-                     val_fraction=0.25, pairing=None)
+                     val_fraction=0.25)
     spec = arch_from_selector("mlp:64,64", (8,), 10)
     losses = [loss_from_selector(s) for s in (
         "ce", "mae", "gce:q=0.7", "sce", "ls:epsilon=0.1", "bootstrap:weight=0.8:mode=hard"
@@ -1075,7 +1075,7 @@ def test_stacked_validation_peak_memory_stays_near_one_network():
     # validation runs the stack in ceil(n / m)-row chunks: one stacked pass
     # over all 4500 validation rows would hold (m, 4500, 64) activations at once
     sp = noisy_split("blobs:3:6000:0.5", "none", data_seed=1, split_seed=2,
-                     val_fraction=0.25, pairing=None)
+                     val_fraction=0.25)
     assert len(sp.val_labels) == 4500
     spec = arch_from_selector("mlp:64", (2,), 3)
     cfg = TrainConfig(epochs=1, batch_size=128, seed=3)

@@ -43,26 +43,36 @@ def test_asymmetric_cyclic_rows():
     np.testing.assert_allclose(t, expected, atol=1e-15)
 
 
-def test_custom_pairing():
-    t = noise_from_selector("asym:0.2", 4, pairing=[1, 0, 3, 2])
-    assert t[0, 1] == pytest.approx(0.2)
-    assert t[1, 0] == pytest.approx(0.2)
-    assert t[2, 3] == pytest.approx(0.2)
-    assert t[3, 2] == pytest.approx(0.2)
-    np.testing.assert_allclose(np.diag(t), 0.8)
+def write_matrix(path, rows):
+    """rows as a CSV file, one comma-separated row per line; the matrix:<path> selector."""
+    path.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
+    return f"matrix:{path}"
 
 
-def test_pairing_validation():
-    with pytest.raises(ValueError, match="permutation"):
-        noise_from_selector("asym:0.2", 3, pairing=[1, 1, 0])
-    with pytest.raises(ValueError, match="itself"):
-        noise_from_selector("asym:0.2", 3, pairing=[0, 2, 1])
-    with pytest.raises(ValueError, match="exactly 3"):
-        noise_from_selector("asym:0.2", 3, pairing=[1, 0])
-    # a float or bool entry is no class index, even where it would truncate to one
-    for bad in ([1.5, 2, 0], [True, 2, 0], [1, 2, np.float64(0.0)]):
-        with pytest.raises(ValueError, match="integer classes"):
-            noise_from_selector("asym:0.2", 3, pairing=bad)
+def test_custom_pairing(tmp_path):
+    # any pairing is a matrix file: here classes 0 <-> 1 and 2 <-> 3 at 0.2
+    rows = [[0.8, 0.2, 0, 0], [0.2, 0.8, 0, 0], [0, 0, 0.8, 0.2], [0, 0, 0.2, 0.8]]
+    t = noise_from_selector(write_matrix(tmp_path / "t.csv", rows), 4)
+    np.testing.assert_array_equal(t, rows)
+
+
+def test_matrix_file_is_never_renormalized(tmp_path):
+    # a row sum within ROW_SUM_TOL of 1 is accepted and kept as written
+    rows = [[0.7, 0.3 + 5e-10], [0.25, 0.75]]
+    t = noise_from_selector(write_matrix(tmp_path / "t.csv", rows), 2)
+    assert t.tolist() == rows
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_transition_is_rejected(bad):
+    # NaN passed the row-sum check (nan - 1 > tol is False), and corrupt then
+    # returned the labels unflipped
+    t = np.array([[bad, 1.0], [0.0, 1.0]])
+    message = "^transition matrix entries must be finite and nonnegative$"
+    with pytest.raises(ValueError, match=message):
+        check_transition(t)
+    with pytest.raises(ValueError, match=message):
+        corrupt(np.zeros(10, dtype=np.int64), t, seed=0)
 
 
 def test_spec_validation():

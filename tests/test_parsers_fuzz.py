@@ -129,10 +129,19 @@ def test_architecture_selectors_raise_only_value_errors(kind, fields, side, clas
 
 
 @FUZZ
-@given(kind=st.sampled_from(["sym", "asym", "none", "x"]), fields=st.lists(TOKEN, max_size=2),
-       classes=SMALL)
+@given(kind=st.sampled_from(["sym", "asym", "matrix", "none", "x"]),
+       fields=st.lists(TOKEN, max_size=2), classes=SMALL)
 def test_noise_selectors_raise_only_value_errors(kind, fields, classes):
     accepts_or_rejects(noise_from_selector, ":".join([kind, *fields]), classes)
+
+
+@FUZZ
+@given(rows=st.lists(st.lists(TOKEN, max_size=4), max_size=4), tail=st.sampled_from(["", "\n"]),
+       classes=st.integers(2, 4))
+def test_matrix_files_raise_only_value_errors(tmp_path_factory, rows, tail, classes):
+    path = tmp_path_factory.getbasetemp() / "fuzz_matrix.csv"
+    path.write_text("\n".join(",".join(row) for row in rows) + tail)
+    accepts_or_rejects(noise_from_selector, f"matrix:{path}", classes)
 
 
 @FUZZ

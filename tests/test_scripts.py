@@ -62,11 +62,11 @@ def test_artifact_digests_repeat_exactly(monkeypatch, tmp_path):
     first = digests.run(tmp_path / "a")
     assert Path.cwd() == cwd
     assert first == digests.run(tmp_path / "b")
-    printed = ("stdout of", "stderr of")
+    printed = ("stdout of", "stderr of", "sha256 of")
     files = [line.split("  ", 1)[1] for line in first if not line.startswith(printed)]
     assert {"ar/checkpoint_gen_4.json", "full/fitness_gen_2.csv", "idx/checkpoint_gen_2.json",
             "grid/results.csv", "train_cnn.csv", "train_cnn28.csv", "inspect_normalized.csv",
-            "noise.csv", "noise_sym.csv", "train_pairing.csv"} <= set(files)
+            "noise.csv", "noise_sym.csv", "train_pairing.csv", "inputs/pairing.csv"} <= set(files)
     trains = [line.split(": ") for line in first if line.startswith("stdout of")]
     assert [label for label, _ in trains] == [
         "stdout of train --arch mlp:16 --curve-out train_mlp.csv",
@@ -75,13 +75,16 @@ def test_artifact_digests_repeat_exactly(monkeypatch, tmp_path):
         "stdout of train --arch cnn --epochs 1 --curve-out train_cnn28.csv",
         "stdout of train --arch mlp:16 --loss sce --dataset idx:inputs/images.idx:inputs/labels.idx"
         " --noise sym:0.2 --epochs 2 --seed 3 --curve-out train_sce.csv",
-        "stdout of train --arch mlp:16 --loss ce --dataset blobs:3:40:0.5 --noise asym:0.3"
-        " --pairing inputs/pairing.json --epochs 3 --seed 3 --curve-out train_pairing.csv",
+        "stdout of train --arch mlp:16 --loss ce --dataset blobs:3:40:0.5"
+        " --noise matrix:inputs/pairing.csv --epochs 3 --seed 3 --curve-out train_pairing.csv",
     ]
     assert trains[0][1] == trains[2][1]  # a curve does not change the training
     ranks = [line for line in first if line.startswith("stderr of")]
     assert [line.split(": average rank ")[0] for line in ranks] == [
         f"stderr of benchmark: {loss}" for loss in digests.GRID["losses"]
     ]
+    thetas = [line.split(": ")[0] for line in first if line.startswith("sha256 of")]
+    assert thetas == [f"sha256 of {part} after train {name}"
+                      for name, *_ in digests.THETA_RUNS for part in ("theta", "momentum")]
     with pytest.raises(SystemExit, match="is not empty"):
         digests.run(tmp_path / "a")

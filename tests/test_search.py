@@ -107,6 +107,25 @@ def test_generation_log_reads_the_generation_best_beside_the_cumulative_best(tmp
         assert f"best {row['best_fitness']:.6f}, generation best {own:.6f}, " in line
 
 
+def test_search_logs_why_it_stopped(tmp_path, caplog):
+    # one line when the loop ends: the stop reason, or the pause, and the
+    # generation count; nothing of it reaches an artifact
+    def stops():
+        return [rec.getMessage() for rec in caplog.records
+                if rec.getMessage().startswith("search stopped")]
+
+    cfg = tiny_config(max_generations=3)
+    with caplog.at_level(logging.INFO, logger="losslearn"):
+        meta_train(cfg, tmp_path / "paused", stop_after=2)
+    assert stops() == ["search stopped: paused by --stop-after, after 2 generations"]
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="losslearn"):
+        meta_train(cfg, tmp_path / "paused")
+        meta_train(cfg, tmp_path / "whole")
+    assert stops() == ["search stopped: max-generations, after 3 generations"] * 2
+    assert read_artifacts(tmp_path / "paused") == read_artifacts(tmp_path / "whole")
+
+
 def test_config_round_trip():
     cfg = tiny_config()
     assert MetaConfig.from_dict(cfg.to_dict()) == cfg
@@ -122,7 +141,6 @@ def test_config_round_trip_sets_every_field(tmp_path):
         mean0=[0.1, 0.2, 0.0, 0.0, 0.0],
         learning_rate=0.05,
         momentum=0.5,
-        pairing=[1, 2, 0],
     )
     assert MetaConfig.from_dict(cfg.to_dict()) == cfg
     meta_train(cfg, tmp_path)
@@ -153,11 +171,6 @@ CONFIG_JSON = """{
   "momentum": 0.5,
   "noise": "sym:0.2",
   "order": 2,
-  "pairing": [
-    1,
-    2,
-    0
-  ],
   "population": 6,
   "sigma0": 0.3,
   "val_fraction": 0.25
@@ -503,6 +516,9 @@ def test_conflicting_run_dir_rejected(tmp_path):
     (lambda doc: doc.update(range_samples=1000),
      "the first field that differs is 'range_samples', a field that was removed"),
     (lambda doc: doc.pop("eta"), "the first field that differs is 'eta'"),
+    # a run directory of a release that had the pairing option
+    (lambda doc: doc.update(pairing=None),
+     "the first field that differs is 'pairing', a field that was removed"),
 ])
 def test_resume_names_the_first_differing_field(tmp_path, edit, named):
     cfg = tiny_config(max_generations=1)
