@@ -37,6 +37,12 @@ def _load_json(path, what):
         raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from None
 
 
+def _output(path):
+    """ConfigError unless path's directory exists and path is no directory; None passes."""
+    if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+        raise ConfigError(f"cannot write {path}: it is a directory or its directory is missing")
+
+
 def cmd_meta_train(args):
     cfg = MetaConfig.from_dict(_load_json(args.config, "config"))
     meta_train(cfg, args.out, stop_after=args.stop_after)
@@ -45,6 +51,7 @@ def cmd_meta_train(args):
 
 
 def cmd_train(args):
+    _output(args.curve_out)
     loss = loss_from_selector(args.loss)
     acc, diverged, curve = run_single_training(
         loss,
@@ -76,12 +83,14 @@ def cmd_benchmark(args):
 
 
 def cmd_inspect_loss(args):
+    _output(args.out)
     loss = loss_from_selector(args.loss)
     Path(args.out).write_text(inspect_loss_csv(loss, resolution=args.resolution))
     return 0
 
 
 def cmd_make_noise_matrix(args):
+    _output(args.out)
     try:
         text = noise_matrix_csv(args.noise, args.classes)
     except ValueError as exc:

@@ -235,8 +235,6 @@ def split(ds, val_fraction=0.2, noise=None, seed=0):
     provenance = {
         "dataset": ds.name,
         "transition": t,  # the identity without noise
-        "seed": seed,
-        "val_fraction": val_fraction,
         "flip_fraction": flip_fraction,
         "val_label_checksum": label_checksum(val_labels),
     }

@@ -26,8 +26,6 @@ Losses here are total functions of their inputs (polynomials are finite
 everywhere), so no clamping of predictions is required or performed.
 """
 
-from __future__ import annotations
-
 import json
 import math
 from dataclasses import dataclass
@@ -37,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import check_fields, config_from_dict
 from .network import _buffer, _class_fold
 from .reference import _Loss
 
@@ -138,6 +137,7 @@ class TaylorLossParams(_Polynomial):
     coefficients: dict[tuple[int, int], float] = None  # type: ignore[assignment]
 
     def __post_init__(self):
+        check_fields(self)  # first: the key walk below needs an integer order
         if self.coefficients is None:
             zeros = {k: 0.0 for k in coefficient_keys(self.order)}
             object.__setattr__(self, "coefficients", zeros)
@@ -150,9 +150,6 @@ class TaylorLossParams(_Polynomial):
         extra = set(got).difference(coefficient_keys(self.order))  # rejects an order below 1
         if extra:
             raise ValueError(f"unexpected coefficient key {sorted(extra)[0]}")
-        values = list(self.coefficients.values()) + list(self.expansion_point)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("all parameters must be finite")
 
     @cached_property
     def _univariate(self):
@@ -238,7 +235,8 @@ class NormalizedLoss(_Polynomial):
     eta: float = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.eta, (int, float)) and math.isfinite(self.eta) and self.eta > 0):
+        check_fields(self)
+        if self.eta <= 0:
             raise ValueError(f"need a finite eta > 0, got {self.eta!r}")
         object.__setattr__(self, "_affine_at", {})  # class count -> (offset, scale)
 
@@ -296,64 +294,53 @@ def loss_to_json(loss: TaylorLossParams | NormalizedLoss) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+@dataclass(frozen=True)
+class _LossFile:  # a loss file's top level
+    version: int
+    order: int
+    expansion_point: tuple[float, float]
+    coefficients: tuple
+    normalization: dict = None
+    __post_init__ = check_fields
+
+
+@dataclass(frozen=True)
+class _Entry:  # one coefficient of a loss file
+    a: int
+    b: int
+    value: float
+    __post_init__ = check_fields
+
+
+@dataclass(frozen=True)
+class _Normalization:  # a loss file's normalization block
+    eta: float
+    __post_init__ = check_fields
+
+
 def loss_from_json(text: str | bytes) -> TaylorLossParams | NormalizedLoss:
-    """Parse a loss file, enforcing the coefficient-table invariants."""
+    """Parse a loss file: its fields by the config rules, its table by TaylorLossParams."""
     try:
-        doc = json.loads(text)
-    except ValueError as exc:  # not JSON, or bytes that are no text
-        raise LossFormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise LossFormatError("loss file must contain a JSON object")
-    version = doc.get("version")
-    if version == 1:  # its range served the one class count of its search
-        raise LossFormatError('loss file version 1 stores a fixed range, which is no longer used: '
-                              'set "version" to 2 and keep only "eta" in "normalization"')
-    if version != LOSS_FILE_VERSION:
-        raise LossFormatError(f"unknown loss file version {version!r}")
-    for key in ("order", "expansion_point", "coefficients"):
-        if key not in doc:
-            raise LossFormatError(f"missing field {key!r}")
-    order = doc["order"]
-    if type(order) is not int or order < 1:  # a JSON bool is no integer
-        raise LossFormatError(f"order must be a positive integer, got {order!r}")
-    point = doc["expansion_point"]
-    if not (isinstance(point, list) and len(point) == 2):
-        raise LossFormatError("expansion_point must be a two-element array")
-    if not isinstance(doc["coefficients"], list):
-        raise LossFormatError("coefficients must be an array")
-    coeffs = {}
-    for entry in doc["coefficients"]:
-        try:
-            key = entry["a"], entry["b"]
-            if not all(type(e) is int for e in key):  # 1.0 and true would pass as 1
-                raise TypeError("exponents must be integers")
-            coeffs[key] = _number(entry["value"])
-        except (TypeError, KeyError, OverflowError) as exc:
-            raise LossFormatError(f"malformed coefficient entry {entry!r}") from exc
-    try:
-        params = TaylorLossParams(
-            order=order,
-            expansion_point=(_number(point[0]), _number(point[1])),
-            coefficients=coeffs,
-        )
-    except (TypeError, ValueError, OverflowError) as exc:  # 400-digit integers too
-        raise LossFormatError(str(exc)) from exc
-    norm = doc.get("normalization")
-    if norm is None:
-        return params
-    if not (isinstance(norm, dict) and list(norm) == ["eta"]):
-        raise LossFormatError(f"normalization must hold eta alone, got {norm!r}")
-    try:
-        return NormalizedLoss(params, _number(norm["eta"]))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise LossFormatError(f"malformed normalization block {norm!r}: {exc}") from exc
-
-
-def _number(value):
-    """A JSON number as a float; a bool or a numeric string is no number."""
-    if type(value) not in (int, float):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)  # OverflowError beyond the float range
+        doc = config_from_dict(_LossFile, json.loads(text), "loss file")
+        if doc.version != LOSS_FILE_VERSION:  # version 1's range served one class count
+            raise ValueError(f"unknown loss file version {doc.version!r}" if doc.version != 1 else
+                             'loss file version 1 stores a fixed range, which is no longer used: '
+                             'set "version" to 2 and keep only "eta" in "normalization"')
+        coeffs = {}
+        for entry in doc.coefficients:
+            entry = config_from_dict(_Entry, entry, "coefficient entry")
+            if (entry.a, entry.b) in coeffs:
+                raise ValueError(f"repeated coefficient entry {(entry.a, entry.b)}")
+            coeffs[entry.a, entry.b] = entry.value
+        params = TaylorLossParams(doc.order, doc.expansion_point, coeffs)
+        if doc.normalization is None:
+            return params
+        norm = config_from_dict(_Normalization, doc.normalization, "normalization")
+        return NormalizedLoss(params, norm.eta)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # bytes that are no text too
+        raise LossFormatError(f"not valid JSON: {exc}") from None
+    except ValueError as exc:
+        raise LossFormatError(str(exc)) from None
 
 
 def save_loss(loss: TaylorLossParams | NormalizedLoss, path: str | Path) -> None:

@@ -956,6 +956,43 @@ def test_cli_version_1_loss_file_exits_two(tmp_path, capsys):
         assert 'set "version" to 2 and keep only "eta"' in err
 
 
+
+def test_cli_train_misspelt_normalization_exits_two(tmp_path, capsys):
+    # a misspelt key is no raw loss: the file is malformed, reported without a traceback
+    path = tmp_path / "loss.json"
+    doc = json.loads(loss_to_json(mse_embedding()))
+    path.write_text(json.dumps({**doc, "normalisation": doc.pop("normalization") or {"eta": 8.0}}))
+    argv = ["train", "--loss", str(path), "--dataset", "blobs:3:20:0.3", "--arch", "mlp:4"]
+    assert main_entry(argv + ["--epochs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: unknown field 'normalisation'\n"
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory", "under-a-file"])
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (["train", "--loss", "ce", "--dataset", "blobs:3:20:0.3", "--arch", "mlp:4",
+          "--epochs", "1", "--curve-out"], "run_single_training"),
+        (["inspect-loss", "--loss", "ce", "--resolution", "4", "--out"], "inspect_loss_csv"),
+        (["make-noise-matrix", "--noise", "sym:0.2", "--classes", "3", "--out"],
+         "noise_matrix_csv"),
+    ],
+    ids=["train", "inspect-loss", "make-noise-matrix"],
+)
+def test_cli_bad_output_path_exits_two_before_any_work(tmp_path, monkeypatch, capsys, where,
+                                                      argv, work):
+    def planted(*args, **kwargs):
+        raise AssertionError("work ran before the output path was checked")
+
+    monkeypatch.setattr(f"losslearn.cli.{work}", planted)
+    (tmp_path / "file").write_text("")
+    out = {"missing-directory": tmp_path / "missing" / "out.csv", "a-directory": tmp_path,
+           "under-a-file": tmp_path / "file" / "out.csv"}[where]
+    assert main_entry(argv + [str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+
 def test_cli_inspect_loss_normalizes_at_two_classes(tmp_path, capsys):
     # a loss normalized during a 10-class search spans [0, eta] on the binary surface
     path, out = tmp_path / "loss.json", tmp_path / "s.csv"

@@ -3,8 +3,10 @@ and helpers; a rename there must fail here, not when a script next runs."""
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -50,6 +52,31 @@ def test_scripts_parse_their_seeds_without_running(scripts):
     for module in scripts.values():
         assert module.parse_seeds(["--seeds", "0-1"], "0-9", module.__doc__) == range(0, 2)
     assert scripts["reuse_check"].parse_seeds([], "0-4") == range(0, 5)
+
+
+def test_sweep_runs_each_core_in_a_child_with_its_coretype(scripts, monkeypatch):
+    # only the parsing and the child's command and environment: no child runs here
+    sweep = scripts["acceptance_sweep"]
+    args = sweep.parse_args(["--seeds", "4", "--coretypes", "Haswell,Sandybridge,Prescott"])
+    assert args.seeds == range(4, 5)
+    assert args.coretypes == ["Haswell", "Sandybridge", "Prescott"]
+    assert sweep.parse_args([]).coretypes is None
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Prescott")
+    monkeypatch.setenv("LOSSLEARN_SWEEP_PROBE", "kept")
+    command, env = sweep.child("Haswell", range(0, 10))
+    assert command == [sys.executable, str(SCRIPTS / "acceptance_sweep.py"), "--seeds", "0-9"]
+    assert sweep.parse_args(command[2:]).seeds == range(0, 10)
+    assert env["OPENBLAS_CORETYPE"] == "Haswell" and env["LOSSLEARN_SWEEP_PROBE"] == "kept"
+
+
+def test_sweep_reads_the_late_curve(scripts):
+    curve = np.linspace(0.0, 1.0, 30)
+    curve[-10:] = [0.9, 1.0] * 5  # it ends at its best, 1.0, alternating with 0.9
+    drop, late, jitter = scripts["acceptance_sweep"].late_curve(curve)
+    assert drop == 0.0
+    assert late == pytest.approx(0.05)
+    changes = np.abs(np.diff(curve[-21:]))
+    assert len(changes) == 20 and jitter == pytest.approx(changes.mean())
 
 
 def test_artifact_digests_repeat_exactly(monkeypatch, tmp_path):

@@ -188,6 +188,54 @@ def test_rejects_non_finite():
         TaylorLossParams(coefficients=coeffs)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TaylorLossParams(order=True),
+        lambda: TaylorLossParams(order="4"),
+        lambda: TaylorLossParams(expansion_point=(True, 0.0)),
+        lambda: TaylorLossParams(expansion_point=(0.0, 0.0, 0.0)),
+        lambda: TaylorLossParams(coefficients={**mse_embedding().coefficients, (1, 0): True}),
+        lambda: NormalizedLoss(mse_embedding(), True),
+        lambda: NormalizedLoss("mse", 1.0),
+    ],
+    ids=["order-bool", "order-string", "point-bool", "point-three", "value-bool", "eta-bool",
+         "inner-not-polynomial"],
+)
+def test_constructors_reject_what_a_loss_file_rejects(build):
+    # a loss built in code takes the values its file takes, so save_loss
+    # never writes a file that load_loss refuses
+    with pytest.raises(ValueError):
+        build()
+
+
+# a finite number is a Python int or float or a numpy float64; NaN, infinity
+# and true are not, and half the lists below may hold them
+FINITE = (st.floats(allow_nan=False, allow_infinity=False) | st.integers()
+          | st.floats(-1e6, 1e6).map(np.float64))
+NUMBER = FINITE | st.sampled_from([True, False, math.nan, math.inf])
+
+
+@settings(max_examples=100, deadline=None)
+@given(order=st.integers(0, 3), data=st.data(), eta=st.none() | FINITE.map(abs) | NUMBER,
+       point=st.lists(FINITE, min_size=2, max_size=2) | st.lists(NUMBER, max_size=3))
+def test_every_loss_the_constructors_accept_reads_back_equal(tmp_path_factory, order, data, eta,
+                                                              point):
+    keys = list(taylor._lex_keys(order))
+    values = data.draw(st.lists(FINITE, min_size=len(keys), max_size=len(keys))
+                       | st.lists(NUMBER, min_size=len(keys), max_size=len(keys)))
+    try:
+        loss = TaylorLossParams(order, tuple(point), dict(zip(keys, values)))
+        if eta is not None:
+            loss = NormalizedLoss(loss, eta)
+    except ValueError:
+        return
+    path = tmp_path_factory.mktemp("loss") / "loss.json"
+    save_loss(loss, path)
+    back = load_loss(path)
+    assert type(back) is type(loss) and back == loss
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
@@ -857,6 +905,16 @@ def test_loss_file_bit_identical_coefficients(tmp_path):
         lambda doc: doc.update(normalization={"eta": math.inf}),
         lambda doc: doc.update(normalization={"eta": 0}),
         lambda doc: doc.update(normalization={"eta": None}),
+        # every field has a name the reader knows, and each exponent pair one entry
+        lambda doc: doc.update(normalisation=doc.pop("normalization") or {"eta": 8.0}),
+        lambda doc: doc.update(comment="raw"),
+        lambda doc: doc.pop("version"),
+        lambda doc: doc["coefficients"][0].update(c=0),
+        lambda doc: doc["coefficients"][0].pop("value"),
+        lambda doc: doc["coefficients"].append({"a": 2, "b": 0, "value": 5.0}),
+        lambda doc: doc["coefficients"].append(5),
+        lambda doc: doc.update(expansion_point=[0.0, 0.0, 0.0]),
+        lambda doc: doc.update(normalization={"eta": 8.0, "eta_": 8.0}),
     ],
     ids=[
         "coefficients-not-array", "value-not-number", "point-not-number", "order-bool",
@@ -864,6 +922,9 @@ def test_loss_file_bit_identical_coefficients(tmp_path):
         "value-bool", "value-string", "a-bool", "a-float", "b-bool", "point-string",
         "point-bool", "eta-bool", "eta-string", "range-keys", "eta-missing",
         "normalization-not-object", "eta-infinite", "eta-zero", "eta-null",
+        "normalization-misspelt", "unknown-field", "version-missing", "entry-unknown-key",
+        "entry-value-missing", "entry-repeated", "entry-not-object", "point-three",
+        "normalization-unknown-key",
     ],
 )
 def test_loss_file_malformed_values(edit):
