@@ -43,7 +43,14 @@ def _output(path):
         raise ConfigError(f"cannot write {path}: it is a directory or its directory is missing")
 
 
+def _run_dir(path):
+    """ConfigError if path exists and is no directory; a missing one is made by the run."""
+    if Path(path).exists() and not Path(path).is_dir():
+        raise ConfigError(f"cannot use {path} as the output directory: it is not a directory")
+
+
 def cmd_meta_train(args):
+    _run_dir(args.out)
     cfg = MetaConfig.from_dict(_load_json(args.config, "config"))
     meta_train(cfg, args.out, stop_after=args.stop_after)
     print(f"run complete; artifacts in {args.out}", file=sys.stderr)
@@ -75,6 +82,7 @@ def cmd_train(args):
 
 
 def cmd_benchmark(args):
+    _run_dir(args.out)
     grid = BenchmarkGrid.from_dict(_load_json(args.config, "grid"))
     table = run_benchmark(grid, args.out)
     for loss in table.losses:

@@ -2,6 +2,10 @@
 
 Dense and valid-convolution layers, ReLU, non-overlapping max pooling, a
 softmax head, and momentum SGD updated in column blocks. All float64 numpy.
+On a host with two or more CPUs, the backward pass hands a layer's weight
+gradient of at least OVERLAP_WORK multiply-adds to one worker thread while the
+input gradient goes on down the stack; the two run the same BLAS calls on the
+same operands either way, so the bits do not depend on the worker.
 A shape is a tuple: (d,) for flat rows, (H, W, ch) for images; a network takes
 rows of exactly its input shape, and a dense one on images starts with Flatten.
 
@@ -31,6 +35,9 @@ than VALIDATION_BUDGET entries of the widest layer output.
 """
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,8 +266,11 @@ class NetworkSpec:
                 f"final layer produces {shape}, expected {self.num_classes} classes"
             )
         object.__setattr__(self, "row_width", max(1, width))  # entries in the widest row
+        # each layer's parameter count per member, for the backward pass's overlap choice
+        sizes = tuple(sum(map(math.prod, layer.param_shapes().values())) for layer in self.layers)
+        object.__setattr__(self, "param_counts", sizes)
         # the backward pass needs no input gradient below the lowest layer with parameters
-        trained = [i for i, layer in enumerate(self.layers) if layer.param_shapes()]
+        trained = [i for i, size in enumerate(sizes) if size]
         object.__setattr__(self, "lowest_trained", min(trained, default=len(self.layers)))
 
 
@@ -279,8 +289,7 @@ class Network:
 
     def __init__(self, spec, members=1):
         self.spec = spec
-        shapes = [s for layer in spec.layers for s in layer.param_shapes().values()]
-        shape = (members, sum(map(math.prod, shapes)))
+        shape = (members, sum(spec.param_counts))
         self._bind(np.zeros(shape), np.zeros(shape), np.empty(shape))
 
     def _bind(self, theta, momentum, grad):
@@ -327,18 +336,40 @@ class Network:
 
     def _gradient(self, cache, dprobs, bufs):
         """The parameter gradient in the gradient buffer, which the next call
-        overwrites; layer i takes its arrays from bufs[i], and dprobs is spent."""
+        overwrites; layer i takes its arrays from bufs[i], and dprobs is spent.
+
+        A layer above the lowest trained one whose weight gradient takes at
+        least OVERLAP_WORK multiply-adds (rows of dy times its parameter count)
+        runs param_grad on the worker thread, if the process has two CPUs,
+        while this thread goes on with input_grad. That holds because a
+        param_grad reads only its cache and its dy, and no later input_grad
+        writes into either: ReLU writes its dy in place and Flatten returns a
+        view of it, but neither has parameters, so neither goes to the worker.
+        Every task is waited for before the call returns, an error included,
+        and a task's error is raised here.
+        """
         caches, probs = cache
         # dL/dlogits through the softmax Jacobian, in dprobs: (m, n, C), or (n, C) at m = 1
         dx = dprobs.reshape(probs.shape)
         dx -= _class_fold(np.add, dx * probs)[..., None]
         dx *= probs
-        lowest = self.spec.lowest_trained
-        for i in reversed(range(lowest, len(caches))):
-            layer, params = self.spec.layers[i], self._theta_views[i]
-            layer.param_grad(self._grad_views[i], caches[i], dx)
-            if i > lowest:
-                dx = layer.input_grad(params, caches[i], dx, bufs[i])
+        lowest, sizes = self.spec.lowest_trained, self.spec.param_counts
+        pending = []
+        try:
+            for i in reversed(range(lowest, len(caches))):
+                layer, grads = self.spec.layers[i], self._grad_views[i]
+                work = dx.size // dx.shape[-1] * sizes[i]  # the weight gradient's multiply-adds
+                if i > lowest and sizes[i] and work >= OVERLAP_WORK and _cpus() > 1:
+                    pending.append(_worker().submit(
+                        _under, np.geterr(), layer.param_grad, grads, caches[i], dx))
+                else:
+                    layer.param_grad(grads, caches[i], dx)
+                if i > lowest:
+                    dx = layer.input_grad(self._theta_views[i], caches[i], dx, bufs[i])
+        finally:
+            wait(pending)  # no task may still write into the gradient buffer
+        for task in pending:
+            task.result()
         return self._grad
 
 
@@ -408,6 +439,31 @@ class TrainConfig:
 
 VALIDATION_BUDGET = 2**20  # 8 MiB of float64
 SGD_BLOCK = 2**15  # parameter columns per SGD update pass
+OVERLAP_WORK = 2**23  # multiply-adds from which a weight gradient goes to the worker thread
+_executor, _executor_lock = None, threading.Lock()
+
+
+def _cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker():
+    """The one worker thread of the backward pass, made on first use."""
+    global _executor
+    with _executor_lock:
+        if _executor is None:
+            _executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="losslearn-grad")
+        return _executor
+
+
+def _under(err, run, *args):
+    """run(*args) under the numpy error handling err: it does not carry over to
+    another thread, and the trainer ignores overflow in a diverging member."""
+    with np.errstate(**err):
+        run(*args)
 
 
 def accuracy(net, features, labels):

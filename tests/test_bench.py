@@ -918,6 +918,25 @@ def test_cli_runtime_failure_exits_three(tmp_path, capsys):
     assert "failed:" in capsys.readouterr().err
 
 
+def test_cli_benchmark_out_naming_a_file_exits_two_before_any_work(tmp_path, monkeypatch,
+                                                                  capsys):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps(GRID_CONFIG))
+    argv = ["benchmark", "--config", str(config), "--out"]
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    with monkeypatch.context() as patch:
+        patch.setattr(bench, "fit_many", lambda *args: pytest.fail("a training ran"))
+        assert main_entry(argv + [str(taken)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot use {taken} as the output directory: it is not a directory\n"
+    )
+    assert taken.read_text() == "kept"
+    nested = tmp_path / "missing" / "out"  # missing parents are still made
+    assert main_entry(argv + [str(nested)]) == 0
+    assert (nested / "results.csv").exists()
+
+
 def test_cli_inspect_loss_writes_surface(tmp_path, capsys):
     out = tmp_path / "surface.csv"
     code = main_entry(

@@ -1,5 +1,7 @@
 """Network engine: init, forward oracles, end-to-end gradients, training."""
 
+import threading
+import time
 import tracemalloc
 from dataclasses import dataclass
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from losslearn import network
 from losslearn.bench import curve_to_csv, loss_from_selector
 from losslearn.datasets import DatasetSplit, noisy_split, split, synth_blobs
 from losslearn.network import (
@@ -1131,3 +1134,154 @@ def test_spec_rejects_a_relu_on_the_input_batch(layers, input_shape):
     # ReLU runs in place, which must never reach the caller's batch
     with pytest.raises(ValueError, match="would overwrite the batch"):
         NetworkSpec(layers, input_shape, 3)
+
+
+# ---------------------------------------------------------------------------
+# The backward pass's worker thread: which layers go to it, bits and errors
+# ---------------------------------------------------------------------------
+
+
+def trained_state(monkeypatch, overlap_work, spec, losses, sp, cfg):
+    """theta and momentum bytes of a stack trained with OVERLAP_WORK set, on a
+    host taken to have two CPUs; and how many tasks went to the worker."""
+    tasks, under = [], network._under
+
+    def counted(err, run, *args):
+        tasks.append(run)
+        under(err, run, *args)
+
+    monkeypatch.setattr(network, "OVERLAP_WORK", overlap_work)
+    monkeypatch.setattr(network, "_cpus", lambda: 2)
+    monkeypatch.setattr(network, "_under", counted)
+    net = init(spec, 5, len(losses))
+    train(net, losses, sp, cfg)
+    return net.theta.tobytes(), net.momentum.tobytes(), len(tasks)
+
+
+def image_split(side, classes, n, seed):
+    rng = np.random.default_rng(seed)
+    x, y = rng.random((n, side, side, 1)), rng.integers(0, classes, n)
+    return make_split(x, y, x[: n // 4], y[: n // 4], classes)
+
+
+@pytest.mark.parametrize(
+    "side, classes, losses, cfg",
+    [
+        (16, 3, [normalized_member(15, eta=8.0), CrossEntropy()],
+         TrainConfig(epochs=2, batch_size=8, seed=6)),
+        (28, 10, [CrossEntropy()], TrainConfig(epochs=1, batch_size=32, seed=6)),
+    ],
+    ids=["cnn16-stack-of-2", "cnn28-batch-32"],
+)
+def test_worker_thread_keeps_every_bit(monkeypatch, side, classes, losses, cfg):
+    spec, sp = cnn_spec(side, classes), image_split(side, classes, 96, seed=side)
+    *overlapped, sent = trained_state(monkeypatch, 0, spec, losses, sp, cfg)
+    *serial, kept = trained_state(monkeypatch, 2**62, spec, losses, sp, cfg)
+    assert overlapped == serial
+    # every trained layer but conv1 went to the worker, and none without it
+    assert (sent, kept) == (3 * -(-len(sp.train_labels) // cfg.batch_size) * cfg.epochs, 0)
+
+
+class WorkerRefused:
+    def submit(self, *args):
+        raise AssertionError("a task went to the worker thread")
+
+
+@pytest.mark.parametrize(
+    "arch, classes, members",
+    [("mlp:32", 3, 11), ("mlp:64,64", 10, 7)],
+    ids=["search-mlp", "grid-mlp-64-64"],
+)
+def test_search_and_grid_shapes_never_touch_the_worker(monkeypatch, arch, classes, members):
+    monkeypatch.setattr(network, "_cpus", lambda: 2)
+    monkeypatch.setattr(network, "_worker", WorkerRefused)
+    dim = 2 if classes == 3 else 8
+    sp = noisy_split(f"blobs:{classes}:100:0.5:dim={dim}", "sym:0.4", data_seed=1, split_seed=2,
+                     val_fraction=0.25)
+    losses = [normalized_member(s, eta=8.0, num_classes=classes) for s in range(members)]
+    net = init(arch_from_selector(arch, (dim,), classes), 4, members)
+    _, fail_epoch, _ = train(net, losses, sp, TrainConfig(epochs=2, batch_size=128, seed=3))
+    assert not fail_epoch.any()
+
+
+def test_one_cpu_runs_the_cnn_step_without_a_thread(monkeypatch):
+    monkeypatch.setattr(network, "_cpus", lambda: 1)
+    monkeypatch.setattr(network, "_worker", WorkerRefused)
+    threads = threading.active_count()
+    spec, sp = cnn_spec(28, 10), image_split(28, 10, 32, seed=9)
+    train(init(spec, 5), [CrossEntropy()], sp, TrainConfig(epochs=1, batch_size=32))
+    assert threading.active_count() == threads
+
+
+class Planted(Exception):
+    pass
+
+
+@dataclass(frozen=True)
+class FailingDense(Dense):
+    """A Dense whose weight gradient raises, after recording the thread it ran on."""
+
+    seen: list
+
+    def param_grad(self, grads, x, dy):
+        error = Planted(threading.current_thread())
+        self.seen.append(error)
+        raise error
+
+
+def test_worker_error_reaches_train_unchanged(monkeypatch):
+    monkeypatch.setattr(network, "OVERLAP_WORK", 0)
+    monkeypatch.setattr(network, "_cpus", lambda: 2)
+    seen = []
+    spec = NetworkSpec((Dense(2, 8), ReLU(), FailingDense(8, 3, seen)), (2,), 3)
+    _, sp = fit_problem()
+    with pytest.raises(Planted) as raised:
+        train(init(spec, 4, 2), [CrossEntropy()] * 2, sp, TrainConfig(epochs=1, batch_size=16))
+    # the one error train raised is the task's own, raised on the worker, and
+    # it is no divergence: train returned no scores for it
+    assert seen == [raised.value]
+    assert raised.value.args[0] is not threading.current_thread()
+
+
+@dataclass(frozen=True)
+class SlowDense(Dense):
+    """A Dense whose weight gradient finishes late and whose input gradient raises."""
+
+    done: list
+
+    def param_grad(self, grads, x, dy):
+        time.sleep(0.2)
+        super().param_grad(grads, x, dy)
+        self.done.append(True)
+
+    def input_grad(self, params, x, dy, buf):
+        raise Planted("input gradient")
+
+
+def test_an_error_leaves_no_worker_task_running(monkeypatch):
+    monkeypatch.setattr(network, "OVERLAP_WORK", 0)
+    monkeypatch.setattr(network, "_cpus", lambda: 2)
+    done = []
+    spec = NetworkSpec((Dense(2, 8), ReLU(), SlowDense(8, 3, done)), (2,), 3)
+    _, sp = fit_problem()
+    with pytest.raises(Planted, match="input gradient"):
+        train(init(spec, 4), [CrossEntropy()], sp, TrainConfig(epochs=1, batch_size=16))
+    assert done == [True]
+
+
+def test_diverging_cnn_member_overflows_quietly_on_the_worker(monkeypatch):
+    # member 1's conv1 weights scaled up and conv2's down by one factor leave
+    # its logits as they were, but put conv2's input near 1e306, so under a
+    # mis-scaled loss its weight gradient overflows on the worker. numpy's error
+    # handling does not carry over to another thread and the suite turns
+    # warnings into errors: a task outside the trainer's would raise the overflow
+    # instead of leaving the member to the finiteness check
+    monkeypatch.setattr(network, "OVERLAP_WORK", 0)
+    monkeypatch.setattr(network, "_cpus", lambda: 2)
+    spec, sp = cnn_spec(16, 3), image_split(16, 3, 48, seed=11)
+    net = init(spec, 5, 2)
+    net._theta_views[0]["w"][1] *= 1e306
+    net._theta_views[3]["w"][1] /= 1e306
+    losses = [CrossEntropy(), normalized_member(15, eta=1e8)]
+    _, fail_epoch, _ = train(net, losses, sp, TrainConfig(epochs=2, batch_size=16))
+    assert fail_epoch.tolist() == [0, 1]

@@ -370,6 +370,20 @@ def test_pool_listing_one_task_twice_exits_two(tmp_path, monkeypatch, capsys, po
     assert not list(run_dir.glob("checkpoint_gen_*.json"))
 
 
+def test_cli_meta_train_out_naming_a_file_exits_two_before_any_work(tmp_path, monkeypatch,
+                                                                    capsys):
+    config = tmp_path / "meta.json"
+    config.write_text(json.dumps(tiny_config().to_dict()))
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    monkeypatch.setattr(search, "fit_many", lambda *args: pytest.fail("a training ran"))
+    assert main_entry(["meta-train", "--config", str(config), "--out", str(taken)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot use {taken} as the output directory: it is not a directory\n"
+    )
+    assert taken.read_text() == "kept"
+
+
 # ---------------------------------------------------------------------------
 # meta_train artifacts and determinism
 # ---------------------------------------------------------------------------
