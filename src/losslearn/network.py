@@ -2,10 +2,11 @@
 
 Dense and valid-convolution layers, ReLU, non-overlapping max pooling, a
 softmax head, and momentum SGD updated in column blocks. All float64 numpy.
-On a host with two or more CPUs, the backward pass hands a layer's weight
-gradient of at least OVERLAP_WORK multiply-adds to one worker thread while the
-input gradient goes on down the stack; the two run the same BLAS calls on the
-same operands either way, so the bits do not depend on the worker.
+When the process has more CPUs than BLAS has threads (BLAS capped at one
+thread on two CPUs, say), the backward pass hands a layer's weight gradient of
+at least OVERLAP_WORK multiply-adds to one worker thread while the input
+gradient goes on down the stack; the two run the same BLAS calls on the same
+operands either way, so the bits do not depend on the worker.
 A shape is a tuple: (d,) for flat rows, (H, W, ch) for images; a network takes
 rows of exactly its input shape, and a dense one on images starts with Flatten.
 
@@ -340,8 +341,8 @@ class Network:
 
         A layer above the lowest trained one whose weight gradient takes at
         least OVERLAP_WORK multiply-adds (rows of dy times its parameter count)
-        runs param_grad on the worker thread, if the process has two CPUs,
-        while this thread goes on with input_grad. That holds because a
+        runs param_grad on the worker thread, if a CPU is spare beside BLAS's
+        threads, while this thread goes on with input_grad. That holds because a
         param_grad reads only its cache and its dy, and no later input_grad
         writes into either: ReLU writes its dy in place and Flatten returns a
         view of it, but neither has parameters, so neither goes to the worker.
@@ -359,7 +360,7 @@ class Network:
             for i in reversed(range(lowest, len(caches))):
                 layer, grads = self.spec.layers[i], self._grad_views[i]
                 work = dx.size // dx.shape[-1] * sizes[i]  # the weight gradient's multiply-adds
-                if i > lowest and sizes[i] and work >= OVERLAP_WORK and _cpus() > 1:
+                if i > lowest and work >= OVERLAP_WORK and _spare_cpu():
                     pending.append(_worker().submit(
                         _under, np.geterr(), layer.param_grad, grads, caches[i], dx))
                 else:
@@ -440,6 +441,7 @@ class TrainConfig:
 VALIDATION_BUDGET = 2**20  # 8 MiB of float64
 SGD_BLOCK = 2**15  # parameter columns per SGD update pass
 OVERLAP_WORK = 2**23  # multiply-adds from which a weight gradient goes to the worker thread
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 _executor, _executor_lock = None, threading.Lock()
 
 
@@ -448,6 +450,26 @@ def _cpus():
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _blas_threads():
+    """The threads OpenBLAS runs a product on: the first of OPENBLAS_NUM_THREADS,
+    GOTO_NUM_THREADS and OMP_NUM_THREADS set above 0, else one per CPU."""
+    for var in BLAS_THREAD_VARS:
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return _cpus()
+
+
+def _spare_cpu():
+    """Whether a CPU is left over beside BLAS's threads. Without one, a product
+    on the worker thread only competes with the calling thread's: at the
+    default of one BLAS thread per CPU, the worker made a 2-CPU CNN run slower."""
+    return _cpus() > _blas_threads()
 
 
 def _worker():

@@ -1143,7 +1143,7 @@ def test_spec_rejects_a_relu_on_the_input_batch(layers, input_shape):
 
 def trained_state(monkeypatch, overlap_work, spec, losses, sp, cfg):
     """theta and momentum bytes of a stack trained with OVERLAP_WORK set, on a
-    host taken to have two CPUs; and how many tasks went to the worker."""
+    host taken to have a spare CPU; and how many tasks went to the worker."""
     tasks, under = [], network._under
 
     def counted(err, run, *args):
@@ -1151,7 +1151,7 @@ def trained_state(monkeypatch, overlap_work, spec, losses, sp, cfg):
         under(err, run, *args)
 
     monkeypatch.setattr(network, "OVERLAP_WORK", overlap_work)
-    monkeypatch.setattr(network, "_cpus", lambda: 2)
+    monkeypatch.setattr(network, "_spare_cpu", lambda: True)
     monkeypatch.setattr(network, "_under", counted)
     net = init(spec, 5, len(losses))
     train(net, losses, sp, cfg)
@@ -1175,7 +1175,7 @@ def image_split(side, classes, n, seed):
 )
 def test_worker_thread_keeps_every_bit(monkeypatch, side, classes, losses, cfg):
     spec, sp = cnn_spec(side, classes), image_split(side, classes, 96, seed=side)
-    *overlapped, sent = trained_state(monkeypatch, 0, spec, losses, sp, cfg)
+    *overlapped, sent = trained_state(monkeypatch, 1, spec, losses, sp, cfg)
     *serial, kept = trained_state(monkeypatch, 2**62, spec, losses, sp, cfg)
     assert overlapped == serial
     # every trained layer but conv1 went to the worker, and none without it
@@ -1193,7 +1193,7 @@ class WorkerRefused:
     ids=["search-mlp", "grid-mlp-64-64"],
 )
 def test_search_and_grid_shapes_never_touch_the_worker(monkeypatch, arch, classes, members):
-    monkeypatch.setattr(network, "_cpus", lambda: 2)
+    monkeypatch.setattr(network, "_spare_cpu", lambda: True)
     monkeypatch.setattr(network, "_worker", WorkerRefused)
     dim = 2 if classes == 3 else 8
     sp = noisy_split(f"blobs:{classes}:100:0.5:dim={dim}", "sym:0.4", data_seed=1, split_seed=2,
@@ -1204,13 +1204,41 @@ def test_search_and_grid_shapes_never_touch_the_worker(monkeypatch, arch, classe
     assert not fail_epoch.any()
 
 
-def test_one_cpu_runs_the_cnn_step_without_a_thread(monkeypatch):
-    monkeypatch.setattr(network, "_cpus", lambda: 1)
+def blas_environment(monkeypatch, cpus, env):
+    monkeypatch.setattr(network, "_cpus", lambda: cpus)
+    for var in network.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+
+
+@pytest.mark.parametrize(
+    "cpus, env, spare",
+    [
+        (2, {}, False),  # OpenBLAS's default: one thread per CPU
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, True),
+        (2, {"OMP_NUM_THREADS": "1"}, True),
+        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        (2, {"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, False),
+        (4, {"OMP_NUM_THREADS": "3"}, True),
+    ],
+)
+def test_a_spare_cpu_is_one_beside_blas_threads(monkeypatch, cpus, env, spare):
+    blas_environment(monkeypatch, cpus, env)
+    assert network._spare_cpu() is spare
+
+
+@pytest.mark.parametrize(
+    "cpus, env",
+    [(1, {"OPENBLAS_NUM_THREADS": "1"}), (2, {})],
+    ids=["one-cpu", "blas-thread-per-cpu"],
+)
+def test_cnn_step_without_a_spare_cpu_stays_on_one_thread(monkeypatch, cpus, env):
+    blas_environment(monkeypatch, cpus, env)
     monkeypatch.setattr(network, "_worker", WorkerRefused)
-    threads = threading.active_count()
     spec, sp = cnn_spec(28, 10), image_split(28, 10, 32, seed=9)
     train(init(spec, 5), [CrossEntropy()], sp, TrainConfig(epochs=1, batch_size=32))
-    assert threading.active_count() == threads
 
 
 class Planted(Exception):
@@ -1230,8 +1258,8 @@ class FailingDense(Dense):
 
 
 def test_worker_error_reaches_train_unchanged(monkeypatch):
-    monkeypatch.setattr(network, "OVERLAP_WORK", 0)
-    monkeypatch.setattr(network, "_cpus", lambda: 2)
+    monkeypatch.setattr(network, "OVERLAP_WORK", 1)
+    monkeypatch.setattr(network, "_spare_cpu", lambda: True)
     seen = []
     spec = NetworkSpec((Dense(2, 8), ReLU(), FailingDense(8, 3, seen)), (2,), 3)
     _, sp = fit_problem()
@@ -1259,8 +1287,8 @@ class SlowDense(Dense):
 
 
 def test_an_error_leaves_no_worker_task_running(monkeypatch):
-    monkeypatch.setattr(network, "OVERLAP_WORK", 0)
-    monkeypatch.setattr(network, "_cpus", lambda: 2)
+    monkeypatch.setattr(network, "OVERLAP_WORK", 1)
+    monkeypatch.setattr(network, "_spare_cpu", lambda: True)
     done = []
     spec = NetworkSpec((Dense(2, 8), ReLU(), SlowDense(8, 3, done)), (2,), 3)
     _, sp = fit_problem()
@@ -1276,8 +1304,8 @@ def test_diverging_cnn_member_overflows_quietly_on_the_worker(monkeypatch):
     # handling does not carry over to another thread and the suite turns
     # warnings into errors: a task outside the trainer's would raise the overflow
     # instead of leaving the member to the finiteness check
-    monkeypatch.setattr(network, "OVERLAP_WORK", 0)
-    monkeypatch.setattr(network, "_cpus", lambda: 2)
+    monkeypatch.setattr(network, "OVERLAP_WORK", 1)
+    monkeypatch.setattr(network, "_spare_cpu", lambda: True)
     spec, sp = cnn_spec(16, 3), image_split(16, 3, 48, seed=11)
     net = init(spec, 5, 2)
     net._theta_views[0]["w"][1] *= 1e306
