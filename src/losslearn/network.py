@@ -6,7 +6,10 @@ When the process has more CPUs than BLAS has threads (BLAS capped at one
 thread on two CPUs, say), the backward pass hands a layer's weight gradient of
 at least OVERLAP_WORK multiply-adds to one worker thread while the input
 gradient goes on down the stack; the two run the same BLAS calls on the same
-operands either way, so the bits do not depend on the worker.
+operands either way, so the bits do not depend on the worker. Each training
+makes its own worker, whose thread starts at its first task and is joined
+before train returns or raises, so no thread outlives a training (a process
+forked after one inherits none).
 A shape is a tuple: (d,) for flat rows, (H, W, ch) for images; a network takes
 rows of exactly its input shape, and a dense one on images starts with Flatten.
 
@@ -35,11 +38,12 @@ holds about one network's activations over the validation set, and never more
 than VALIDATION_BUDGET entries of the widest layer output.
 """
 
+import contextlib
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -335,19 +339,20 @@ class Network:
         probs = _softmax(x)
         return probs, (caches, probs)
 
-    def _gradient(self, cache, dprobs, bufs):
+    def _gradient(self, cache, dprobs, bufs, worker=None):
         """The parameter gradient in the gradient buffer, which the next call
         overwrites; layer i takes its arrays from bufs[i], and dprobs is spent.
 
-        A layer above the lowest trained one whose weight gradient takes at
-        least OVERLAP_WORK multiply-adds (rows of dy times its parameter count)
-        runs param_grad on the worker thread, if a CPU is spare beside BLAS's
-        threads, while this thread goes on with input_grad. That holds because a
-        param_grad reads only its cache and its dy, and no later input_grad
-        writes into either: ReLU writes its dy in place and Flatten returns a
-        view of it, but neither has parameters, so neither goes to the worker.
-        Every task is waited for before the call returns, an error included,
-        and a task's error is raised here.
+        Given a worker (train's executor), a layer above the lowest trained one
+        whose weight gradient takes at least OVERLAP_WORK multiply-adds (rows of
+        dy times its parameter count) runs param_grad on it while this thread
+        goes on with input_grad. That holds because a param_grad reads only its
+        cache and its dy, and no later input_grad writes into either: ReLU
+        writes its dy in place and Flatten returns a view of it, but neither has
+        parameters, so neither goes to the worker. Every task's result is taken
+        before the call returns, so a task's error is raised here; when an
+        error leaves early, the executor's shutdown in train waits out a task
+        still running before train raises.
         """
         caches, probs = cache
         # dL/dlogits through the softmax Jacobian, in dprobs: (m, n, C), or (n, C) at m = 1
@@ -356,19 +361,15 @@ class Network:
         dx *= probs
         lowest, sizes = self.spec.lowest_trained, self.spec.param_counts
         pending = []
-        try:
-            for i in reversed(range(lowest, len(caches))):
-                layer, grads = self.spec.layers[i], self._grad_views[i]
-                work = dx.size // dx.shape[-1] * sizes[i]  # the weight gradient's multiply-adds
-                if i > lowest and work >= OVERLAP_WORK and _spare_cpu():
-                    pending.append(_worker().submit(
-                        _under, np.geterr(), layer.param_grad, grads, caches[i], dx))
-                else:
-                    layer.param_grad(grads, caches[i], dx)
-                if i > lowest:
-                    dx = layer.input_grad(self._theta_views[i], caches[i], dx, bufs[i])
-        finally:
-            wait(pending)  # no task may still write into the gradient buffer
+        for i in reversed(range(lowest, len(caches))):
+            layer, grads = self.spec.layers[i], self._grad_views[i]
+            work = dx.size // dx.shape[-1] * sizes[i]  # the weight gradient's multiply-adds
+            if worker and i > lowest and work >= OVERLAP_WORK:
+                pending.append(worker.submit(layer.param_grad, grads, caches[i], dx))
+            else:
+                layer.param_grad(grads, caches[i], dx)
+            if i > lowest:
+                dx = layer.input_grad(self._theta_views[i], caches[i], dx, bufs[i])
         for task in pending:
             task.result()
         return self._grad
@@ -442,7 +443,6 @@ VALIDATION_BUDGET = 2**20  # 8 MiB of float64
 SGD_BLOCK = 2**15  # parameter columns per SGD update pass
 OVERLAP_WORK = 2**23  # multiply-adds from which a weight gradient goes to the worker thread
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-_executor, _executor_lock = None, threading.Lock()
 
 
 def _cpus():
@@ -472,20 +472,15 @@ def _spare_cpu():
     return _cpus() > _blas_threads()
 
 
-def _worker():
-    """The one worker thread of the backward pass, made on first use."""
-    global _executor
-    with _executor_lock:
-        if _executor is None:
-            _executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="losslearn-grad")
-        return _executor
-
-
-def _under(err, run, *args):
-    """run(*args) under the numpy error handling err: it does not carry over to
-    another thread, and the trainer ignores overflow in a diverging member."""
-    with np.errstate(**err):
-        run(*args)
+def _backward_worker():
+    """One training's worker thread for the backward pass, if a CPU is spare:
+    an executor whose thread starts at the first task under the caller's numpy
+    error handling (it does not carry over to another thread) and is joined
+    when the training's with block exits; else a context holding None."""
+    if not _spare_cpu():
+        return contextlib.nullcontext()
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="losslearn-grad",
+                              initializer=partial(np.seterr, **np.geterr()))
 
 
 def accuracy(net, features, labels):
@@ -548,13 +543,13 @@ def _buffer(buf, key, shape):
     return buf[key]
 
 
-def _sgd_step(net, loss_call, xb, yb, cfg, bufs, values):
+def _sgd_step(net, loss_call, xb, yb, cfg, bufs, values, worker=None):
     """One SGD step of every member on one batch; returns each member's loss
-    sum if values, else None."""
+    sum if values, else None. worker, if given, takes large weight gradients."""
     probs, cache = net._forward_cache(xb, bufs)
     loss_values, grads = loss_call(probs, yb, values)
     grads /= len(xb)  # objective is the batch mean, so scale per-sample gradients
-    grad = net._gradient(cache, grads, bufs)
+    grad = net._gradient(cache, grads, bufs, worker)
     for s in range(0, net.num_parameters, SGD_BLOCK):  # column blocks, each updated while in cache
         theta, momentum, g = (a[:, s : s + SGD_BLOCK] for a in (net.theta, net.momentum, grad))
         momentum *= cfg.momentum
@@ -597,14 +592,15 @@ def train(net, losses, data, cfg, curves=False):
     val_accs = None
     # mis-scaled candidate losses overflow before the finiteness check below
     # catches them; that path is expected, not an error, and the validation
-    # must stay quiet about it too
-    with np.errstate(over="ignore", invalid="ignore"):
+    # must stay quiet about it too. The worker copies this error handling, and
+    # its thread is joined before train returns or raises
+    with np.errstate(over="ignore", invalid="ignore"), _backward_worker() as worker:
         for epoch in range(1, cfg.epochs + 1):
             order = rng.permutation(n)
             loss_sums = np.zeros(len(alive))
             for start in range(0, n, cfg.batch_size):
                 take = order[start : start + cfg.batch_size]
-                sums = _sgd_step(net, loss_call, x[take], y[take], cfg, bufs, curves)
+                sums = _sgd_step(net, loss_call, x[take], y[take], cfg, bufs, curves, worker)
                 if curves:
                     loss_sums += sums
                 finite = np.isfinite(net.theta).all(axis=-1)

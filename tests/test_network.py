@@ -1,5 +1,8 @@
 """Network engine: init, forward oracles, end-to-end gradients, training."""
 
+import contextlib
+import multiprocessing
+import os
 import threading
 import time
 import tracemalloc
@@ -1144,15 +1147,16 @@ def test_spec_rejects_a_relu_on_the_input_batch(layers, input_shape):
 def trained_state(monkeypatch, overlap_work, spec, losses, sp, cfg):
     """theta and momentum bytes of a stack trained with OVERLAP_WORK set, on a
     host taken to have a spare CPU; and how many tasks went to the worker."""
-    tasks, under = [], network._under
+    tasks = []
 
-    def counted(err, run, *args):
-        tasks.append(run)
-        under(err, run, *args)
+    class Counted(network.ThreadPoolExecutor):
+        def submit(self, run, *args):
+            tasks.append(run)
+            return super().submit(run, *args)
 
     monkeypatch.setattr(network, "OVERLAP_WORK", overlap_work)
     monkeypatch.setattr(network, "_spare_cpu", lambda: True)
-    monkeypatch.setattr(network, "_under", counted)
+    monkeypatch.setattr(network, "ThreadPoolExecutor", Counted)
     net = init(spec, 5, len(losses))
     train(net, losses, sp, cfg)
     return net.theta.tobytes(), net.momentum.tobytes(), len(tasks)
@@ -1182,7 +1186,12 @@ def test_worker_thread_keeps_every_bit(monkeypatch, side, classes, losses, cfg):
     assert (sent, kept) == (3 * -(-len(sp.train_labels) // cfg.batch_size) * cfg.epochs, 0)
 
 
-class WorkerRefused:
+class WorkerRefused(contextlib.nullcontext):
+    """An executor that fails on any task."""
+
+    def __init__(self, **kwargs):
+        super().__init__(self)
+
     def submit(self, *args):
         raise AssertionError("a task went to the worker thread")
 
@@ -1194,7 +1203,7 @@ class WorkerRefused:
 )
 def test_search_and_grid_shapes_never_touch_the_worker(monkeypatch, arch, classes, members):
     monkeypatch.setattr(network, "_spare_cpu", lambda: True)
-    monkeypatch.setattr(network, "_worker", WorkerRefused)
+    monkeypatch.setattr(network, "ThreadPoolExecutor", WorkerRefused)
     dim = 2 if classes == 3 else 8
     sp = noisy_split(f"blobs:{classes}:100:0.5:dim={dim}", "sym:0.4", data_seed=1, split_seed=2,
                      val_fraction=0.25)
@@ -1222,6 +1231,7 @@ def blas_environment(monkeypatch, cpus, env):
         (2, {"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
         (1, {"OPENBLAS_NUM_THREADS": "1"}, False),
         (4, {"OMP_NUM_THREADS": "3"}, True),
+        (2, {"OPENBLAS_NUM_THREADS": "auto", "OMP_NUM_THREADS": "1"}, True),  # atoi: unset
     ],
 )
 def test_a_spare_cpu_is_one_beside_blas_threads(monkeypatch, cpus, env, spare):
@@ -1236,7 +1246,7 @@ def test_a_spare_cpu_is_one_beside_blas_threads(monkeypatch, cpus, env, spare):
 )
 def test_cnn_step_without_a_spare_cpu_stays_on_one_thread(monkeypatch, cpus, env):
     blas_environment(monkeypatch, cpus, env)
-    monkeypatch.setattr(network, "_worker", WorkerRefused)
+    monkeypatch.setattr(network, "ThreadPoolExecutor", WorkerRefused)
     spec, sp = cnn_spec(28, 10), image_split(28, 10, 32, seed=9)
     train(init(spec, 5), [CrossEntropy()], sp, TrainConfig(epochs=1, batch_size=32))
 
@@ -1289,12 +1299,38 @@ class SlowDense(Dense):
 def test_an_error_leaves_no_worker_task_running(monkeypatch):
     monkeypatch.setattr(network, "OVERLAP_WORK", 1)
     monkeypatch.setattr(network, "_spare_cpu", lambda: True)
-    done = []
+    done, threads = [], threading.active_count()
     spec = NetworkSpec((Dense(2, 8), ReLU(), SlowDense(8, 3, done)), (2,), 3)
     _, sp = fit_problem()
     with pytest.raises(Planted, match="input gradient"):
         train(init(spec, 4), [CrossEntropy()], sp, TrainConfig(epochs=1, batch_size=16))
+    # the task finished and its thread was joined before train raised
     assert done == [True]
+    assert threading.active_count() == threads
+
+
+def train_cnn16():
+    spec, sp = cnn_spec(16, 3), image_split(16, 3, 48, seed=11)
+    train(init(spec, 5), [CrossEntropy()], sp, TrainConfig(epochs=1, batch_size=16))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_trains_after_its_parent(monkeypatch):
+    # a worker that outlived its training would pass to the child without its
+    # thread, and the child's first task would wait for it forever
+    monkeypatch.setattr(network, "OVERLAP_WORK", 1)
+    monkeypatch.setattr(network, "_spare_cpu", lambda: True)
+    threads = threading.active_count()
+    train_cnn16()
+    child = multiprocessing.get_context("fork").Process(target=train_cnn16)
+    child.start()
+    child.join(timeout=30)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("the forked child's training hung")
+    assert child.exitcode == 0
+    assert threading.active_count() == threads
 
 
 def test_diverging_cnn_member_overflows_quietly_on_the_worker(monkeypatch):
