@@ -7,14 +7,20 @@ stderr of ``benchmark`` (its average-rank lines) and the sha256 of the
 trained parameters and momentum of two networks trained through library
 calls, which no artifact holds. A change meant to leave every output
 byte-identical prints the same lines as its parent checkout on the same
-machine and BLAS build, at OPENBLAS_NUM_THREADS=1 and with it unset:
+machine and BLAS build, at OPENBLAS_NUM_THREADS=1 and with it unset, on all
+CPUs and under taskset -c 0:
 
     OPENBLAS_NUM_THREADS=1 python scripts/artifact_digests.py OUT1
     python scripts/artifact_digests.py OUT
+    OPENBLAS_NUM_THREADS=1 taskset -c 0 python scripts/artifact_digests.py OUT1C1
+    taskset -c 0 python scripts/artifact_digests.py OUTC1
 
-Compare at both: on two or more CPUs only the pinned run sends the cnn28 weight
-gradients to the backward pass's worker thread (network._spare_cpu), so an
-unpinned comparison cannot see a change on the worker path.
+Compare at both thread settings: on two or more CPUs only the pinned run sends
+the cnn28 weight gradients to the backward pass's worker thread
+(network._spare_cpu), so an unpinned comparison cannot see a change on the
+worker path. Compare on one CPU too: pinned on two or more CPUs the searches
+and the grid are split across processes (network.Processes), while on one
+CPU, and unpinned, they run in one process.
 
 The commands:
 - meta-train: the acceptance test's frozen search config, capped at 4

@@ -4,7 +4,11 @@ Runs every (cell x loss x seed) training of a benchmark grid, writes raw
 results plus mean/std and average-rank tables, and provides the loss and
 noise-matrix inspection dumps. Within a cell, the dataset draw, the split,
 the network initialization, and the batch order are shared across losses for
-a given seed index, so losses are compared on identical footing.
+a given seed index, so losses are compared on identical footing. A grid's
+(cell, seed) jobs are independent and of uneven cost, so they go to the
+CPUs' processes one at a time, each to whichever is free (network.Processes);
+every loss of a job trains in the job's process, and this process logs the
+jobs in grid order.
 """
 
 import csv
@@ -19,7 +23,7 @@ import numpy as np
 
 from .config import ConfigError, check_fields, config_from_dict
 from .datasets import ValFractionError, noisy_split
-from .network import TrainConfig, arch_from_selector, fit_many
+from .network import Processes, TrainConfig, arch_from_selector, fit_many
 from .noise import noise_from_selector
 from .reference import REFERENCE_KINDS, make_reference_loss
 from .seeding import derive_seed
@@ -239,39 +243,53 @@ def run_benchmark(grid, out_dir):
     _reject_repeats("grid lists loss", grid.losses, losses)
     cfg = TrainConfig.of(grid)
 
-    def job(cell, s):
-        data, split, init, train = _seed_parts(derive_seed(grid.master_seed, "cell", *cell, s))
-        sp = resolve_split(*cell[1:], data, split, grid.val_fraction)
-        return resolve_job(cell[0], sp, init, train, cfg)
-
     # every cell's first seed resolves before any training, so a selector typo fails
     # before anything runs, as do a repeated cell and a polynomial loss without a
-    # range at some cell's class count; each job is held until its cell trains
-    first, keys = map(list, zip(*(job(cell, 0) for cell in grid.cells)))
+    # range at some cell's class count
+    first, keys = map(list, zip(*(_grid_job(grid, cfg, cell, 0) for cell in grid.cells)))
     _reject_repeats("grid lists cell", grid.cells, keys)
     for _, sp, _, _ in first:
         for loss in losses:
             if hasattr(loss, "affine"):  # a polynomial loss; it keeps each C's range
                 loss.affine(sp.num_classes)
+    # the (cell, seed) jobs, cells outer, dealt to the CPUs; logged here, in order
+    jobs = [(k, s, first[k] if s == 0 else None)
+            for k in range(len(grid.cells)) for s in range(grid.seeds)]
+    with Processes() as processes:
+        done = processes.map(_fit_grid_jobs, jobs, grid, cfg, losses, each=True)
     accuracy = np.zeros((len(grid.cells), len(losses), grid.seeds))
     diverged = np.zeros(accuracy.shape, dtype=bool)
-    for k, cell in enumerate(grid.cells):
-        for s in range(grid.seeds):
-            started = time.perf_counter()
-            spec, sp, init_seed, seed_cfg = first.pop(0) if s == 0 else job(cell, s)[0]
-            accuracy[k, :, s], fail_epoch, _ = fit_many(spec, losses, sp, init_seed, seed_cfg)
-            diverged[k, :, s] = fail_epoch > 0
-            log.info(
-                "cell %s seed %d: %d losses, %d diverged, best accuracy %.6f, %.2f s",
-                " ".join(cell), s, len(losses), diverged[k, :, s].sum(),
-                accuracy[k, :, s].max(), time.perf_counter() - started,
-            )
+    for (k, s, _), (acc, fail_epoch, seconds) in zip(jobs, done):
+        accuracy[k, :, s], diverged[k, :, s] = acc, fail_epoch > 0
+        log.info(
+            "cell %s seed %d: %d losses, %d diverged, best accuracy %.6f, %.2f s",
+            " ".join(grid.cells[k]), s, len(losses), diverged[k, :, s].sum(), acc.max(), seconds,
+        )
 
     (out_dir / "results.csv").write_text(results_csv(grid, accuracy, diverged))
     table = compute_ranks(grid, accuracy)
     (out_dir / "rank_table.csv").write_text(rank_table_csv(table))
     (out_dir / "avg_ranks.csv").write_text(avg_ranks_csv(table))
     return table
+
+
+def _grid_job(grid, cfg, cell, s):
+    """A grid cell's job at seed index s, and its task key (see resolve_job)."""
+    data, split, init, train = _seed_parts(derive_seed(grid.master_seed, "cell", *cell, s))
+    sp = resolve_split(*cell[1:], data, split, grid.val_fraction)
+    return resolve_job(cell[0], sp, init, train, cfg)
+
+
+def _fit_grid_jobs(jobs, grid, cfg, losses):
+    """fit_many's (accuracy, fail_epoch) over the losses, and the seconds taken,
+    for each (cell index, seed index, resolved job or None) in jobs."""
+    done = []
+    for k, s, job in jobs:
+        started = time.perf_counter()
+        spec, sp, init_seed, seed_cfg = job or _grid_job(grid, cfg, grid.cells[k], s)[0]
+        acc, fail_epoch, _ = fit_many(spec, losses, sp, init_seed, seed_cfg)
+        done.append((acc, fail_epoch, time.perf_counter() - started))
+    return done
 
 
 def _reject_repeats(what, names, values):

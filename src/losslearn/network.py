@@ -9,7 +9,10 @@ gradient goes on down the stack; the two run the same BLAS calls on the same
 operands either way, so the bits do not depend on the worker. Each training
 makes its own worker, whose thread starts at its first task and is joined
 before train returns or raises, so no thread outlives a training (a process
-forked after one inherits none).
+forked after one inherits none). Processes splits a command's independent
+items across forked processes, one per CPU at one BLAS thread, each pinned
+to its CPU while it computes; while a sibling process is busy with its
+share, it holds the spare CPU, so a step sends nothing to the worker.
 A shape is a tuple: (d,) for flat rows, (H, W, ch) for images; a network takes
 rows of exactly its input shape, and a dense one on images starts with Flatten.
 
@@ -41,6 +44,7 @@ than VALIDATION_BUDGET entries of the widest layer output.
 import contextlib
 import math
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -346,7 +350,8 @@ class Network:
         Given a worker (train's executor), a layer above the lowest trained one
         whose weight gradient takes at least OVERLAP_WORK multiply-adds (rows of
         dy times its parameter count) runs param_grad on it while this thread
-        goes on with input_grad. That holds because a param_grad reads only its
+        goes on with input_grad, unless a sibling process of a Processes map
+        is still busy on the CPU the worker would take. That holds because a param_grad reads only its
         cache and its dy, and no later input_grad writes into either: ReLU
         writes its dy in place and Flatten returns a view of it, but neither has
         parameters, so neither goes to the worker. Every task's result is taken
@@ -364,7 +369,7 @@ class Network:
         for i in reversed(range(lowest, len(caches))):
             layer, grads = self.spec.layers[i], self._grad_views[i]
             work = dx.size // dx.shape[-1] * sizes[i]  # the weight gradient's multiply-adds
-            if worker and i > lowest and work >= OVERLAP_WORK:
+            if worker and i > lowest and work >= OVERLAP_WORK and _worker_cpu():
                 pending.append(worker.submit(layer.param_grad, grads, caches[i], dx))
             else:
                 layer.param_grad(grads, caches[i], dx)
@@ -445,11 +450,204 @@ OVERLAP_WORK = 2**23  # multiply-adds from which a weight gradient goes to the w
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
+_split = None  # in a Processes map: (the Processes, this process's index in it)
+
+
 def _cpus():
-    """The number of CPUs this process may run on."""
+    """The number of CPUs this process may run on; in a Processes map, which
+    pins each process to its own share of them while it computes, the
+    command's."""
+    if _split is not None:
+        return len(_split[0].cpus)
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _pin(cpus):
+    """Run this thread, and threads it starts from now on, on these CPUs only."""
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, cpus)
+
+
+def _sibling_busy():
+    """Whether another process of the Processes map this one computes in is
+    still busy with its units; such a sibling holds the CPU a worker thread
+    would take."""
+    if _split is None:
+        return False
+    busy, me = _split[0].busy, _split[1]
+    return sum(busy) > busy[me]
+
+
+def _worker_cpu():
+    """Whether the backward pass's worker thread has a CPU now: outside a
+    Processes map, always; inside one, once no sibling still computes, and
+    then this process, pinned to its share of the CPUs until now, may run
+    on all of the command's again."""
+    if _sibling_busy():
+        return False
+    if _split is not None:
+        _pin(_split[0].cpus)
+    return True
+
+
+class Processes:
+    """Processes for a command's independent items: as many as the CPUs of
+    the affinity mask hold with BLAS's threads for each (_blas_threads), so
+    one per CPU at one BLAS thread, and just this one at the default of one
+    BLAS thread per CPU, where two processes' products made a grid with a CNN
+    cell 1.7 times slower.
+
+    map(fn, items, *args) returns the lists that fn(chunk, *args) gives, one
+    entry per item, joined in item order. The items go out in units: one
+    contiguous chunk per process (the first the largest), or with each=True
+    one item per unit, for items of uneven cost. Process i (this one is 0)
+    computes unit i, then takes the next unclaimed unit until none is left,
+    so one that finishes early takes more; which process computes a unit
+    never changes its entries. While it computes, a process keeps to its own
+    share of the CPUs. The children get the units over a Pipe, sent
+    from this thread: fn goes by name, so it must be a module-level
+    function, and units, args and results are pickled. They are forked at
+    the first map with two units or more and serve every later one, so one
+    CPU, a single unit or a platform without fork forks nothing. A child's
+    exception is raised again here once every process is done. Leaving the
+    with block, or an error in a map, ends the children by SIGKILL and reaps
+    them, so none outlives it; a child whose parent died ends at its pipe's
+    end.
+    """
+
+    def __init__(self):
+        self.children = []  # (pid, connection)
+        self.next = self.busy = None  # shared with the children, made at the first fork
+        self.cpus = []  # the command's CPUs, read at the first fork
+        self.ran = 1  # processes that computed the last map
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *_):
+        self._end()
+
+    def map(self, fn, items, *args, each=False):
+        global _split
+        n = min(_cpus() // _blas_threads(), len(items)) if hasattr(os, "fork") else 1
+        if n < 2:
+            self.ran = 1
+            return fn(items, *args)
+        if each:
+            units = [items[i : i + 1] for i in range(len(items))]
+        else:
+            size, extra = divmod(len(items), n)
+            edges = [i * size + min(i, extra) for i in range(n + 1)]
+            units = [items[a:b] for a, b in zip(edges, edges[1:])]
+        while len(self.children) < n - 1:
+            self._fork()
+        self.next.value = n  # the first unit left over
+        self.busy[:n] = [1] * n  # until each process runs out of units
+        for _, conn in self.children[: n - 1]:
+            conn.send((fn, units, args, n))
+        self.ran, _split = n, (self, 0)
+        try:
+            done = self._take(fn, units, args, 0, n)
+            replies = [conn.recv() for _, conn in self.children[: n - 1]]
+        except EOFError:
+            self._end()
+            raise RuntimeError("a child process ended without sending its results") from None
+        except BaseException:
+            self._end()  # a child may be busy, or its reply unread
+            raise
+        finally:
+            _split = None
+        for ok, part in replies:
+            if not ok:
+                raise part
+            done += part
+        entries = dict(done)
+        return [entry for i in range(len(units)) for entry in entries[i]]
+
+    def _take(self, fn, units, args, me, n):
+        """(index, entries) for unit me and each unit this process claims after
+        it, until none is left, computed on process me's share of the CPUs,
+        every n-th from the me-th: the kernel was seen to keep two processes
+        of a map on one CPU with the other idle. When it stops, however it
+        stops, its busy flag is cleared and it may run on every CPU again."""
+        done, i = [], me
+        _pin(self.cpus[me::n] or self.cpus)
+        try:
+            while i < len(units):
+                done.append((i, fn(units[i], *args)))
+                with self.next.get_lock():
+                    i = self.next.value
+                    self.next.value = i + 1
+            return done
+        finally:
+            self.busy[me] = 0
+            _pin(self.cpus)
+
+    def _fork(self):
+        from multiprocessing import get_context  # some 15 ms: only once a map forks
+        from multiprocessing.connection import Pipe
+
+        if self.next is None:
+            context = get_context("fork")
+            self.next = context.Value("q", 0)  # the next unclaimed unit, under its lock
+            # per process, whether it still computes units; room for any later map's
+            self.busy = context.Array("b", max(_cpus(), os.cpu_count() or 1), lock=False)
+            self.cpus = sorted(os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+                               else range(_cpus()))
+        here, there = Pipe()
+        me = len(self.children) + 1
+        with warnings.catch_warnings():
+            # Python 3.12+ warns at a fork beside other threads. The only ones are
+            # OpenBLAS's, which its own fork handler stops and the child starts
+            # anew; train joins its worker thread before it returns
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            here.close()
+            self._serve(there, me)
+        there.close()
+        self.children.append((pid, here))
+
+    def _serve(self, conn, me):
+        """A child's life: take units of each map it is sent and send back
+        (True, [(index, entries), ...]) or (False, exception), until it is
+        killed or its pipe ends; it exits without the parent's exit handlers
+        or buffered output."""
+        global _split
+        _split = (self, me)
+        try:
+            # a sibling sees its pipe end only once every copy of the parent's end is closed
+            for _, sibling in self.children:
+                sibling.close()
+            while True:
+                try:
+                    fn, units, args, n = conn.recv()
+                except EOFError:
+                    break
+                try:
+                    reply = (True, self._take(fn, units, args, me, n))
+                except Exception as exc:  # noqa: BLE001 - raised again in the parent
+                    reply = (False, exc)
+                try:
+                    conn.send(reply)
+                except Exception as exc:  # noqa: BLE001 - a reply that does not pickle
+                    conn.send((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        finally:
+            os._exit(0)
+
+    def _end(self):
+        import signal  # some 1.5 ms: kept off the package import
+
+        children, self.children = self.children, []
+        for pid, conn in children:
+            conn.close()
+            os.kill(pid, signal.SIGKILL)
+        for pid, _ in children:
+            os.waitpid(pid, 0)
+        # a child killed while it held the lock would hold it for good
+        self.next = self.busy = None
 
 
 def _blas_threads():

@@ -5,8 +5,12 @@ candidate is decoded, range-normalized, and used to train small networks on
 noise-corrupted data, one per job, a job being an (architecture, dataset)
 pair. A generation is one (candidate x job) table of clean validation
 accuracies and divergence flags, and a candidate's fitness is its row mean.
-Everything is derived from the master seed, so the run is a pure function of
-its config.
+Its candidates are split into one contiguous chunk per process (one per CPU
+at one BLAS thread, see network.Processes), each normalized and trained in
+its own process, and the rows come back in candidate order; only this
+process writes artifacts. Everything is derived
+from the master seed, so the run is a pure function of its config, at any
+process count.
 """
 
 import json
@@ -22,7 +26,7 @@ import numpy as np
 from .bench import _reject_repeats, csv_text, resolve_job, resolve_split
 from .cma import CmaState, stop_reason
 from .config import ConfigError, check_fields, config_from_dict
-from .network import TrainConfig, fit_many
+from .network import Processes, TrainConfig, fit_many
 from .seeding import derive_seed
 from .taylor import (
     TaylorLossParams,
@@ -98,7 +102,22 @@ class MetaConfig:
         return CmaState(n, mean0=self.mean0, sigma0=self.sigma0, lam=self.population)
 
 
-def run_generation(state, cfg, gen_seed):
+def _evaluate(decoded, classes, eta, jobs):
+    """A chunk of a generation's candidates, each normalized and fitted on every
+    job: one (loss, accuracy row, diverged row) per candidate. A degenerate
+    candidate's loss is None, and its row reads 0 and diverged."""
+    losses = [normalize(params, num_classes=classes, eta=eta) for params in decoded]
+    accuracy = np.zeros((len(decoded), len(jobs)))
+    diverged = np.ones((len(decoded), len(jobs)), dtype=bool)
+    live = [i for i, loss in enumerate(losses) if loss is not None]
+    for j, (spec, sp, init_seed, train_cfg) in enumerate(jobs):  # one stacked training each
+        accuracy[live, j], fail_epoch, _ = fit_many(
+            spec, [losses[i] for i in live], sp, init_seed, train_cfg)
+        diverged[live, j] = fail_epoch > 0
+    return list(zip(losses, accuracy, diverged))
+
+
+def run_generation(state, cfg, gen_seed, processes):
     """One ask -> train-grid -> tell cycle over the (candidate x job) table.
 
     The jobs are the (arch, dataset) pairs, architectures outer. Returns
@@ -109,7 +128,10 @@ def run_generation(state, cfg, gen_seed):
     reads 0 and diverged. champion is (score, loss) for the first best
     score, loss being the normalized candidate, or its raw params when it
     is degenerate. A pool that lists one architecture or dataset twice,
-    however spelled, is a ConfigError before anything trains.
+    however spelled, is a ConfigError before anything trains. The
+    candidates are split across the processes of the given Processes, which
+    never changes a bit: members of a stack share the init and every batch
+    and never mix.
     """
     ask_rng = np.random.default_rng(derive_seed(gen_seed, "ask"))
     candidates = state.ask(ask_rng)
@@ -131,17 +153,9 @@ def run_generation(state, cfg, gen_seed):
     # degenerate at any class count in the pool makes a candidate degenerate
     classes = sorted({sp.num_classes for sp in splits})
     decoded = [TaylorLossParams.from_flat(vec, order=cfg.order) for vec in candidates]
-    losses = [normalize(params, num_classes=classes, eta=cfg.eta) for params in decoded]
+    losses, accuracy, diverged = zip(*processes.map(_evaluate, decoded, classes, cfg.eta, jobs))
+    accuracy, diverged = np.array(accuracy), np.array(diverged)
     degenerate = np.array([loss is None for loss in losses])
-
-    # one stacked training per job over the live candidates
-    accuracy = np.zeros((len(candidates), len(jobs)))
-    diverged = np.ones((len(candidates), len(jobs)), dtype=bool)
-    live = np.flatnonzero(~degenerate)
-    for j, (spec, sp, init_seed, train_cfg) in enumerate(jobs):
-        accuracy[live, j], fail_epoch, _ = fit_many(
-            spec, [losses[i] for i in live], sp, init_seed, train_cfg)
-        diverged[live, j] = fail_epoch > 0
 
     scores = accuracy.mean(axis=1)  # diverged and degenerate jobs enter as 0
     state.tell(candidates, scores, maximize=True)
@@ -204,14 +218,15 @@ def _write(path, text):
     os.replace(tmp, path)
 
 
-def _log_generation(row, scores, diverged, degenerate, seconds):
+def _log_generation(row, scores, diverged, degenerate, seconds, processes):
     """One line on stderr: the cumulative best beside this generation's own best."""
     trained = diverged[~degenerate]
     log.info(
         "generation %d: best %.6f, generation best %.6f, mean %.6f, sigma %.4g, "
-        "%d of %d trainings diverged, %d candidates degenerate, %.2f s, %.1f trainings/s",
+        "%d of %d trainings diverged, %d candidates degenerate, %.2f s, %.1f trainings/s, "
+        "%d processes",
         row["generation"], row["best_fitness"], scores.max(), row["mean_fitness"], row["sigma"],
-        trained.sum(), trained.size, degenerate.sum(), seconds, trained.size / seconds,
+        trained.sum(), trained.size, degenerate.sum(), seconds, trained.size / seconds, processes,
     )
 
 
@@ -259,48 +274,50 @@ def meta_train(cfg, run_dir, stop_after=None):
         history = doc["history"]
 
     ran = 0
-    while (reason := stop_reason(state, [h["best_fitness"] for h in history],
-                                 cfg.max_generations)) is None:
-        if stop_after is not None and ran >= stop_after:
-            reason = "paused by --stop-after"
-            break
-        started = time.perf_counter()
-        gen_seed = derive_seed(cfg.master_seed, "gen", state.generation)
-        scores, accuracy, diverged, degenerate, (score, loss) = run_generation(
-            state, cfg, gen_seed
-        )
-        ran += 1
-        generation = state.generation  # post-tell, 1-based
+    with Processes() as processes:  # children, if any, end with the loop
+        while (reason := stop_reason(state, [h["best_fitness"] for h in history],
+                                     cfg.max_generations)) is None:
+            if stop_after is not None and ran >= stop_after:
+                reason = "paused by --stop-after"
+                break
+            started = time.perf_counter()
+            gen_seed = derive_seed(cfg.master_seed, "gen", state.generation)
+            scores, accuracy, diverged, degenerate, (score, loss) = run_generation(
+                state, cfg, gen_seed, processes
+            )
+            ran += 1
+            generation = state.generation  # post-tell, 1-based
 
-        if best is None or score > best["score"]:
-            best = {"score": score, "generation": generation, "loss_json": loss_to_json(loss)}
+            if best is None or score > best["score"]:
+                best = {"score": score, "generation": generation, "loss_json": loss_to_json(loss)}
 
-        lo, hi = state.eigenvalues()
-        history.append(
-            {
-                "generation": generation,
-                "evals": state.evals,
-                "best_fitness": best["score"],
-                "mean_fitness": float(np.mean(scores)),
-                "sigma": state.sigma,
-                "min_eig": lo,
-                "max_eig": hi,
+            lo, hi = state.eigenvalues()
+            history.append(
+                {
+                    "generation": generation,
+                    "evals": state.evals,
+                    "best_fitness": best["score"],
+                    "mean_fitness": float(np.mean(scores)),
+                    "sigma": state.sigma,
+                    "min_eig": lo,
+                    "max_eig": hi,
+                }
+            )
+
+            _write(run_dir / f"fitness_gen_{generation}.csv", _fitness_csv(cfg, accuracy, diverged))
+            _write(run_dir / "cma_log.csv", _cma_log_csv(history))
+            checkpoint = {
+                "version": CHECKPOINT_VERSION,
+                "cma": state.to_dict(),
+                "best": best,
+                "history": history,
             }
-        )
-
-        _write(run_dir / f"fitness_gen_{generation}.csv", _fitness_csv(cfg, accuracy, diverged))
-        _write(run_dir / "cma_log.csv", _cma_log_csv(history))
-        checkpoint = {
-            "version": CHECKPOINT_VERSION,
-            "cma": state.to_dict(),
-            "best": best,
-            "history": history,
-        }
-        _write(
-            run_dir / f"checkpoint_gen_{generation}.json",
-            json.dumps(checkpoint, sort_keys=True) + "\n",
-        )
-        _log_generation(history[-1], scores, diverged, degenerate, time.perf_counter() - started)
+            _write(
+                run_dir / f"checkpoint_gen_{generation}.json",
+                json.dumps(checkpoint, sort_keys=True) + "\n",
+            )
+            _log_generation(history[-1], scores, diverged, degenerate,
+                            time.perf_counter() - started, processes.ran)
 
     log.info("search stopped: %s, after %d generations", reason, state.generation)
     if best is None:  # nothing ran: the loss encoded by the current mean, unnormalized

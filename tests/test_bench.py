@@ -513,35 +513,41 @@ def test_diverged_jobs_keep_their_rows(tmp_path):
         assert row["diverged"] == "1"
 
 
-def count_validations(monkeypatch):
-    """The stack size of every network.accuracy call from here on."""
-    stacks, accuracy = [], network.accuracy
+def count_validations(monkeypatch, call_log):
+    """Log the stack size of every network.accuracy call from here on, in any process."""
+    accuracy = network.accuracy
 
     def counted(net, features, labels):
-        stacks.append(len(net.theta))
+        call_log.add(len(net.theta))
         return accuracy(net, features, labels)
 
     monkeypatch.setattr(network, "accuracy", counted)
-    return stacks
+    return lambda: [size for _, size in call_log.entries()]
 
 
-def test_benchmark_validates_each_cell_seed_once(tmp_path, monkeypatch):
-    # a grid reads each network's accuracy after its last epoch alone
-    stacks = count_validations(monkeypatch)
+def test_benchmark_validates_each_cell_seed_once(tmp_path, monkeypatch, call_log):
+    # a grid reads each network's accuracy after its last epoch alone, on one
+    # CPU and with its jobs split across two processes
+    stacks = count_validations(monkeypatch, call_log)
     grid = small_grid(epochs=3)
-    run_benchmark(grid, tmp_path)
-    assert len(stacks) == len(grid.cells) * grid.seeds
-    rows = read_csv(tmp_path / "results.csv")
-    assert sum(stacks) == sum(row["diverged"] == "0" for row in rows) > 0
+    for cpus in (1, 2):
+        call_log.clear()
+        monkeypatch.setattr(network, "_cpus", lambda: cpus)
+        monkeypatch.setattr(network, "_blas_threads", lambda: 1)
+        run_benchmark(grid, tmp_path / f"at{cpus}")
+        assert len(stacks()) == len(grid.cells) * grid.seeds
+        assert len({pid for pid, _ in call_log.entries()}) == cpus
+        rows = read_csv(tmp_path / f"at{cpus}" / "results.csv")
+        assert sum(stacks()) == sum(row["diverged"] == "0" for row in rows) > 0
 
 
-def test_cli_train_with_a_curve_validates_every_epoch(tmp_path, monkeypatch):
-    stacks = count_validations(monkeypatch)
+def test_cli_train_with_a_curve_validates_every_epoch(tmp_path, monkeypatch, call_log):
+    stacks = count_validations(monkeypatch, call_log)
     curve = tmp_path / "curve.csv"
     argv = ["train", "--loss", "ce", "--dataset", "blobs:3:30:0.3", "--arch", "mlp:8",
             "--epochs", "4", "--curve-out", str(curve)]
     assert main_entry(argv) == 0
-    assert stacks == [1] * 4
+    assert stacks() == [1] * 4
     assert len(curve.read_text().splitlines()) == 1 + 4
 
 
@@ -559,20 +565,25 @@ def test_benchmark_accepts_polynomial_loss_file(tmp_path):
     assert all(r["diverged"] == "0" for r in rows)
 
 
-def test_benchmark_builds_each_dataset_once_per_seed(tmp_path, monkeypatch):
-    calls = []
+def test_benchmark_builds_each_dataset_once_per_seed(tmp_path, monkeypatch, call_log):
     real = datasets.dataset_from_selector
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
+        call_log.add(args[0])
         return real(*args, **kwargs)
 
-    # count every lookup site, including a module that imported the name
+    # count every lookup site, including a module that imported the name, in
+    # every process: on two CPUs a child must not build a first seed's data
+    # again, and at one seed the child's first job is the second cell's first seed
     monkeypatch.setattr(datasets, "dataset_from_selector", counted)
     monkeypatch.setattr(bench, "dataset_from_selector", counted, raising=False)
-    grid = small_grid()
-    run_benchmark(grid, tmp_path)
-    assert len(calls) == len(grid.cells) * grid.seeds
+    for cpus, seeds in [(1, 2), (2, 2), (2, 1)]:
+        grid = small_grid(seeds=seeds)
+        call_log.clear()
+        monkeypatch.setattr(network, "_cpus", lambda: cpus)
+        monkeypatch.setattr(network, "_blas_threads", lambda: 1)
+        run_benchmark(grid, tmp_path / f"at{cpus}-{seeds}")
+        assert len(call_log.entries()) == len(grid.cells) * grid.seeds
 
 
 def test_loss_without_range_at_a_later_cell_fails_before_training(tmp_path, monkeypatch, capsys):
@@ -1373,7 +1384,8 @@ def test_cli_bad_matrix_file_exits_two(tmp_path, capsys, content, message):
     [
         ("meta-train", {**META_CONFIG, "max_generations": 2},
          r"generation 2: best [\d.]+, generation best [\d.]+, mean [\d.]+, sigma \S+, "
-         r"\d+ of \d+ trainings diverged, \d+ candidates degenerate, [\d.]+ s, [\d.]+ trainings/s"),
+         r"\d+ of \d+ trainings diverged, \d+ candidates degenerate, [\d.]+ s, [\d.]+ trainings/s, "
+         r"\d+ processes"),
         ("benchmark", GRID_CONFIG,
          r"cell mlp:8 blobs:3:20:0.3 none seed 0: 2 losses, 0 diverged, "
          r"best accuracy [\d.]+, [\d.]+ s"),

@@ -9,6 +9,7 @@ import pytest
 
 from losslearn import network, search
 from losslearn.cli import main_entry
+from losslearn.network import Processes
 from losslearn.search import MetaConfig, meta_train, run_generation
 from losslearn.seeding import derive_seed
 from losslearn.taylor import (
@@ -198,9 +199,10 @@ def test_candidate_decode_round_trip():
 def test_single_job_score_passthrough():
     # one job: a candidate's score is that job's accuracy
     cfg = tiny_config()
-    scores, accuracy, _, _, _ = run_generation(
-        cfg.initial_state(), cfg, derive_seed(11, "gen", 0)
-    )
+    with Processes() as processes:
+        scores, accuracy, _, _, _ = run_generation(
+            cfg.initial_state(), cfg, derive_seed(11, "gen", 0), processes
+        )
     assert accuracy.shape == (6, 1)
     np.testing.assert_array_equal(scores, accuracy[:, 0])
 
@@ -208,9 +210,10 @@ def test_single_job_score_passthrough():
 def test_two_job_mean():
     # two jobs: a candidate's score is the mean of its row
     cfg = tiny_config(architectures=["mlp:8", "linear"])
-    scores, accuracy, _, _, _ = run_generation(
-        cfg.initial_state(), cfg, derive_seed(11, "gen", 0)
-    )
+    with Processes() as processes:
+        scores, accuracy, _, _, _ = run_generation(
+            cfg.initial_state(), cfg, derive_seed(11, "gen", 0), processes
+        )
     assert accuracy.shape == (6, 2)
     for (a, b), score in zip(accuracy, scores):
         assert score == pytest.approx((a + b) / 2)
@@ -225,9 +228,10 @@ def test_run_generation_shapes_and_bounds():
                      datasets=["blobs:3:30:0.3", "rings:3:30"]), 4),
     ]:
         state = cfg.initial_state()
-        scores, accuracy, diverged, degenerate, champion = run_generation(
-            state, cfg, derive_seed(11, "gen", 0)
-        )
+        with Processes() as processes:
+            scores, accuracy, diverged, degenerate, champion = run_generation(
+                state, cfg, derive_seed(11, "gen", 0), processes
+            )
         assert accuracy.shape == diverged.shape == (6, jobs)
         assert scores.shape == degenerate.shape == (6,)
         assert ((0.0 <= accuracy) & (accuracy <= 1.0)).all()
@@ -241,23 +245,32 @@ def test_run_generation_shapes_and_bounds():
         assert isinstance(loss, TaylorLossParams if degenerate[top] else NormalizedLoss)
 
 
-def test_dr_jobs_normalize_at_their_own_class_count(monkeypatch):
+def test_dr_jobs_normalize_at_their_own_class_count(monkeypatch, call_log):
     # each job's losses map the scan's extremes at that job's C to 0 and eta,
     # so random simplex points of its C land in [0, eta] within the scan's
     # tolerance; a range taken at the first dataset's C gives blobs:10 jobs a
-    # fraction of the scale
-    jobs, fit_many = [], search.fit_many
+    # fraction of the scale. On two CPUs each process fits its own candidates
+    fit_many = search.fit_many
 
     def recorded(spec, losses, data, *args):
-        jobs.append((data.num_classes, losses))
+        call_log.add((data.num_classes, losses))
         return fit_many(spec, losses, data, *args)
 
     monkeypatch.setattr(search, "fit_many", recorded)
     cfg = tiny_config(
         mode="DR", datasets=["blobs:3:30:0.3", "blobs:10:20:0.3:dim=4"], eta=8.0, population=8
     )
-    run_generation(cfg.initial_state(), cfg, derive_seed(11, "gen", 0))
-    assert [c for c, _ in jobs] == [3, 10] and len(jobs[1][1]) > 4
+    jobs = []
+    for cpus in (1, 2):
+        call_log.clear()
+        monkeypatch.setattr(network, "_cpus", lambda: cpus)
+        monkeypatch.setattr(network, "_blas_threads", lambda: 1)
+        with Processes() as processes:
+            run_generation(cfg.initial_state(), cfg, derive_seed(11, "gen", 0), processes)
+        calls = [entry for _, entry in call_log.entries()]
+        assert sorted(c for c, _ in calls) == [3] * cpus + [10] * cpus
+        assert sum(len(losses) for c, losses in calls if c == 10) > 4
+        jobs += calls
     rng = np.random.default_rng(7)
     for c, losses in jobs:
         yhat = np.vstack([rng.dirichlet(np.ones(c), 400), np.eye(c)])
@@ -287,50 +300,64 @@ def test_degenerate_candidates_score_zero(tmp_path):
     assert isinstance(best, TaylorLossParams)
 
 
-def test_mixed_generation_writes_each_row_to_its_candidate(tmp_path, monkeypatch):
+def test_mixed_generation_writes_each_row_to_its_candidate(tmp_path, monkeypatch, call_log):
     # a stacked training is member-independent, so taking candidates 1 and 3
-    # out of it leaves every other candidate's rows as they were
+    # out of it leaves every other candidate's rows as they were, on one CPU
+    # and with the candidates split across two processes
     cfg = tiny_config(mode="DR", datasets=["blobs:3:30:0.3", "rings:3:30"], max_generations=1)
     meta_train(cfg, tmp_path / "whole")
-    calls, normalize = [], search.normalize
+    gen_seed = derive_seed(cfg.master_seed, "gen", 0)
+    candidates = cfg.initial_state().ask(np.random.default_rng(derive_seed(gen_seed, "ask")))
+    normalize = search.normalize
 
     def degenerate_1_and_3(params, **kwargs):
-        calls.append(params)
-        return None if len(calls) in (2, 4) else normalize(params, **kwargs)
+        call_log.add(None)
+        if any(np.array_equal(params.to_flat(), candidates[i]) for i in (1, 3)):
+            return None
+        return normalize(params, **kwargs)
 
     monkeypatch.setattr(search, "normalize", degenerate_1_and_3)
-    meta_train(cfg, tmp_path / "mixed")
-    whole, mixed = (
-        (tmp_path / run / "fitness_gen_1.csv").read_text().splitlines()
-        for run in ("whole", "mixed")
-    )
-    assert len(calls) == 6 and len(mixed) == 1 + 6 * 2
-    for line, unpatched in zip(mixed[1:], whole[1:]):
-        if line.split(",")[0] in ("1", "3"):
-            assert line.endswith(",0.000000,1")
-        else:
-            assert line == unpatched
+    whole = (tmp_path / "whole" / "fitness_gen_1.csv").read_text().splitlines()
+    for cpus in (1, 2):
+        call_log.clear()
+        monkeypatch.setattr(network, "_cpus", lambda: cpus)
+        monkeypatch.setattr(network, "_blas_threads", lambda: 1)
+        meta_train(cfg, tmp_path / f"mixed{cpus}")
+        mixed = (tmp_path / f"mixed{cpus}" / "fitness_gen_1.csv").read_text().splitlines()
+        assert len(call_log.entries()) == 6 and len(mixed) == 1 + 6 * 2
+        assert len({pid for pid, _ in call_log.entries()}) == cpus
+        for line, unpatched in zip(mixed[1:], whole[1:]):
+            if line.split(",")[0] in ("1", "3"):
+                assert line.endswith(",0.000000,1")
+            else:
+                assert line == unpatched
     assert not all(line.endswith(",0.000000,1") for line in whole[1:])
 
 
-def test_search_validates_each_job_once_after_its_last_epoch(tmp_path, monkeypatch):
+def test_search_validates_each_job_once_after_its_last_epoch(tmp_path, monkeypatch, call_log):
     # a candidate is scored by its accuracy at the end of training alone, so
-    # each (generation, job) stack is validated once, not after every epoch
-    stacks, accuracy = [], network.accuracy
+    # each (generation, job) stack is validated once, not after every epoch;
+    # on two CPUs each process validates the stack of its own candidates
+    accuracy = network.accuracy
 
     def counted(net, features, labels):
-        stacks.append(len(net.theta))
+        call_log.add(len(net.theta))
         return accuracy(net, features, labels)
 
     monkeypatch.setattr(network, "accuracy", counted)
     cfg = tiny_config(mode="Full", architectures=["mlp:8", "linear"],
                       datasets=["blobs:3:30:0.3", "rings:3:30"], epochs=3)
-    _, history = meta_train(cfg, tmp_path)
-    assert len(history) == 2 and len(stacks) == 2 * 4
-    # every network that did not diverge is in exactly one validated stack
-    rows = [line for g in (1, 2)
-            for line in (tmp_path / f"fitness_gen_{g}.csv").read_text().splitlines()[1:]]
-    assert sum(stacks) == sum(line.endswith(",0") for line in rows) > 0
+    for cpus in (1, 2):
+        call_log.clear()
+        monkeypatch.setattr(network, "_cpus", lambda: cpus)
+        monkeypatch.setattr(network, "_blas_threads", lambda: 1)
+        _, history = meta_train(cfg, tmp_path / f"at{cpus}")
+        stacks = [size for _, size in call_log.entries()]
+        assert len(history) == 2 and len(stacks) == 2 * 4 * cpus
+        # every network that did not diverge is in exactly one validated stack
+        rows = [line for g in (1, 2) for line in
+                (tmp_path / f"at{cpus}" / f"fitness_gen_{g}.csv").read_text().splitlines()[1:]]
+        assert sum(stacks) == sum(line.endswith(",0") for line in rows) > 0
 
 
 @pytest.mark.parametrize(
