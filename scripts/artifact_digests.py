@@ -4,11 +4,11 @@ Runs a fixed set of commands in-process through the command line's
 ``main_entry``, inside OUT, then prints ``sha256  path`` for every file under
 OUT (paths relative to OUT, sorted), the stdout of each ``train``, the
 stderr of ``benchmark`` (its average-rank lines) and the sha256 of the
-trained parameters and momentum of two networks trained through library
-calls, which no artifact holds. A change meant to leave every output
-byte-identical prints the same lines as its parent checkout on the same
-machine and BLAS build, at OPENBLAS_NUM_THREADS=1 and with it unset, on all
-CPUs and under taskset -c 0:
+trained parameters (with each member's fail_epoch) and momentum of three
+networks trained through library calls, which no artifact holds. A change
+meant to leave every output byte-identical prints the same lines as its
+parent checkout on the same machine and BLAS build, at
+OPENBLAS_NUM_THREADS=1 and with it unset, on all CPUs and under taskset -c 0:
 
     OPENBLAS_NUM_THREADS=1 python scripts/artifact_digests.py OUT1
     python scripts/artifact_digests.py OUT
@@ -16,11 +16,11 @@ CPUs and under taskset -c 0:
     taskset -c 0 python scripts/artifact_digests.py OUTC1
 
 Compare at both thread settings: on two or more CPUs only the pinned run sends
-the cnn28 weight gradients to the backward pass's worker thread
-(network._spare_cpu), so an unpinned comparison cannot see a change on the
-worker path. Compare on one CPU too: pinned on two or more CPUs the searches
-and the grid are split across processes (network.Processes), while on one
-CPU, and unpinned, they run in one process.
+the CNNs' large weight gradients and their updates to the backward pass's
+worker thread (network._spare_cpu), so an unpinned comparison cannot see a
+change on the worker path. Compare on one CPU too: pinned on two or more
+CPUs the searches and the grid are split across processes
+(network.Processes), while on one CPU, and unpinned, they run in one process.
 
 The commands:
 - meta-train: the acceptance test's frozen search config, capped at 4
@@ -41,9 +41,12 @@ The commands:
 - inspect-loss on a raw and on a normalized polynomial loss;
 - make-noise-matrix asym:0.3 over 4 classes and sym:0.4 over 7.
 
-The trained parameters: network.train from network.init of the CNN on the
-28 x 28 IDX pair (1 epoch, one member) and of a stack of three mlp:16
-members on the 16 x 16 IDX pair under ce, mae and ar/best_loss.json.
+The trained parameters, with each member's fail_epoch: network.train from
+network.init of the CNN on the 28 x 28 IDX pair (1 epoch, one member), of a
+stack of three mlp:16 members on the 16 x 16 IDX pair under ce, mae and
+ar/best_loss.json, and of a 2-member CNN stack on the 28 x 28 pair (2
+epochs, under ce and ar/best_loss.json) whose second member is rescaled to
+diverge, so updates that overflow run on the worker thread where it is used.
 
 OUT must not exist yet or be empty. Every path handed to a command is
 relative to OUT, so no artifact records where OUT is.
@@ -108,11 +111,14 @@ GRID = {
 
 # asym:0.3 at C = 3 with the partners [2, 0, 1] in place of the cyclic ones
 PAIRING = "0.7,0.0,0.3\n0.3,0.7,0.0\n0.0,0.3,0.7\n"
-# (name, dataset, arch, loss selectors, epochs) of each network whose trained
-# parameters are digested
+# (name, dataset, arch, loss selectors, epochs, rescale) of each network whose
+# trained parameters are digested. A CNN's rescale, if given, multiplies its
+# last member's conv1 weights and divides its conv2 weights: its logits stay
+# as they were, but conv2's input lies near 1e306, so the member diverges
 THETA_RUNS = [
-    ("cnn28", CNN_IDX, "cnn", ["ar/best_loss.json"], 1),
-    ("mixed", IDX, "mlp:16", ["ce", "mae", "ar/best_loss.json"], 2),
+    ("cnn28", CNN_IDX, "cnn", ["ar/best_loss.json"], 1, None),
+    ("mixed", IDX, "mlp:16", ["ce", "mae", "ar/best_loss.json"], 2, None),
+    ("cnn28-diverging", CNN_IDX, "cnn", ["ce", "ar/best_loss.json"], 2, 1e306),
 ]
 
 
@@ -172,17 +178,22 @@ def commands():
 
 
 def theta_digests():
-    """sha256 of theta and of momentum after training each THETA_RUNS network."""
+    """sha256 of theta, with each member's fail_epoch, and sha256 of momentum
+    after training each THETA_RUNS network."""
     lines = []
-    for name, dataset, arch, selectors, epochs in THETA_RUNS:
+    for name, dataset, arch, selectors, epochs, rescale in THETA_RUNS:
         sp = noisy_split(dataset, "sym:0.2", data_seed=1, split_seed=2, val_fraction=0.2)
         spec = arch_from_selector(arch, sp.train_features.shape[1:], sp.num_classes)
         net = init(spec, 3, members=len(selectors))
+        if rescale:
+            net._theta_views[0]["w"][-1] *= rescale
+            net._theta_views[3]["w"][-1] /= rescale
         cfg = TrainConfig(batch_size=16, epochs=epochs, seed=4)
-        train(net, [loss_from_selector(sel) for sel in selectors], sp, cfg)
-        lines += [f"sha256 of {part} after train {name}: "
-                  + hashlib.sha256(getattr(net, part).tobytes()).hexdigest()
-                  for part in ("theta", "momentum")]
+        _, fail_epoch, _ = train(net, [loss_from_selector(sel) for sel in selectors], sp, cfg)
+        theta, momentum = (hashlib.sha256(getattr(net, part).tobytes()).hexdigest()
+                           for part in ("theta", "momentum"))
+        lines += [f"sha256 of theta after train {name}: {theta}, fail_epoch {fail_epoch.tolist()}",
+                  f"sha256 of momentum after train {name}: {momentum}"]
     return lines
 
 

@@ -2,17 +2,17 @@
 
 Dense and valid-convolution layers, ReLU, non-overlapping max pooling, a
 softmax head, and momentum SGD updated in column blocks. All float64 numpy.
-When the process has more CPUs than BLAS has threads (BLAS capped at one
-thread on two CPUs, say), the backward pass hands a layer's weight gradient of
-at least OVERLAP_WORK multiply-adds to one worker thread while the input
-gradient goes on down the stack; the two run the same BLAS calls on the same
-operands either way, so the bits do not depend on the worker. Each training
-makes its own worker, whose thread starts at its first task and is joined
-before train returns or raises, so no thread outlives a training (a process
-forked after one inherits none). Processes splits a command's independent
-items across forked processes, one per CPU at one BLAS thread, each pinned
-to its CPU while it computes; while a sibling process is busy with its
-share, it holds the spare CPU, so a step sends nothing to the worker.
+When the process has more CPUs than BLAS has threads (BLAS capped at one thread
+on two CPUs, say), the backward pass hands a layer's weight gradient of at
+least OVERLAP_WORK multiply-adds, then the layer's SGD update and finiteness
+check, to one worker thread while the input gradient goes on down the stack,
+with the same operations on the same operands, so the bits do not depend on the
+worker. Each training makes its own worker, whose thread starts at its first
+task and is joined before train returns or raises, so no thread outlives a
+training (a process forked after one inherits none). Processes splits a
+command's independent items across forked processes, one per CPU at one BLAS
+thread, each pinned to its CPU while it computes; while a sibling is busy with
+its share, it holds the spare CPU, and a step sends nothing to the worker.
 A shape is a tuple: (d,) for flat rows, (H, W, ch) for images; a network takes
 rows of exactly its input shape, and a dense one on images starts with Flatten.
 
@@ -47,7 +47,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -343,21 +343,24 @@ class Network:
         probs = _softmax(x)
         return probs, (caches, probs)
 
-    def _gradient(self, cache, dprobs, bufs, worker=None):
+    def _gradient(self, cache, dprobs, bufs, worker=None, update=None):
         """The parameter gradient in the gradient buffer, which the next call
         overwrites; layer i takes its arrays from bufs[i], and dprobs is spent.
 
         Given a worker (train's executor), a layer above the lowest trained one
         whose weight gradient takes at least OVERLAP_WORK multiply-adds (rows of
         dy times its parameter count) runs param_grad on it while this thread
-        goes on with input_grad, unless a sibling process of a Processes map
-        is still busy on the CPU the worker would take. That holds because a param_grad reads only its
-        cache and its dy, and no later input_grad writes into either: ReLU
-        writes its dy in place and Flatten returns a view of it, but neither has
-        parameters, so neither goes to the worker. Every task's result is taken
-        before the call returns, so a task's error is raised here; when an
-        error leaves early, the executor's shutdown in train waits out a task
-        still running before train raises.
+        goes on with input_grad, unless a sibling process of a Processes map is
+        busy on the CPU the worker would take. That holds because a param_grad
+        reads only its cache and its dy, and no later input_grad writes into
+        either: ReLU writes its dy in place and Flatten returns a view of it,
+        but neither has parameters, so neither goes to the worker.
+
+        Given update, a function of a column range [a, b), every column goes to
+        it once its gradient is complete: a sent layer's on the worker after
+        its input_grad, the rest on this thread after the backward pass, in
+        contiguous runs. A task's error is raised here; an error cancels every
+        queued task, and train's executor shutdown waits out one still running.
         """
         caches, probs = cache
         # dL/dlogits through the softmax Jacobian, in dprobs: (m, n, C), or (n, C) at m = 1
@@ -365,18 +368,29 @@ class Network:
         dx -= _class_fold(np.add, dx * probs)[..., None]
         dx *= probs
         lowest, sizes = self.spec.lowest_trained, self.spec.param_counts
-        pending = []
-        for i in reversed(range(lowest, len(caches))):
-            layer, grads = self.spec.layers[i], self._grad_views[i]
-            work = dx.size // dx.shape[-1] * sizes[i]  # the weight gradient's multiply-adds
-            if worker and i > lowest and work >= OVERLAP_WORK and _worker_cpu():
-                pending.append(worker.submit(layer.param_grad, grads, caches[i], dx))
-            else:
-                layer.param_grad(grads, caches[i], dx)
-            if i > lowest:
-                dx = layer.input_grad(self._theta_views[i], caches[i], dx, bufs[i])
-        for task in pending:
-            task.result()
+        cuts, tasks = [0, self.num_parameters], []  # this thread's runs [cuts[0], cuts[1]), ...
+        try:
+            for i in reversed(range(lowest, len(caches))):
+                layer, grads, a = self.spec.layers[i], self._grad_views[i], sum(sizes[:i])
+                work = dx.size // dx.shape[-1] * sizes[i]  # the weight gradient's multiply-adds
+                sent = worker and i > lowest and work >= OVERLAP_WORK and _worker_cpu()
+                if sent:
+                    tasks.append(worker.submit(layer.param_grad, grads, caches[i], dx))
+                else:
+                    layer.param_grad(grads, caches[i], dx)
+                if i > lowest:
+                    dx = layer.input_grad(self._theta_views[i], caches[i], dx, bufs[i])
+                if sent and update:  # layer i's columns go, and leave this thread's runs
+                    tasks.append(worker.submit(update, a, a + sizes[i]))
+                    cuts[1:1] = [a, a + sizes[i]]
+            for a, b in zip(cuts[::2], cuts[1::2]) if update else ():
+                update(a, b)
+            for task in tasks:
+                task.result()
+        except BaseException:
+            for task in tasks:
+                task.cancel()
+            raise
         return self._grad
 
 
@@ -741,20 +755,31 @@ def _buffer(buf, key, shape):
     return buf[key]
 
 
-def _sgd_step(net, loss_call, xb, yb, cfg, bufs, values, worker=None):
-    """One SGD step of every member on one batch; returns each member's loss
-    sum if values, else None. worker, if given, takes large weight gradients."""
-    probs, cache = net._forward_cache(xb, bufs)
-    loss_values, grads = loss_call(probs, yb, values)
-    grads /= len(xb)  # objective is the batch mean, so scale per-sample gradients
-    grad = net._gradient(cache, grads, bufs, worker)
-    for s in range(0, net.num_parameters, SGD_BLOCK):  # column blocks, each updated while in cache
-        theta, momentum, g = (a[:, s : s + SGD_BLOCK] for a in (net.theta, net.momentum, grad))
+def _sgd_update(net, cfg, a, b):
+    """Momentum SGD of every member's columns [a, b) in SGD_BLOCK blocks, each updated
+    and checked while in cache; returns whether each member's are all finite."""
+    finite = np.True_  # and-ed with each block's flags
+    for s in range(a, b, SGD_BLOCK):
+        theta, momentum, g = (x[:, s : min(s + SGD_BLOCK, b)]
+                              for x in (net.theta, net.momentum, net._grad))
         momentum *= cfg.momentum
         momentum += g
         # the gradient is spent, so its buffer takes the step instead of a new array
         theta -= np.multiply(cfg.learning_rate, momentum, out=g)
-    return loss_values.sum(axis=-1) if values else None
+        finite &= np.isfinite(theta).all(axis=-1)
+    return finite
+
+
+def _sgd_step(net, loss_call, xb, yb, cfg, bufs, values, worker=None):
+    """One SGD step of every member on one batch; returns each member's loss sum if
+    values, else None, and the _sgd_update flags of column runs that cover every
+    parameter. worker, if given, takes large weight gradients and their updates."""
+    probs, cache = net._forward_cache(xb, bufs)
+    loss_values, grads = loss_call(probs, yb, values)
+    grads /= len(xb)  # objective is the batch mean, so scale per-sample gradients
+    flags = []  # appended to from either thread
+    net._gradient(cache, grads, bufs, worker, lambda a, b: flags.append(_sgd_update(net, cfg, a, b)))
+    return (loss_values.sum(axis=-1) if values else None), flags
 
 
 def train(net, losses, data, cfg, curves=False):
@@ -798,10 +823,10 @@ def train(net, losses, data, cfg, curves=False):
             loss_sums = np.zeros(len(alive))
             for start in range(0, n, cfg.batch_size):
                 take = order[start : start + cfg.batch_size]
-                sums = _sgd_step(net, loss_call, x[take], y[take], cfg, bufs, curves, worker)
+                sums, flags = _sgd_step(net, loss_call, x[take], y[take], cfg, bufs, curves, worker)
                 if curves:
                     loss_sums += sums
-                finite = np.isfinite(net.theta).all(axis=-1)
+                finite = reduce(np.logical_and, flags)
                 if finite.all():
                     continue
                 fail_epoch[alive[~finite]] = epoch

@@ -1182,8 +1182,9 @@ def test_worker_thread_keeps_every_bit(monkeypatch, side, classes, losses, cfg):
     *overlapped, sent = trained_state(monkeypatch, 1, spec, losses, sp, cfg)
     *serial, kept = trained_state(monkeypatch, 2**62, spec, losses, sp, cfg)
     assert overlapped == serial
-    # every trained layer but conv1 went to the worker, and none without it
-    assert (sent, kept) == (3 * -(-len(sp.train_labels) // cfg.batch_size) * cfg.epochs, 0)
+    # every trained layer but conv1 sent its weight gradient and its update to
+    # the worker, and none without it
+    assert (sent, kept) == (2 * 3 * -(-len(sp.train_labels) // cfg.batch_size) * cfg.epochs, 0)
 
 
 class WorkerRefused(contextlib.nullcontext):
@@ -1309,6 +1310,52 @@ def test_an_error_leaves_no_worker_task_running(monkeypatch):
     assert threading.active_count() == threads
 
 
+@dataclass(frozen=True)
+class LateDense(Dense):
+    """A Dense whose weight gradient finishes late."""
+
+    done: list
+
+    def param_grad(self, grads, x, dy):
+        time.sleep(0.2)
+        super().param_grad(grads, x, dy)
+        self.done.append(True)
+
+
+def test_worker_update_error_reaches_train_and_cancels_queued_updates(monkeypatch):
+    # the worker's queue in a step: the top layer's weight gradient and update,
+    # then the middle layer's late weight gradient and its update. The top
+    # update raises, so the middle update is still queued when train learns of it
+    monkeypatch.setattr(network, "OVERLAP_WORK", 1)
+    monkeypatch.setattr(network, "_spare_cpu", lambda: True)
+    seen, started, done, threads = [], [], [], threading.active_count()
+    update = network._sgd_update
+
+    def planted(net, cfg, a, b):
+        on_worker = threading.current_thread() is not threading.main_thread()
+        started.append((a, b, on_worker))
+        if on_worker:
+            seen.append(Planted(threading.current_thread()))
+            raise seen[-1]
+        return update(net, cfg, a, b)
+
+    monkeypatch.setattr(network, "_sgd_update", planted)
+    spec = NetworkSpec((Dense(2, 8), ReLU(), LateDense(8, 8, done), ReLU(), Dense(8, 3)), (2,), 3)
+    _, sp = fit_problem()
+    with pytest.raises(Planted) as raised:
+        train(init(spec, 4, 2), [CrossEntropy()] * 2, sp, TrainConfig(epochs=1, batch_size=16))
+    # the one error train raised is the update's own, raised on the worker, and
+    # it is no divergence: train returned no scores for it
+    assert seen == [raised.value]
+    assert raised.value.args[0] is not threading.current_thread()
+    # the first layer's columns were updated here, the top layer's raised on the
+    # worker, and the middle layer's queued update never started
+    assert sorted(run for run in started if run[0] < run[1]) == [(0, 24, False), (96, 123, True)]
+    # the late weight gradient finished and the thread was joined before train raised
+    assert done == [True]
+    assert threading.active_count() == threads
+
+
 def train_cnn16():
     spec, sp = cnn_spec(16, 3), image_split(16, 3, 48, seed=11)
     train(init(spec, 5), [CrossEntropy()], sp, TrainConfig(epochs=1, batch_size=16))
@@ -1349,3 +1396,25 @@ def test_diverging_cnn_member_overflows_quietly_on_the_worker(monkeypatch):
     losses = [CrossEntropy(), normalized_member(15, eta=1e8)]
     _, fail_epoch, _ = train(net, losses, sp, TrainConfig(epochs=2, batch_size=16))
     assert fail_epoch.tolist() == [0, 1]
+
+
+def test_diverging_cnn28_stack_keeps_every_bit_on_the_worker(monkeypatch):
+    # member 1 rescaled as above overflows at the second step, after one finite
+    # update, and member 0 trains on alone; the dense layer's update spans 32
+    # SGD_BLOCKs that start off the block grid when it runs on the worker
+    spec, sp = cnn_spec(28, 10), image_split(28, 10, 96, seed=28)
+    losses = [CrossEntropy(), normalized_member(15, eta=1e8, num_classes=10)]
+    cfg = TrainConfig(learning_rate=0.01, momentum=0.9, epochs=2, batch_size=32, seed=6)
+    assert spec.param_counts[7] > 32 * SGD_BLOCK and sum(spec.param_counts[:7]) % SGD_BLOCK
+    runs = []
+    for overlap_work in (1, 2**62):
+        monkeypatch.setattr(network, "OVERLAP_WORK", overlap_work)
+        monkeypatch.setattr(network, "_spare_cpu", lambda: True)
+        net = init(spec, 5, 2)
+        net._theta_views[0]["w"][1] *= 1e300
+        net._theta_views[3]["w"][1] /= 1e300
+        scores, fail_epoch, _ = train(net, losses, sp, cfg)
+        runs.append((net.theta.tobytes(), net.momentum.tobytes(), scores.tolist(),
+                     fail_epoch.tolist()))
+    assert runs[0] == runs[1]
+    assert runs[0][3] == [0, 1]
